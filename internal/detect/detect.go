@@ -17,6 +17,7 @@ package detect
 
 import (
 	"hash/fnv"
+	"math"
 	"sync"
 
 	"ffsva/internal/frame"
@@ -185,20 +186,14 @@ func (t *TinyGrid) Detect(f *frame.Frame) []Detection {
 	st.frames++
 	diff := imgproc.GetGray(size, size)
 	defer diff.Release()
-	par.For(len(small.Pix), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := float64(small.Pix[i])
-			d := p - st.ema[i]
-			if d < 0 {
-				d = -d
-			}
-			if d > 255 {
-				d = 255
-			}
-			diff.Pix[i] = uint8(d)
-			st.ema[i] += alpha * (p - st.ema[i])
-		}
-	})
+	pix, ema, out := small.Pix, st.ema, diff.Pix
+	if par.Workers() == 1 {
+		diffAndAdapt(pix, ema, out, alpha)
+	} else {
+		par.For(len(pix), 4096, func(lo, hi int) {
+			diffAndAdapt(pix[lo:hi], ema[lo:hi], out[lo:hi], alpha)
+		})
+	}
 
 	blur := imgproc.GetGray(size, size)
 	imgproc.BoxBlur3Into(diff, blur)
@@ -209,10 +204,9 @@ func (t *TinyGrid) Detect(f *frame.Frame) []Detection {
 	comps := imgproc.ConnectedComponents(mask, t.cfg.MinArea)
 
 	dets := make([]Detection, 0, len(comps))
-	cellCount := make(map[int]int)
-	tab := imgproc.Integral(diff)
+	var cellCount [GridSize * GridSize]uint8
 	for _, c := range comps {
-		d, ok := t.classify(c, diff, tab, size)
+		d, ok := t.classify(c, diff, size)
 		if !ok {
 			continue
 		}
@@ -230,16 +224,49 @@ func (t *TinyGrid) Detect(f *frame.Frame) []Detection {
 	return dets
 }
 
+// diffAndAdapt writes out[i] = min(|pix[i] − ema[i]|, 255) and moves
+// ema[i] toward pix[i] by alpha, over three planes of one length. The
+// float64 operations and their order are frozen — the background a
+// stream accumulates, and with it every later detection, is a function
+// of these bits. The magnitude is taken with math.Abs, not a branch:
+// on a background pixel the sign of the difference is sensor noise,
+// which no predictor learns.
+func diffAndAdapt(pix []uint8, ema []float64, out []uint8, alpha float64) {
+	ema, out = ema[:len(pix)], out[:len(pix)]
+	for i, b := range pix {
+		p := float64(b)
+		e := ema[i]
+		d := math.Abs(p - e)
+		if d > 255 {
+			d = 255
+		}
+		out[i] = uint8(d)
+		ema[i] = e + alpha*(p-e)
+	}
+}
+
+// rectSum returns the sum of g's pixels inside r, which must lie within
+// the image.
+func rectSum(g *imgproc.Gray, r imgproc.Rect) uint64 {
+	var sum uint64
+	for y := r.Y; y < r.Y+r.H; y++ {
+		for _, p := range g.Pix[y*g.W+r.X : y*g.W+r.X+r.W] {
+			sum += uint64(p)
+		}
+	}
+	return sum
+}
+
 // classify maps a foreground component to a class by its geometry, and
 // scores confidence from foreground contrast. Edge-touching (partially
 // visible) components are penalized: this is the mechanism that
 // reproduces T-YOLO's partial-appearance false negatives.
-func (t *TinyGrid) classify(c imgproc.Component, diff *imgproc.Gray, tab []uint64, size int) (Detection, bool) {
+func (t *TinyGrid) classify(c imgproc.Component, diff *imgproc.Gray, size int) (Detection, bool) {
 	r := c.Rect
 	aspect := float64(r.W) / float64(r.H)
 	fill := float64(c.Pixels) / float64(r.Area())
 
-	meanDiff := float64(imgproc.BoxSum(diff, tab, r)) / float64(r.Area())
+	meanDiff := float64(rectSum(diff, r)) / float64(r.Area())
 	conf := meanDiff / t.cfg.ConfNorm
 	if conf > 1 {
 		conf = 1

@@ -104,13 +104,12 @@ type SDD struct {
 	stats         Stats
 	lastD         float64
 
-	// Persistent per-stream scratch: the resize target and the
-	// materialized reference. refDirty marks the reference stale after
-	// an EMA update. Reusing these removes the two image allocations
-	// the paper's hottest filter would otherwise make per frame.
-	small    *imgproc.Gray
-	refImg   *imgproc.Gray
-	refDirty bool
+	// Persistent per-stream scratch: the resize target, and the running
+	// reference rounded to 8 bits, which Process keeps in step with ref.
+	// Reusing these removes the two image allocations the paper's
+	// hottest filter would otherwise make per frame.
+	small  *imgproc.Gray
+	refImg *imgproc.Gray
 }
 
 // NewSDD builds an SDD from a trained reference image (at any size; it is
@@ -177,25 +176,15 @@ func (s *SDD) Stats() Stats { return s.stats }
 // for threshold diagnostics.
 func (s *SDD) LastDistance() float64 { return s.lastD }
 
-// refGray materializes the running reference into the persistent
-// scratch image, refreshing it only after EMA updates.
-func (s *SDD) refGray() *imgproc.Gray {
-	if s.refImg == nil {
-		s.refImg = imgproc.NewGray(SDDSize, SDDSize)
-		s.refDirty = true
+// refLevel rounds one cell of the running reference to the 8-bit level
+// the distance is measured against.
+func refLevel(v float64) uint8 {
+	if v < 0 {
+		v = 0
+	} else if v > 255 {
+		v = 255
 	}
-	if s.refDirty {
-		for i, v := range s.ref {
-			if v < 0 {
-				v = 0
-			} else if v > 255 {
-				v = 255
-			}
-			s.refImg.Pix[i] = uint8(v + 0.5)
-		}
-		s.refDirty = false
-	}
-	return s.refImg
+	return uint8(v + 0.5)
 }
 
 // Process implements Filter: drop when the frame is background.
@@ -203,31 +192,24 @@ func (s *SDD) Process(f *frame.Frame) Verdict {
 	s.stats.Processed++
 	if s.small == nil {
 		s.small = imgproc.NewGray(SDDSize, SDDSize)
-	}
-	var d float64
-	if (s.Metric == MetricMSE || s.Metric == MetricNRMSE) && !s.CompensateLum {
-		// Fused fast path: resize and score in one sweep. The row sums
-		// are exact integers, so the value is bitwise-identical to
-		// ResizeInto followed by Distance. Luminance compensation needs
-		// the full resized image before its offset pass, so that
-		// configuration stays on the two-kernel path below.
-		mse := imgproc.ResizeMSE(imgproc.FromFrame(f), s.small, s.refGray())
-		if s.Metric == MetricNRMSE {
-			d = math.Sqrt(mse) / 255
-		} else {
-			d = mse
+		s.refImg = imgproc.NewGray(SDDSize, SDDSize)
+		for i, v := range s.ref {
+			s.refImg.Pix[i] = refLevel(v)
 		}
-	} else {
-		imgproc.ResizeInto(imgproc.FromFrame(f), s.small)
-		d = Distance(s.small, s.refGray(), s.Metric, s.CompensateLum)
 	}
+	imgproc.ResizeInto(imgproc.FromFrame(f), s.small)
+	d := Distance(s.small, s.refImg, s.Metric, s.CompensateLum)
 	s.lastD = d
 	if d <= s.Delta {
-		// Background: adapt the reference.
-		for i, p := range s.small.Pix {
-			s.ref[i] += s.Alpha * (float64(p) - s.ref[i])
+		// Background: adapt the reference, and re-round each cell while
+		// it is in hand rather than in a second walk before the next
+		// frame.
+		ref, img, alpha := s.ref, s.refImg.Pix[:len(s.ref)], s.Alpha
+		for i, p := range s.small.Pix[:len(ref)] {
+			v := ref[i] + alpha*(float64(p)-ref[i])
+			ref[i] = v
+			img[i] = refLevel(v)
 		}
-		s.refDirty = true
 		return Drop
 	}
 	s.stats.Passed++

@@ -2,11 +2,14 @@ package filters
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"ffsva/internal/detect"
 	"ffsva/internal/frame"
 	"ffsva/internal/imgproc"
+	"ffsva/internal/par"
 	"ffsva/internal/vidgen"
 )
 
@@ -303,5 +306,50 @@ func TestSDDOnSyntheticStream(t *testing.T) {
 	}
 	if rate := float64(kept) / float64(total); rate < 0.9 {
 		t.Fatalf("SDD kept only %.2f of target frames", rate)
+	}
+}
+
+// TestUncompensatedDistanceIsMSE: with luminance compensation off,
+// Distance accumulates squared integer differences in a float64, every
+// partial sum of which is an exact integer, so it returns imgproc.MSE's
+// value bit for bit. Process relies on this: it has no separate
+// uncompensated path.
+func TestUncompensatedDistanceIsMSE(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	a, b := imgproc.NewGray(SDDSize, SDDSize), imgproc.NewGray(SDDSize, SDDSize)
+	for trial := 0; trial < 20; trial++ {
+		for i := range a.Pix {
+			a.Pix[i] = uint8(rng.Intn(256))
+			b.Pix[i] = uint8(rng.Intn(256))
+		}
+		mse := imgproc.MSE(a, b)
+		if got := Distance(a, b, MetricMSE, false); got != mse {
+			t.Fatalf("trial %d: Distance = %v, MSE = %v", trial, got, mse)
+		}
+		if got, want := Distance(a, b, MetricNRMSE, false), math.Sqrt(mse)/255; got != want {
+			t.Fatalf("trial %d: NRMSE distance = %v, want %v", trial, got, want)
+		}
+	}
+}
+
+// TestSDDProcessAllocsIndependentOfGC: on the inline path the difference
+// detector's visit allocates at most the view of the frame, whatever the
+// collector does between frames.
+func TestSDDProcessAllocsIndependentOfGC(t *testing.T) {
+	prev := par.SetWorkers(1)
+	defer par.SetWorkers(prev)
+	s := vidgen.New(vidgen.Small(1, frame.ClassCar, 0.1))
+	sdd := NewSDD(s.Background(), 40, MetricMSE)
+	frames := vidgen.Generate(s, 8)
+	sdd.Process(frames[0])
+	i := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		runtime.GC()
+		runtime.GC()
+		sdd.Process(frames[i%len(frames)])
+		i++
+	})
+	if allocs > 1 {
+		t.Fatalf("SDD.Process: %v allocations per frame, want at most 1", allocs)
 	}
 }

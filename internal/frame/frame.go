@@ -6,10 +6,10 @@ package frame
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"ffsva/internal/par"
 	"ffsva/internal/trace"
 )
 
@@ -175,10 +175,11 @@ func New(w, h int) *Frame {
 	return &Frame{W: w, H: h, Pix: make([]uint8, w*h)}
 }
 
-// pixPool recycles pixel planes across pooled frames. Every stream of a
-// workload renders the same resolution, so exact-length buckets make
-// steady-state frame generation allocation-free.
-var pixPool sync.Pool
+// pixPool recycles pixel planes across pooled frames, bucketed by exact
+// length: every stream of a workload renders the same resolution, and a
+// process that mixes resolutions keeps one free list per plane size, so
+// steady-state frame generation allocates only the Frame header.
+var pixPool par.SlicePool[uint8]
 
 // poolGets and poolPuts count pooled-frame acquisitions and returns, so
 // tests can assert the get/put balance across a run: a frame path that
@@ -200,15 +201,8 @@ func PoolStats() (gets, puts int64) {
 // use New. The pipeline calls Release once the frame's verdict is
 // final.
 func NewPooled(w, h int) *Frame {
-	n := w * h
 	poolGets.Add(1)
-	if v := pixPool.Get(); v != nil {
-		if pix := v.([]uint8); len(pix) == n {
-			return &Frame{W: w, H: h, Pix: pix, pooled: true}
-		}
-		// Resolution changed since the plane was pooled; drop it.
-	}
-	return &Frame{W: w, H: h, Pix: make([]uint8, n), pooled: true}
+	return &Frame{W: w, H: h, Pix: pixPool.Get(w * h), pooled: true}
 }
 
 // Release returns a pooled frame's pixel plane for reuse. It is a no-op

@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -99,5 +100,34 @@ func TestFrameString(t *testing.T) {
 	f.StreamID, f.Seq = 3, 42
 	if got := f.String(); got != "frame{stream=3 seq=42 10x20}" {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+// TestPooledPlanesSurviveMixedResolutionsAndGC: a process that renders
+// several resolutions (the experiments suite runs 320×240, 600×400 and
+// 1280×720 streams side by side) keeps one free list per plane size, so
+// after one warm-up round a get/release cycle allocates the Frame header
+// and nothing else — also across garbage collections, which used to
+// empty the pool. At the parent commit this counted a plane per
+// mismatched get and per collection.
+func TestPooledPlanesSurviveMixedResolutionsAndGC(t *testing.T) {
+	sizes := [][2]int{{320, 240}, {600, 400}}
+	round := func() {
+		for _, sz := range sizes {
+			f := NewPooled(sz[0], sz[1])
+			if len(f.Pix) != sz[0]*sz[1] {
+				t.Fatalf("NewPooled(%d, %d): plane of %d", sz[0], sz[1], len(f.Pix))
+			}
+			f.Release()
+		}
+	}
+	round()
+	allocs := testing.AllocsPerRun(20, func() {
+		runtime.GC()
+		runtime.GC()
+		round()
+	})
+	if want := float64(len(sizes)); allocs != want {
+		t.Fatalf("%v allocations per round of %d frames, want %v (the headers)", allocs, len(sizes), want)
 	}
 }

@@ -72,9 +72,15 @@ func BenchmarkConnectedComponents(b *testing.B) {
 	}
 }
 
-func BenchmarkIntegral(b *testing.B) {
-	g := benchImage(208, 208)
+func benchResizeInto(b *testing.B, side int) {
+	src := benchImage(320, 240)
+	dst := NewGray(side, side)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Integral(g)
+		ResizeInto(src, dst)
 	}
 }
+
+func BenchmarkResizeInto50(b *testing.B)  { benchResizeInto(b, 50) }
+func BenchmarkResizeInto100(b *testing.B) { benchResizeInto(b, 100) }
+func BenchmarkResizeInto208(b *testing.B) { benchResizeInto(b, 208) }

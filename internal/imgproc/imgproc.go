@@ -6,6 +6,7 @@
 package imgproc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -91,44 +92,121 @@ func Resize(src *Gray, w, h int) *Gray {
 	return dst
 }
 
-// resizeRow writes one bilinear output row y of the src→(w,·) resize
-// into dst (length w). Both ResizeInto and the fused ResizeMSE build on
-// it, so the two paths compute identical pixels by construction.
-func resizeRow(src *Gray, w, y int, xRatio, yRatio float64, dst []uint8) {
-	sy := (float64(y)+0.5)*yRatio - 0.5
-	y0 := int(math.Floor(sy))
-	fy := sy - float64(y0)
-	y1 := y0 + 1
-	if y0 < 0 {
-		y0, y1, fy = 0, 0, 0
+// colTap is one output column's pair of source columns and their
+// bilinear weights. They depend only on the two widths, so a resize
+// works them out once per call, not once per pixel.
+type colTap struct {
+	x0, x1 int32
+	fx, gx float64 // weight of x1 and of x0; gx is 1-fx
+}
+
+// tapPool holds the per-call column taps and sumPool the blur's column
+// sums, so neither kernel allocates.
+var (
+	tapPool par.SlicePool[colTap]
+	sumPool par.SlicePool[uint16]
+)
+
+// sourcePair maps output index i of an n-wide axis onto its two source
+// indices on a srcN-wide axis and the weight f of the second, clamped at
+// both borders; ratio is srcN/n.
+func sourcePair(i int, ratio float64, srcN int) (i0, i1 int, f float64) {
+	s := (float64(i)+0.5)*ratio - 0.5
+	i0 = int(math.Floor(s))
+	f = s - float64(i0)
+	i1 = i0 + 1
+	if i0 < 0 {
+		i0, i1, f = 0, 0, 0
 	}
-	if y1 >= src.H {
-		y1 = src.H - 1
-		if y0 > y1 {
-			y0 = y1
+	if i1 >= srcN {
+		i1 = srcN - 1
+		if i0 > i1 {
+			i0 = i1
 		}
 	}
-	row0 := src.Pix[y0*src.W:]
-	row1 := src.Pix[y1*src.W:]
-	for x := 0; x < w; x++ {
-		sx := (float64(x)+0.5)*xRatio - 0.5
-		x0 := int(math.Floor(sx))
-		fx := sx - float64(x0)
-		x1 := x0 + 1
-		if x0 < 0 {
-			x0, x1, fx = 0, 0, 0
-		}
-		if x1 >= src.W {
-			x1 = src.W - 1
-			if x0 > x1 {
-				x0 = x1
-			}
-		}
-		top := float64(row0[x0])*(1-fx) + float64(row0[x1])*fx
-		bot := float64(row1[x0])*(1-fx) + float64(row1[x1])*fx
-		v := top*(1-fy) + bot*fy
-		dst[x] = uint8(math.Round(clamp(v, 0, 255)))
+	return i0, i1, f
+}
+
+// resizer is one src→dst bilinear resize: the source plane, the target
+// width and the column taps. It is a plain value — the row kernels below
+// take what they need from it, so a caller's *Gray never has to outlive
+// the call.
+//
+// The arithmetic is frozen: every output pixel is
+//
+//	top = r0[x0]*(1-fx) + r0[x1]*fx
+//	bot = r1[x0]*(1-fx) + r1[x1]*fx
+//	v   = top*(1-fy) + bot*fy
+//
+// in float64, in this order, each product and sum rounded on its own (no
+// fused multiply-add), then rounded half away from zero into a uint8.
+// The SDD distances, the SNM inputs and the detector's boxes all hang on
+// these bits, and the committed goldens pin them.
+type resizer struct {
+	pix    []uint8
+	sw, sh int
+	w      int
+	yRatio float64
+	taps   []colTap
+}
+
+// newResizer works out the taps of a src→(w,h) resize into pooled
+// scratch; release returns it.
+func newResizer(src *Gray, w, h int) resizer {
+	r := resizer{pix: src.Pix, sw: src.W, sh: src.H, w: w,
+		yRatio: float64(src.H) / float64(h), taps: tapPool.Get(w)}
+	xRatio := float64(src.W) / float64(w)
+	for x := range r.taps {
+		x0, x1, fx := sourcePair(x, xRatio, src.W)
+		r.taps[x] = colTap{x0: int32(x0), x1: int32(x1), fx: fx, gx: 1 - fx}
 	}
+	return r
+}
+
+func (r resizer) release() { tapPool.Put(r.taps) }
+
+// row writes output row y into dst (length r.w).
+func (r resizer) row(y int, dst []uint8) {
+	y0, y1, fy := sourcePair(y, r.yRatio, r.sh)
+	gy := 1 - fy
+	r0 := r.pix[y0*r.sw : y0*r.sw+r.sw]
+	r1 := r.pix[y1*r.sw : y1*r.sw+r.sw]
+	taps := r.taps[:len(dst)]
+	for x := range dst {
+		t := &taps[x]
+		top := float64(r0[t.x0])*t.gx + float64(r0[t.x1])*t.fx
+		bot := float64(r1[t.x0])*t.gx + float64(r1[t.x1])*t.fx
+		dst[x] = roundToUint8(top*gy + bot*fy)
+	}
+}
+
+// rows writes output rows [lo, hi) into the w-wide plane out. The
+// methods take the resizer by value so that a sharding closure holds a
+// copy and the caller's stays on its stack.
+func (r resizer) rows(lo, hi int, out []uint8) {
+	for y := lo; y < hi; y++ {
+		r.row(y, out[y*r.w:(y+1)*r.w])
+	}
+}
+
+// roundToUint8 is uint8(math.Round(v)) of v clamped to [0, 255], without
+// the call. For 0 < v < 255 the truncation i is exact and so is v-i
+// (both lie in one binade, or i is 0), and math.Round rounds halves away
+// from zero, so "add one when the fraction reaches one half" is the same
+// integer. uint8(v+0.5) is not: the sum rounds up to 1 at
+// v = 0.49999999999999994.
+func roundToUint8(v float64) uint8 {
+	if !(v > 0) {
+		return 0
+	}
+	if v >= 255 {
+		return 255
+	}
+	i := int(v)
+	if v-float64(i) >= 0.5 {
+		i++
+	}
+	return uint8(i)
 }
 
 // ResizeInto scales src into dst (sized by dst.W×dst.H), overwriting
@@ -145,13 +223,16 @@ func ResizeInto(src, dst *Gray) {
 		copy(dst.Pix, src.Pix)
 		return
 	}
-	xRatio := float64(src.W) / float64(w)
-	yRatio := float64(src.H) / float64(h)
-	par.For(h, 8, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			resizeRow(src, w, y, xRatio, yRatio, dst.Pix[y*w:(y+1)*w])
-		}
-	})
+	r := newResizer(src, w, h)
+	out := dst.Pix
+	if par.Workers() == 1 {
+		// Inline, and without the closure below: the serial path does not
+		// allocate.
+		r.rows(0, h, out)
+	} else {
+		par.For(h, 8, func(lo, hi int) { r.rows(lo, hi, out) })
+	}
+	r.release()
 }
 
 // resizeMSERows is the fixed row chunk of the fused resize+score
@@ -161,12 +242,14 @@ const resizeMSERows = 8
 
 // ResizeMSE scales src into dst exactly as ResizeInto does and, in the
 // same pass, returns the mean squared error between the fresh dst and
-// ref — the per-frame work of the SDD stage fused into one sweep, so
-// each output row is scored while still hot in cache instead of being
-// re-read by a second kernel. dst and ref must both be dst.W×dst.H.
-// Row-chunk difference sums are exact integers combined in chunk order,
-// so the result is bitwise-identical to ResizeInto followed by MSE, for
-// any worker count.
+// ref, scoring each output row while it is still hot in cache. dst and
+// ref must both be dst.W×dst.H. Row-chunk difference sums are exact
+// integers combined in chunk order, so the result is bitwise-identical
+// to ResizeInto followed by MSE, for any worker count.
+//
+// No filter calls it: SDD compensates luminance, which needs the whole
+// resized image before its offset pass. It stays only because the
+// benchmark and the kernel sweep time it by name (DESIGN.md §9).
 func ResizeMSE(src, dst, ref *Gray) float64 {
 	sameSize("ResizeMSE", dst, ref)
 	w, h := dst.W, dst.H
@@ -177,27 +260,30 @@ func ResizeMSE(src, dst, ref *Gray) float64 {
 		copy(dst.Pix, src.Pix)
 		return MSE(dst, ref)
 	}
-	xRatio := float64(src.W) / float64(w)
-	yRatio := float64(src.H) / float64(h)
+	r := newResizer(src, w, h)
+	out, refPix := dst.Pix, ref.Pix
 	partials := make([]uint64, par.NumChunks(h, resizeMSERows))
 	par.ForChunks(h, resizeMSERows, func(ci, lo, hi int) {
-		var sum uint64
-		for y := lo; y < hi; y++ {
-			row := dst.Pix[y*w : (y+1)*w]
-			resizeRow(src, w, y, xRatio, yRatio, row)
-			refRow := ref.Pix[y*w : (y+1)*w]
-			for x, v := range row {
-				d := int(v) - int(refRow[x])
-				sum += uint64(d * d)
-			}
-		}
-		partials[ci] = sum
+		r.rows(lo, hi, out)
+		partials[ci] = sumSquaredDiff(out[lo*w:hi*w], refPix[lo*w:hi*w])
 	})
+	r.release()
 	var sum uint64
 	for _, p := range partials {
 		sum += p
 	}
-	return float64(sum) / float64(len(dst.Pix))
+	return float64(sum) / float64(len(out))
+}
+
+// sumSquaredDiff returns Σ(a[i]−b[i])² over two equal-length planes.
+func sumSquaredDiff(a, b []uint8) uint64 {
+	b = b[:len(a)]
+	var sum uint64
+	for i, v := range a {
+		d := int(v) - int(b[i])
+		sum += uint64(d * d)
+	}
+	return sum
 }
 
 // ResizeNearest scales src into a new w×h image with nearest-neighbor
@@ -217,16 +303,6 @@ func ResizeNearest(src *Gray, w, h int) *Gray {
 	return dst
 }
 
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // mseChunk is the fixed reduction chunk for the pixel-difference
 // metrics. Per-chunk sums are exact integers (every squared 8-bit diff
 // is ≤ 255², far below 2⁵³), so combining chunk partials yields the
@@ -242,12 +318,7 @@ func MSE(a, b *Gray) float64 {
 	n := len(a.Pix)
 	partials := make([]uint64, par.NumChunks(n, mseChunk))
 	par.ForChunks(n, mseChunk, func(ci, lo, hi int) {
-		var sum uint64
-		for i := lo; i < hi; i++ {
-			d := int(a.Pix[i]) - int(b.Pix[i])
-			sum += uint64(d * d)
-		}
-		partials[ci] = sum
+		partials[ci] = sumSquaredDiff(a.Pix[lo:hi], b.Pix[lo:hi])
 	})
 	var sum uint64
 	for _, p := range partials {
@@ -340,15 +411,23 @@ func Binarize(g *Gray, thresh uint8) *Gray {
 // pixel, so out may be a dirty pooled image.
 func BinarizeInto(g *Gray, thresh uint8, out *Gray) {
 	sameSize("Binarize", g, out)
-	par.For(len(g.Pix), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if g.Pix[i] > thresh {
-				out.Pix[i] = 1
-			} else {
-				out.Pix[i] = 0
-			}
+	in, dst := g.Pix, out.Pix
+	if par.Workers() == 1 {
+		binarize(in, dst, thresh)
+		return
+	}
+	par.For(len(in), 4096, func(lo, hi int) { binarize(in[lo:hi], dst[lo:hi], thresh) })
+}
+
+func binarize(in, dst []uint8, thresh uint8) {
+	dst = dst[:len(in)]
+	for i, p := range in {
+		if p > thresh {
+			dst[i] = 1
+		} else {
+			dst[i] = 0
 		}
-	})
+	}
 }
 
 // BoxBlur3 applies a 3×3 box filter, used to suppress sensor noise before
@@ -360,33 +439,78 @@ func BoxBlur3(g *Gray) *Gray {
 }
 
 // BoxBlur3Into writes the 3×3 box filter of g into out, overwriting
-// every pixel, so out may be a dirty pooled image. Output rows shard
-// over the worker pool; the input is read-only, so shards are
-// independent.
+// every pixel, so out may be a dirty pooled image. Each output pixel is
+// the integer mean of the neighbours that exist — 9 inside, 6 on an
+// edge, 4 in a corner. Output rows shard over the worker pool; the input
+// is read-only, so shards are independent.
 func BoxBlur3Into(g, out *Gray) {
 	sameSize("BoxBlur3", g, out)
-	par.For(g.H, 8, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			for x := 0; x < g.W; x++ {
-				var sum, n int
-				for dy := -1; dy <= 1; dy++ {
-					yy := y + dy
-					if yy < 0 || yy >= g.H {
-						continue
-					}
-					for dx := -1; dx <= 1; dx++ {
-						xx := x + dx
-						if xx < 0 || xx >= g.W {
-							continue
-						}
-						sum += int(g.Pix[yy*g.W+xx])
-						n++
-					}
-				}
-				out.Pix[y*g.W+x] = uint8(sum / n)
+	w, h := g.W, g.H
+	in, dst := g.Pix, out.Pix
+	if w < 3 || h < 3 {
+		blurSmall(in, dst, w, h)
+		return
+	}
+	if par.Workers() == 1 {
+		blurRows(in, dst, w, h, 0, h)
+		return
+	}
+	par.For(h, 8, func(lo, hi int) { blurRows(in, dst, w, h, lo, hi) })
+}
+
+// blurRows blurs rows [lo, hi) of a plane at least 3×3: per output row,
+// the column sums of the two or three source rows around it, then a
+// 3-wide window over those sums.
+func blurRows(in, dst []uint8, w, h, lo, hi int) {
+	col := sumPool.Get(w)
+	for y := lo; y < hi; y++ {
+		top, bot := max(y-1, 0), min(y+1, h-1)
+		a := in[top*w : top*w+w]
+		b := in[bot*w : bot*w+w]
+		rows := uint32(bot - top + 1)
+		if rows == 3 {
+			m := in[y*w : y*w+w]
+			for x := range col {
+				col[x] = uint16(a[x]) + uint16(m[x]) + uint16(b[x])
+			}
+		} else {
+			for x := range col {
+				col[x] = uint16(a[x]) + uint16(b[x])
 			}
 		}
-	})
+		o := dst[y*w : y*w+w]
+		o[0] = uint8(uint32(col[0]+col[1]) / (rows * 2))
+		o[w-1] = uint8(uint32(col[w-2]+col[w-1]) / (rows * 2))
+		inner := o[1 : w-1]
+		left, mid, right := col[:len(inner)], col[1:1+len(inner)], col[2:2+len(inner)]
+		if rows == 3 {
+			for x := range inner {
+				inner[x] = uint8(uint32(left[x]+mid[x]+right[x]) / 9)
+			}
+		} else {
+			for x := range inner {
+				inner[x] = uint8(uint32(left[x]+mid[x]+right[x]) / 6)
+			}
+		}
+	}
+	sumPool.Put(col)
+}
+
+// blurSmall is the neighbour-by-neighbour filter, for planes too narrow
+// or too short for the column-sum sweep.
+func blurSmall(in, dst []uint8, w, h int) {
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			var sum, n int
+			for yy := max(y-1, 0); yy <= min(y+1, h-1); yy++ {
+				for xx := max(x-1, 0); xx <= min(x+1, w-1); xx++ {
+					sum += int(in[yy*w+xx])
+					n++
+				}
+			}
+			dst[y*w+x] = uint8(sum / n)
+		}
+	}
 }
 
 // Rect is an axis-aligned rectangle in pixel coordinates.
@@ -416,53 +540,65 @@ func IoU(a, b Rect) float64 {
 	return float64(inter) / float64(union)
 }
 
+// stackPool holds ConnectedComponents' work stack.
+var stackPool par.SlicePool[int32]
+
 // ConnectedComponents labels 4-connected regions of non-zero pixels in
 // mask and returns the bounding box and pixel count of each region with at
 // least minArea pixels. Regions are returned in scan order of their first
-// pixel, so output is deterministic.
+// pixel, so output is deterministic. The visited plane and the work
+// stack are pooled: a mask with nothing in it allocates nothing.
 func ConnectedComponents(mask *Gray, minArea int) []Component {
-	visited := make([]bool, len(mask.Pix))
+	n := len(mask.Pix)
+	if n == 0 {
+		return nil
+	}
+	pix, w, h := mask.Pix, mask.W, mask.H
+	visited := grayPix.Get(n)
+	clear(visited)
+	// The stack holds (x, y) pairs. A pixel is pushed once, when it is
+	// marked, so it never holds more than the plane.
+	stack := stackPool.Get(2 * n)
 	var comps []Component
-	var stack []int
-	for start, p := range mask.Pix {
-		if p == 0 || visited[start] {
+	for start := 0; start < n; start++ {
+		// A foreground mask is mostly background: step over eight empty
+		// pixels at a time.
+		for start+8 <= n && binary.LittleEndian.Uint64(pix[start:]) == 0 {
+			start += 8
+		}
+		if start == n || pix[start] == 0 || visited[start] != 0 {
 			continue
 		}
-		minX, minY := mask.W, mask.H
+		minX, minY := w, h
 		maxX, maxY := -1, -1
 		count := 0
-		stack = stack[:0]
-		stack = append(stack, start)
-		visited[start] = true
-		for len(stack) > 0 {
-			idx := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			x, y := idx%mask.W, idx/mask.W
+		top := 0
+		push := func(x, y int) {
+			if idx := y*w + x; pix[idx] != 0 && visited[idx] == 0 {
+				visited[idx] = 1
+				stack[top], stack[top+1] = int32(x), int32(y)
+				top += 2
+			}
+		}
+		push(start%w, start/w)
+		for top > 0 {
+			top -= 2
+			x, y := int(stack[top]), int(stack[top+1])
 			count++
-			if x < minX {
-				minX = x
-			}
-			if x > maxX {
-				maxX = x
-			}
-			if y < minY {
-				minY = y
-			}
-			if y > maxY {
-				maxY = y
-			}
+			minX, maxX = min(minX, x), max(maxX, x)
+			minY, maxY = min(minY, y), max(maxY, y)
 			// 4-connectivity.
 			if x > 0 {
-				push(mask, visited, &stack, idx-1)
+				push(x-1, y)
 			}
-			if x < mask.W-1 {
-				push(mask, visited, &stack, idx+1)
+			if x < w-1 {
+				push(x+1, y)
 			}
 			if y > 0 {
-				push(mask, visited, &stack, idx-mask.W)
+				push(x, y-1)
 			}
-			if y < mask.H-1 {
-				push(mask, visited, &stack, idx+mask.W)
+			if y < h-1 {
+				push(x, y+1)
 			}
 		}
 		if count >= minArea {
@@ -472,45 +608,13 @@ func ConnectedComponents(mask *Gray, minArea int) []Component {
 			})
 		}
 	}
+	stackPool.Put(stack)
+	grayPix.Put(visited)
 	return comps
-}
-
-func push(mask *Gray, visited []bool, stack *[]int, idx int) {
-	if mask.Pix[idx] != 0 && !visited[idx] {
-		visited[idx] = true
-		*stack = append(*stack, idx)
-	}
 }
 
 // Component is one connected foreground region.
 type Component struct {
 	Rect   Rect
 	Pixels int // number of foreground pixels (≤ Rect.Area())
-}
-
-// Integral computes the summed-area table of g. The returned slice has
-// (W+1)×(H+1) entries; use BoxSum to query region sums in O(1).
-func Integral(g *Gray) []uint64 {
-	w1 := g.W + 1
-	tab := make([]uint64, w1*(g.H+1))
-	for y := 1; y <= g.H; y++ {
-		var rowSum uint64
-		for x := 1; x <= g.W; x++ {
-			rowSum += uint64(g.Pix[(y-1)*g.W+(x-1)])
-			tab[y*w1+x] = tab[(y-1)*w1+x] + rowSum
-		}
-	}
-	return tab
-}
-
-// BoxSum returns the sum of pixels of g inside r, using the integral table
-// produced by Integral. The rectangle is clipped to the image bounds.
-func BoxSum(g *Gray, tab []uint64, r Rect) uint64 {
-	x0, y0 := max(r.X, 0), max(r.Y, 0)
-	x1, y1 := min(r.X+r.W, g.W), min(r.Y+r.H, g.H)
-	if x0 >= x1 || y0 >= y1 {
-		return 0
-	}
-	w1 := g.W + 1
-	return tab[y1*w1+x1] - tab[y0*w1+x1] - tab[y1*w1+x0] + tab[y0*w1+x0]
 }

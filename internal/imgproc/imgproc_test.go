@@ -233,41 +233,6 @@ func TestIoUPropertyBounds(t *testing.T) {
 	}
 }
 
-func TestIntegralBoxSum(t *testing.T) {
-	g := ramp(17, 13)
-	tab := Integral(g)
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 100; i++ {
-		x := r.Intn(g.W)
-		y := r.Intn(g.H)
-		w := r.Intn(g.W-x) + 1
-		h := r.Intn(g.H-y) + 1
-		var want uint64
-		for yy := y; yy < y+h; yy++ {
-			for xx := x; xx < x+w; xx++ {
-				want += uint64(g.At(xx, yy))
-			}
-		}
-		got := BoxSum(g, tab, Rect{x, y, w, h})
-		if got != want {
-			t.Fatalf("BoxSum(%d,%d,%d,%d) = %d, want %d", x, y, w, h, got, want)
-		}
-	}
-}
-
-func TestBoxSumClipsToBounds(t *testing.T) {
-	g := ramp(10, 10)
-	tab := Integral(g)
-	full := BoxSum(g, tab, Rect{0, 0, 10, 10})
-	clipped := BoxSum(g, tab, Rect{-5, -5, 20, 20})
-	if full != clipped {
-		t.Fatalf("clipped sum %d != full sum %d", clipped, full)
-	}
-	if BoxSum(g, tab, Rect{50, 50, 5, 5}) != 0 {
-		t.Fatal("out-of-bounds BoxSum != 0")
-	}
-}
-
 func TestBoxBlurConstant(t *testing.T) {
 	g := NewGray(20, 20)
 	for i := range g.Pix {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -121,4 +122,22 @@ func TestInferDoesNotReleaseCallerInput(t *testing.T) {
 		}
 	}
 	x.Release()
+}
+
+// TestPooledTensorAllocsIndependentOfGC: a warm GetTensorDirty/Release
+// pair allocates the tensor header and its shape and nothing else, with
+// collections between iterations — the backing array stays filed in the
+// pool, which the collector no longer empties (it cost the array again
+// after every cycle), and Put no longer boxes the slice (the third
+// allocation of the warm pair until now).
+func TestPooledTensorAllocsIndependentOfGC(t *testing.T) {
+	GetTensorDirty(1, 1, 50, 50).Release()
+	allocs := testing.AllocsPerRun(20, func() {
+		runtime.GC()
+		runtime.GC()
+		GetTensorDirty(1, 1, 50, 50).Release()
+	})
+	if allocs != 2 {
+		t.Fatalf("GetTensorDirty+Release: %v allocations, want 2 (header and shape)", allocs)
+	}
 }

@@ -8,12 +8,41 @@ import "sync"
 // so exact-length buckets hit essentially always and the hot loops stop
 // touching the heap.
 //
+// Each length has a LIFO free list and one mutex guards them all. The
+// lists belong to the pool, not to the garbage collector: a slice stays
+// filed until a Get of its length takes it, so how much a run allocates
+// does not depend on when the collector happened to run (a sync.Pool
+// is emptied by every cycle). A list holds at most maxFree slices; a
+// Put that finds it full drops the slice for the collector. The limit
+// is a count, so what a run allocates stays a function of its Get/Put
+// sequence alone, and it bounds both what the pool retains and how much
+// a cold process allocates beyond a warm one (maxFree slices per
+// length) — a burst that parks a thousand frames in ingest buffers
+// re-allocates its excess each time instead of pinning it for the
+// life of the process. The mutex is uncontended where it matters:
+// under the cooperative virtual clock one process computes at a time.
+//
 // Get returns a slice whose contents are arbitrary (whatever the
 // previous user left); callers that need zeros must clear it or, better,
 // overwrite every element. After Put the caller must drop every
-// reference to the slice — the next Get of that length owns it.
+// reference to the slice — the next Get of that length owns it. The
+// zero SlicePool is ready to use.
 type SlicePool[T any] struct {
-	pools sync.Map // int (length) -> *sync.Pool
+	mu   sync.Mutex
+	free map[int]*freeList[T]
+}
+
+// maxFree is how many slices one length's free list retains: more than
+// the steady states this repo runs keep outstanding of one shape (four
+// offline streams hold ~90 frame planes in their queues), so they
+// allocate no buffer once warm, and few enough that what a burst leaves
+// behind is a small share of what the next one allocates.
+const maxFree = 128
+
+// freeList is one length's stack of filed slices. It is held by pointer
+// so a Get or Put costs one map lookup and no map store.
+type freeList[T any] struct {
+	slices [][]T
 }
 
 // Get returns a slice of exactly length n, recycled when possible.
@@ -21,25 +50,38 @@ func (p *SlicePool[T]) Get(n int) []T {
 	if n <= 0 {
 		return nil
 	}
-	if sp, ok := p.pools.Load(n); ok {
-		if v := sp.(*sync.Pool).Get(); v != nil {
-			return v.([]T)
-		}
+	p.mu.Lock()
+	if l := p.free[n]; l != nil && len(l.slices) > 0 {
+		last := len(l.slices) - 1
+		s := l.slices[last]
+		l.slices[last] = nil
+		l.slices = l.slices[:last]
+		p.mu.Unlock()
+		return s
 	}
+	p.mu.Unlock()
 	return make([]T, n)
 }
 
-// Put files s for reuse by a later Get of the same length. The caller
-// must drop every reference to s.
+// Put files s for reuse by a later Get of the same length, or drops it
+// when that length's list is full. The caller must drop every reference
+// to s.
 func (p *SlicePool[T]) Put(s []T) {
 	n := len(s)
 	if n == 0 {
 		return
 	}
-	sp, ok := p.pools.Load(n)
-	if !ok {
-		sp, _ = p.pools.LoadOrStore(n, &sync.Pool{})
+	p.mu.Lock()
+	l := p.free[n]
+	if l == nil {
+		if p.free == nil {
+			p.free = make(map[int]*freeList[T])
+		}
+		l = &freeList[T]{}
+		p.free[n] = l
 	}
-	//nolint:staticcheck // slices of pointerless T carry no references
-	sp.(*sync.Pool).Put(s)
+	if len(l.slices) < maxFree {
+		l.slices = append(l.slices, s)
+	}
+	p.mu.Unlock()
 }

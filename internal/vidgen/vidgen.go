@@ -513,49 +513,72 @@ func (s *Stream) render() *frame.Frame {
 	}
 	f.Truth = ann
 
-	// Illumination drift + cheap deterministic sensor noise. One
-	// xorshift32 step yields four noise bytes; masking (power of two)
-	// replaces the division a modulo would need.
-	noise := s.cfg.NoiseAmp
-	if noise > 0 {
-		mask := uint32(1)
-		for mask < uint32(noise) {
-			mask <<= 1
-		}
-		mask--
-		half := int(mask) / 2
-		st := s.noiseState
-		n := len(f.Pix)
-		for i := 0; i < n; {
-			st ^= st << 13
-			st ^= st >> 17
-			st ^= st << 5
-			r := st
-			for k := 0; k < 4 && i < n; k++ {
-				v := int(f.Pix[i]) + ilum + int(r&mask) - half
-				r >>= 8
-				if v < 0 {
-					v = 0
-				} else if v > 255 {
-					v = 255
-				}
-				f.Pix[i] = uint8(v)
-				i++
-			}
-		}
-		s.noiseState = st
+	// Illumination drift + cheap deterministic sensor noise.
+	if s.cfg.NoiseAmp > 0 {
+		s.noiseState = addNoise(f.Pix, s.noiseState, ilum, s.cfg.NoiseAmp)
 	} else if ilum != 0 {
+		var buf [256]uint8
+		lut := clampTable(buf[:], 256, ilum)
 		for i, p := range f.Pix {
-			v := int(p) + ilum
-			if v < 0 {
-				v = 0
-			} else if v > 255 {
-				v = 255
-			}
-			f.Pix[i] = uint8(v)
+			f.Pix[i] = lut[p]
 		}
 	}
 	return f
+}
+
+// clampTable returns a table of n entries with t[i] = i+offset clamped
+// to [0, 255], in buf when it is long enough.
+func clampTable(buf []uint8, n, offset int) []uint8 {
+	t := buf
+	if n > len(buf) {
+		t = make([]uint8, n)
+	}
+	t = t[:n]
+	for i := range t {
+		t[i] = uint8(min(max(i+offset, 0), 255))
+	}
+	return t
+}
+
+// addNoise adds the illumination offset and zero-centred sensor noise of
+// the given peak-to-peak amplitude to every pixel, clamping to 8 bits,
+// and returns the advanced generator state. One xorshift32 step yields
+// four noise bytes; masking (the amplitude rounded up to a power of two)
+// replaces the division a modulo would need. The sum pixel+noise indexes
+// a clamp table that already holds the offset, so the loop has no
+// data-dependent branch.
+func addNoise(pix []uint8, st uint32, ilum, amp int) uint32 {
+	mask := uint32(1)
+	for mask < uint32(amp) {
+		mask <<= 1
+	}
+	mask--
+	half := int(mask) / 2
+	var buf [512]uint8
+	lut := clampTable(buf[:], 256+int(mask), ilum-half)
+	step := func() {
+		st ^= st << 13
+		st ^= st >> 17
+		st ^= st << 5
+	}
+	whole := len(pix) &^ 3
+	for i := 0; i < whole; i += 4 {
+		step()
+		p := pix[i : i+4 : i+4]
+		p[0] = lut[int(p[0])+int(st&mask)]
+		p[1] = lut[int(p[1])+int(st>>8&mask)]
+		p[2] = lut[int(p[2])+int(st>>16&mask)]
+		p[3] = lut[int(p[3])+int(st>>24&mask)]
+	}
+	if tail := pix[whole:]; len(tail) > 0 {
+		step()
+		r := st
+		for i, p := range tail {
+			tail[i] = lut[int(p)+int(r&mask)]
+			r >>= 8
+		}
+	}
+	return st
 }
 
 // paint draws an object's visible box with class-specific structure.
