@@ -45,12 +45,14 @@ test:
 # The packages whose tests exercise real goroutines against shared state:
 # the queues and pipeline (real-clock paths), the parallel compute
 # kernels with the one mutex-guarded buffer pool they all draw from
-# (worker pool; tensor, image and frame planes; kernel scratch), and the
-# fault-injection + cluster failure/recovery paths. The per-pixel loops
+# (worker pool; tensor, image and frame planes; kernel scratch), the
+# fault-injection + cluster failure/recovery paths, and lab and train,
+# which mint streams around read-only artefacts their camera shares
+# (background plane, detector seed, trained weights). The per-pixel loops
 # run ~50x slower under the detector (vidgen ~8 min, detect ~5 min on a
 # 2-vCPU host), hence the timeout above go test's 600s default.
 race:
-	$(GO) test -race -timeout 1800s ./internal/queue ./internal/pipeline ./internal/par ./internal/nn ./internal/imgproc ./internal/frame ./internal/filters ./internal/vidgen ./internal/detect ./internal/faults ./internal/cluster ./internal/cluster/sched ./internal/trace ./internal/obs ./internal/timeline
+	$(GO) test -race -timeout 1800s ./internal/queue ./internal/pipeline ./internal/par ./internal/nn ./internal/imgproc ./internal/frame ./internal/filters ./internal/vidgen ./internal/detect ./internal/lab ./internal/train ./internal/faults ./internal/cluster ./internal/cluster/sched ./internal/trace ./internal/obs ./internal/timeline
 
 # The experiments suite alone needs ~20 min under -race (the virtual
 # clock is cooperative, so the race detector's overhead doesn't

@@ -13,6 +13,7 @@
 //	      [-tenants "acme=4,globex=2"] [-elastic-max 0]
 //	      [-inject spec]... [-shed-after 500ms]
 //	      [-trace out.json] [-trace-jsonl out.jsonl] [-listen :8080]
+//	      [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // -instances greater than one runs the multi-instance layer (§4.3)
 // instead of a single pipeline: streams arrive -arrival-every apart and
@@ -78,6 +79,11 @@
 // freezes the window around every fault, overload engagement, or
 // disruptive cluster event to a JSONL file in DIR.
 //
+// -cpuprofile and -memprofile write pprof profiles of the run itself —
+// training and the pipeline, not flag handling or report printing: the
+// CPU profile covers it, the heap profile (allocations since process
+// start) is taken as it ends. Read them with `go tool pprof`.
+//
 // By default the run executes under the deterministic virtual clock,
 // reproducing the paper's two-GPU server timings on any machine; -real
 // emulates the same service times in wall-clock time.
@@ -90,6 +96,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -144,6 +151,8 @@ func main() {
 	listen := flag.String("listen", "", `serve the live observability endpoint (":8080" binds localhost)`)
 	timelineOn := flag.Bool("timeline", false, "record the flight-recorder timeline and print the bottleneck verdict")
 	dumpDir := flag.String("dump-on-fault", "", "freeze the timeline window around faults/overload/migrations to JSONL dumps in this directory (implies -timeline)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	flag.Parse()
 
 	switch *workload {
@@ -240,7 +249,9 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Printf("training stream-specialized models (cached after first run)...\n")
+		stopProfiles := startProfiles(*cpuProfile, *memProfile)
 		rep, err := ffsva.RunClusterContext(ctx, ccfg)
+		stopProfiles()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ffsva: %v\n", err)
 			os.Exit(1)
@@ -279,7 +290,9 @@ func main() {
 	}
 
 	fmt.Printf("training stream-specialized models (cached after first run)...\n")
+	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 	res, err := ffsva.RunContext(ctx, cfg)
+	stopProfiles()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ffsva: %v\n", err)
 		os.Exit(1)
@@ -299,6 +312,48 @@ func main() {
 	}
 	exportTrace(tracer, *tracePath, *traceJSONL)
 	finishTimeline(rec)
+}
+
+// startProfiles begins the CPU profile and returns the function that
+// ends it and writes the heap profile; an empty path skips that profile.
+// A profile that cannot be written ends the process: the run was asked
+// for in order to be profiled.
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	fail := func(err error) {
+		fmt.Fprintf(os.Stderr, "ffsva: profile: %v\n", err)
+		os.Exit(1)
+	}
+	var cpu *os.File
+	if cpuPath != "" {
+		var err error
+		if cpu, err = os.Create(cpuPath); err != nil {
+			fail(err)
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			fail(err)
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fail(err)
+			}
+		}
+		if memPath == "" {
+			return
+		}
+		mem, err := os.Create(memPath)
+		if err != nil {
+			fail(err)
+		}
+		if err := pprof.WriteHeapProfile(mem); err != nil {
+			fail(err)
+		}
+		if err := mem.Close(); err != nil {
+			fail(err)
+		}
+	}
 }
 
 // finishTimeline flushes the flight recorder's pending dumps and lists

@@ -25,7 +25,6 @@ import (
 	"ffsva/internal/cluster/sched"
 	"ffsva/internal/detect"
 	"ffsva/internal/faults"
-	"ffsva/internal/imgproc"
 	"ffsva/internal/pipeline"
 	"ffsva/internal/trace"
 	"ffsva/internal/vclock"
@@ -316,6 +315,9 @@ type Cluster struct {
 	// unregs defers clearing migrated-away streams' detector state on
 	// their source instances until the stopped fragments drain.
 	unregs []unreg
+	// open is trackCompletions' scratch: the unfinished streams of the
+	// instance being walked.
+	open map[int]fragState
 
 	// cancelled stops admission and instance ingest (context
 	// cancellation); managerDone lets the context watcher exit once the
@@ -348,6 +350,7 @@ func New(cfg Config, arrivals []Arrival) *Cluster {
 		loc:      make(map[int]int),
 		done:     make(map[int]bool),
 		specs:    make(map[int]pipeline.StreamSpec),
+		open:     make(map[int]fragState),
 	}
 	sort.SliceStable(c.arrivals, func(i, j int) bool { return c.arrivals[i].At < c.arrivals[j].At })
 	for i := 0; i < cfg.Instances; i++ {
@@ -466,7 +469,7 @@ func (c *Cluster) view(snaps []pipeline.Snapshot) *sched.View {
 		insts[i] = sched.Instance{
 			Index:      i,
 			Live:       !c.failed[i] && !c.retired[i],
-			Overloaded: c.overloaded(snaps[i]),
+			Overloaded: c.overloaded(&snaps[i]),
 			Streams:    c.counts[i],
 			TYoloRate:  snaps[i].TYoloRate,
 			Spare:      snaps[i].TYoloRate < c.cfg.SpareTYRate,
@@ -528,7 +531,7 @@ func (c *Cluster) record(e Event) {
 // overloaded combines three snapshot signals: blocked ingest, a deep
 // capture backlog, and queues pinned at their thresholds while backlog
 // builds.
-func (c *Cluster) overloaded(sn pipeline.Snapshot) bool {
+func (c *Cluster) overloaded(sn *pipeline.Snapshot) bool {
 	if sn.WorstLag > c.cfg.LagThreshold {
 		return true
 	}
@@ -594,7 +597,7 @@ func (c *Cluster) manage() {
 			if c.failed[i] || c.retired[i] {
 				continue
 			}
-			if !c.overloaded(snaps[i]) {
+			if !c.overloaded(&snaps[i]) {
 				c.over[i] = 0
 				continue
 			}
@@ -650,22 +653,12 @@ func (c *Cluster) reject(a Arrival, why sched.RejectReason) {
 }
 
 // trackCompletions marks streams whose final fragment has ingested and
-// decided every frame, releasing their instance slot and quota. The
-// ownership map keeps the entry (reports and detector-state checks
-// read it); done excludes the stream from scheduling.
+// decided every frame, releasing their instance slot, their quota and
+// the background model the instance's detector kept for them. The
+// ownership map keeps the entry (reports read it); done excludes the
+// stream from scheduling. Each instance's snapshot is walked once.
 func (c *Cluster) trackCompletions(snaps []pipeline.Snapshot) {
-	ids := make([]int, 0, len(c.loc))
-	for id := range c.loc {
-		if !c.done[id] {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		inst := c.loc[id]
-		if inst >= len(snaps) {
-			continue
-		}
+	for inst := range snaps {
 		// A crashed instance also shows IngestDone (its ingest loops
 		// broke) with every frame drained — but its streams are not
 		// finished, they are waiting for failure detection to recover
@@ -673,37 +666,48 @@ func (c *Cluster) trackCompletions(snaps []pipeline.Snapshot) {
 		if snaps[inst].Crashed || c.failed[inst] {
 			continue
 		}
-		if streamFinished(snaps[inst], id) {
+		// A stream has fully completed on its instance when every
+		// fragment has decided all ingested frames, none is still
+		// ingesting, and at least one ran its source dry (a stopped
+		// fragment with frames remaining means the stream continued
+		// elsewhere).
+		clear(c.open)
+		streams := snaps[inst].Streams
+		for i := range streams {
+			ss := &streams[i]
+			if c.done[ss.ID] || c.loc[ss.ID] != inst {
+				continue
+			}
+			f := c.open[ss.ID]
+			f.busy = f.busy || !drained(ss)
+			f.ingestDone = f.ingestDone || ss.IngestDone
+			c.open[ss.ID] = f
+		}
+		for id, f := range c.open {
+			if f.busy || !f.ingestDone {
+				continue
+			}
 			c.done[id] = true
 			c.counts[inst]--
 			c.sch.Done(id)
+			// No frame of the stream is left here to detect on, so its
+			// background cannot come back; a fragment still draining on an
+			// instance it migrated away from is processUnregs' to release.
+			c.tgs[inst].Unregister(id)
 		}
 	}
 }
 
-// streamFinished reports whether stream id has fully completed on the
-// instance: every fragment has decided all ingested frames, none is
-// still ingesting, and at least one ran its source dry (a stopped
-// fragment with frames remaining means the stream continued elsewhere).
-func streamFinished(sn pipeline.Snapshot, id int) bool {
-	ingestDone := false
-	found := false
-	for _, ss := range sn.Streams {
-		if ss.ID != id {
-			continue
-		}
-		found = true
-		if ss.Decided < ss.Ingested {
-			return false
-		}
-		if !ss.Stopped && !ss.IngestDone {
-			return false
-		}
-		if ss.IngestDone {
-			ingestDone = true
-		}
-	}
-	return found && ingestDone
+// fragState folds the fragments one stream has on one instance.
+type fragState struct {
+	busy       bool // some fragment is ingesting or has undecided frames
+	ingestDone bool // some fragment's ingest loop has ended
+}
+
+// drained reports whether a fragment has stopped ingesting and decided
+// all of its frames.
+func drained(ss *pipeline.StreamSnapshot) bool {
+	return ss.Decided >= ss.Ingested && (ss.Stopped || ss.IngestDone)
 }
 
 // elastic applies the scheduler's scale decision: grow the fleet under
@@ -817,7 +821,7 @@ func (c *Cluster) processUnregs(snaps []pipeline.Snapshot) {
 		switch {
 		case c.loc[u.id] == u.inst:
 			// The stream migrated back; its background is live again.
-		case fragmentsDrained(snaps[u.inst], u.id):
+		case fragmentsDrained(&snaps[u.inst], u.id):
 			c.tgs[u.inst].Unregister(u.id)
 		default:
 			kept = append(kept, u)
@@ -828,12 +832,9 @@ func (c *Cluster) processUnregs(snaps []pipeline.Snapshot) {
 
 // fragmentsDrained reports whether every fragment of stream id on the
 // instance has stopped ingesting and decided all of its frames.
-func fragmentsDrained(sn pipeline.Snapshot, id int) bool {
-	for _, ss := range sn.Streams {
-		if ss.ID != id {
-			continue
-		}
-		if ss.Decided < ss.Ingested || (!ss.Stopped && !ss.IngestDone) {
+func fragmentsDrained(sn *pipeline.Snapshot, id int) bool {
+	for i := range sn.Streams {
+		if ss := &sn.Streams[i]; ss.ID == id && !drained(ss) {
 			return false
 		}
 	}
@@ -864,11 +865,11 @@ func (c *Cluster) continueStream(victim, from, to int, kind EventKind) bool {
 	ty := *old.TYolo
 	ty.Det = c.tgs[to]
 	cont.TYolo = &ty
-	// Seed the target detector's background if the source can provide it.
-	if bg, okBG := src.(interface{ Background() *imgproc.Gray }); okBG {
-		if b := bg.Background(); b != nil {
-			c.tgs[to].SetBackground(victim, b)
-		}
+	// Seed the target detector's background if the source can provide it
+	// — from the viewpoint's shared plane, the one admission seeded from,
+	// so a move copies nothing.
+	if b := faults.SourceBackground(src); b != nil {
+		c.tgs[to].SetBackground(victim, b)
 	}
 	c.instances[to].AddStream(cont)
 	// The source instance's detector still holds the stream's background;

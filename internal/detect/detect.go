@@ -16,8 +16,10 @@
 package detect
 
 import (
+	"bytes"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sync"
 
 	"ffsva/internal/frame"
@@ -93,17 +95,35 @@ func DefaultTinyGridConfig() TinyGridConfig {
 // TinyGrid is safe for concurrent use across distinct streams: with
 // multiple filter GPUs the pipeline runs one T-YOLO worker per GPU, each
 // serving a disjoint stream partition, so a mutex guards only the shared
-// background map.
+// background map and the seed memo.
 type TinyGrid struct {
 	cfg TinyGridConfig
 	mu  sync.Mutex
 	bg  map[int]*bgState
+	// seeds holds the most recent backgrounds SetBackground was given,
+	// already at detector scale, oldest first: the streams of one camera
+	// all start from the same image, so it is resampled once per
+	// detector, not once per stream.
+	seeds []bgSeed
 }
 
 type bgState struct {
 	ema    []float64 // background estimate at InputSize scale
 	frames int
 }
+
+// bgSeed is one known background and the EMA a stream seeded from it
+// starts with. Both are written once and then only read. src is the
+// detector's own copy of the plane, so a seed is found again by the
+// plane's contents and callers stay free to reuse or share theirs.
+type bgSeed struct {
+	src *imgproc.Gray
+	ema []float64
+}
+
+// maxSeeds bounds the seed memo (0.4 MB an entry at the default scales);
+// an instance serving more viewpoints than this resamples on the misses.
+const maxSeeds = 8
 
 // NewTinyGrid creates a detector with the given configuration.
 func NewTinyGrid(cfg TinyGridConfig) *TinyGrid {
@@ -142,15 +162,35 @@ func (t *TinyGrid) Registered(streamID int) bool {
 // SetBackground seeds the background model for a stream from a known
 // background image (the trainer does this from labeled background
 // frames, mirroring how the paper trains stream-specialized models).
+// The stream gets an estimate of its own — Detect adapts it — copied
+// from the image's resample; bg is only read, and not kept.
 func (t *TinyGrid) SetBackground(streamID int, bg *imgproc.Gray) {
-	small := imgproc.Resize(bg, t.cfg.InputSize, t.cfg.InputSize)
-	st := &bgState{ema: make([]float64, len(small.Pix)), frames: 1000}
-	for i, p := range small.Pix {
-		st.ema[i] = float64(p)
-	}
+	st := &bgState{ema: slices.Clone(t.seedFor(bg)), frames: 1000}
 	t.mu.Lock()
 	t.bg[streamID] = st
 	t.mu.Unlock()
+}
+
+// seedFor returns the detector-scale float64 image of bg, resampling it
+// unless a plane with the same pixels was seen recently.
+func (t *TinyGrid) seedFor(bg *imgproc.Gray) []float64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, s := range t.seeds {
+		if s.src.W == bg.W && s.src.H == bg.H && bytes.Equal(s.src.Pix, bg.Pix) {
+			return s.ema
+		}
+	}
+	small := imgproc.Resize(bg, t.cfg.InputSize, t.cfg.InputSize)
+	ema := make([]float64, len(small.Pix))
+	for i, p := range small.Pix {
+		ema[i] = float64(p)
+	}
+	if len(t.seeds) == maxSeeds {
+		t.seeds = append(t.seeds[:0], t.seeds[1:]...)
+	}
+	t.seeds = append(t.seeds, bgSeed{src: bg.Clone(), ema: ema})
+	return ema
 }
 
 // Detect implements Detector. The per-pixel stages — resize, foreground

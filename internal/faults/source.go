@@ -72,12 +72,21 @@ func (s *Source) Discard() {
 	s.attempts = 0
 }
 
-// Background exposes the inner source's trained background so cluster
-// re-forwarding can re-seed the target instance's detector through the
-// wrapper. Returns nil when the inner source has none.
-func (s *Source) Background() *imgproc.Gray {
-	if bg, ok := s.inner.(interface{ Background() *imgproc.Gray }); ok {
-		return bg.Background()
+// SharedBackground exposes the inner source's trained background so
+// cluster re-forwarding can re-seed the target instance's detector
+// through the wrapper; see SourceBackground for what it returns.
+func (s *Source) SharedBackground() *imgproc.Gray { return SourceBackground(s.inner) }
+
+// SourceBackground returns the source's true background as a plane to
+// read, not to write: the viewpoint's shared one when the source offers
+// it (SharedBackground — nothing is copied), else a copy (Background),
+// nil when the source has neither.
+func SourceBackground(src FrameSource) *imgproc.Gray {
+	switch src := src.(type) {
+	case interface{ SharedBackground() *imgproc.Gray }:
+		return src.SharedBackground()
+	case interface{ Background() *imgproc.Gray }:
+		return src.Background()
 	}
 	return nil
 }

@@ -123,7 +123,7 @@ func (c *Camera) Stream(id int, det detect.Detector, opt StreamOptions) pipeline
 	ty := filters.NewTYolo(det, cfg.Target, numObj)
 	ty.Tolerance = opt.Tolerance
 	if tg, ok := det.(*detect.TinyGrid); ok && tg != nil {
-		tg.SetBackground(id, src.Background())
+		tg.SetBackground(id, src.SharedBackground())
 	}
 	return pipeline.StreamSpec{
 		ID:     id,

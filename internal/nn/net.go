@@ -61,6 +61,30 @@ func (n *Net) Infer(x *Tensor) *Tensor {
 	return in
 }
 
+// Clone returns a network of the same architecture with its own copy of
+// every parameter and none of the source's forward or scratch state: the
+// two compute the same outputs and neither sees the other's writes. It
+// panics on a layer type this package does not define.
+func (n *Net) Clone() *Net {
+	layers := make([]Layer, len(n.Layers))
+	for i, l := range n.Layers {
+		switch l := l.(type) {
+		case *Conv2D:
+			layers[i] = &Conv2D{InC: l.InC, OutC: l.OutC, K: l.K, Stride: l.Stride, Pad: l.Pad,
+				w: l.w.clone(), b: l.b.clone()}
+		case *Dense:
+			layers[i] = &Dense{In: l.In, Out: l.Out, w: l.w.clone(), b: l.b.clone()}
+		case *ReLU:
+			layers[i] = &ReLU{}
+		case *MaxPool2:
+			layers[i] = &MaxPool2{}
+		default:
+			panic(fmt.Sprintf("nn: Clone: unknown layer %s", l.Name()))
+		}
+	}
+	return &Net{Layers: layers}
+}
+
 // Backward propagates an output gradient through the stack, accumulating
 // parameter gradients.
 func (n *Net) Backward(grad *Tensor) {

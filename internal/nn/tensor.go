@@ -87,3 +87,9 @@ type Param struct {
 func newParam(shape ...int) *Param {
 	return &Param{Val: NewTensor(shape...), Grad: NewTensor(shape...)}
 }
+
+// clone copies the parameter's value; the copy starts with a zero
+// gradient.
+func (p *Param) clone() *Param {
+	return &Param{Val: p.Val.Clone(), Grad: NewTensor(p.Val.Shape...)}
+}

@@ -14,6 +14,7 @@ package pipeline
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ffsva/internal/detect"
@@ -426,6 +427,11 @@ type streamState struct {
 	counts     [NumDispositions]int64
 	stop       bool // set by StopStream; prefetch halts at next frame
 	ingestDone bool // prefetch exhausted its frames (or stopped)
+
+	// settled is the stream's last StreamSnapshot, kept once nothing in it
+	// can move again (see StreamSnapshot.settled). Stored and cleared under recMu, read
+	// without it.
+	settled atomic.Pointer[StreamSnapshot]
 }
 
 // System is one FFS-VA instance: devices, queues, and stage processes for

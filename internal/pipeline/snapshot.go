@@ -147,32 +147,21 @@ func (s *System) Snapshot() Snapshot {
 	s.liveMu.Lock()
 	elapsed := now - s.start
 	s.liveMu.Unlock()
-	for _, st := range s.snapshotStreams() {
-		ss := StreamSnapshot{ID: st.spec.ID, Frames: st.spec.Frames}
-		s.recMu.Lock()
-		ss.Ingested = st.ingested
-		ss.Drops = st.counts
-		ss.CurLag = st.curLag
-		ss.MaxLag = st.ingestLag
-		ss.IngestDone = st.ingestDone
-		ss.Stopped = st.stop
-		s.recMu.Unlock()
-		for _, n := range ss.Drops {
-			ss.Decided += n
+	streams := s.snapshotStreams()
+	if len(streams) > 0 { // none: Streams stays nil, as an append would leave it
+		sn.Streams = make([]StreamSnapshot, len(streams))
+	}
+	for i, st := range streams {
+		ss := &sn.Streams[i]
+		if kept := st.settled.Load(); kept != nil {
+			*ss = *kept
+		} else {
+			s.streamSnapshot(st, ss)
 		}
-		ss.SDDQ = qsnap(st.sddQ.Name(), st.sddQ.Stats())
-		ss.SNMQ = qsnap(st.snmQ.Name(), st.snmQ.Stats())
-		ss.TYQ = qsnap(st.tyQ.Name(), st.tyQ.Stats())
-		if st.spill != nil {
-			ss.SpillPending = st.spill.Pending()
-			ss.Spilled = st.spill.Stats().Writes
-		}
-		ss.Backlog = ss.SDDQ.Depth + ss.SpillPending
-
 		sn.Ingested += ss.Ingested
 		sn.Decided += ss.Decided
-		for i, n := range ss.Drops {
-			sn.Drops[i] += n
+		for d, n := range ss.Drops {
+			sn.Drops[d] += n
 		}
 		if !ss.IngestDone && !ss.Stopped {
 			sn.LiveStreams++
@@ -186,7 +175,6 @@ func (s *System) Snapshot() Snapshot {
 		if ss.SNMQ.Depth >= ss.SNMQ.Cap || ss.TYQ.Depth >= ss.TYQ.Cap {
 			sn.Overloaded = true
 		}
-		sn.Streams = append(sn.Streams, ss)
 	}
 	sn.InFlight = sn.Ingested - sn.Decided
 	sn.Orphaned = s.orphanCtr.Value()
@@ -209,6 +197,53 @@ func (s *System) Snapshot() Snapshot {
 	}
 	sn.Metrics = s.reg.Export(now)
 	return sn
+}
+
+// streamSnapshot fills ss with the stream's live state and, once the
+// stream has settled, keeps a copy for every later Snapshot.
+func (s *System) streamSnapshot(st *streamState, ss *StreamSnapshot) {
+	*ss = StreamSnapshot{ID: st.spec.ID, Frames: st.spec.Frames}
+	s.recMu.Lock()
+	ss.Ingested = st.ingested
+	ss.Drops = st.counts
+	ss.CurLag = st.curLag
+	ss.MaxLag = st.ingestLag
+	ss.IngestDone = st.ingestDone
+	ss.Stopped = st.stop
+	s.recMu.Unlock()
+	for _, n := range ss.Drops {
+		ss.Decided += n
+	}
+	ss.SDDQ = qsnap(st.sddQ.Name(), st.sddQ.Stats())
+	ss.SNMQ = qsnap(st.snmQ.Name(), st.snmQ.Stats())
+	ss.TYQ = qsnap(st.tyQ.Name(), st.tyQ.Stats())
+	if st.spill != nil {
+		ss.SpillPending = st.spill.Pending()
+		ss.Spilled = st.spill.Stats().Writes
+	}
+	ss.Backlog = ss.SDDQ.Depth + ss.SpillPending
+	if ss.settled() {
+		s.recMu.Lock()
+		// StopStream and CancelAll set stop under this lock and clear the
+		// kept copy; one that ran since the read above must not be undone.
+		if st.stop == ss.Stopped {
+			kept := *ss
+			st.settled.Store(&kept)
+		}
+		s.recMu.Unlock()
+	}
+}
+
+// settled reports whether the stream can no longer change: ingest is
+// over, every queue is closed and empty (so all three stage processes
+// have exited and nothing waits for T-YOLO), nothing is left in the
+// spill store and every ingested frame has its disposition (so nothing
+// is in the reference queue either). Only Stopped can still flip, and
+// whoever flips it drops the kept copy.
+func (ss *StreamSnapshot) settled() bool {
+	drained := func(q *QueueSnapshot) bool { return q.Closed && q.Depth == 0 }
+	return ss.IngestDone && ss.Decided == ss.Ingested && ss.SpillPending == 0 &&
+		drained(&ss.SDDQ) && drained(&ss.SNMQ) && drained(&ss.TYQ)
 }
 
 // devSnap builds a device view; it lives here (not in package device) so

@@ -151,6 +151,7 @@ func (s *System) StopStream(id int) (remaining int64, src FrameSource, nextSeq i
 		if st.spec.ID == id && !st.stop {
 			s.recMu.Lock()
 			st.stop = true
+			st.settled.Store(nil)
 			remaining = int64(st.spec.Frames) - st.ingested
 			nextSeq = st.spec.SeqBase + st.ingested
 			s.recMu.Unlock()
@@ -172,6 +173,7 @@ func (s *System) CancelAll() {
 	s.recMu.Lock()
 	for _, st := range s.streams {
 		st.stop = true
+		st.settled.Store(nil)
 	}
 	s.cancelled = true
 	s.recMu.Unlock()

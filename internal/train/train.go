@@ -7,7 +7,6 @@
 package train
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -236,17 +235,7 @@ func TrainSNM(labeled []Labeled, cfg SNMConfig) (SNMResult, error) {
 // CloneNet returns an independent copy of a trained SNM network. Each
 // pipeline stream needs its own instance because layer forward caches are
 // per-instance state.
-func CloneNet(src *nn.Net) *nn.Net {
-	dst := NewSNMNet(rand.New(rand.NewSource(0)))
-	var buf bytes.Buffer
-	if err := src.SaveWeights(&buf); err != nil {
-		panic("train: CloneNet save: " + err.Error())
-	}
-	if err := dst.LoadWeights(&buf); err != nil {
-		panic("train: CloneNet load: " + err.Error())
-	}
-	return dst
-}
+func CloneNet(src *nn.Net) *nn.Net { return src.Clone() }
 
 // quantile returns the q-quantile of xs (copied and sorted); q is clamped
 // to [0, 1].

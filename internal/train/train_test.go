@@ -1,11 +1,14 @@
 package train
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"ffsva/internal/detect"
 	"ffsva/internal/filters"
 	"ffsva/internal/frame"
+	"ffsva/internal/nn"
 	"ffsva/internal/vidgen"
 )
 
@@ -213,5 +216,62 @@ func TestQuantile(t *testing.T) {
 	// Input must not be mutated.
 	if xs[0] != 5 {
 		t.Fatal("quantile sorted its input in place")
+	}
+}
+
+// TestCloneNet checks that a clone computes the source's outputs bit for
+// bit and shares no parameter with it, for the single-logit SNM and the
+// multi-class one (whose shape the old save-and-reload clone could not
+// rebuild).
+func TestCloneNet(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for name, src := range map[string]*nn.Net{
+		"snm":       NewSNMNet(rng),
+		"multi_snm": NewMultiSNMNet(rng, 3),
+	} {
+		clone := CloneNet(src)
+		infer := func(n *nn.Net, x *nn.Tensor) []uint32 {
+			out := n.Infer(x)
+			defer out.Release()
+			bits := make([]uint32, len(out.Data))
+			for i, v := range out.Data {
+				bits[i] = math.Float32bits(v)
+			}
+			return bits
+		}
+		inputs := make([]*nn.Tensor, 50)
+		for i := range inputs {
+			x := nn.NewTensor(1, 1, filters.SNMSize, filters.SNMSize)
+			for j := range x.Data {
+				x.Data[j] = rng.Float32()
+			}
+			inputs[i] = x
+			want, got := infer(src, x), infer(clone, x)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%s: input %d logit %d: clone %08x, source %08x", name, i, j, got[j], want[j])
+				}
+			}
+		}
+		// A write to either net's weights must not show in the other.
+		before := infer(src, inputs[0])
+		for _, p := range clone.Params() {
+			for j := range p.Val.Data {
+				p.Val.Data[j] += 1
+			}
+		}
+		if after := infer(src, inputs[0]); after[0] != before[0] {
+			t.Errorf("%s: writing the clone's weights changed the source's output", name)
+		}
+		if moved := infer(clone, inputs[0]); moved[0] == before[0] {
+			t.Errorf("%s: the clone ignores its own weights", name)
+		}
+		kept := infer(clone, inputs[1])
+		for _, p := range src.Params() {
+			p.Val.Zero()
+		}
+		if after := infer(clone, inputs[1]); after[0] != kept[0] {
+			t.Errorf("%s: writing the source's weights changed the clone's output", name)
+		}
 	}
 }

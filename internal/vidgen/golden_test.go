@@ -1,17 +1,26 @@
 package vidgen
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"sync"
 	"testing"
 
 	"ffsva/internal/frame"
+	"ffsva/internal/imgproc"
 )
 
 // streamDigest is the FNV-64a of the first n frames of a stream: every
 // pixel, then every ground-truth box, scene id and illumination offset.
 func streamDigest(cfg Config, n int) uint64 {
+	return streamDigestBetween(cfg, n, func(int) {})
+}
+
+// streamDigestBetween is streamDigest with between(i) run before the
+// stream's frame i is drawn.
+func streamDigestBetween(cfg Config, n int, between func(i int)) uint64 {
 	s := New(cfg)
 	h := fnv.New64a()
 	var word [8]byte
@@ -20,6 +29,7 @@ func streamDigest(cfg Config, n int) uint64 {
 		h.Write(word[:])
 	}
 	for i := 0; i < n; i++ {
+		between(i)
 		f := s.Next()
 		h.Write(f.Pix)
 		put(uint64(f.Truth.SceneID))
@@ -58,6 +68,98 @@ func TestStreamGolden(t *testing.T) {
 	} {
 		if got := streamDigest(tc.cfg, 300); got != tc.want {
 			t.Errorf("%s: digest %016x, want %016x", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestSiblingsShareBackgroundSafely pins what sharing one background
+// plane per viewpoint must not change: a stream's bytes are the recorded
+// ones although siblings of the same viewpoint are minted and run
+// between its frames, one of them switching scene on the way — which
+// replaces that sibling's plane and writes to nobody's.
+func TestSiblingsShareBackgroundSafely(t *testing.T) {
+	cfg := Small(1, frame.ClassCar, 0.1)
+	want := makeBackground(cfg.W, cfg.H, cfg.Seed)
+	var plain, switching *Stream
+	got := streamDigestBetween(cfg, 300, func(i int) {
+		switch i {
+		case 1:
+			sib := cfg
+			sib.Seed, sib.BGSeed = 77, cfg.Seed
+			plain = New(sib)
+			sib.Seed, sib.SceneSwitchFrame = 78, 5
+			switching = New(sib)
+		case 2, 3:
+			for j := 0; j < 10; j++ {
+				plain.Next().Release()
+				switching.Next().Release()
+			}
+		}
+	})
+	if got != goldenSmallCar {
+		t.Errorf("digest %016x with siblings minted between frames, want %016x", got, goldenSmallCar)
+	}
+	first := New(cfg)
+	if plain.SharedBackground() != first.SharedBackground() {
+		t.Error("two streams of one viewpoint hold different background planes")
+	}
+	if switching.SharedBackground() == first.SharedBackground() {
+		t.Error("the stream that switched scene still holds the viewpoint's plane")
+	}
+	if !bytes.Equal(first.SharedBackground().Pix, want.Pix) {
+		t.Error("the shared background changed while siblings rendered and switched scene")
+	}
+	if own := first.Background(); own == first.SharedBackground() || !bytes.Equal(own.Pix, want.Pix) {
+		t.Error("Background must return an equal copy, not the shared plane")
+	}
+}
+
+// TestBackgroundMemoIsBounded checks that the memo evicts and that an
+// evicted viewpoint is simply rendered again, to the same pixels.
+func TestBackgroundMemoIsBounded(t *testing.T) {
+	first := background(32, 24, 1000)
+	for seed := int64(1001); seed < 1001+maxBackgrounds; seed++ {
+		background(32, 24, seed)
+	}
+	backgrounds.Lock()
+	n := len(backgrounds.planes)
+	backgrounds.Unlock()
+	if n > maxBackgrounds {
+		t.Fatalf("memo holds %d planes, limit %d", n, maxBackgrounds)
+	}
+	again := background(32, 24, 1000)
+	if again == first {
+		t.Error("the oldest viewpoint was not evicted")
+	}
+	if !bytes.Equal(again.Pix, first.Pix) {
+		t.Error("a re-rendered viewpoint differs from its first rendering")
+	}
+}
+
+// TestConcurrentMint mints streams of one cold and one warm viewpoint
+// from eight goroutines; run it under -race.
+func TestConcurrentMint(t *testing.T) {
+	cfg := Small(31, frame.ClassCar, 0.3)
+	cfg.W, cfg.H = 64, 48
+	var wg sync.WaitGroup
+	planes := make([]*imgproc.Gray, 8)
+	for g := range planes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := cfg
+			c.Seed, c.BGSeed = int64(100+g), cfg.Seed
+			for i := 0; i < 20; i++ {
+				s := New(c)
+				s.Next().Release()
+				planes[g] = s.SharedBackground()
+			}
+		}()
+	}
+	wg.Wait()
+	for g, p := range planes {
+		if p != planes[0] {
+			t.Errorf("goroutine %d minted from a different plane", g)
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"ffsva/internal/frame"
 	"ffsva/internal/imgproc"
@@ -167,7 +168,10 @@ type object struct {
 type Stream struct {
 	cfg Config
 	rng *rand.Rand
-	bg  *imgproc.Gray
+	// bg is the viewpoint's plane, shared with every other stream of the
+	// same (W, H, background seed) and never written: render copies out
+	// of it, a scene switch replaces the pointer.
+	bg *imgproc.Gray
 
 	seq        int64
 	frameIdx   int
@@ -197,7 +201,7 @@ func New(cfg Config) *Stream {
 	if bgSeed == 0 {
 		bgSeed = cfg.Seed
 	}
-	s.bg = makeBackground(cfg.W, cfg.H, rand.New(rand.NewSource(bgSeed^0xb6)))
+	s.bg = background(cfg.W, cfg.H, bgSeed)
 	s.gapLeft = s.initialGap()
 	return s
 }
@@ -206,9 +210,15 @@ func New(cfg Config) *Stream {
 func (s *Stream) Config() Config { return s.cfg }
 
 // Background returns a copy of the true (noise-free, drift-free)
-// background; it exists so tests and the SDD trainer can validate against
-// ground truth.
+// background, for callers that want a plane of their own; it exists so
+// tests and the SDD trainer can validate against ground truth.
 func (s *Stream) Background() *imgproc.Gray { return s.bg.Clone() }
+
+// SharedBackground returns the background plane itself, the one every
+// stream of this viewpoint renders from, for callers that only read it
+// (seeding a detector). It must not be written: a write would show in
+// the frames of all of those streams.
+func (s *Stream) SharedBackground() *imgproc.Gray { return s.bg }
 
 // RealizedTOR reports the fraction of emitted frames that contained at
 // least one visible target object.
@@ -219,9 +229,50 @@ func (s *Stream) RealizedTOR() float64 {
 	return float64(s.targetFrames) / float64(s.totalFrames)
 }
 
+// maxBackgrounds bounds the planes the background memo keeps (the
+// largest preset's is 0.9 MB); past it the oldest entry leaves, and the
+// streams that hold that plane keep it alive for as long as they run.
+const maxBackgrounds = 16
+
+type bgPlane struct {
+	w, h  int
+	seed  int64
+	plane *imgproc.Gray
+}
+
+// backgrounds remembers the rendered plane of each recent viewpoint,
+// oldest first. It is process-global because the plane is a pure
+// function of (w, h, seed) and those are all that New is given: a
+// stream's viewpoint is named by Config, not by an object its siblings
+// could be handed.
+var backgrounds struct {
+	sync.Mutex
+	planes []bgPlane
+}
+
+// background returns the viewpoint's shared read-only plane, rendering
+// it on first use.
+func background(w, h int, seed int64) *imgproc.Gray {
+	b := &backgrounds
+	b.Lock()
+	defer b.Unlock()
+	for _, p := range b.planes {
+		if p.w == w && p.h == h && p.seed == seed {
+			return p.plane
+		}
+	}
+	g := makeBackground(w, h, seed)
+	if len(b.planes) == maxBackgrounds {
+		b.planes = append(b.planes[:0], b.planes[1:]...)
+	}
+	b.planes = append(b.planes, bgPlane{w, h, seed, g})
+	return g
+}
+
 // makeBackground builds a deterministic fixed-viewpoint scene: smooth
 // low-frequency structure (buildings/road bands) plus mild texture.
-func makeBackground(w, h int, rng *rand.Rand) *imgproc.Gray {
+func makeBackground(w, h int, seed int64) *imgproc.Gray {
+	rng := rand.New(rand.NewSource(seed ^ 0xb6))
 	g := imgproc.NewGray(w, h)
 	p1 := 37.0 + float64(rng.Intn(20))
 	p2 := 23.0 + float64(rng.Intn(12))
@@ -423,7 +474,7 @@ func (s *Stream) step() {
 		if seed == 0 {
 			seed = s.cfg.Seed + 0x5c
 		}
-		s.bg = makeBackground(s.cfg.W, s.cfg.H, rand.New(rand.NewSource(seed^0xb6)))
+		s.bg = background(s.cfg.W, s.cfg.H, seed)
 	}
 	// Advance objects.
 	alive := s.objects[:0]
