@@ -48,7 +48,9 @@ test:
 # (worker pool; tensor, image and frame planes; kernel scratch), the
 # fault-injection + cluster failure/recovery paths, and lab and train,
 # which mint streams around read-only artefacts their camera shares
-# (background plane, detector seed, trained weights). The per-pixel loops
+# (background plane, detector seed, trained weights) and train distinct
+# cameras concurrently through lab's cache
+# (TestConcurrentTrainCameraTrainsEachOnce). The per-pixel loops
 # run ~50x slower under the detector (vidgen ~8 min, detect ~5 min on a
 # 2-vCPU host), hence the timeout above go test's 600s default.
 race:

@@ -2,19 +2,24 @@
 // for one synthetic camera and reports the fitted artifacts: the SDD
 // reference/threshold, the SNM's held-out accuracy and clow/chigh
 // thresholds, and end-to-end filter behaviour on a fresh validation
-// slice. With -save it writes the SNM weights to disk.
+// slice. With -save it writes the SNM weights to disk. The last line of
+// the report is what the training cost this process: wall time, heap
+// traffic, collections and peak resident set.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"syscall"
 
 	"ffsva/internal/detect"
 	"ffsva/internal/filters"
 	"ffsva/internal/frame"
 	"ffsva/internal/lab"
 	"ffsva/internal/train"
+	"ffsva/internal/vclock"
 	"ffsva/internal/vidgen"
 )
 
@@ -34,19 +39,18 @@ func main() {
 	cfg := vidgen.Small(*seed, target, *tor)
 
 	fmt.Printf("generating %d labeled frames (%s, TOR %.2f)...\n", *frames, target, *tor)
-	src := vidgen.New(cfg)
-	fs := vidgen.Generate(src, *frames)
-	oracle := detect.NewOracle(detect.DefaultOracleConfig())
-	labeled := train.Label(fs, oracle, target)
+	wall := vclock.NewReal() // epoch: training starts
+	set := train.NewSet(detect.NewOracle(detect.DefaultOracleConfig()), target)
+	set.AddFrom(vidgen.New(cfg), *frames)
 	pos := 0
-	for _, l := range labeled {
-		if l.HasTarget {
+	for _, s := range set.Samples {
+		if s.Has[0] {
 			pos++
 		}
 	}
-	fmt.Printf("labels: %d positive / %d negative\n", pos, len(labeled)-pos)
+	fmt.Printf("labels: %d positive / %d negative\n", pos, len(set.Samples)-pos)
 
-	sdd, err := train.FitSDD(labeled)
+	sdd, err := train.FitSDD(set)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ffstrain: %v\n", err)
 		os.Exit(1)
@@ -54,11 +58,12 @@ func main() {
 	fmt.Printf("SDD: delta(MSE) = %.2f over a %dx%d reference image\n", sdd.Delta, sdd.Ref.W, sdd.Ref.H)
 
 	fmt.Println("training SNM (CONV, CONV, FC)...")
-	snm, err := train.TrainSNM(labeled, train.DefaultSNMConfig())
+	snm, err := train.TrainSNM(set, train.DefaultSNMConfig())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ffstrain: %v\n", err)
 		os.Exit(1)
 	}
+	trained := wall.Now()
 	fmt.Printf("SNM: %v\n", snm.Net)
 	fmt.Printf("SNM: held-out accuracy %.1f%%, clow=%.3f chigh=%.3f\n",
 		100*snm.TestAccuracy, snm.CLow, snm.CHigh)
@@ -89,9 +94,20 @@ func main() {
 				bgDropped++
 			}
 		}
+		f.Release()
 	}
 	fmt.Printf("validation (fresh slice): kept %d/%d target frames, dropped %d/%d background frames\n",
 		kept, tg, bgDropped, bg)
+
+	// The process so far is one camera's training plus a validation that
+	// recycles one frame and allocates next to nothing, so the
+	// process-wide counters are the training's.
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	var ru syscall.Rusage
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // cannot fail with a valid pointer
+	fmt.Printf("cost: trained in %.2f s; process allocated %.1f MB in %d objects over %d collections, peak RSS %.1f MB\n",
+		trained.Seconds(), float64(ms.TotalAlloc)/1e6, ms.Mallocs, ms.NumGC, float64(ru.Maxrss)/1024)
 
 	if *save != "" {
 		f, err := os.Create(*save)

@@ -114,17 +114,13 @@ func analyze(args []string) {
 	}
 	fmt.Printf("%s: %d frames %dx%d @ %d FPS\n", path, total, hdr.W, hdr.H, hdr.FPS)
 	fmt.Printf("training on the first %d frames...\n", *trainFrames)
-	head := make([]*frame.Frame, *trainFrames)
-	for i := range head {
-		head[i] = src.Next()
-	}
-	oracle := detect.NewOracle(detect.DefaultOracleConfig())
-	labeled := train.Label(head, oracle, target)
-	sddFit, err := train.FitSDD(labeled)
+	set := train.NewSet(detect.NewOracle(detect.DefaultOracleConfig()), target)
+	set.AddFrom(src, *trainFrames)
+	sddFit, err := train.FitSDD(set)
 	if err != nil {
 		fatal(err)
 	}
-	snmRes, err := train.TrainSNM(labeled, train.DefaultSNMConfig())
+	snmRes, err := train.TrainSNM(set, train.DefaultSNMConfig())
 	if err != nil {
 		fatal(err)
 	}

@@ -64,9 +64,8 @@ func main() {
 			report("after switch, stale models:")
 			fmt.Printf("drift detected at frame %d (window pass rate saturated)\n", i)
 			fmt.Println("retraining on 500 freshly labeled frames of the new scene...")
-			fresh := vidgen.Generate(src, 500)
+			fit, snm, err := drift.Retrain(src, 500, oracle, frame.ClassCar)
 			i += 500
-			fit, snm, err := drift.Retrain(fresh, oracle, frame.ClassCar)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -117,18 +117,20 @@ func (m *Monitor) PassRate() float64 {
 	return float64(m.passes) / float64(len(m.buf))
 }
 
-// Retrain reruns the paper's §4.1 training procedure on freshly captured
-// frames from the changed scene: label with the reference model, refit
-// the SDD, retrain the SNM. The paper quotes about an hour of wall time
-// for this on their hardware; the returned artifacts are ready to swap
-// into the stream's filter slots.
-func Retrain(frames []*frame.Frame, ref detect.Detector, target frame.Class) (train.SDDFit, train.SNMResult, error) {
-	labeled := train.Label(frames, ref, target)
-	sdd, err := train.FitSDD(labeled)
+// Retrain reruns the paper's §4.1 training procedure on the next n frames
+// src captures of the changed scene: label with the reference model,
+// refit the SDD, retrain the SNM. The frames stream through the
+// collector (train.Set) and are released as they are read. The paper
+// quotes about an hour of wall time for this on their hardware; the
+// returned artifacts are ready to swap into the stream's filter slots.
+func Retrain(src train.Source, n int, ref detect.Detector, target frame.Class) (train.SDDFit, train.SNMResult, error) {
+	set := train.NewSet(ref, target)
+	set.AddFrom(src, n)
+	sdd, err := train.FitSDD(set)
 	if err != nil {
 		return train.SDDFit{}, train.SNMResult{}, fmt.Errorf("drift: refit SDD: %w", err)
 	}
-	snm, err := train.TrainSNM(labeled, train.DefaultSNMConfig())
+	snm, err := train.TrainSNM(set, train.DefaultSNMConfig())
 	if err != nil {
 		return train.SDDFit{}, train.SNMResult{}, fmt.Errorf("drift: retrain SNM: %w", err)
 	}

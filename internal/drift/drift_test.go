@@ -109,9 +109,8 @@ func TestSceneSwitchEndToEnd(t *testing.T) {
 		if driftAt < 0 && mon.Observe(v == filters.Pass) {
 			driftAt = i
 			// Retrain from the next 500 frames of the new scene.
-			fresh := vidgen.Generate(src, 500)
+			fit, _, err := Retrain(src, 500, oracle, frame.ClassCar)
 			i += 500
-			fit, _, err := Retrain(fresh, oracle, frame.ClassCar)
 			if err != nil {
 				t.Fatalf("retrain: %v", err)
 			}

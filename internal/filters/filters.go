@@ -135,11 +135,15 @@ func Distance(img, ref *imgproc.Gray, m Metric, compensateLum bool) float64 {
 	n := float64(len(img.Pix))
 	var offset float64
 	if compensateLum {
-		var sum float64
-		for i := range img.Pix {
-			sum += float64(img.Pix[i]) - float64(ref.Pix[i])
+		// Every partial sum of 8-bit differences is an integer far below
+		// 2⁵³, so the float64 sum was exact and an int one converts to
+		// the same value — without a float add chain.
+		sum := 0
+		refPix := ref.Pix[:len(img.Pix)]
+		for i, p := range img.Pix {
+			sum += int(p) - int(refPix[i])
 		}
-		offset = sum / n
+		offset = float64(sum) / n
 	}
 	switch m {
 	case MetricSAD:

@@ -190,23 +190,21 @@ func (r resizer) rows(lo, hi int, out []uint8) {
 }
 
 // roundToUint8 is uint8(math.Round(v)) of v clamped to [0, 255], without
-// the call. For 0 < v < 255 the truncation i is exact and so is v-i
-// (both lie in one binade, or i is 0), and math.Round rounds halves away
-// from zero, so "add one when the fraction reaches one half" is the same
-// integer. uint8(v+0.5) is not: the sum rounds up to 1 at
-// v = 0.49999999999999994.
+// the call. For 0.5 <= v < 255, uint8(v+0.5) is round-half-away: from
+// v >= 1 on, 0.5 is a multiple of ulp(v), so the sum is exact unless it
+// crosses into the next binade — and there it can only round onto or
+// above the power of two it crossed, an integer, which truncates to
+// itself; in [0.5, 1) every sum lies in [1, 1.5] and truncates to 1.
+// The one input v+0.5 gets wrong is below 0.5 — 0.49999999999999994
+// sums to exactly 1 — and that range returns 0 before the sum is formed.
 func roundToUint8(v float64) uint8 {
-	if !(v > 0) {
+	if !(v >= 0.5) {
 		return 0
 	}
 	if v >= 255 {
 		return 255
 	}
-	i := int(v)
-	if v-float64(i) >= 0.5 {
-		i++
-	}
-	return uint8(i)
+	return uint8(v + 0.5)
 }
 
 // ResizeInto scales src into dst (sized by dst.W×dst.H), overwriting

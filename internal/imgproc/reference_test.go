@@ -278,6 +278,37 @@ func TestRoundToUint8MatchesMathRound(t *testing.T) {
 	}
 }
 
+// TestRoundToUint8AroundEveryTieAndBinadeEdge walks the places where
+// uint8(v+0.5) could part from round-half-away: 64 ulps either side of
+// every quarter step k, k+¼, k+½, k+¾ of the output range, and of every
+// power of two from 2⁻⁶⁰ to 2⁸, where ulp(v) doubles and the sum v+0.5
+// may have to round. The one input the shortcut gets wrong,
+// 0.49999999999999994, sits one ulp under the first tie and is covered.
+func TestRoundToUint8AroundEveryTieAndBinadeEdge(t *testing.T) {
+	want := func(v float64) uint8 { return uint8(math.Round(clampReference(v, 0, 255))) }
+	var centres []float64
+	for q := -4; q <= 4*256+4; q++ {
+		centres = append(centres, float64(q)/4)
+	}
+	for e := -60; e <= 8; e++ {
+		centres = append(centres, math.Ldexp(1, e))
+	}
+	for _, c := range centres {
+		lo, hi := c, c
+		for i := 0; i <= 64; i++ {
+			for _, v := range []float64{lo, hi} {
+				if got := roundToUint8(v); got != want(v) {
+					t.Fatalf("roundToUint8(%v) = %d, want %d (%d ulps from %v)", v, got, want(v), i, c)
+				}
+			}
+			lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+		}
+	}
+	if got := roundToUint8(math.NaN()); got != 0 {
+		t.Errorf("roundToUint8(NaN) = %d, want 0", got)
+	}
+}
+
 func TestConnectedComponentsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for _, sz := range [][2]int{{1, 1}, {5, 1}, {1, 5}, {17, 13}, {208, 208}} {

@@ -6,10 +6,41 @@ import (
 	"testing"
 
 	"ffsva/internal/detect"
+	"ffsva/internal/frame"
 	"ffsva/internal/imgproc"
 	"ffsva/internal/pipeline"
 	"ffsva/internal/vidgen"
 )
+
+// TestTrainingCostsWhatTheCorpusWeighs pins what training one camera
+// allocates: the 1,500-sample corpus at 20 KB a frame (30 MB), the
+// trainer's one set of step buffers, and small change — 35 MB in 35k
+// objects, where keeping the clip and allocating every step's tensors
+// fresh took 706 MB in 84k. TotalAlloc and Mallocs are counters, so the
+// reading does not depend on when the collector runs. Every frame the
+// training drew from the pool has gone back.
+func TestTrainingCostsWhatTheCorpusWeighs(t *testing.T) {
+	cfg := vidgen.Small(101, frame.ClassCar, 0.30) // CarCamera's template
+	cfg.BGSeed = 101
+	var before, after runtime.MemStats
+	runtime.GC()
+	gets0, puts0 := frame.PoolStats()
+	runtime.ReadMemStats(&before)
+	if _, err := trainCamera(cfg, 1500); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	gets, puts := frame.PoolStats()
+
+	got, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("training one camera: %.1f MB in %d objects", float64(got)/1e6, objects)
+	if got > 64<<20 || objects > 40_000 {
+		t.Errorf("training one camera allocated %d bytes in %d objects, limits 64 MB and 40,000", got, objects)
+	}
+	if gets-gets0 != 1500 || gets-puts != gets0-puts0 {
+		t.Errorf("training drew %d frames from the pool and returned %d, want 1500 and 1500", gets-gets0, puts-puts0)
+	}
+}
 
 // sharedPlane is the background plane a minted stream renders from.
 func sharedPlane(t *testing.T, spec pipeline.StreamSpec) *imgproc.Gray {

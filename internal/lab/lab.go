@@ -28,14 +28,32 @@ type Camera struct {
 	SNM      train.SNMResult
 }
 
+// cacheKey is everything a trained camera is a function of: the whole
+// stream configuration (a comparable struct, so no field can be left out
+// of the key) and the length of the training slice.
+type cacheKey struct {
+	cfg    vidgen.Config
+	frames int
+}
+
+// cacheEntry is one configuration's camera; once runs its training.
+type cacheEntry struct {
+	once sync.Once
+	cam  *Camera
+	err  error
+}
+
 var (
-	cacheMu sync.Mutex
-	cache   = map[string]*Camera{}
+	cacheMu sync.Mutex // guards the map only; no training runs under it
+	cache   = map[cacheKey]*cacheEntry{}
 )
 
 // TrainCamera labels a training slice of the camera's video with the
 // reference model and fits SDD and SNM (paper §4.1). Results are cached
-// by configuration, so repeated setups of the same camera are free.
+// by configuration, so repeated setups of the same camera are free: the
+// first caller of a configuration trains it, concurrent callers of the
+// same one wait for that training, and callers of other configurations
+// train alongside.
 func TrainCamera(cfg vidgen.Config, trainFrames int) (*Camera, error) {
 	if cfg.BGSeed == 0 {
 		cfg.BGSeed = cfg.Seed
@@ -43,30 +61,33 @@ func TrainCamera(cfg vidgen.Config, trainFrames int) (*Camera, error) {
 	if trainFrames <= 0 {
 		trainFrames = 1500
 	}
-	key := fmt.Sprintf("%dx%d/%v/bg%d/seed%d/tor%.3f/n%d/crowd%.2f",
-		cfg.W, cfg.H, cfg.Target, cfg.BGSeed, cfg.Seed, cfg.TOR, trainFrames, cfg.CrowdProb)
+	key := cacheKey{cfg, trainFrames}
 	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if c, ok := cache[key]; ok {
-		return c, nil
+	e := cache[key]
+	if e == nil {
+		e = &cacheEntry{}
+		cache[key] = e
 	}
+	cacheMu.Unlock()
+	e.once.Do(func() { e.cam, e.err = trainCamera(cfg, trainFrames) })
+	return e.cam, e.err
+}
 
-	src := vidgen.New(cfg)
-	frames := vidgen.Generate(src, trainFrames)
-	oracle := detect.NewOracle(detect.DefaultOracleConfig())
-	labeled := train.Label(frames, oracle, cfg.Target)
-
-	sdd, err := train.FitSDD(labeled)
+// trainCamera is the §4.1 procedure, uncached: the training slice streams
+// through the collector a frame at a time, so what is held is the corpus,
+// not the clip.
+func trainCamera(cfg vidgen.Config, trainFrames int) (*Camera, error) {
+	set := train.NewSet(detect.NewOracle(detect.DefaultOracleConfig()), cfg.Target)
+	set.AddFrom(vidgen.New(cfg), trainFrames)
+	sdd, err := train.FitSDD(set)
 	if err != nil {
 		return nil, fmt.Errorf("lab: fit SDD: %w", err)
 	}
-	snm, err := train.TrainSNM(labeled, train.DefaultSNMConfig())
+	snm, err := train.TrainSNM(set, train.DefaultSNMConfig())
 	if err != nil {
 		return nil, fmt.Errorf("lab: train SNM: %w", err)
 	}
-	c := &Camera{Template: cfg, SDD: sdd, SNM: snm}
-	cache[key] = c
-	return c, nil
+	return &Camera{Template: cfg, SDD: sdd, SNM: snm}, nil
 }
 
 // StreamOptions tune one minted stream.

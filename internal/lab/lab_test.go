@@ -2,6 +2,7 @@ package lab
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"ffsva/internal/filters"
@@ -32,6 +33,69 @@ func TestTrainCameraCached(t *testing.T) {
 	}
 	if c == a {
 		t.Fatal("different seed must train a different camera")
+	}
+}
+
+// TestCacheKeyIsTheWholeConfig: two configurations that differ in a field
+// the old seven-field key left out must not share a camera.
+func TestCacheKeyIsTheWholeConfig(t *testing.T) {
+	cfg := vidgen.Small(883, frame.ClassCar, 0.3)
+	a, err := TrainCamera(cfg, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy := cfg
+	noisy.NoiseAmp += 3
+	b, err := TrainCamera(noisy, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("configs differing only in NoiseAmp were handed the same camera")
+	}
+	if b.Template.NoiseAmp != noisy.NoiseAmp || bytes.Equal(a.SDD.Ref.Pix, b.SDD.Ref.Pix) && a.SDD.Delta == b.SDD.Delta {
+		t.Fatal("the noisier configuration's camera was not trained on it")
+	}
+}
+
+var uncachedSeed int64 = 884
+
+// TestConcurrentTrainCameraTrainsEachOnce asks for two cameras from eight
+// goroutines at once: each configuration is trained exactly once (the
+// frame pool counts the frames drawn), every caller gets its
+// configuration's one camera, and the map lock is not held across a
+// training. Run it under -race.
+func TestConcurrentTrainCameraTrainsEachOnce(t *testing.T) {
+	const frames = 300
+	// Two configurations the process-wide cache has not seen, also when
+	// -count repeats the test.
+	cfgs := [2]vidgen.Config{vidgen.Small(uncachedSeed, frame.ClassCar, 0.3), vidgen.Small(uncachedSeed+1, frame.ClassPerson, 0.5)}
+	uncachedSeed += 2
+	gets0, _ := frame.PoolStats()
+	var got [8]*Camera
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cam, err := TrainCamera(cfgs[g%2], frames)
+			if err != nil {
+				t.Error(err)
+			}
+			got[g] = cam
+		}()
+	}
+	wg.Wait()
+	if gets, _ := frame.PoolStats(); gets-gets0 != 2*frames {
+		t.Errorf("eight callers of two configurations drew %d training frames, want %d (one training each)", gets-gets0, 2*frames)
+	}
+	for g, cam := range got {
+		if cam == nil || cam != got[g%2] || cam.Template.Target != cfgs[g%2].Target {
+			t.Errorf("caller %d got camera %p, caller %d got %p", g, cam, g%2, got[g%2])
+		}
+	}
+	if got[0] == got[1] {
+		t.Error("two configurations share one camera")
 	}
 }
 

@@ -35,12 +35,15 @@ func BenchmarkSNMTrainStep(b *testing.B) {
 	for i := range labels {
 		labels[i] = float32(i % 2)
 	}
+	grad := NewTensor(16, 1)
+	params := net.Params()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := net.Forward(x)
-		_, grad := SigmoidBCE(out, labels)
+		SigmoidBCE(out, labels, grad)
 		net.Backward(grad)
-		opt.Step(net.Params())
+		opt.Step(params)
 	}
 }
 

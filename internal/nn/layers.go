@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"ffsva/internal/par"
 )
@@ -12,6 +13,17 @@ import (
 // Backward needs; Backward consumes the gradient w.r.t. the layer output
 // and returns the gradient w.r.t. the layer input, accumulating parameter
 // gradients along the way.
+//
+// Training buffers belong to the layer. The tensors Forward and Backward
+// return, and everything Forward caches, live in the layer's pass state
+// and are reused by its next training pass: a Forward result is valid
+// until the layer's next Forward, a Backward result until its next
+// Backward, and a caller that needs one longer Clones it. Every buffer is
+// fully overwritten, or zeroed first where the kernel accumulates, so
+// reuse never changes a result. Forward also keeps the caller's input
+// (not a copy) until Backward has run. The pass state is made on the
+// first Forward and is not part of what Net.Clone copies, so a network
+// that only ever infers never has one.
 //
 // Forward passes shard their output rows (and batch samples) over the
 // par worker pool; every shard writes a disjoint output region, so the
@@ -30,6 +42,47 @@ type Layer interface {
 	Params() []*Param
 }
 
+// pass is what a layer keeps from one step of a training pass to the
+// next (see Layer). One struct serves every layer type; each uses the
+// fields its kernels need.
+type pass struct {
+	x   *Tensor // the last Forward's input, the caller's tensor
+	out *Tensor // Forward's result
+	dx  *Tensor // Backward's result
+
+	cols     []*Tensor // Conv2D: per-sample im2col matrices, read by Backward
+	gradCols *Tensor   // Conv2D: one sample's input gradient in column space
+	argmax   []int     // MaxPool2: flat input index of each output's maximum
+}
+
+// begin returns the layer's pass state, made on first use, with x
+// recorded as the step's input.
+func begin(pp **pass, x *Tensor) *pass {
+	if *pp == nil {
+		*pp = &pass{}
+	}
+	(*pp).x = x
+	return *pp
+}
+
+// inputGrad returns the zeroed gradient buffer shaped like the step's
+// input, for kernels that accumulate into it.
+func (p *pass) inputGrad() *Tensor {
+	p.dx = shaped(p.dx, p.x.Shape...)
+	p.dx.Zero()
+	return p.dx
+}
+
+// shaped returns t when it already has the given shape and a new zeroed
+// tensor otherwise. shape is copied before it reaches NewTensor so that a
+// caller's variadic list stays on its stack.
+func shaped(t *Tensor, shape ...int) *Tensor {
+	if t != nil && slices.Equal(t.Shape, shape) {
+		return t
+	}
+	return NewTensor(append([]int(nil), shape...)...)
+}
+
 // Conv2D is a 2-D convolution over NCHW tensors, implemented with im2col
 // so the inner loop is a dense matrix product.
 type Conv2D struct {
@@ -38,11 +91,7 @@ type Conv2D struct {
 	w *Param // (OutC, InC*K*K)
 	b *Param // (OutC)
 
-	lastX    *Tensor
-	lastCols []*Tensor // per-sample im2col matrices, kept for backward
-	outH     int
-	outW     int
-
+	tr      *pass     // training-pass state; nil on a network that only infers
 	scratch []*Tensor // pooled per-sample column matrices for Infer
 }
 
@@ -240,18 +289,18 @@ func (c *Conv2D) forwardInto(x, out *Tensor, cols []*Tensor, n, inH, inW, outH, 
 func (c *Conv2D) Forward(x *Tensor) *Tensor {
 	n, outH, outW := c.checkInput(x)
 	inH, inW := x.Shape[2], x.Shape[3]
-	c.outH, c.outW = outH, outW
-	c.lastX = x
-	c.lastCols = c.lastCols[:0]
-	kdim := c.InC * c.K * c.K
-	for s := 0; s < n; s++ {
-		// Backward consumes the column matrices, so the training path
-		// allocates them fresh instead of borrowing from the pool.
-		c.lastCols = append(c.lastCols, NewTensor(kdim, outH*outW))
+	p := begin(&c.tr, x)
+	if out := shaped(p.out, n, c.OutC, outH, outW); out != p.out {
+		// A new batch size or input size: the column matrices, which
+		// Backward reads, are sized with the output.
+		p.out = out
+		p.cols = make([]*Tensor, n)
+		for s := range p.cols {
+			p.cols[s] = NewTensor(c.InC*c.K*c.K, outH*outW)
+		}
 	}
-	out := NewTensor(n, c.OutC, outH, outW)
-	c.forwardInto(x, out, c.lastCols, n, inH, inW, outH, outW)
-	return out
+	c.forwardInto(x, p.out, p.cols, n, inH, inW, outH, outW)
+	return p.out
 }
 
 // Infer is the inference-only forward: no state is cached for Backward,
@@ -292,20 +341,33 @@ func (c *Conv2D) checkInput(x *Tensor) (n, outH, outW int) {
 }
 
 // Backward implements Layer.
-func (c *Conv2D) Backward(grad *Tensor) *Tensor {
-	x := c.lastX
+func (c *Conv2D) Backward(grad *Tensor) *Tensor { return c.backward(grad, true) }
+
+// accumulate implements paramGrader: the parameter gradients of
+// Backward, bit for bit, with no input gradient formed.
+func (c *Conv2D) accumulate(grad *Tensor) { c.backward(grad, false) }
+
+func (c *Conv2D) backward(grad *Tensor, inputGrad bool) *Tensor {
+	p := c.tr
+	x := p.x
 	n, inH, inW := x.Shape[0], x.Shape[2], x.Shape[3]
-	outH, outW := c.outH, c.outW
+	outH, outW := p.out.Shape[2], p.out.Shape[3]
 	kdim := c.InC * c.K * c.K
 	pdim := outH * outW
 	sampleIn := c.InC * inH * inW
 	sampleOut := c.OutC * pdim
 
-	dx := NewTensor(x.Shape...)
-	gradCols := NewTensor(kdim, pdim)
+	var dx, gradCols *Tensor
+	if inputGrad {
+		dx = p.inputGrad()
+		p.gradCols = shaped(p.gradCols, kdim, pdim)
+		gradCols = p.gradCols
+	}
 	for s := 0; s < n; s++ {
-		cols := c.lastCols[s]
-		gradCols.Zero()
+		cols := p.cols[s].Data
+		if inputGrad {
+			gradCols.Zero()
+		}
 		for oc := 0; oc < c.OutC; oc++ {
 			g := grad.Data[s*sampleOut+oc*pdim : s*sampleOut+(oc+1)*pdim]
 			// Bias gradient.
@@ -316,53 +378,124 @@ func (c *Conv2D) Backward(grad *Tensor) *Tensor {
 			c.b.Grad.Data[oc] += bsum
 			// Weight gradient: dW[oc,k] += sum_p g[p] * cols[k,p]
 			// Input gradient (col space): dCols[k,p] += w[oc,k]*g[p]
-			wRow := c.w.Val.Data[oc*kdim : (oc+1)*kdim]
 			gwRow := c.w.Grad.Data[oc*kdim : (oc+1)*kdim]
-			for k := 0; k < kdim; k++ {
-				colRow := cols.Data[k*pdim : (k+1)*pdim]
-				gcRow := gradCols.Data[k*pdim : (k+1)*pdim]
-				var acc float32
-				wv := wRow[k]
-				for p, gv := range g {
-					acc += gv * colRow[p]
-					gcRow[p] += wv * gv
-				}
-				gwRow[k] += acc
+			if inputGrad {
+				weightAndColGrad(gwRow, c.w.Val.Data[oc*kdim:(oc+1)*kdim], g, cols, gradCols.Data)
+			} else {
+				weightGrad(gwRow, g, cols)
 			}
 		}
-		// col2im: scatter gradCols back to input layout.
-		kk := c.K * c.K
-		dst := dx.Data[s*sampleIn:]
-		for ch := 0; ch < c.InC; ch++ {
-			chOff := ch * inH * inW
-			for ky := 0; ky < c.K; ky++ {
-				for kx := 0; kx < c.K; kx++ {
-					row := (ch*kk + ky*c.K + kx) * pdim
-					for oy := 0; oy < outH; oy++ {
-						iy := oy*c.Stride + ky - c.Pad
-						if iy < 0 || iy >= inH {
-							continue
-						}
-						src := row + oy*outW
-						dstRow := chOff + iy*inW
-						for ox := 0; ox < outW; ox++ {
-							ix := ox*c.Stride + kx - c.Pad
-							if ix < 0 || ix >= inW {
-								continue
-							}
-							dst[dstRow+ix] += gradCols.Data[src+ox]
-						}
-					}
-				}
-			}
+		if inputGrad {
+			c.col2im(gradCols.Data, dx.Data[s*sampleIn:(s+1)*sampleIn], inH, inW, outH, outW)
 		}
 	}
 	return dx
 }
 
+// weightGrad adds Σ_p g[p]·cols[k,p] to gw[k] for every row k of the
+// (len(gw), len(g)) matrix cols. One row's sum is a chain of dependent
+// float adds, a few cycles each; four rows share a sweep of g, each with
+// its own accumulator, so the chains overlap. Every accumulator still
+// sees its row's products in ascending p starting from zero and is added
+// to gw[k] once — the operations of the one-row loop in the same order,
+// hence the same bits.
+func weightGrad(gw, g, cols []float32) {
+	pdim := len(g)
+	k := 0
+	for ; k+4 <= len(gw); k += 4 {
+		c0 := cols[k*pdim : (k+1)*pdim]
+		c1 := cols[(k+1)*pdim : (k+2)*pdim]
+		c2 := cols[(k+2)*pdim : (k+3)*pdim]
+		c3 := cols[(k+3)*pdim : (k+4)*pdim]
+		var a0, a1, a2, a3 float32
+		for p, gv := range g {
+			a0 += gv * c0[p]
+			a1 += gv * c1[p]
+			a2 += gv * c2[p]
+			a3 += gv * c3[p]
+		}
+		gw[k] += a0
+		gw[k+1] += a1
+		gw[k+2] += a2
+		gw[k+3] += a3
+	}
+	for ; k < len(gw); k++ {
+		var acc float32
+		for p, cv := range cols[k*pdim : (k+1)*pdim] {
+			acc += g[p] * cv
+		}
+		gw[k] += acc
+	}
+}
+
+// weightAndColGrad is weightGrad for a layer whose input gradient is
+// wanted too: in the same sweep it adds w[k]·g[p] to gradCols[k,p]. Two
+// rows a sweep, since each row also carries a store stream.
+func weightAndColGrad(gw, w, g, cols, gradCols []float32) {
+	pdim := len(g)
+	k := 0
+	for ; k+2 <= len(gw); k += 2 {
+		c0 := cols[k*pdim : (k+1)*pdim]
+		c1 := cols[(k+1)*pdim : (k+2)*pdim]
+		d0 := gradCols[k*pdim : (k+1)*pdim]
+		d1 := gradCols[(k+1)*pdim : (k+2)*pdim]
+		w0, w1 := w[k], w[k+1]
+		var a0, a1 float32
+		for p, gv := range g {
+			a0 += gv * c0[p]
+			a1 += gv * c1[p]
+			d0[p] += w0 * gv
+			d1[p] += w1 * gv
+		}
+		gw[k] += a0
+		gw[k+1] += a1
+	}
+	for ; k < len(gw); k++ {
+		colRow := cols[k*pdim : (k+1)*pdim]
+		gcRow := gradCols[k*pdim : (k+1)*pdim]
+		var acc float32
+		wv := w[k]
+		for p, gv := range g {
+			acc += gv * colRow[p]
+			gcRow[p] += wv * gv
+		}
+		gw[k] += acc
+	}
+}
+
+// col2im scatters one sample's column-space gradient back to the input
+// layout, adding into dst (overlapping windows share input pixels).
+func (c *Conv2D) col2im(gradCols, dst []float32, inH, inW, outH, outW int) {
+	kk := c.K * c.K
+	pdim := outH * outW
+	for ch := 0; ch < c.InC; ch++ {
+		chOff := ch * inH * inW
+		for ky := 0; ky < c.K; ky++ {
+			for kx := 0; kx < c.K; kx++ {
+				row := (ch*kk + ky*c.K + kx) * pdim
+				for oy := 0; oy < outH; oy++ {
+					iy := oy*c.Stride + ky - c.Pad
+					if iy < 0 || iy >= inH {
+						continue
+					}
+					src := row + oy*outW
+					dstRow := chOff + iy*inW
+					for ox := 0; ox < outW; ox++ {
+						ix := ox*c.Stride + kx - c.Pad
+						if ix < 0 || ix >= inW {
+							continue
+						}
+						dst[dstRow+ix] += gradCols[src+ox]
+					}
+				}
+			}
+		}
+	}
+}
+
 // ReLU is the elementwise rectifier.
 type ReLU struct {
-	lastX *Tensor
+	tr *pass
 }
 
 // Name implements Layer.
@@ -387,10 +520,10 @@ func reluInto(x, out *Tensor) {
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *Tensor) *Tensor {
-	r.lastX = x
-	out := NewTensor(x.Shape...)
-	reluInto(x, out)
-	return out
+	p := begin(&r.tr, x)
+	p.out = shaped(p.out, x.Shape...)
+	reluInto(x, p.out)
+	return p.out
 }
 
 // Infer is the inference-only forward; the pooled output is the caller's
@@ -403,20 +536,22 @@ func (r *ReLU) Infer(x *Tensor) *Tensor {
 
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *Tensor) *Tensor {
-	dx := NewTensor(grad.Shape...)
-	for i, v := range r.lastX.Data {
+	p := r.tr
+	p.dx = shaped(p.dx, grad.Shape...)
+	for i, v := range p.x.Data {
 		if v > 0 {
-			dx.Data[i] = grad.Data[i]
+			p.dx.Data[i] = grad.Data[i]
+		} else {
+			p.dx.Data[i] = 0
 		}
 	}
-	return dx
+	return p.dx
 }
 
 // MaxPool2 is 2×2 max pooling with stride 2 over NCHW tensors. Odd
 // trailing rows/columns are dropped, as in most frameworks' default.
 type MaxPool2 struct {
-	lastShape []int
-	argmax    []int
+	tr *pass
 }
 
 // Name implements Layer.
@@ -454,12 +589,14 @@ func poolGrain(oh, ow int) int {
 // they shard over the worker pool.
 func (m *MaxPool2) Forward(x *Tensor) *Tensor {
 	n, ch, h, w, oh, ow := poolShape(x)
-	m.lastShape = x.Shape
-	out := NewTensor(n, ch, oh, ow)
-	if cap(m.argmax) < out.Len() {
-		m.argmax = make([]int, out.Len())
+	p := begin(&m.tr, x)
+	p.out = shaped(p.out, n, ch, oh, ow)
+	out := p.out
+	if cap(p.argmax) < out.Len() {
+		p.argmax = make([]int, out.Len())
 	}
-	m.argmax = m.argmax[:out.Len()]
+	argmax := p.argmax[:out.Len()]
+	p.argmax = argmax
 	par.For(n*ch, poolGrain(oh, ow), func(lo, hi int) {
 		for plane := lo; plane < hi; plane++ {
 			base := plane * h * w
@@ -479,7 +616,7 @@ func (m *MaxPool2) Forward(x *Tensor) *Tensor {
 					}
 					oi := obase + oy*ow + ox
 					out.Data[oi] = x.Data[best]
-					m.argmax[oi] = best
+					argmax[oi] = best
 				}
 			}
 		}
@@ -520,8 +657,8 @@ func (m *MaxPool2) Infer(x *Tensor) *Tensor {
 
 // Backward implements Layer.
 func (m *MaxPool2) Backward(grad *Tensor) *Tensor {
-	dx := NewTensor(m.lastShape...)
-	for oi, src := range m.argmax {
+	dx := m.tr.inputGrad()
+	for oi, src := range m.tr.argmax {
 		dx.Data[src] += grad.Data[oi]
 	}
 	return dx
@@ -533,7 +670,7 @@ type Dense struct {
 	In, Out int
 	w       *Param // (Out, In)
 	b       *Param // (Out)
-	lastX   *Tensor
+	tr      *pass
 }
 
 // NewDense creates a fully connected layer with Xavier-style uniform
@@ -588,10 +725,10 @@ func (d *Dense) checkInput(x *Tensor) int {
 // Forward implements Layer.
 func (d *Dense) Forward(x *Tensor) *Tensor {
 	n := d.checkInput(x)
-	d.lastX = x
-	out := NewTensor(n, d.Out)
-	d.forwardInto(x, out, n)
-	return out
+	p := begin(&d.tr, x)
+	p.out = shaped(p.out, n, d.Out)
+	d.forwardInto(x, p.out, n)
+	return p.out
 }
 
 // Infer is the inference-only forward: nothing is cached for Backward
@@ -606,9 +743,9 @@ func (d *Dense) Infer(x *Tensor) *Tensor {
 // Backward implements Layer.
 func (d *Dense) Backward(grad *Tensor) *Tensor {
 	n := grad.Shape[0]
-	dx := NewTensor(d.lastX.Shape...)
+	x, dx := d.tr.x, d.tr.inputGrad()
 	for s := 0; s < n; s++ {
-		in := d.lastX.Data[s*d.In : (s+1)*d.In]
+		in := x.Data[s*d.In : (s+1)*d.In]
 		dIn := dx.Data[s*d.In : (s+1)*d.In]
 		for o := 0; o < d.Out; o++ {
 			g := grad.Data[s*d.Out+o]

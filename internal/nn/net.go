@@ -62,7 +62,7 @@ func (n *Net) Infer(x *Tensor) *Tensor {
 }
 
 // Clone returns a network of the same architecture with its own copy of
-// every parameter and none of the source's forward or scratch state: the
+// every parameter and none of the source's training or scratch state: the
 // two compute the same outputs and neither sees the other's writes. It
 // panics on a layer type this package does not define.
 func (n *Net) Clone() *Net {
@@ -85,11 +85,27 @@ func (n *Net) Clone() *Net {
 	return &Net{Layers: layers}
 }
 
+// paramGrader is implemented by layers that can accumulate their
+// parameter gradients without forming the gradient of their input.
+type paramGrader interface {
+	accumulate(grad *Tensor)
+}
+
 // Backward propagates an output gradient through the stack, accumulating
-// parameter gradients.
+// parameter gradients. It returns nothing, so the gradient of the
+// network's own input — the pixels — has no consumer: layer 0 is asked
+// for its parameter gradients only, when it can tell the two apart.
 func (n *Net) Backward(grad *Tensor) {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
+	for i := len(n.Layers) - 1; i > 0; i-- {
 		grad = n.Layers[i].Backward(grad)
+	}
+	if len(n.Layers) == 0 {
+		return
+	}
+	if first, ok := n.Layers[0].(paramGrader); ok {
+		first.accumulate(grad)
+	} else {
+		n.Layers[0].Backward(grad)
 	}
 }
 
@@ -127,14 +143,14 @@ func Sigmoid(x float32) float32 {
 }
 
 // SigmoidBCE computes mean binary cross-entropy between sigmoid(logits)
-// and labels, together with the gradient w.r.t. the logits. Combining the
-// sigmoid with the loss keeps the gradient numerically stable
-// (grad = sigmoid(z) − y).
-func SigmoidBCE(logits *Tensor, labels []float32) (loss float64, grad *Tensor) {
-	if logits.Len() != len(labels) {
-		panic(fmt.Sprintf("nn: SigmoidBCE: %d logits vs %d labels", logits.Len(), len(labels)))
+// and labels, and writes the gradient w.r.t. the logits into grad, the
+// caller's buffer of as many elements (every one is written, so a
+// training loop reuses one). Combining the sigmoid with the loss keeps
+// the gradient numerically stable (grad = sigmoid(z) − y).
+func SigmoidBCE(logits *Tensor, labels []float32, grad *Tensor) (loss float64) {
+	if logits.Len() != len(labels) || grad.Len() != len(labels) {
+		panic(fmt.Sprintf("nn: SigmoidBCE: %d logits, %d gradients vs %d labels", logits.Len(), grad.Len(), len(labels)))
 	}
-	grad = NewTensor(logits.Shape...)
 	inv := 1 / float64(len(labels))
 	for i, z := range logits.Data {
 		y := float64(labels[i])
@@ -143,7 +159,7 @@ func SigmoidBCE(logits *Tensor, labels []float32) (loss float64, grad *Tensor) {
 		loss += (math.Max(zf, 0) - zf*y + math.Log1p(math.Exp(-math.Abs(zf)))) * inv
 		grad.Data[i] = float32((float64(Sigmoid(z)) - y) * inv)
 	}
-	return loss, grad
+	return loss
 }
 
 // SGD is stochastic gradient descent with classical momentum.

@@ -171,7 +171,8 @@ func TestSigmoidBCEProperties(t *testing.T) {
 	// Perfect confident predictions give near-zero loss.
 	logits := NewTensor(2, 1)
 	logits.Data[0], logits.Data[1] = 20, -20
-	loss, grad := SigmoidBCE(logits, []float32{1, 0})
+	grad := NewTensor(2, 1)
+	loss := SigmoidBCE(logits, []float32{1, 0}, grad)
 	if loss > 1e-6 {
 		t.Fatalf("confident correct loss = %g", loss)
 	}
@@ -181,7 +182,7 @@ func TestSigmoidBCEProperties(t *testing.T) {
 		}
 	}
 	// Wrong confident predictions give large loss and correctly signed grads.
-	loss, grad = SigmoidBCE(logits, []float32{0, 1})
+	loss = SigmoidBCE(logits, []float32{0, 1}, grad)
 	if loss < 10 {
 		t.Fatalf("confident wrong loss = %g, want large", loss)
 	}
@@ -194,14 +195,15 @@ func TestSigmoidBCEGradMatchesNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	logits := randTensor(rng, 4, 1)
 	labels := []float32{1, 0, 1, 0}
-	_, grad := SigmoidBCE(logits, labels)
+	grad, scratch := NewTensor(4, 1), NewTensor(4, 1)
+	SigmoidBCE(logits, labels, grad)
 	const eps = 1e-3
 	for i := range logits.Data {
 		orig := logits.Data[i]
 		logits.Data[i] = orig + eps
-		lp, _ := SigmoidBCE(logits, labels)
+		lp := SigmoidBCE(logits, labels, scratch)
 		logits.Data[i] = orig - eps
-		lm, _ := SigmoidBCE(logits, labels)
+		lm := SigmoidBCE(logits, labels, scratch)
 		logits.Data[i] = orig
 		want := (lp - lm) / (2 * eps)
 		if math.Abs(float64(grad.Data[i])-want) > 1e-3 {
@@ -255,6 +257,7 @@ func TestTrainingLearnsBlobDetection(t *testing.T) {
 	net := snmNet(rng, size)
 	opt := NewSGD(0.05, 0.9)
 	const batch = 16
+	grad := NewTensor(batch, 1)
 	for iter := 0; iter < 150; iter++ {
 		xb := NewTensor(batch, 1, size, size)
 		labels := make([]float32, batch)
@@ -266,7 +269,7 @@ func TestTrainingLearnsBlobDetection(t *testing.T) {
 			copy(xb.Data[s*size*size:], makeSample(has).Data)
 		}
 		logits := net.Forward(xb)
-		_, grad := SigmoidBCE(logits, labels)
+		SigmoidBCE(logits, labels, grad)
 		net.Backward(grad)
 		opt.Step(net.Params())
 	}
@@ -362,7 +365,8 @@ func TestZeroGrad(t *testing.T) {
 	net := snmNet(rng, 20)
 	x := randTensor(rng, 2, 1, 20, 20)
 	out := net.Forward(x)
-	_, grad := SigmoidBCE(out, []float32{1, 0})
+	grad := NewTensor(2, 1)
+	SigmoidBCE(out, []float32{1, 0}, grad)
 	net.Backward(grad)
 	nonZero := false
 	for _, p := range net.Params() {

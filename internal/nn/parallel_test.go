@@ -40,7 +40,7 @@ func TestConv2DParallelBitwiseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := NewConv2D(rng, 3, 8, 3, 1, 1)
 	x := randTensor(rng, 2, 3, 17, 19) // odd sizes: uneven shards
-	s, p := runSerialAndParallel(func() *Tensor { return c.Forward(x) })
+	s, p := runSerialAndParallel(func() *Tensor { return c.Forward(x).Clone() })
 	bitwiseEqual(t, "Conv2D.Forward", s, p)
 	s, p = runSerialAndParallel(func() *Tensor { return c.Infer(x) })
 	bitwiseEqual(t, "Conv2D.Infer", s, p)
@@ -50,7 +50,7 @@ func TestDenseParallelBitwiseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	d := NewDense(rng, 301, 47)
 	x := randTensor(rng, 5, 301)
-	s, p := runSerialAndParallel(func() *Tensor { return d.Forward(x) })
+	s, p := runSerialAndParallel(func() *Tensor { return d.Forward(x).Clone() })
 	bitwiseEqual(t, "Dense.Forward", s, p)
 	s, p = runSerialAndParallel(func() *Tensor { return d.Infer(x) })
 	bitwiseEqual(t, "Dense.Infer", s, p)

@@ -1,6 +1,9 @@
 package train
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"ffsva/internal/detect"
@@ -18,22 +21,14 @@ func mixedStream(seed int64, tor float64) vidgen.Config {
 	return cfg
 }
 
-func makeMultiLabeled(t *testing.T, cfg vidgen.Config, n int, classes []frame.Class) []MultiLabeled {
-	t.Helper()
-	s := vidgen.New(cfg)
-	frames := vidgen.Generate(s, n)
-	oracle := detect.NewOracle(detect.DefaultOracleConfig())
-	return LabelMulti(frames, oracle, classes)
-}
-
 func TestLabelMultiAgreesWithTruth(t *testing.T) {
 	classes := []frame.Class{frame.ClassCar, frame.ClassBus}
-	labeled := makeMultiLabeled(t, mixedStream(61, 0.4), 1000, classes)
+	set, truth := collect(mixedStream(61, 0.4), 1000, classes...)
 	sawBus, sawCar := false, false
 	agree := 0
-	for _, l := range labeled {
-		okCar := l.Has[0] == (l.F.Truth.TargetCount(frame.ClassCar) > 0)
-		okBus := l.Has[1] == (l.F.Truth.TargetCount(frame.ClassBus) > 0)
+	for i, l := range set.Samples {
+		okCar := l.Has[0] == (truth[i].TargetCount(frame.ClassCar) > 0)
+		okBus := l.Has[1] == (truth[i].TargetCount(frame.ClassBus) > 0)
 		if okCar && okBus {
 			agree++
 		}
@@ -47,15 +42,15 @@ func TestLabelMultiAgreesWithTruth(t *testing.T) {
 	if !sawBus || !sawCar {
 		t.Fatal("mixed stream did not produce both classes")
 	}
-	if rate := float64(agree) / float64(len(labeled)); rate < 0.95 {
+	if rate := float64(agree) / float64(len(set.Samples)); rate < 0.95 {
 		t.Fatalf("multi-label agreement %.3f", rate)
 	}
 }
 
 func TestTrainMultiSNM(t *testing.T) {
 	classes := []frame.Class{frame.ClassCar, frame.ClassBus}
-	labeled := makeMultiLabeled(t, mixedStream(62, 0.45), 1600, classes)
-	res, err := TrainMultiSNM(labeled, classes, DefaultSNMConfig())
+	set, _ := collect(mixedStream(62, 0.45), 1600, classes...)
+	res, err := TrainMultiSNM(set, DefaultSNMConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,17 +107,50 @@ func TestTrainMultiSNM(t *testing.T) {
 }
 
 func TestTrainMultiSNMValidation(t *testing.T) {
-	classes := []frame.Class{frame.ClassCar}
-	if _, err := TrainMultiSNM(nil, nil, DefaultSNMConfig()); err == nil {
+	if _, err := TrainMultiSNM(NewSet(detect.NewOracle(detect.DefaultOracleConfig())), DefaultSNMConfig()); err == nil {
 		t.Fatal("expected error for no classes")
 	}
-	labeled := makeMultiLabeled(t, mixedStream(64, 0.0), 200, classes)
+	set, _ := collect(mixedStream(64, 0.0), 200, frame.ClassCar)
 	// All-negative corpus: car pool empty.
-	for i := range labeled {
-		labeled[i].Has[0] = false
+	for _, s := range set.Samples {
+		s.Has[0] = false
 	}
-	if _, err := TrainMultiSNM(labeled, classes, DefaultSNMConfig()); err == nil {
+	if _, err := TrainMultiSNM(set, DefaultSNMConfig()); err == nil {
 		t.Fatal("expected error for empty class pool")
+	}
+}
+
+// TestTrainMultiSNMGolden pins one two-class training bit for bit — the
+// weights' FNV-64a (float32 bits, little-endian, Params order) and the
+// bit patterns of every threshold and accuracy — recorded at commit
+// 3464112, before ISSUE 21 touched the trainer; the lab package holds the
+// same for the two single-target cameras.
+func TestTrainMultiSNMGolden(t *testing.T) {
+	set, _ := collect(mixedStream(62, 0.45), 600, frame.ClassCar, frame.ClassBus)
+	res, err := TrainMultiSNM(set, DefaultSNMConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var b [4]byte
+	for _, p := range res.Net.Params() {
+		for _, v := range p.Val.Data {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+			h.Write(b[:])
+		}
+	}
+	if got := h.Sum64(); got != 0x23d1b41a63b1049e {
+		t.Errorf("weights hash %016x, golden 23d1b41a63b1049e", got)
+	}
+	want := [2][3]uint64{ // clow, chigh, accuracy per class
+		{0x3f658d6000000000, 0x3fd1072bc0000000, 0x3fe82d82d82d82d8},
+		{0x3f85562340000000, 0x3fe3285440000000, 0x3fec71c71c71c71c},
+	}
+	for j, w := range want {
+		got := [3]uint64{math.Float64bits(res.CLow[j]), math.Float64bits(res.CHigh[j]), math.Float64bits(res.TestAccuracy[j])}
+		if got != w {
+			t.Errorf("class %v: clow/chigh/accuracy bits %016x, golden %016x", res.Classes[j], got, w)
+		}
 	}
 }
 

@@ -1,0 +1,89 @@
+package train
+
+import (
+	"ffsva/internal/detect"
+	"ffsva/internal/filters"
+	"ffsva/internal/frame"
+	"ffsva/internal/imgproc"
+	"ffsva/internal/nn"
+)
+
+// Sample is what training keeps of one frame — 20 KB, whatever the frame
+// weighed: its reference-model labels, the SDDSize² plane the SDD
+// reference and δdiff are fitted on, and the normalised SNMSize² input
+// the SNM is trained on. Both are derived exactly as the runtime filters
+// derive them, so fitted thresholds and weights transfer.
+type Sample struct {
+	Plane *imgproc.Gray
+	Input *nn.Tensor
+	// Has[j] is true when the reference model found an object of the
+	// set's class j.
+	Has []bool
+	// Empty is true when the reference model found nothing at all (a pure
+	// background frame, usable for the SDD reference).
+	Empty bool
+}
+
+// HasAny reports whether the reference model found any of the set's
+// classes.
+func (s Sample) HasAny() bool {
+	for _, h := range s.Has {
+		if h {
+			return true
+		}
+	}
+	return false
+}
+
+// Set is the training corpus of one stream, collected a frame at a time
+// in capture order. The §4.1 procedure labels each frame with the
+// reference model (YOLOv2 in the paper, the oracle here) for one target
+// class, or for several (§5.5's multiple-target case), and everything
+// downstream — FitSDD, TrainSNM, TrainMultiSNM — reads the set, never a
+// frame.
+type Set struct {
+	Classes []frame.Class
+	Samples []Sample
+	ref     detect.Detector
+}
+
+// NewSet returns an empty corpus labelled by ref for the given classes.
+func NewSet(ref detect.Detector, classes ...frame.Class) *Set {
+	return &Set{Classes: classes, ref: ref}
+}
+
+// Add labels f, keeps its Sample and releases f: a frame handed to the
+// set is the set's, and the caller must not touch its pixels afterwards
+// (Release is a no-op on frames that are not pooled, so any source's
+// frames may be added). Truth, which is not pooled, stays readable.
+func (s *Set) Add(f *frame.Frame) {
+	dets := s.ref.Detect(f)
+	has := make([]bool, len(s.Classes))
+	for j, c := range s.Classes {
+		has[j] = detect.Count(dets, c, 0.5) > 0
+	}
+	img := imgproc.FromFrame(f)
+	small := imgproc.GetGray(filters.SNMSize, filters.SNMSize)
+	imgproc.ResizeInto(img, small)
+	s.Samples = append(s.Samples, Sample{
+		Plane: imgproc.Resize(img, filters.SDDSize, filters.SDDSize),
+		Input: filters.GrayInput(small),
+		Has:   has,
+		Empty: len(dets) == 0,
+	})
+	small.Release()
+	f.Release()
+}
+
+// Source is anything that yields frames in capture order: a
+// vidgen.Stream, a video.FileSource, a pipeline.FrameSource.
+type Source interface {
+	Next() *frame.Frame
+}
+
+// AddFrom adds the next n frames of src.
+func (s *Set) AddFrom(src Source, n int) {
+	for i := 0; i < n; i++ {
+		s.Add(src.Next())
+	}
+}

@@ -3,7 +3,9 @@
 // paper, the oracle here), split into train and test sets, and used to
 // (a) fit the SDD reference image and δdiff threshold and (b) train the
 // per-stream SNM and select its clow/chigh thresholds on the held-out
-// split.
+// split. A Set collects what that takes of each frame as the frame
+// arrives and gives the frame back, so training a camera holds the
+// corpus's 20 KB a frame, not the clip.
 package train
 
 import (
@@ -11,37 +13,11 @@ import (
 	"math/rand"
 	"sort"
 
-	"ffsva/internal/detect"
 	"ffsva/internal/filters"
 	"ffsva/internal/frame"
 	"ffsva/internal/imgproc"
 	"ffsva/internal/nn"
 )
-
-// Labeled is one training frame with its reference-model label.
-type Labeled struct {
-	F *frame.Frame
-	// HasTarget is true when the reference model found at least one
-	// target-class object.
-	HasTarget bool
-	// Empty is true when the reference model found nothing at all
-	// (a pure background frame, usable for the SDD reference).
-	Empty bool
-}
-
-// Label runs the reference model over frames and attaches labels.
-func Label(frames []*frame.Frame, ref detect.Detector, target frame.Class) []Labeled {
-	out := make([]Labeled, len(frames))
-	for i, f := range frames {
-		dets := ref.Detect(f)
-		out[i] = Labeled{
-			F:         f,
-			HasTarget: detect.Count(dets, target, 0.5) > 0,
-			Empty:     len(dets) == 0,
-		}
-	}
-	return out
-}
 
 // SDDFit is the trained difference detector state.
 type SDDFit struct {
@@ -54,16 +30,15 @@ type SDDFit struct {
 // enough to drop almost all background, low enough to keep almost all
 // target frames (the paper's relaxed-filtering principle biases the
 // threshold toward passing).
-func FitSDD(labeled []Labeled) (SDDFit, error) {
+func FitSDD(set *Set) (SDDFit, error) {
 	ref := imgproc.NewGray(filters.SDDSize, filters.SDDSize)
 	acc := make([]float64, len(ref.Pix))
 	n := 0
-	for _, l := range labeled {
-		if !l.Empty {
+	for _, s := range set.Samples {
+		if !s.Empty {
 			continue
 		}
-		small := imgproc.Resize(imgproc.FromFrame(l.F), filters.SDDSize, filters.SDDSize)
-		for i, p := range small.Pix {
+		for i, p := range s.Plane.Pix {
 			acc[i] += float64(p)
 		}
 		n++
@@ -79,14 +54,13 @@ func FitSDD(labeled []Labeled) (SDDFit, error) {
 	}
 
 	var bgD, targetD []float64
-	for _, l := range labeled {
-		small := imgproc.Resize(imgproc.FromFrame(l.F), filters.SDDSize, filters.SDDSize)
+	for _, s := range set.Samples {
 		// Same luminance-compensated distance the runtime SDD uses, so
 		// the fitted threshold transfers exactly.
-		d := filters.Distance(small, ref, filters.MetricMSE, true)
-		if l.Empty {
+		d := filters.Distance(s.Plane, ref, filters.MetricMSE, true)
+		if s.Empty {
 			bgD = append(bgD, d)
-		} else if l.HasTarget {
+		} else if s.HasAny() {
 			targetD = append(targetD, d)
 		}
 	}
@@ -133,102 +107,159 @@ type SNMResult struct {
 	TestAccuracy float64
 }
 
+// MultiSNMResult is a trained multi-output SNM with per-class thresholds,
+// for the paper's §5.5 multiple-target-objects case ("the structure of
+// the specialized network model only needs to be changed to support the
+// identification of all the target objects").
+type MultiSNMResult struct {
+	Net     *nn.Net
+	Classes []frame.Class
+	// CLow/CHigh are per-class threshold bands.
+	CLow, CHigh []float64
+	// TestAccuracy is the per-class held-out accuracy.
+	TestAccuracy []float64
+}
+
 // NewSNMNet builds the paper's SNM topology (CONV, CONV, FC) for
 // SNMSize×SNMSize inputs.
-func NewSNMNet(rng *rand.Rand) *nn.Net {
+func NewSNMNet(rng *rand.Rand) *nn.Net { return NewMultiSNMNet(rng, 1) }
+
+// NewMultiSNMNet builds the SNM topology with one output logit per class.
+func NewMultiSNMNet(rng *rand.Rand, classes int) *nn.Net {
 	c1 := nn.NewConv2D(rng, 1, 6, 5, 3, 2)
 	h1, w1 := c1.OutSize(filters.SNMSize, filters.SNMSize)
 	c2 := nn.NewConv2D(rng, 6, 12, 3, 2, 1)
 	h2, w2 := c2.OutSize(h1, w1)
-	return nn.NewNet(c1, &nn.ReLU{}, c2, &nn.ReLU{}, nn.NewDense(rng, 12*h2*w2, 1))
+	return nn.NewNet(c1, &nn.ReLU{}, c2, &nn.ReLU{}, nn.NewDense(rng, 12*h2*w2, classes))
 }
 
-// TrainSNM trains a fresh SNM on labeled frames and selects clow/chigh on
-// the held-out split: clow below almost all positive scores, chigh above
-// almost all negative scores, giving the uncertainty band FilterDegree
-// interpolates (paper §4.2.1).
-func TrainSNM(labeled []Labeled, cfg SNMConfig) (SNMResult, error) {
+// TrainSNM trains a fresh SNM on a single-target set and selects
+// clow/chigh on the held-out split: clow below almost all positive
+// scores, chigh above almost all negative scores, giving the uncertainty
+// band FilterDegree interpolates (paper §4.2.1). It is the one-class case
+// of TrainMultiSNM: the pools are the positives and the negatives,
+// sampled alternately.
+func TrainSNM(set *Set, cfg SNMConfig) (SNMResult, error) {
+	if len(set.Classes) != 1 {
+		return SNMResult{}, fmt.Errorf("train: TrainSNM wants a single-target set, have %d classes", len(set.Classes))
+	}
+	m, err := TrainMultiSNM(set, cfg)
+	if err != nil {
+		return SNMResult{}, err
+	}
+	return SNMResult{Net: m.Net, CLow: m.CLow[0], CHigh: m.CHigh[0], TestAccuracy: m.TestAccuracy[0]}, nil
+}
+
+// TrainMultiSNM trains a multi-label SNM: one sigmoid output per class of
+// the set, binary cross-entropy summed across classes, thresholds
+// selected per class on the held-out split.
+func TrainMultiSNM(set *Set, cfg SNMConfig) (MultiSNMResult, error) {
 	if cfg.BatchSize <= 0 || cfg.Epochs <= 0 {
-		return SNMResult{}, fmt.Errorf("train: invalid config %+v", cfg)
+		return MultiSNMResult{}, fmt.Errorf("train: invalid config %+v", cfg)
 	}
-	type sample struct {
-		x   *nn.Tensor
-		pos bool
+	if len(set.Classes) == 0 {
+		return MultiSNMResult{}, fmt.Errorf("train: no classes")
 	}
-	var train, test []sample
-	for i, l := range labeled {
-		s := sample{x: filters.Input(l.F), pos: l.HasTarget}
+	k := len(set.Classes)
+	var trainSet, testSet []Sample
+	for i, s := range set.Samples {
+		if len(s.Has) != k {
+			return MultiSNMResult{}, fmt.Errorf("train: label arity %d != classes %d", len(s.Has), k)
+		}
 		// Deterministic interleaved split.
 		if float64(i%100)/100 < cfg.TestFraction {
-			test = append(test, s)
+			testSet = append(testSet, s)
 		} else {
-			train = append(train, s)
+			trainSet = append(trainSet, s)
 		}
 	}
-	var pos, neg []sample
-	for _, s := range train {
-		if s.pos {
-			pos = append(pos, s)
-		} else {
-			neg = append(neg, s)
+	// Per-class pools for balanced sampling; the negative pool holds
+	// frames with no class at all.
+	pools := make([][]Sample, k+1)
+	for _, s := range trainSet {
+		for j, h := range s.Has {
+			if h {
+				pools[j] = append(pools[j], s)
+			}
+		}
+		if !s.HasAny() {
+			pools[k] = append(pools[k], s)
 		}
 	}
-	if len(pos) == 0 || len(neg) == 0 {
-		return SNMResult{}, fmt.Errorf("train: need both classes, have %d positive / %d negative", len(pos), len(neg))
+	for j, pool := range pools {
+		if len(pool) == 0 {
+			return MultiSNMResult{}, fmt.Errorf("train: need every class and its absence, but class pool %d of %d is empty", j, k+1)
+		}
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	net := NewSNMNet(rng)
+	net := NewMultiSNMNet(rng, k)
 	opt := nn.NewSGD(cfg.LR, cfg.Momentum)
-	inLen := filters.SNMSize * filters.SNMSize
-	steps := cfg.Epochs * (len(train) + cfg.BatchSize - 1) / cfg.BatchSize
+	params := net.Params()
+	// One batch, label and loss-gradient buffer for the whole pass; with
+	// the layers' own (nn.Layer), a step allocates no tensor.
+	const inLen = filters.SNMSize * filters.SNMSize
+	xb := nn.NewTensor(cfg.BatchSize, 1, filters.SNMSize, filters.SNMSize)
+	yb := make([]float32, cfg.BatchSize*k)
+	grad := nn.NewTensor(cfg.BatchSize, k)
+	steps := cfg.Epochs * (len(trainSet) + cfg.BatchSize - 1) / cfg.BatchSize
 	for step := 0; step < steps; step++ {
-		xb := nn.NewTensor(cfg.BatchSize, 1, filters.SNMSize, filters.SNMSize)
-		yb := make([]float32, cfg.BatchSize)
+		clear(yb)
 		for s := 0; s < cfg.BatchSize; s++ {
-			// Class-balanced sampling: alternate positives and negatives
-			// so rare targets (low TOR) still train the positive class.
-			var smp sample
-			if s%2 == 0 {
-				smp = pos[rng.Intn(len(pos))]
-				yb[s] = 1
-			} else {
-				smp = neg[rng.Intn(len(neg))]
+			// Class-balanced sampling: rotate the pools, so rare targets
+			// (low TOR) still train their class.
+			pool := pools[s%(k+1)]
+			smp := pool[rng.Intn(len(pool))]
+			copy(xb.Data[s*inLen:(s+1)*inLen], smp.Input.Data)
+			for j, h := range smp.Has {
+				if h {
+					yb[s*k+j] = 1
+				}
 			}
-			copy(xb.Data[s*inLen:], smp.x.Data)
 		}
-		logits := net.Forward(xb)
-		_, grad := nn.SigmoidBCE(logits, yb)
+		nn.SigmoidBCE(net.Forward(xb), yb, grad)
 		net.Backward(grad)
-		opt.Step(net.Params())
+		opt.Step(params)
 	}
 
 	// Threshold selection on the held-out split.
-	var posScores, negScores []float64
-	correct := 0
-	for _, s := range test {
-		p := float64(nn.Sigmoid(net.Forward(s.x).Data[0]))
-		if s.pos {
-			posScores = append(posScores, p)
-		} else {
-			negScores = append(negScores, p)
+	if len(testSet) == 0 {
+		return MultiSNMResult{}, fmt.Errorf("train: empty test split")
+	}
+	res := MultiSNMResult{
+		Net: net, Classes: append([]frame.Class(nil), set.Classes...),
+		CLow: make([]float64, k), CHigh: make([]float64, k),
+		TestAccuracy: make([]float64, k),
+	}
+	pos := make([][]float64, k)
+	neg := make([][]float64, k)
+	correct := make([]int, k)
+	for _, s := range testSet {
+		out := net.Infer(s.Input)
+		for j := 0; j < k; j++ {
+			p := float64(nn.Sigmoid(out.Data[j]))
+			if s.Has[j] {
+				pos[j] = append(pos[j], p)
+			} else {
+				neg[j] = append(neg[j], p)
+			}
+			if (p > 0.5) == s.Has[j] {
+				correct[j]++
+			}
 		}
-		if (p > 0.5) == s.pos {
-			correct++
+		out.Release()
+	}
+	for j := 0; j < k; j++ {
+		res.TestAccuracy[j] = float64(correct[j]) / float64(len(testSet))
+		lo, hi := 0.25, 0.75
+		if len(pos[j]) > 0 {
+			lo = quantile(pos[j], 0.02)
 		}
+		if len(neg[j]) > 0 {
+			hi = quantile(neg[j], 0.98)
+		}
+		res.CLow[j], res.CHigh[j] = min(lo, hi), max(lo, hi)
 	}
-	if len(test) == 0 {
-		return SNMResult{}, fmt.Errorf("train: empty test split")
-	}
-	res := SNMResult{Net: net, TestAccuracy: float64(correct) / float64(len(test))}
-	lo, hi := 0.25, 0.75
-	if len(posScores) > 0 {
-		lo = quantile(posScores, 0.02)
-	}
-	if len(negScores) > 0 {
-		hi = quantile(negScores, 0.98)
-	}
-	res.CLow, res.CHigh = min(lo, hi), max(lo, hi)
 	return res, nil
 }
 

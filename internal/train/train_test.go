@@ -1,6 +1,7 @@
 package train
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,38 +9,85 @@ import (
 	"ffsva/internal/detect"
 	"ffsva/internal/filters"
 	"ffsva/internal/frame"
+	"ffsva/internal/imgproc"
 	"ffsva/internal/nn"
 	"ffsva/internal/vidgen"
 )
 
-// makeLabeled builds a labeled training corpus from a synthetic stream.
-func makeLabeled(t *testing.T, cfg vidgen.Config, n int) []Labeled {
-	t.Helper()
-	s := vidgen.New(cfg)
-	frames := vidgen.Generate(s, n)
-	oracle := detect.NewOracle(detect.DefaultOracleConfig())
-	return Label(frames, oracle, cfg.Target)
+// collect builds a training corpus from a synthetic stream, returning
+// each frame's ground truth alongside (the set keeps no frame).
+func collect(cfg vidgen.Config, n int, classes ...frame.Class) (*Set, []*frame.Annotation) {
+	src := vidgen.New(cfg)
+	set := NewSet(detect.NewOracle(detect.DefaultOracleConfig()), classes...)
+	truth := make([]*frame.Annotation, n)
+	for i := range truth {
+		f := src.Next()
+		truth[i] = f.Truth
+		set.Add(f)
+	}
+	return set, truth
+}
+
+// makeSet is collect for a single-target corpus, labels only.
+func makeSet(cfg vidgen.Config, n int) *Set {
+	set, _ := collect(cfg, n, cfg.Target)
+	return set
 }
 
 func TestLabelAgreesWithTruth(t *testing.T) {
 	cfg := vidgen.Small(21, frame.ClassCar, 0.3)
-	labeled := makeLabeled(t, cfg, 1000)
+	set, truth := collect(cfg, 1000, cfg.Target)
 	agree := 0
-	for _, l := range labeled {
-		if l.HasTarget == (l.F.Truth.TargetCount(frame.ClassCar) > 0) {
+	for i, s := range set.Samples {
+		if s.Has[0] == (truth[i].TargetCount(frame.ClassCar) > 0) {
 			agree++
 		}
 	}
 	// Oracle has a 0.5% miss rate, so near-perfect agreement is expected.
-	if rate := float64(agree) / float64(len(labeled)); rate < 0.98 {
+	if rate := float64(agree) / float64(len(set.Samples)); rate < 0.98 {
 		t.Fatalf("label agreement %.3f, want >= 0.98", rate)
+	}
+}
+
+// TestSetKeepsDerivationsAndReturnsFrames is the collector's contract: a
+// sample holds exactly what the runtime filters would derive from the
+// frame (the SDD's 100² plane, the SNM's normalised 50² input), and every
+// pooled frame added has gone back to the pool.
+func TestSetKeepsDerivationsAndReturnsFrames(t *testing.T) {
+	cfg := vidgen.Small(27, frame.ClassCar, 0.3)
+	src, twin := vidgen.New(cfg), vidgen.New(cfg)
+	set := NewSet(detect.NewOracle(detect.DefaultOracleConfig()), cfg.Target)
+	gets0, puts0 := frame.PoolStats()
+	set.AddFrom(src, 40)
+	gets, puts := frame.PoolStats()
+	if gets-gets0 != 40 || puts-puts0 != 40 {
+		t.Fatalf("40 frames added: %d taken from the pool, %d returned", gets-gets0, puts-puts0)
+	}
+	for i, s := range set.Samples {
+		f := twin.Next()
+		plane := imgproc.Resize(imgproc.FromFrame(f), filters.SDDSize, filters.SDDSize)
+		if !bytes.Equal(s.Plane.Pix, plane.Pix) {
+			t.Fatalf("sample %d: SDD plane differs from the frame's resize", i)
+		}
+		want := filters.Input(f)
+		for j, v := range want.Data {
+			if s.Input.Data[j] != v {
+				t.Fatalf("sample %d: SNM input[%d] = %v, filters.Input gives %v", i, j, s.Input.Data[j], v)
+			}
+		}
+		f.Release()
+	}
+	// A frame that is not pooled may be added too, and stays the caller's.
+	own := frame.New(cfg.W, cfg.H)
+	set.Add(own)
+	if own.Pix == nil {
+		t.Fatal("Add took the pixels of a frame it does not own")
 	}
 }
 
 func TestFitSDDSeparatesBackground(t *testing.T) {
 	cfg := vidgen.Small(22, frame.ClassCar, 0.25)
-	labeled := makeLabeled(t, cfg, 1500)
-	fit, err := FitSDD(labeled)
+	fit, err := FitSDD(makeSet(cfg, 1500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,26 +143,25 @@ func TestFitSDDSeparatesBackground(t *testing.T) {
 func TestFitSDDNoBackgroundFrames(t *testing.T) {
 	cfg := vidgen.Small(23, frame.ClassPerson, 1.0)
 	cfg.CrowdProb = 1
-	labeled := makeLabeled(t, cfg, 200)
+	set := makeSet(cfg, 200)
 	// At TOR 1.0 with constant crowds there may be no empty frames.
 	hasEmpty := false
-	for _, l := range labeled {
-		if l.Empty {
+	for _, s := range set.Samples {
+		if s.Empty {
 			hasEmpty = true
 		}
 	}
 	if hasEmpty {
 		t.Skip("stream produced empty frames; error path not reachable")
 	}
-	if _, err := FitSDD(labeled); err == nil {
+	if _, err := FitSDD(set); err == nil {
 		t.Fatal("expected error with no background frames")
 	}
 }
 
 func TestTrainSNMLearnsStream(t *testing.T) {
 	cfg := vidgen.Small(24, frame.ClassCar, 0.3)
-	labeled := makeLabeled(t, cfg, 1200)
-	res, err := TrainSNM(labeled, DefaultSNMConfig())
+	res, err := TrainSNM(makeSet(cfg, 1200), DefaultSNMConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +212,11 @@ func TestTrainSNMLearnsStream(t *testing.T) {
 
 func TestTrainSNMRequiresBothClasses(t *testing.T) {
 	cfg := vidgen.Small(25, frame.ClassCar, 0.0)
-	labeled := makeLabeled(t, cfg, 300)
-	for i := range labeled {
-		labeled[i].HasTarget = false // force a single-class corpus
+	set := makeSet(cfg, 300)
+	for _, s := range set.Samples {
+		s.Has[0] = false // force a single-class corpus
 	}
-	if _, err := TrainSNM(labeled, DefaultSNMConfig()); err == nil {
+	if _, err := TrainSNM(set, DefaultSNMConfig()); err == nil {
 		t.Fatal("expected error training with a single class")
 	}
 }
@@ -177,19 +224,19 @@ func TestTrainSNMRequiresBothClasses(t *testing.T) {
 func TestTrainSNMInvalidConfig(t *testing.T) {
 	cfg := DefaultSNMConfig()
 	cfg.Epochs = 0
-	if _, err := TrainSNM(nil, cfg); err == nil {
+	if _, err := TrainSNM(NewSet(nil, frame.ClassCar), cfg); err == nil {
 		t.Fatal("expected error for invalid config")
 	}
 }
 
 func TestTrainSNMDeterministic(t *testing.T) {
 	cfg := vidgen.Small(26, frame.ClassCar, 0.3)
-	labeled := makeLabeled(t, cfg, 600)
-	a, err := TrainSNM(labeled, DefaultSNMConfig())
+	set := makeSet(cfg, 600)
+	a, err := TrainSNM(set, DefaultSNMConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TrainSNM(labeled, DefaultSNMConfig())
+	b, err := TrainSNM(set, DefaultSNMConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,17 +54,13 @@ func TestFileSourceThroughPipeline(t *testing.T) {
 		t.Fatalf("header frames = %d", fileSrc.Header().Frames)
 	}
 
-	head := make([]*frame.Frame, trainLen)
-	for i := range head {
-		head[i] = fileSrc.Next()
-	}
-	oracle := detect.NewOracle(detect.DefaultOracleConfig())
-	labeled := train.Label(head, oracle, frame.ClassCar)
-	sddFit, err := train.FitSDD(labeled)
+	set := train.NewSet(detect.NewOracle(detect.DefaultOracleConfig()), frame.ClassCar)
+	set.AddFrom(fileSrc, trainLen)
+	sddFit, err := train.FitSDD(set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snmRes, err := train.TrainSNM(labeled, train.DefaultSNMConfig())
+	snmRes, err := train.TrainSNM(set, train.DefaultSNMConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
