@@ -50,11 +50,14 @@ test:
 # which mint streams around read-only artefacts their camera shares
 # (background plane, detector seed, trained weights) and train distinct
 # cameras concurrently through lab's cache
-# (TestConcurrentTrainCameraTrainsEachOnce). The per-pixel loops
+# (TestConcurrentTrainCameraTrainsEachOnce), nn's one trained net
+# inferred on from eight goroutines (TestSharedNetInferAcrossGoroutines),
+# and vclock, whose finishing processes edit the scheduler's registry
+# (TestVirtualRegistryForgetsFinishedProcesses). The per-pixel loops
 # run ~50x slower under the detector (vidgen ~8 min, detect ~5 min on a
 # 2-vCPU host), hence the timeout above go test's 600s default.
 race:
-	$(GO) test -race -timeout 1800s ./internal/queue ./internal/pipeline ./internal/par ./internal/nn ./internal/imgproc ./internal/frame ./internal/filters ./internal/vidgen ./internal/detect ./internal/lab ./internal/train ./internal/faults ./internal/cluster ./internal/cluster/sched ./internal/trace ./internal/obs ./internal/timeline
+	$(GO) test -race -timeout 1800s ./internal/vclock ./internal/queue ./internal/pipeline ./internal/par ./internal/nn ./internal/imgproc ./internal/frame ./internal/filters ./internal/vidgen ./internal/detect ./internal/lab ./internal/train ./internal/faults ./internal/cluster ./internal/cluster/sched ./internal/trace ./internal/obs ./internal/timeline
 
 # The experiments suite alone needs ~20 min under -race (the virtual
 # clock is cooperative, so the race detector's overhead doesn't

@@ -313,7 +313,9 @@ type Cluster struct {
 	rebalanceUntil time.Duration
 
 	// unregs defers clearing migrated-away streams' detector state on
-	// their source instances until the stopped fragments drain.
+	// their source instances until the stopped fragments drain. It is
+	// the cluster's only detector release: a stream that completes on an
+	// instance is released by that instance's pipeline.
 	unregs []unreg
 	// open is trackCompletions' scratch: the unfinished streams of the
 	// instance being walked.
@@ -653,10 +655,11 @@ func (c *Cluster) reject(a Arrival, why sched.RejectReason) {
 }
 
 // trackCompletions marks streams whose final fragment has ingested and
-// decided every frame, releasing their instance slot, their quota and
-// the background model the instance's detector kept for them. The
-// ownership map keeps the entry (reports read it); done excludes the
-// stream from scheduling. Each instance's snapshot is walked once.
+// decided every frame, releasing their instance slot and their quota.
+// (The instance's pipeline has already dropped the stream's detector
+// state, at its last verdict, by the same rule.) The ownership map
+// keeps the entry (reports read it); done excludes the stream from
+// scheduling. Each instance's snapshot is walked once.
 func (c *Cluster) trackCompletions(snaps []pipeline.Snapshot) {
 	for inst := range snaps {
 		// A crashed instance also shows IngestDone (its ingest loops
@@ -690,10 +693,6 @@ func (c *Cluster) trackCompletions(snaps []pipeline.Snapshot) {
 			c.done[id] = true
 			c.counts[inst]--
 			c.sch.Done(id)
-			// No frame of the stream is left here to detect on, so its
-			// background cannot come back; a fragment still draining on an
-			// instance it migrated away from is processUnregs' to release.
-			c.tgs[inst].Unregister(id)
 		}
 	}
 }

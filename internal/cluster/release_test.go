@@ -13,17 +13,38 @@ import (
 // watchLiveDetectorState makes every manager observation check that no
 // unfinished stream has lost its background model on the instance that
 // runs it — a release that came too early would go unnoticed otherwise,
-// because Detect quietly starts a fresh model from the next frame.
+// because Detect quietly starts a fresh model from the next frame. A
+// stream is finished when the instance's own snapshot says so: the
+// pipeline releases at the stream's last verdict, before the manager's
+// next tick marks it done.
 func watchLiveDetectorState(t *testing.T, cfg *Config, cl **Cluster) {
-	cfg.OnSnapshot = func(int, pipeline.Snapshot) {
+	cfg.OnSnapshot = func(inst int, sn pipeline.Snapshot) {
 		c := *cl
-		for id, inst := range c.loc {
-			if !c.done[id] && !c.tgs[inst].Registered(id) {
+		for id, at := range c.loc {
+			if at == inst && !completedIn(&sn, id) && !c.tgs[inst].Registered(id) {
 				t.Errorf("t=%v: stream %d runs on instance %d without its background model",
 					c.cfg.Clock.Now(), id, inst)
 			}
 		}
 	}
+}
+
+// completedIn reports whether an instance snapshot shows stream id
+// complete by the pipeline's rule: every fragment of it has stopped
+// ingesting and decided all it ingested, and one ran its source dry.
+func completedIn(sn *pipeline.Snapshot, id int) bool {
+	dry := false
+	for i := range sn.Streams {
+		ss := &sn.Streams[i]
+		if ss.ID != id {
+			continue
+		}
+		if !ss.IngestDone || ss.Decided != ss.Ingested {
+			return false
+		}
+		dry = dry || ss.Ingested == int64(ss.Frames)
+	}
+	return dry
 }
 
 // checkDetectorsEmpty asserts that no instance's detector holds state

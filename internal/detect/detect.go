@@ -133,12 +133,13 @@ func NewTinyGrid(cfg TinyGridConfig) *TinyGrid {
 	return &TinyGrid{cfg: cfg, bg: make(map[int]*bgState)}
 }
 
-// Unregister drops a stream's background state. The cluster calls it
-// once a migrated-away (or crashed) stream's fragments have fully
-// drained from an instance — without it every re-forward would leak the
-// victim's background model into the source instance's detector
-// forever. It must not run while the stream still has in-flight frames
-// there: Detect would lazily re-create the state from the next frame.
+// Unregister drops a stream's background state. The pipeline calls it at
+// a stream's last verdict on an instance, and the cluster once a
+// migrated-away (or crashed) stream's fragments have fully drained from
+// an instance — without them every finished stream, and every re-forward,
+// would leak the stream's background model into the detector forever. It
+// must not run while the stream still has in-flight frames here: Detect
+// would lazily re-create the state from the next frame.
 func (t *TinyGrid) Unregister(streamID int) {
 	t.mu.Lock()
 	delete(t.bg, streamID)

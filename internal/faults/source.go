@@ -52,24 +52,46 @@ func (s *Source) DecodeFails() bool {
 // Next delivers the current frame (a successful decode), applying any
 // scheduled corruption.
 func (s *Source) Next() *frame.Frame {
-	f := s.inner.Next()
+	return s.deliver(s.inner.Next())
+}
+
+// Capture is Next without drawing, when the inner source can capture
+// (see pipeline.CaptureSource); the corruption decision is the same,
+// made at capture, and marks the frame — a captured corrupt frame is
+// rejected before anything draws it.
+func (s *Source) Capture() *frame.Frame {
+	return s.deliver(s.capture())
+}
+
+// Discard consumes the current frame without delivering it, for frames
+// whose decode failed past the retry budget. Nothing is drawn for it
+// when the inner source can capture; a drawn frame's plane goes back to
+// its pool.
+func (s *Source) Discard() {
+	if f := s.capture(); f != nil {
+		f.Release()
+	}
+	s.seq++
+	s.attempts = 0
+}
+
+// capture takes the inner source's next frame, undrawn when it can.
+func (s *Source) capture() *frame.Frame {
+	if c, ok := s.inner.(interface{ Capture() *frame.Frame }); ok {
+		return c.Capture()
+	}
+	return s.inner.Next()
+}
+
+// deliver applies the current frame's scheduled corruption and moves to
+// the next frame.
+func (s *Source) deliver(f *frame.Frame) *frame.Frame {
 	if s.inj.Corrupts(s.stream, s.seq) {
 		corrupt(f)
 	}
 	s.seq++
 	s.attempts = 0
 	return f
-}
-
-// Discard consumes the current frame without delivering it, for frames
-// whose decode failed past the retry budget. The underlying frame is
-// released back to its pool.
-func (s *Source) Discard() {
-	if f := s.inner.Next(); f != nil {
-		f.Release()
-	}
-	s.seq++
-	s.attempts = 0
 }
 
 // SharedBackground exposes the inner source's trained background so
@@ -94,7 +116,8 @@ func SourceBackground(src FrameSource) *imgproc.Gray {
 // corrupt deterministically scrambles a frame's payload and marks it,
 // modeling a bitstream error that survives the decoder. The XOR pattern
 // destroys the spatial structure the filters rely on while keeping the
-// damage reproducible.
+// damage reproducible. A frame not drawn yet has no payload to scramble
+// and is only marked.
 func corrupt(f *frame.Frame) {
 	f.Corrupt = true
 	for i := 0; i < len(f.Pix); i += 3 {

@@ -149,14 +149,12 @@ type Frame struct {
 	// the frame; end-to-end latency is measured from it.
 	Captured time.Duration
 	W, H     int
-	Pix      []uint8
+	// Pix is nil on a frame captured but not drawn yet (NewCaptured);
+	// Draw fills it.
+	Pix []uint8
 	// Truth carries ground-truth annotations on synthetic frames; nil on
 	// frames from unknown sources.
 	Truth *Annotation
-	// Corrupt marks a frame whose payload was damaged in transit (fault
-	// injection): the pipeline rejects it before filtering rather than
-	// feeding garbage to the cascade.
-	Corrupt bool
 	// Trace is the frame's span record when tracing is on; nil (the
 	// common case) costs each instrumented stage one pointer check. The
 	// pipeline's terminal point hands it back to the tracer.
@@ -165,14 +163,54 @@ type Frame struct {
 	// only to frames that pass the third filter when the reference tier
 	// runs in consolidation mode; nil otherwise.
 	Cands []Candidate
+	// drawer paints Pix on the first Draw of a captured frame; nil once
+	// drawn and on frames built with pixels.
+	drawer Drawer
+	// Corrupt marks a frame whose payload was damaged in transit (fault
+	// injection): the pipeline rejects it before filtering rather than
+	// feeding garbage to the cascade, and so never draws a captured one.
+	Corrupt bool
 	// pooled marks Pix as borrowed from the frame-buffer pool; Release
 	// returns it there.
 	pooled bool
 }
 
+// Drawer paints a captured frame. Draw must write every pixel of pix, a
+// W×H plane whose previous contents are arbitrary, and must not keep
+// it. A Drawer is the frame's self-contained record of what was
+// captured, so it may be asked to draw long after the capture, in any
+// order relative to its stream's other frames, and never.
+type Drawer interface {
+	Draw(pix []uint8)
+}
+
 // New allocates a zeroed frame of the given dimensions.
 func New(w, h int) *Frame {
 	return &Frame{W: w, H: h, Pix: make([]uint8, w*h)}
+}
+
+// NewCaptured returns a W×H frame whose content is decided but whose
+// pixels are not drawn: it holds d, not a plane, until Draw. A source
+// that captures this way costs a parked frame its capture record instead
+// of its pixels.
+func NewCaptured(w, h int, d Drawer) *Frame {
+	return &Frame{W: w, H: h, drawer: d}
+}
+
+// Draw gives a captured frame its pixels: a plane borrowed from the
+// frame-buffer pool, painted by the frame's Drawer, which the frame then
+// drops. It is a no-op on a frame that has its pixels already, so every
+// consumer that reads pixels may call it unconditionally. The plane goes
+// back to the pool with Release, as for NewPooled.
+func (f *Frame) Draw() {
+	d := f.drawer
+	if d == nil {
+		return
+	}
+	f.drawer = nil
+	poolGets.Add(1)
+	f.Pix, f.pooled = pixPool.Get(f.W*f.H), true
+	d.Draw(f.Pix)
 }
 
 // pixPool recycles pixel planes across pooled frames, bucketed by exact
@@ -206,12 +244,17 @@ func NewPooled(w, h int) *Frame {
 }
 
 // Release returns a pooled frame's pixel plane for reuse. It is a no-op
-// on frames not obtained from NewPooled (tests and external sources
-// build frames with New and keep owning their buffers), so the pipeline
-// can release every frame it retires unconditionally. After Release the
-// frame's pixels must not be touched.
+// on frames not obtained from NewPooled or drawn by Draw (tests and
+// external sources build frames with New and keep owning their
+// buffers), and on captured frames never drawn, so the pipeline can
+// release every frame it retires unconditionally. After Release the
+// frame's pixels must not be touched, nor the frame drawn.
 func (f *Frame) Release() {
-	if f == nil || !f.pooled || f.Pix == nil {
+	if f == nil {
+		return
+	}
+	f.drawer = nil
+	if !f.pooled || f.Pix == nil {
 		return
 	}
 	poolPuts.Add(1)
@@ -227,13 +270,17 @@ func (f *Frame) At(x, y int) uint8 { return f.Pix[y*f.W+x] }
 // Set writes the pixel at (x, y).
 func (f *Frame) Set(x, y int, v uint8) { f.Pix[y*f.W+x] = v }
 
-// Clone returns a deep copy of the frame, including annotations.
+// Clone returns a deep copy of the frame, including annotations. The
+// clone of a captured frame not yet drawn shares its (read-only) capture
+// record and draws its own plane.
 func (f *Frame) Clone() *Frame {
 	g := *f
 	g.pooled = false // the clone owns a private buffer
 	g.Trace = nil    // the span record stays with the original's journey
-	g.Pix = make([]uint8, len(f.Pix))
-	copy(g.Pix, f.Pix)
+	if f.Pix != nil {
+		g.Pix = make([]uint8, len(f.Pix))
+		copy(g.Pix, f.Pix)
+	}
 	if f.Truth != nil {
 		t := *f.Truth
 		t.Boxes = append([]Box(nil), f.Truth.Boxes...)

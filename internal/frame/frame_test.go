@@ -103,6 +103,47 @@ func TestFrameString(t *testing.T) {
 	}
 }
 
+// fill is a Drawer that paints one value and counts its calls.
+type fill struct {
+	v     uint8
+	calls int
+}
+
+func (d *fill) Draw(pix []uint8) {
+	d.calls++
+	for i := range pix {
+		pix[i] = d.v
+	}
+}
+
+// TestDrawPaintsOnceFromThePool: a captured frame has no plane until
+// Draw, which borrows one from the pool and asks its Drawer exactly once;
+// later Draws, and a Draw after Release, do nothing. A captured frame
+// released undrawn takes nothing from the pool.
+func TestDrawPaintsOnceFromThePool(t *testing.T) {
+	gets0, puts0 := PoolStats()
+	d := &fill{v: 7}
+	f := NewCaptured(4, 3, d)
+	if f.Pix != nil {
+		t.Fatal("a captured frame has pixels before Draw")
+	}
+	f.Draw()
+	f.Draw()
+	if d.calls != 1 || len(f.Pix) != 12 || f.Pix[11] != 7 {
+		t.Fatalf("after two Draws: %d drawer calls, plane %v", d.calls, f.Pix)
+	}
+	f.Release()
+	undrawn := NewCaptured(4, 3, d)
+	undrawn.Release()
+	undrawn.Draw()
+	if d.calls != 1 || undrawn.Pix != nil {
+		t.Fatal("a frame released undrawn was drawn")
+	}
+	if gets, puts := PoolStats(); gets-gets0 != 1 || puts-puts0 != 1 {
+		t.Fatalf("pool gets %d, puts %d, want one of each", gets-gets0, puts-puts0)
+	}
+}
+
 // TestPooledPlanesSurviveMixedResolutionsAndGC: a process that renders
 // several resolutions (the experiments suite runs 320×240, 600×400 and
 // 1280×720 streams side by side) keeps one free list per plane size, so

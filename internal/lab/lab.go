@@ -112,8 +112,10 @@ type StreamOptions struct {
 
 // Stream mints a pipeline.StreamSpec for this camera: a fresh frame
 // source plus fresh filter instances around the shared trained weights
-// and the shared third-stage detector (normally a *detect.TinyGrid;
-// a *detect.Compressed implements the §5.5 low-error variant).
+// — every stream's SNM infers on the camera's one net, which inference
+// only reads — and the shared third-stage detector (normally a
+// *detect.TinyGrid; a *detect.Compressed implements the §5.5 low-error
+// variant).
 func (c *Camera) Stream(id int, det detect.Detector, opt StreamOptions) pipeline.StreamSpec {
 	cfg := c.Template
 	cfg.StreamID = id
@@ -140,7 +142,7 @@ func (c *Camera) Stream(id int, det detect.Detector, opt StreamOptions) pipeline
 	}
 
 	sdd := filters.NewSDD(c.SDD.Ref, c.SDD.Delta, filters.MetricMSE)
-	snm := filters.NewSNM(train.CloneNet(c.SNM.Net), c.SNM.CLow, c.SNM.CHigh, fd)
+	snm := filters.NewSNM(c.SNM.Net, c.SNM.CLow, c.SNM.CHigh, fd)
 	ty := filters.NewTYolo(det, cfg.Target, numObj)
 	ty.Tolerance = opt.Tolerance
 	if tg, ok := det.(*detect.TinyGrid); ok && tg != nil {

@@ -114,15 +114,15 @@ func TestStreamMinting(t *testing.T) {
 	if s1.SDD == s2.SDD || s1.SNM == s2.SNM || s1.TYolo == s2.TYolo {
 		t.Fatal("streams must get fresh filter instances")
 	}
-	if s1.SNM.Net == s2.SNM.Net {
-		t.Fatal("streams must get independent network clones")
+	if s1.SNM.Net != cam.SNM.Net || s2.SNM.Net != cam.SNM.Net {
+		t.Fatal("streams must infer on the camera's one trained net, not copies")
 	}
-	// Same trained weights: identical predictions on identical frames.
+	// One net, two filters: identical predictions on identical frames.
 	f := s1.Source.Next()
 	p1 := s1.SNM.Prob(f)
 	p2 := s2.SNM.Prob(f)
 	if p1 != p2 {
-		t.Fatalf("cloned nets disagree: %v vs %v", p1, p2)
+		t.Fatalf("two streams sharing a net disagree: %v vs %v", p1, p2)
 	}
 	if s1.Target != frame.ClassCar {
 		t.Fatalf("target = %v", s1.Target)

@@ -22,7 +22,7 @@ func naiveConvRef(c *Conv2D, x *Tensor) *Tensor {
 	out := NewTensor(n, c.OutC, outH, outW)
 	cols := NewTensor(kdim, pdim)
 	for s := 0; s < n; s++ {
-		c.im2colInto(x.Data[s*sampleIn:(s+1)*sampleIn], inH, inW, outH, outW, cols)
+		c.im2colInto(x.Data[s*sampleIn:(s+1)*sampleIn], inH, inW, outH, outW, cols.Data)
 		for oc := 0; oc < c.OutC; oc++ {
 			dst := out.Data[s*sampleOut+oc*pdim : s*sampleOut+(oc+1)*pdim]
 			for i := range dst {

@@ -31,10 +31,11 @@ import (
 // count. Backward stays serial: it accumulates shared parameter
 // gradients and training is not the steady-state hot path.
 //
-// A Layer (and therefore a Net) must not be used from multiple
-// goroutines at once: Forward caches state for Backward, and Infer
-// reuses per-layer scratch. Each pipeline stream owns its own network
-// instance, which is what makes concurrent streams safe.
+// Training is single-goroutine: Forward caches state for Backward. The
+// inference path (each layer's Infer, hence Net.Infer) reads the layer
+// and writes nothing to it — its scratch and output are borrowed from
+// the tensor pool per call — so one trained network serves any number
+// of goroutines at once, and a camera's streams share its net.
 type Layer interface {
 	Name() string
 	Forward(x *Tensor) *Tensor
@@ -50,9 +51,9 @@ type pass struct {
 	out *Tensor // Forward's result
 	dx  *Tensor // Backward's result
 
-	cols     []*Tensor // Conv2D: per-sample im2col matrices, read by Backward
-	gradCols *Tensor   // Conv2D: one sample's input gradient in column space
-	argmax   []int     // MaxPool2: flat input index of each output's maximum
+	cols     [][]float32 // Conv2D: per-sample im2col matrices, read by Backward
+	gradCols *Tensor     // Conv2D: one sample's input gradient in column space
+	argmax   []int       // MaxPool2: flat input index of each output's maximum
 }
 
 // begin returns the layer's pass state, made on first use, with x
@@ -91,8 +92,7 @@ type Conv2D struct {
 	w *Param // (OutC, InC*K*K)
 	b *Param // (OutC)
 
-	tr      *pass     // training-pass state; nil on a network that only infers
-	scratch []*Tensor // pooled per-sample column matrices for Infer
+	tr *pass // training-pass state; nil on a network that only infers
 }
 
 // NewConv2D creates a convolution layer with He-style uniform
@@ -125,32 +125,34 @@ func (c *Conv2D) OutSize(inH, inW int) (outH, outW int) {
 }
 
 // im2colInto lowers one sample (C,H,W) into cols, a (C*K*K, outH*outW)
-// matrix. Every element of cols is written (out-of-bounds taps as
-// zeros), so cols may come from the dirty tensor pool.
-func (c *Conv2D) im2colInto(x []float32, inH, inW, outH, outW int, cols *Tensor) {
-	kk := c.K * c.K
+// matrix whose rows it fills in order. Every element of cols is written
+// (out-of-bounds taps as zeros), so cols may come from the dirty tensor
+// pool. The tap loop keeps only its two rows, the tap index and the
+// stride live, so they stay in registers.
+func (c *Conv2D) im2colInto(x []float32, inH, inW, outH, outW int, cols []float32) {
+	k, stride, pad := c.K, c.Stride, c.Pad
 	for ch := 0; ch < c.InC; ch++ {
-		chOff := ch * inH * inW
-		for ky := 0; ky < c.K; ky++ {
-			for kx := 0; kx < c.K; kx++ {
-				row := (ch*kk + ky*c.K + kx) * outH * outW
+		plane := x[ch*inH*inW : (ch+1)*inH*inW]
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				rows := cols[:outH*outW]
+				cols = cols[outH*outW:]
 				for oy := 0; oy < outH; oy++ {
-					iy := oy*c.Stride + ky - c.Pad
-					dst := cols.Data[row+oy*outW : row+(oy+1)*outW]
+					dst := rows[oy*outW : (oy+1)*outW]
+					iy := oy*stride + ky - pad
 					if iy < 0 || iy >= inH {
-						for i := range dst {
-							dst[i] = 0
-						}
+						clear(dst)
 						continue
 					}
-					srcRow := chOff + iy*inW
-					for ox := range dst {
-						ix := ox*c.Stride + kx - c.Pad
-						if ix < 0 || ix >= inW {
-							dst[ox] = 0
+					src := plane[iy*inW : (iy+1)*inW]
+					ix := kx - pad
+					for o := range dst {
+						if uint(ix) < uint(len(src)) {
+							dst[o] = src[ix]
 						} else {
-							dst[ox] = x[srcRow+ix]
+							dst[o] = 0
 						}
+						ix += stride
 					}
 				}
 			}
@@ -255,9 +257,9 @@ func convBlock(out, w, bias, cols []float32, oc0, oc1, kdim, pdim int) {
 }
 
 // forwardInto runs the convolution over the batch: im2col sharded by
-// sample, then the matmul sharded by (sample, channel quad). cols must
-// hold one (kdim, pdim) matrix per sample.
-func (c *Conv2D) forwardInto(x, out *Tensor, cols []*Tensor, n, inH, inW, outH, outW int) {
+// sample, then the matmul sharded by (sample, channel quad). cols[s] is
+// sample s's (kdim, pdim) matrix.
+func (c *Conv2D) forwardInto(x, out *Tensor, cols [][]float32, n, inH, inW, outH, outW int) {
 	sampleIn := c.InC * inH * inW
 	sampleOut := c.OutC * outH * outW
 	kdim := c.InC * c.K * c.K
@@ -280,7 +282,7 @@ func (c *Conv2D) forwardInto(x, out *Tensor, cols []*Tensor, n, inH, inW, outH, 
 				oc1 = c.OutC
 			}
 			convBlock(out.Data[s*sampleOut:(s+1)*sampleOut],
-				c.w.Val.Data, c.b.Val.Data, cols[s].Data, oc0, oc1, kdim, pdim)
+				c.w.Val.Data, c.b.Val.Data, cols[s], oc0, oc1, kdim, pdim)
 		}
 	})
 }
@@ -294,36 +296,35 @@ func (c *Conv2D) Forward(x *Tensor) *Tensor {
 		// A new batch size or input size: the column matrices, which
 		// Backward reads, are sized with the output.
 		p.out = out
-		p.cols = make([]*Tensor, n)
+		p.cols = make([][]float32, n)
 		for s := range p.cols {
-			p.cols[s] = NewTensor(c.InC*c.K*c.K, outH*outW)
+			p.cols[s] = make([]float32, c.InC*c.K*c.K*outH*outW)
 		}
 	}
 	c.forwardInto(x, p.out, p.cols, n, inH, inW, outH, outW)
 	return p.out
 }
 
-// Infer is the inference-only forward: no state is cached for Backward,
-// and the column scratch and output come from the tensor pool. The
-// output is bitwise-identical to Forward's; the caller releases it.
+// Infer is the inference-only forward: the layer is only read. Each
+// sample's column matrix is borrowed from the tensor pool for the call
+// — one length per layer, so what the pool keeps of them is bounded by
+// the largest batch, not by how many batch sizes occur — and the output
+// is pooled too. The output is bitwise-identical to Forward's; the
+// caller releases it.
 func (c *Conv2D) Infer(x *Tensor) *Tensor {
 	n, outH, outW := c.checkInput(x)
 	inH, inW := x.Shape[2], x.Shape[3]
-	kdim := c.InC * c.K * c.K
-	// Per-sample column scratch, kept on the layer between calls (a
-	// layer serves one stream, so there is no concurrent Infer).
-	pdim := outH * outW
-	if len(c.scratch) > 0 && c.scratch[0].Len() != kdim*pdim {
-		for _, t := range c.scratch {
-			t.Release()
-		}
-		c.scratch = c.scratch[:0]
-	}
-	for len(c.scratch) < n {
-		c.scratch = append(c.scratch, GetTensorDirty(kdim, pdim))
+	cols := colLists.Get(n)
+	for s := range cols {
+		cols[s] = tensorData.Get(c.InC * c.K * c.K * outH * outW)
 	}
 	out := GetTensorDirty(n, c.OutC, outH, outW)
-	c.forwardInto(x, out, c.scratch, n, inH, inW, outH, outW)
+	c.forwardInto(x, out, cols, n, inH, inW, outH, outW)
+	for s, col := range cols {
+		tensorData.Put(col)
+		cols[s] = nil
+	}
+	colLists.Put(cols)
 	return out
 }
 
@@ -364,7 +365,7 @@ func (c *Conv2D) backward(grad *Tensor, inputGrad bool) *Tensor {
 		gradCols = p.gradCols
 	}
 	for s := 0; s < n; s++ {
-		cols := p.cols[s].Data
+		cols := p.cols[s]
 		if inputGrad {
 			gradCols.Zero()
 		}

@@ -36,7 +36,8 @@ type inferLayer interface {
 // released back to the tensor pool as soon as the next layer has
 // consumed them. The caller's input is never released; the returned
 // tensor is pooled and the caller must Release it. The output is
-// bitwise-identical to Forward's.
+// bitwise-identical to Forward's. With every layer on its Infer path
+// the network is only read, so goroutines may share it.
 func (n *Net) Infer(x *Tensor) *Tensor {
 	in := x
 	for _, l := range n.Layers {
@@ -62,8 +63,8 @@ func (n *Net) Infer(x *Tensor) *Tensor {
 }
 
 // Clone returns a network of the same architecture with its own copy of
-// every parameter and none of the source's training or scratch state: the
-// two compute the same outputs and neither sees the other's writes. It
+// every parameter and none of the source's training state: the two
+// compute the same outputs and neither sees the other's writes. It
 // panics on a layer type this package does not define.
 func (n *Net) Clone() *Net {
 	layers := make([]Layer, len(n.Layers))

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -66,8 +67,39 @@ func TestNetInferParallelBitwiseIdentical(t *testing.T) {
 	p.Release()
 }
 
+// TestSharedNetInferAcrossGoroutines is the contract that lets a
+// camera's streams share one trained net: eight goroutines run Infer on
+// it at once, at batch sizes 1 to 10 on a two-worker pool, and each gets
+// the bits its own clone of the net computes. Run with -race: Infer must
+// not write to the layers.
+func TestSharedNetInferAcrossGoroutines(t *testing.T) {
+	shared := snmNet(rand.New(rand.NewSource(78)), 50)
+	defer par.SetWorkers(par.SetWorkers(2))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + g)))
+			own := shared.Clone()
+			for i := 0; i < 20; i++ {
+				x := randTensor(rng, 1+(g+i)%10, 1, 50, 50)
+				got, want := shared.Infer(x), own.Infer(x)
+				for j := range want.Data {
+					if math.Float32bits(got.Data[j]) != math.Float32bits(want.Data[j]) {
+						t.Errorf("goroutine %d, call %d: logit %d is %v on the shared net, %v on a clone", g, i, j, got.Data[j], want.Data[j])
+						break
+					}
+				}
+				got.Release()
+				want.Release()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestPooledTensorsUnderConcurrentStreams drives one net per goroutine
-// (the Layer contract: a Layer instance serves one goroutine at a time)
 // against the shared tensor pool, checking each stream's inference stays
 // bitwise-stable while buffers recycle across streams. Run with -race.
 func TestPooledTensorsUnderConcurrentStreams(t *testing.T) {

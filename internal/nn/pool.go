@@ -8,6 +8,10 @@ import "ffsva/internal/par"
 // heap allocation of the SNM forward path to zero.
 var tensorData par.SlicePool[float32]
 
+// colLists recycles Conv2D.Infer's per-call lists of a batch's column
+// matrices, so borrowing them allocates nothing.
+var colLists par.SlicePool[[]float32]
+
 // GetTensor returns a pooled tensor of the given shape with all elements
 // zero. Release it with Tensor.Release when done.
 func GetTensor(shape ...int) *Tensor {

@@ -28,7 +28,7 @@ func convBackwardReference(c *Conv2D, x, grad *Tensor) *Tensor {
 	gradCols := NewTensor(kdim, pdim)
 	for s := 0; s < n; s++ {
 		cols := NewTensor(kdim, pdim)
-		c.im2colInto(x.Data[s*sampleIn:(s+1)*sampleIn], inH, inW, outH, outW, cols)
+		c.im2colInto(x.Data[s*sampleIn:(s+1)*sampleIn], inH, inW, outH, outW, cols.Data)
 		gradCols.Zero()
 		for oc := 0; oc < c.OutC; oc++ {
 			g := grad.Data[s*sampleOut+oc*pdim : s*sampleOut+(oc+1)*pdim]

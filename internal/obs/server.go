@@ -49,12 +49,26 @@ type Server struct {
 	// runs, or a fast teardown races the port release (the gostop
 	// goroutine-leak class).
 	wg sync.WaitGroup
+	// limits bounds how long one connection may hold a serving
+	// goroutine; tests shorten it before Start.
+	limits connLimits
+}
+
+// connLimits are the per-connection deadlines: a client that sends its
+// headers too slowly, reads a response too slowly or sits idle between
+// requests is disconnected instead of pinning a goroutine and a socket
+// for as long as it likes.
+type connLimits struct {
+	header, write, idle time.Duration
 }
 
 // NewServer prepares a server for addr; tr may be nil (tracez then
-// reports tracing disabled). Nothing listens until Start.
+// reports tracing disabled). Nothing listens until Start. The write
+// deadline leaves a slow link room for the largest response, a
+// /timeline dump.
 func NewServer(addr string, tr *trace.Tracer) *Server {
-	return &Server{addr: addr, tr: tr, snaps: map[int]pipeline.Snapshot{}}
+	return &Server{addr: addr, tr: tr, snaps: map[int]pipeline.Snapshot{},
+		limits: connLimits{header: 5 * time.Second, write: 30 * time.Second, idle: 60 * time.Second}}
 }
 
 // Push stores an instance's latest snapshot; handlers serve it until
@@ -100,7 +114,8 @@ func (s *Server) Start() error {
 	mux.HandleFunc("/tracez", s.handleTracez)
 	mux.HandleFunc("/timeline", s.handleTimeline)
 	mux.HandleFunc("/bottleneck", s.handleBottleneck)
-	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: s.limits.header,
+		WriteTimeout: s.limits.write, IdleTimeout: s.limits.idle}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()

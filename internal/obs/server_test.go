@@ -1,11 +1,16 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -233,6 +238,73 @@ func TestScrapeByteStable(t *testing.T) {
 			t.Errorf("%s differs across repeated scrapes of one server", path)
 		}
 	}
+}
+
+// TestSlowClientsAreDisconnected: a client that trickles its headers, and
+// one that keeps a connection open and idle after its request, are both
+// cut off by the server within its deadlines instead of holding a
+// goroutine and a socket for as long as they like.
+func TestSlowClientsAreDisconnected(t *testing.T) {
+	s := NewServer("127.0.0.1:0", nil)
+	s.limits = connLimits{header: 150 * time.Millisecond, write: time.Second, idle: 150 * time.Millisecond}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if s.srv.WriteTimeout != s.limits.write {
+		t.Errorf("write timeout %v, want %v", s.srv.WriteTimeout, s.limits.write)
+	}
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	// closed reads r until the server closes the connection; three
+	// seconds, twenty times the deadlines, mean it never would.
+	closed := func(what string, conn net.Conn, r io.Reader) {
+		conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+		_, err := io.Copy(io.Discard, r)
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Errorf("%s: the server kept the connection open", what)
+		}
+	}
+
+	trickle := dial()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		req := "GET /healthz HTTP/1.1\r\nHost: obs\r\nX-Slow: "
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+			if _, err := trickle.Write([]byte{req[i%len(req)]}); err != nil {
+				return
+			}
+		}
+	}()
+	closed("trickled headers", trickle, trickle)
+	close(stop)
+	wg.Wait()
+
+	idle := dial()
+	fmt.Fprint(idle, "GET /healthz HTTP/1.1\r\nHost: obs\r\n\r\n")
+	br := bufio.NewReader(idle)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	closed("idle keep-alive", idle, br)
 }
 
 // TestCloseJoinsServeGoroutine is the regression test for the gostop

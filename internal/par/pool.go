@@ -17,7 +17,7 @@ import "sync"
 // is a count, so what a run allocates stays a function of its Get/Put
 // sequence alone, and it bounds both what the pool retains and how much
 // a cold process allocates beyond a warm one (maxFree slices per
-// length) — a burst that parks a thousand frames in ingest buffers
+// length) — a burst that holds a thousand slices of one length at once
 // re-allocates its excess each time instead of pinning it for the
 // life of the process. The mutex is uncontended where it matters:
 // under the cooperative virtual clock one process computes at a time.
@@ -34,9 +34,10 @@ type SlicePool[T any] struct {
 
 // maxFree is how many slices one length's free list retains: more than
 // the steady states this repo runs keep outstanding of one shape (four
-// offline streams hold ~90 frame planes in their queues), so they
-// allocate no buffer once warm, and few enough that what a burst leaves
-// behind is a small share of what the next one allocates.
+// offline streams hold about a hundred frame planes at most: a frame
+// has one only from its SDD stage to its verdict), so they allocate no
+// buffer once warm, and few enough that what a burst leaves behind is a
+// small share of what the next one allocates.
 const maxFree = 128
 
 // freeList is one length's stack of filed slices. It is held by pointer

@@ -169,6 +169,18 @@ type FrameSource interface {
 	Next() *frame.Frame
 }
 
+// CaptureSource is a FrameSource that can decide a frame without
+// drawing it: Capture returns the frame Next would, with Pix nil until
+// frame.Frame.Draw (vidgen.Stream and faults.Source implement it). The
+// prefetcher captures from such a source and the SDD stage draws, so a
+// frame parked in a capture buffer or the spill store costs its record,
+// not its plane, and one dropped before SDD is never drawn. The decode
+// is charged at capture either way.
+type CaptureSource interface {
+	FrameSource
+	Capture() *frame.Frame
+}
+
 // FallibleSource is a FrameSource whose decodes can fail (fault
 // injection; faults.Source implements it). The prefetcher probes
 // DecodeFails before pulling: each true is one failed attempt, retried

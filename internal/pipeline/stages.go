@@ -226,7 +226,8 @@ func (s *System) Run() *Report {
 }
 
 // prefetch decodes frames from the source and feeds the SDD queue,
-// pacing at capture rate in online mode.
+// pacing at capture rate in online mode. A CaptureSource's frames are
+// taken undrawn; sddStage draws them.
 func (s *System) prefetch(st *streamState) {
 	clk := s.cfg.Clock
 	if st.spec.StartAt > 0 {
@@ -303,7 +304,12 @@ func (s *System) prefetch(st *streamState) {
 			s.finishLost(st, seq, DropError)
 			continue
 		}
-		f := st.spec.Source.Next()
+		var f *frame.Frame
+		if cs, ok := st.spec.Source.(CaptureSource); ok {
+			f = cs.Capture()
+		} else {
+			f = st.spec.Source.Next()
+		}
 		f.StreamID = st.spec.ID
 		f.Captured = clk.Now()
 		if tr := s.cfg.Tracer; tr != nil {
@@ -354,7 +360,11 @@ func (s *System) prefetch(st *streamState) {
 	s.recMu.Lock()
 	st.ingestDone = true
 	st.curLag = 0
+	last := st.drained()
 	s.recMu.Unlock()
+	if last {
+		s.releaseDetector(st)
+	}
 	if st.spill != nil {
 		st.spill.Close() // the drainer closes sddQ after re-injection
 	} else {
@@ -382,6 +392,8 @@ func (s *System) sddStage(st *streamState) {
 			s.finish(st, f, DropError, -1)
 			continue
 		}
+		// Pixels exist from here on: every later stage reads them.
+		f.Draw()
 		if s.cfg.DisableSDD {
 			if !st.snmQ.Put(f) {
 				s.finish(st, f, DropClosed, -1)
@@ -710,11 +722,15 @@ func (s *System) finishCounts(st *streamState, f *frame.Frame, d Disposition, re
 		st.lastDone = rec.Decided
 	}
 	st.counts[d]++
+	last := st.drained()
 	s.recMu.Unlock()
 	// finish is the single terminal point of a frame's journey, so this
 	// is the one place its pixel plane can go back to the frame pool
-	// (a no-op for frames not built by frame.NewPooled).
+	// (a no-op for frames not built by frame.NewPooled or never drawn).
 	f.Release()
+	if last {
+		s.releaseDetector(st)
+	}
 }
 
 // finishLost records a frame that was consumed from the source but never
@@ -737,7 +753,57 @@ func (s *System) finishLost(st *streamState, seq int64, d Disposition) {
 		st.lastDone = now
 	}
 	st.counts[d]++
+	last := st.drained()
 	s.recMu.Unlock()
+	if last {
+		s.releaseDetector(st)
+	}
+}
+
+// drained reports whether the fragment has stopped ingesting and
+// decided every frame it ingested. The caller holds recMu.
+func (st *streamState) drained() bool {
+	if !st.ingestDone {
+		return false
+	}
+	var decided int64
+	for _, n := range st.counts {
+		decided += n
+	}
+	return decided == st.ingested
+}
+
+// releaseDetector drops a completed stream's state from its T-YOLO
+// detector at the stream's last verdict, when the fragment st has just
+// drained. The stream is complete on this instance when every fragment
+// of its ID here has drained and one of them ran its source dry; a
+// fragment stopped with frames left continued elsewhere, and what it
+// leaves behind in the detector is the cluster's to release once it
+// drains. No frame of the stream is left here to detect on, so the
+// state cannot come back. A detector that cannot unregister keeps it.
+func (s *System) releaseDetector(st *streamState) {
+	if st.spec.TYolo == nil {
+		return
+	}
+	det, ok := st.spec.TYolo.Det.(interface{ Unregister(streamID int) })
+	if !ok {
+		return
+	}
+	id := st.spec.ID
+	complete, dry := true, false
+	s.streamsMu.Lock()
+	s.recMu.Lock()
+	for _, frag := range s.streams {
+		if frag.spec.ID == id {
+			complete = complete && frag.drained()
+			dry = dry || frag.ingested == int64(frag.spec.Frames)
+		}
+	}
+	s.recMu.Unlock()
+	s.streamsMu.Unlock()
+	if complete && dry {
+		det.Unregister(id)
+	}
 }
 
 // TYoloRate reports the shared T-YOLO stage's recent processing rate in

@@ -34,6 +34,9 @@ type Stats struct {
 
 // Store is one stream's overflow buffer. All streams of a System share
 // one storage device, so concurrent spills contend for disk bandwidth.
+// A frame from a capturing source is stored undrawn (see
+// pipeline.CaptureSource), so the simulated disk costs the host heap its
+// capture record, not its pixels.
 type Store struct {
 	clk    vclock.Clock
 	disk   *device.Device

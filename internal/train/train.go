@@ -227,7 +227,10 @@ func TrainMultiSNM(set *Set, cfg SNMConfig) (MultiSNMResult, error) {
 		return MultiSNMResult{}, fmt.Errorf("train: empty test split")
 	}
 	res := MultiSNMResult{
-		Net: net, Classes: append([]frame.Class(nil), set.Classes...),
+		// The weights without the training pass's buffers (3.6 MB on the
+		// SNM's shapes): the result lives, and its streams infer on it, for
+		// as long as the camera does.
+		Net: net.Clone(), Classes: append([]frame.Class(nil), set.Classes...),
 		CLow: make([]float64, k), CHigh: make([]float64, k),
 		TestAccuracy: make([]float64, k),
 	}
@@ -262,11 +265,6 @@ func TrainMultiSNM(set *Set, cfg SNMConfig) (MultiSNMResult, error) {
 	}
 	return res, nil
 }
-
-// CloneNet returns an independent copy of a trained SNM network. Each
-// pipeline stream needs its own instance because layer forward caches are
-// per-instance state.
-func CloneNet(src *nn.Net) *nn.Net { return src.Clone() }
 
 // quantile returns the q-quantile of xs (copied and sorted); q is clamped
 // to [0, 1].

@@ -266,17 +266,18 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-// TestCloneNet checks that a clone computes the source's outputs bit for
-// bit and shares no parameter with it, for the single-logit SNM and the
-// multi-class one (whose shape the old save-and-reload clone could not
-// rebuild).
+// TestCloneNet checks that a clone of a trainer-built network (the
+// reference the nn tests hold shared inference to) computes the source's
+// outputs bit for bit and shares no parameter with it, for the
+// single-logit SNM and the multi-class one (whose shape the old
+// save-and-reload clone could not rebuild).
 func TestCloneNet(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for name, src := range map[string]*nn.Net{
 		"snm":       NewSNMNet(rng),
 		"multi_snm": NewMultiSNMNet(rng, 3),
 	} {
-		clone := CloneNet(src)
+		clone := src.Clone()
 		infer := func(n *nn.Net, x *nn.Tensor) []uint32 {
 			out := n.Infer(x)
 			defer out.Release()

@@ -209,6 +209,48 @@ func TestVirtualDeadlockPanics(t *testing.T) {
 	c.Run()
 }
 
+// TestVirtualRegistryForgetsFinishedProcesses: the diagnostics registry
+// holds live processes only — empty after 10,000 processes have run to
+// completion — and the deadlock report, which reads it, still names
+// exactly the stuck ones, in the same words.
+func TestVirtualRegistryForgetsFinishedProcesses(t *testing.T) {
+	c := NewVirtual()
+	c.Go("root", func() {
+		for i := 0; i < 10000; i++ {
+			c.Go(fmt.Sprintf("short%d", i), func() { c.Sleep(time.Duration(i%7) * time.Millisecond) })
+			if i%100 == 0 {
+				c.Sleep(time.Millisecond)
+			}
+		}
+	})
+	c.Run()
+	if n := len(c.procs); n != 0 {
+		t.Fatalf("registry holds %d processes after all finished, want 0", n)
+	}
+
+	c = NewVirtual()
+	cond := c.NewCond(c.NewLocker())
+	for _, name := range []string{"b-stuck", "a-stuck"} {
+		c.Go(name, func() {
+			c.Sleep(5 * time.Millisecond)
+			cond.Wait()
+		})
+	}
+	for i := 0; i < 1000; i++ {
+		c.Go(fmt.Sprintf("done%d", i), func() { c.Sleep(time.Millisecond) })
+	}
+	defer func() {
+		const want = "vclock: deadlock at t=5ms: 2 live process(es) blocked with no pending timers: a-stuck(waiting), b-stuck(waiting)"
+		if r := recover(); r != want {
+			t.Fatalf("deadlock report %q, want %q", r, want)
+		}
+		if n := len(c.procs); n != 2 {
+			t.Errorf("registry holds %d processes at the deadlock, want the 2 stuck ones", n)
+		}
+	}()
+	c.Run()
+}
+
 func TestVirtualNestedGo(t *testing.T) {
 	c := NewVirtual()
 	total := 0

@@ -40,7 +40,10 @@ type VirtualClock struct {
 	live    int
 	back    chan struct{} // process -> scheduler handoff
 	started bool
-	procs   []*vproc // registry for diagnostics
+	// procs is the registry of live processes, for diagnostics: a
+	// process leaves it when it returns, so a long run's churn of short
+	// processes does not accumulate.
+	procs []*vproc
 }
 
 // vproc is one cooperative process.
@@ -48,6 +51,7 @@ type vproc struct {
 	name   string
 	resume chan struct{}
 	state  string // diagnostic: "ready", "running", "sleeping", "waiting:<cond>"
+	slot   int    // index in the clock's procs
 }
 
 type timerEntry struct {
@@ -89,18 +93,28 @@ func (c *VirtualClock) IsVirtual() bool { return true }
 // Go registers a process. The function starts suspended and runs when the
 // scheduler first picks it.
 func (c *VirtualClock) Go(name string, fn func()) {
-	p := &vproc{name: name, resume: make(chan struct{}), state: "ready"}
+	p := &vproc{name: name, resume: make(chan struct{}), state: "ready", slot: len(c.procs)}
 	c.live++
 	c.ready = append(c.ready, p)
 	c.procs = append(c.procs, p)
 	go func() {
 		<-p.resume
 		fn()
-		p.state = "done"
+		c.forget(p)
 		c.live--
 		c.cur = nil
 		c.back <- struct{}{}
 	}()
+}
+
+// forget removes a finished process from the registry by moving the
+// last entry into its slot. It runs on the finishing process, which
+// still holds the processor.
+func (c *VirtualClock) forget(p *vproc) {
+	last := c.procs[len(c.procs)-1]
+	c.procs[p.slot], last.slot = last, p.slot
+	c.procs[len(c.procs)-1] = nil
+	c.procs = c.procs[:len(c.procs)-1]
 }
 
 // Sleep blocks the calling process for d of virtual time. A non-positive d
@@ -228,9 +242,7 @@ func (c *VirtualClock) Run() {
 func (c *VirtualClock) deadlockReport() string {
 	var names []string
 	for _, p := range c.procs {
-		if p.state != "done" {
-			names = append(names, p.name+"("+p.state+")")
-		}
+		names = append(names, p.name+"("+p.state+")")
 	}
 	sort.Strings(names)
 	return fmt.Sprintf("vclock: deadlock at t=%v: %d live process(es) blocked with no pending timers: %s",

@@ -180,7 +180,10 @@ type Stream struct {
 	sceneID    int64
 	inScene    bool
 	sceneStart int // frameIdx at which the current scene began
+	// noiseState is the noise generator's state at the next frame;
+	// noiseJump advances it past one frame's noise without drawing it.
 	noiseState uint32
+	noiseJump  *jump
 
 	targetFrames int64 // frames emitted containing >=1 visible target
 	totalFrames  int64
@@ -202,6 +205,9 @@ func New(cfg Config) *Stream {
 		bgSeed = cfg.Seed
 	}
 	s.bg = background(cfg.W, cfg.H, bgSeed)
+	if cfg.NoiseAmp > 0 {
+		s.noiseJump = noiseJump(cfg.W * cfg.H)
+	}
 	s.gapLeft = s.initialGap()
 	return s
 }
@@ -454,10 +460,23 @@ func (s *Stream) visibleBox(o *object) (b frame.Box, ok bool) {
 	}, true
 }
 
-// Next produces the next frame of the stream.
+// Next produces the next frame of the stream: Capture, then Draw.
 func (s *Stream) Next() *frame.Frame {
+	f := s.Capture()
+	f.Draw()
+	return f
+}
+
+// Capture advances the world by one frame and returns that frame with
+// its ground truth decided and its pixels not drawn: the frame carries a
+// self-contained record of the capture, from which Frame.Draw paints
+// exactly the bytes Next would have returned — whenever it is called, in
+// whatever order the stream's frames are drawn, or never. All of the
+// stream's own state moves here, so a frame that is dropped before
+// anything reads its pixels costs its record and no plane.
+func (s *Stream) Capture() *frame.Frame {
 	s.step()
-	f := s.render()
+	f := s.capture()
 	s.seq++
 	s.frameIdx++
 	s.totalFrames++
@@ -528,53 +547,99 @@ func (s *Stream) lastSceneLen() int {
 	return l
 }
 
-// render paints background + light drift + objects + noise and attaches
-// ground truth.
-func (s *Stream) render() *frame.Frame {
-	// The background copy below overwrites every pixel, so the frame can
-	// borrow a recycled plane; the pipeline releases it after the
-	// frame's verdict is final.
-	f := frame.NewPooled(s.cfg.W, s.cfg.H)
-	f.StreamID = s.cfg.StreamID
-	f.Seq = s.seq
-
+// capture records the current world as one frame's draw record, whose
+// annotation is the frame's ground truth, and advances the noise
+// generator past the frame as drawing it would.
+func (s *Stream) capture() *frame.Frame {
 	lum := 0.0
 	if s.cfg.LightAmp > 0 && s.cfg.LightPeriod > 0 {
 		lum = s.cfg.LightAmp * math.Sin(2*math.Pi*float64(s.frameIdx)/float64(s.cfg.LightPeriod))
 	}
-	ilum := int(math.Round(lum))
-
-	copy(f.Pix, s.bg.Pix)
-
-	ann := &frame.Annotation{Lum: lum}
+	d := &drawing{ann: frame.Annotation{Lum: lum}, bg: s.bg, noise: s.noiseState, amp: int32(s.cfg.NoiseAmp)}
+	visible := 0
+	for _, o := range s.objects {
+		if _, ok := s.visibleBox(o); ok {
+			visible++
+		}
+	}
+	if visible > 0 {
+		d.ann.Boxes = make([]frame.Box, 0, visible)
+		d.objs = make([]paint, 0, visible)
+	}
 	anyTarget := false
 	for _, o := range s.objects {
 		b, ok := s.visibleBox(o)
 		if !ok {
 			continue
 		}
-		s.paint(f, o, b)
-		ann.Boxes = append(ann.Boxes, b)
+		d.ann.Boxes = append(d.ann.Boxes, b)
+		d.objs = append(d.objs, paintOf(o))
 		if o.class == s.cfg.Target {
 			anyTarget = true
 		}
 	}
 	if anyTarget {
-		ann.SceneID = s.sceneID
+		d.ann.SceneID = s.sceneID
 	}
-	f.Truth = ann
-
-	// Illumination drift + cheap deterministic sensor noise.
 	if s.cfg.NoiseAmp > 0 {
-		s.noiseState = addNoise(f.Pix, s.noiseState, ilum, s.cfg.NoiseAmp)
+		s.noiseState = s.noiseJump.apply(s.noiseState)
+	}
+	f := frame.NewCaptured(s.cfg.W, s.cfg.H, d)
+	f.StreamID = s.cfg.StreamID
+	f.Seq = s.seq
+	f.Truth = &d.ann
+	return f
+}
+
+// drawing is one captured frame's draw record: everything painting the
+// frame reads, fixed at capture. The frame's annotation lives in the
+// same allocation and is its Truth; objs is index-aligned with its
+// Boxes.
+type drawing struct {
+	ann   frame.Annotation
+	bg    *imgproc.Gray // the viewpoint's shared plane; only read
+	objs  []paint
+	noise uint32 // generator state the frame's noise starts from
+	amp   int32  // Config.NoiseAmp
+}
+
+// paint is how one visible object changes the background under its
+// box: by bright, less 35 on the rows [darkFrom, darkTo) of a vehicle's
+// window band.
+type paint struct {
+	bright, darkFrom, darkTo int32
+}
+
+// paintOf fixes an object's paint at its current position.
+func paintOf(o *object) paint {
+	p := paint{bright: int32(o.bright)}
+	if o.class == frame.ClassCar || o.class == frame.ClassBus || o.class == frame.ClassTruck {
+		// Cars get a darker "window band" across the upper third so they
+		// are textured, not flat: rows whose offset from the object's top
+		// lies strictly between h/5 and 2h/5.
+		top := int(o.cy - float64(o.h)/2)
+		p.darkFrom, p.darkTo = int32(top+o.h/5+1), int32(top+o.h*2/5)
+	}
+	return p
+}
+
+// Draw implements frame.Drawer: background, objects, illumination drift
+// and sensor noise, painted into pix.
+func (d *drawing) Draw(pix []uint8) {
+	copy(pix, d.bg.Pix)
+	for i, p := range d.objs {
+		p.draw(pix, d.bg.W, d.ann.Boxes[i])
+	}
+	ilum := int(math.Round(d.ann.Lum))
+	if d.amp > 0 {
+		addNoise(pix, d.noise, ilum, int(d.amp))
 	} else if ilum != 0 {
 		var buf [256]uint8
 		lut := clampTable(buf[:], 256, ilum)
-		for i, p := range f.Pix {
-			f.Pix[i] = lut[p]
+		for i, p := range pix {
+			pix[i] = lut[p]
 		}
 	}
-	return f
 }
 
 // clampTable returns a table of n entries with t[i] = i+offset clamped
@@ -632,25 +697,83 @@ func addNoise(pix []uint8, st uint32, ilum, amp int) uint32 {
 	return st
 }
 
-// paint draws an object's visible box with class-specific structure.
-func (s *Stream) paint(f *frame.Frame, o *object, b frame.Box) {
+// jump is k steps of xorshift32 at once. Each step XORs shifted copies of
+// the state into itself, so it is linear over GF(2): the state after k
+// steps is the XOR of the images of the state's set bits, and jump[i]
+// is the image of bit i.
+type jump [32]uint32
+
+// apply returns the state k steps after st.
+func (j *jump) apply(st uint32) uint32 {
+	var out uint32
+	for i := 0; st != 0; i, st = i+1, st>>1 {
+		if st&1 != 0 {
+			out ^= j[i]
+		}
+	}
+	return out
+}
+
+// then returns the jump that runs j, then k.
+func (j *jump) then(k *jump) *jump {
+	var out jump
+	for i, v := range j {
+		out[i] = k.apply(v)
+	}
+	return &out
+}
+
+// jumps memoises noiseJump by plane length: every stream of a workload
+// has one resolution, and the jump is a pure function of it.
+var jumps struct {
+	sync.Mutex
+	byLen map[int]*jump
+}
+
+// noiseJump returns the jump addNoise makes over an n-pixel plane: one
+// xorshift32 step per four pixels, the last word possibly partial.
+func noiseJump(n int) *jump {
+	jumps.Lock()
+	defer jumps.Unlock()
+	if j := jumps.byLen[n]; j != nil {
+		return j
+	}
+	var one, acc jump // one step; no step
+	for i := range one {
+		st := uint32(1) << i
+		st ^= st << 13
+		st ^= st >> 17
+		st ^= st << 5
+		one[i], acc[i] = st, uint32(1)<<i
+	}
+	pow := &one
+	for k := (n + 3) / 4; k > 0; k >>= 1 {
+		if k&1 != 0 {
+			acc = *acc.then(pow)
+		}
+		pow = pow.then(pow)
+	}
+	if jumps.byLen == nil {
+		jumps.byLen = make(map[int]*jump)
+	}
+	jumps.byLen[n] = &acc
+	return &acc
+}
+
+// draw paints an object's visible box, b, into a plane w pixels wide.
+func (p paint) draw(pix []uint8, w int, b frame.Box) {
 	for y := b.Y; y < b.Y+b.H; y++ {
-		rowOff := y * f.W
-		// Cars get a darker "window band" across the upper third so they
-		// are textured, not flat.
+		rowOff := y * w
 		dark := 0
-		if o.class == frame.ClassCar || o.class == frame.ClassBus || o.class == frame.ClassTruck {
-			relY := y - int(o.cy-float64(o.h)/2)
-			if relY > o.h/5 && relY < o.h*2/5 {
-				dark = 35
-			}
+		if int32(y) >= p.darkFrom && int32(y) < p.darkTo {
+			dark = 35
 		}
 		for x := b.X; x < b.X+b.W; x++ {
-			v := int(f.Pix[rowOff+x]) + o.bright - dark
+			v := int(pix[rowOff+x]) + int(p.bright) - dark
 			if v > 255 {
 				v = 255
 			}
-			f.Pix[rowOff+x] = uint8(v)
+			pix[rowOff+x] = uint8(v)
 		}
 	}
 }
