@@ -39,31 +39,14 @@ func main() {
 	cfg := vidgen.Small(*seed, target, *tor)
 
 	fmt.Printf("generating %d labeled frames (%s, TOR %.2f)...\n", *frames, target, *tor)
-	wall := vclock.NewReal() // epoch: training starts
-	set := train.NewSet(detect.NewOracle(detect.DefaultOracleConfig()), target)
-	set.AddFrom(vidgen.New(cfg), *frames)
-	pos := 0
-	for _, s := range set.Samples {
-		if s.Has[0] {
-			pos++
-		}
-	}
-	fmt.Printf("labels: %d positive / %d negative\n", pos, len(set.Samples)-pos)
-
-	sdd, err := train.FitSDD(set)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ffstrain: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("SDD: delta(MSE) = %.2f over a %dx%d reference image\n", sdd.Delta, sdd.Ref.W, sdd.Ref.H)
-
-	fmt.Println("training SNM (CONV, CONV, FC)...")
-	snm, err := train.TrainSNM(set, train.DefaultSNMConfig())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ffstrain: %v\n", err)
-		os.Exit(1)
-	}
-	trained := wall.Now()
+	// Training is the one process of a paced clock and takes no virtual
+	// time, so the clock's host lag is the training's wall time.
+	wall := vclock.NewPaced()
+	var sdd train.SDDFit
+	var snm train.SNMResult
+	wall.Go("train", func() { sdd, snm = trainCamera(cfg, target, *frames) })
+	wall.Run()
+	trained := wall.HostLag()
 	fmt.Printf("SNM: %v\n", snm.Net)
 	fmt.Printf("SNM: held-out accuracy %.1f%%, clow=%.3f chigh=%.3f\n",
 		100*snm.TestAccuracy, snm.CLow, snm.CHigh)
@@ -136,4 +119,33 @@ func main() {
 		}
 		fmt.Printf("camera written to %s (reload with lab.LoadCamera)\n", *saveCam)
 	}
+}
+
+// trainCamera labels frames from the camera and fits its SDD and SNM,
+// reporting progress; a failure ends the process.
+func trainCamera(cfg vidgen.Config, target frame.Class, frames int) (train.SDDFit, train.SNMResult) {
+	set := train.NewSet(detect.NewOracle(detect.DefaultOracleConfig()), target)
+	set.AddFrom(vidgen.New(cfg), frames)
+	pos := 0
+	for _, s := range set.Samples {
+		if s.Has[0] {
+			pos++
+		}
+	}
+	fmt.Printf("labels: %d positive / %d negative\n", pos, len(set.Samples)-pos)
+
+	sdd, err := train.FitSDD(set)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ffstrain: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("SDD: delta(MSE) = %.2f over a %dx%d reference image\n", sdd.Delta, sdd.Ref.W, sdd.Ref.H)
+
+	fmt.Println("training SNM (CONV, CONV, FC)...")
+	snm, err := train.TrainSNM(set, train.DefaultSNMConfig())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ffstrain: %v\n", err)
+		os.Exit(1)
+	}
+	return sdd, snm
 }

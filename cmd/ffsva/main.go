@@ -68,7 +68,8 @@
 // (heartbeat liveness), /tracez (recent sampled traces), and — with
 // -timeline — /timeline (flight-recorder window queries) and
 // /bottleneck (the ranked binding-constraint verdict). A host-less
-// address like ":8080" binds 127.0.0.1 only.
+// address like ":8080" binds 127.0.0.1 only. An unpaced run is usually
+// over in seconds; add -real to watch it live.
 //
 // -timeline attaches the flight recorder: the run is sampled into a
 // bounded ring of deterministic ticks (queue depths, device busy time,
@@ -84,9 +85,10 @@
 // CPU profile covers it, the heap profile (allocations since process
 // start) is taken as it ends. Read them with `go tool pprof`.
 //
-// By default the run executes under the deterministic virtual clock,
-// reproducing the paper's two-GPU server timings on any machine; -real
-// emulates the same service times in wall-clock time.
+// The run executes under the deterministic virtual clock, reproducing
+// the paper's two-GPU server timings on any machine. -real plays the same
+// run paced to the wall clock: the output is identical, plus one
+// "host lag:" line saying how far the host fell behind the schedule.
 package main
 
 import (
@@ -135,7 +137,7 @@ func main() {
 	flag.IntVar(&cfg.Tolerance, "tolerance", 0, "relaxation of the object-count threshold")
 	flag.Float64Var(&cfg.RefConf, "ref-conf", 0.5, "reference-model confidence threshold for object counting, in [0,1]")
 	flag.BoolVar(&cfg.Consolidate, "consolidate", false, "object-level consolidation: pack T-YOLO candidate crops from many streams into batched reference inferences")
-	real := flag.Bool("real", false, "run in real time instead of the virtual clock")
+	real := flag.Bool("real", false, "pace the virtual clock to the wall clock (same output, played in real time)")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "stream dynamics seed")
 	metricsEvery := flag.Duration("metrics", 0, "dump a pipeline snapshot to stderr every interval (0 disables)")
 	metricsJSON := flag.Bool("metrics-json", false, "emit -metrics snapshots as JSON lines")
@@ -184,7 +186,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ffsva: unknown batch policy %q\n", *policy)
 		os.Exit(2)
 	}
-	cfg.Virtual = !*real
+	cfg.Paced = *real
 	if *metricsEvery > 0 {
 		cfg.MetricsEvery = *metricsEvery
 		cfg.MetricsJSON = *metricsJSON
@@ -284,6 +286,9 @@ func main() {
 		if rec != nil {
 			fmt.Printf("  %s\n", rec.Attribute(-1, 0, 0).Summary())
 		}
+		if *real {
+			fmt.Printf("host lag: %v\n", rep.HostLag)
+		}
 		exportTrace(tracer, *tracePath, *traceJSONL)
 		finishTimeline(rec)
 		return
@@ -309,6 +314,9 @@ func main() {
 	for _, sr := range res.Pipeline.Streams {
 		fmt.Printf("  stream %d: drops sdd/snm/t-yolo = %d/%d/%d, detected = %d, realized TOR %.3f\n",
 			sr.ID, sr.Counts[0], sr.Counts[1], sr.Counts[2], sr.Counts[3], sr.RealizedTOR)
+	}
+	if *real {
+		fmt.Printf("host lag: %v\n", res.HostLag)
 	}
 	exportTrace(tracer, *tracePath, *traceJSONL)
 	finishTimeline(rec)

@@ -8,12 +8,12 @@ import (
 // or, by extension, ambient nondeterminism. Keyed by module-relative
 // package path; the value is the justification (shown in -list).
 //
-// Everything else must take a vclock.Clock (time) and a seeded
+// Everything else must take the *vclock.VirtualClock (time) and a seeded
 // *rand.Rand (randomness), so simulations replay bit-identically.
 var detnowAllowedPkgs = map[string]string{
-	// The clock abstraction itself: RealClock is the one sanctioned
-	// bridge to wall time.
-	"internal/vclock": "RealClock wraps the wall clock; this is the abstraction boundary",
+	// The clock itself: pacing is its one read of wall time, which
+	// holds the scheduler back and never reaches virtual time.
+	"internal/vclock": "the paced clock's one wall read, which only holds the scheduler back",
 	// ffsbench measures real hardware throughput; wall-clock timing and
 	// the kernels job's GOMAXPROCS×pool-width sweep are its entire
 	// purpose (GOMAXPROCS is restored after the sweep).
@@ -53,7 +53,7 @@ var detnowRandFuncs = map[string]bool{
 // math/rand draws, and runtime.GOMAXPROCS mutations outside
 // internal/vclock and the explicit allowlist. Every
 // deterministic-simulation package must stay clock-pure: time flows
-// only through vclock.Clock and randomness only through seeded
+// only through the virtual clock and randomness only through seeded
 // *rand.Rand values, or virtual-time replays stop being bit-identical.
 // GOMAXPROCS(0) reads stay legal everywhere (internal/par sizes its
 // default pool from one); setting it reshapes scheduling under every
@@ -98,7 +98,7 @@ func runDetNow(pass *Pass) {
 			case "time":
 				if detnowTimeFuncs[sel.Sel.Name] {
 					pass.Reportf(call.Pos(),
-						"wall-clock time.%s breaks deterministic replay; take a vclock.Clock instead",
+						"wall-clock time.%s breaks deterministic replay; take the *vclock.VirtualClock instead",
 						sel.Sel.Name)
 				}
 			case "math/rand", "math/rand/v2":

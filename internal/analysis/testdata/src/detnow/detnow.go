@@ -23,7 +23,7 @@ func bad() time.Duration {
 
 // good flows time through the clock abstraction and randomness through a
 // seeded per-caller source; Duration arithmetic stays legal everywhere.
-func good(clk vclock.Clock) int {
+func good(clk *vclock.VirtualClock) int {
 	clk.Sleep(2 * time.Millisecond)
 	rng := rand.New(rand.NewSource(42))
 	if clk.Now() > time.Second {

@@ -20,7 +20,7 @@ import (
 
 // Config assembles a baseline System.
 type Config struct {
-	Clock       vclock.Clock
+	Clock       *vclock.VirtualClock
 	Costs       device.CostModel
 	ChargeCosts bool
 	Mode        pipeline.Mode
@@ -34,7 +34,7 @@ type Config struct {
 }
 
 // DefaultConfig mirrors the paper's testbed: two GPUs, calibrated costs.
-func DefaultConfig(clk vclock.Clock) Config {
+func DefaultConfig(clk *vclock.VirtualClock) Config {
 	return Config{
 		Clock:       clk,
 		Costs:       device.Calibrated(),
@@ -77,10 +77,6 @@ type System struct {
 	q       *queue.Queue[*frame.Frame]
 	streams []*streamState
 	live    int
-	mu      interface {
-		Lock()
-		Unlock()
-	}
 	latency *metrics.Histogram
 }
 
@@ -103,7 +99,6 @@ func New(cfg Config, specs []StreamSpec) *System {
 		cpu:     device.New(cfg.Clock, "cpu", device.CPU, cfg.CPUSlots),
 		q:       queue.New[*frame.Frame](cfg.Clock, "yolo", cfg.QueueDepth),
 		latency: metrics.NewHistogram(),
-		mu:      cfg.Clock.NewLocker(),
 	}
 	for i := 0; i < cfg.GPUs; i++ {
 		s.gpus = append(s.gpus, device.New(cfg.Clock, fmt.Sprintf("gpu%d", i), device.GPU, 1))
@@ -169,9 +164,7 @@ func (s *System) prefetch(st *streamState) {
 			// The queue only rejects after Close: this frame will never
 			// be analyzed, so ledger the loss and recycle its plane
 			// instead of dropping it silently.
-			s.mu.Lock()
 			st.dropped++
-			s.mu.Unlock()
 			f.Release()
 		}
 		if s.cfg.Mode == pipeline.Online {
@@ -180,11 +173,8 @@ func (s *System) prefetch(st *streamState) {
 			}
 		}
 	}
-	s.mu.Lock()
 	s.live--
-	last := s.live == 0
-	s.mu.Unlock()
-	if last {
+	if s.live == 0 {
 		s.q.Close()
 	}
 }
@@ -205,14 +195,12 @@ func (s *System) worker(g *device.Device) {
 		st := byID[f.StreamID]
 		dets := s.cfg.Ref.Detect(f)
 		now := s.cfg.Clock.Now()
-		s.mu.Lock()
 		if detect.Count(dets, st.spec.Target, 0.5) > 0 {
 			st.detected++
 		}
 		if now > st.lastDone {
 			st.lastDone = now
 		}
-		s.mu.Unlock()
 		s.latency.Observe(now - f.Captured)
 		// The worker is the frame's terminal point: recycle its plane
 		// (a no-op for frames not built by frame.NewPooled).

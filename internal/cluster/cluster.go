@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"ffsva/internal/cluster/sched"
@@ -137,7 +136,7 @@ func (t Tuning) Validate() error {
 
 // Config assembles a Cluster.
 type Config struct {
-	Clock vclock.Clock
+	Clock *vclock.VirtualClock
 	// Instances is the initial number of FFS-VA instances (each gets the
 	// full device complement: one CPU pool + two GPUs, i.e. one server);
 	// Tuning.Elastic can grow and shrink the fleet from there.
@@ -175,7 +174,7 @@ type Config struct {
 }
 
 // DefaultConfig returns cluster defaults per the paper's signals.
-func DefaultConfig(clk vclock.Clock, instances int) Config {
+func DefaultConfig(clk *vclock.VirtualClock, instances int) Config {
 	pc := pipeline.DefaultConfig(clk)
 	pc.Mode = pipeline.Online
 	return Config{
@@ -324,8 +323,8 @@ type Cluster struct {
 	// cancelled stops admission and instance ingest (context
 	// cancellation); managerDone lets the context watcher exit once the
 	// manager has finished, so the clock can drain.
-	cancelled   atomic.Bool
-	managerDone atomic.Bool
+	cancelled   bool
+	managerDone bool
 }
 
 // New builds a cluster; Run executes it to completion. The config's
@@ -426,7 +425,7 @@ func (c *Cluster) RunContext(ctx context.Context) *Report {
 	}
 	if ctx.Done() != nil {
 		clk.Go("cluster-ctx-watch", func() {
-			for !c.managerDone.Load() {
+			for !c.managerDone {
 				if ctx.Err() != nil {
 					c.cancel()
 					return
@@ -442,7 +441,7 @@ func (c *Cluster) RunContext(ctx context.Context) *Report {
 
 // cancel stops admission and halts ingest on every instance.
 func (c *Cluster) cancel() {
-	c.cancelled.Store(true)
+	c.cancelled = true
 	for _, inst := range c.instances {
 		inst.CancelAll()
 	}
@@ -551,7 +550,7 @@ func (c *Cluster) manage() {
 	clk := c.cfg.Clock
 	next := 0
 	for clk.Now() < c.cfg.Horizon {
-		if c.cancelled.Load() {
+		if c.cancelled {
 			// Context cancelled: the watcher already stopped every
 			// instance's ingest; stop admitting and let the world drain.
 			break
@@ -633,7 +632,7 @@ func (c *Cluster) manage() {
 			inst.Release()
 		}
 	}
-	c.managerDone.Store(true)
+	c.managerDone = true
 }
 
 // reject records a refused arrival: a typed rejection, a manager
@@ -902,6 +901,9 @@ type Report struct {
 	// Cancelled marks a run stopped early by context cancellation; the
 	// per-instance reports cover the frames processed up to the stop.
 	Cancelled bool
+	// HostLag is how far the host fell behind a paced clock's schedule
+	// (vclock.VirtualClock.HostLag); zero for an unpaced run.
+	HostLag time.Duration
 }
 
 func (c *Cluster) report() *Report {
@@ -914,7 +916,8 @@ func (c *Cluster) report() *Report {
 	}
 	c.unregs = nil
 	r := &Report{Events: c.events, StreamFrames: make(map[int]int64), Realtime: true,
-		Rejections: c.rejections, Drops: c.drops, Cancelled: c.cancelled.Load()}
+		Rejections: c.rejections, Drops: c.drops, Cancelled: c.cancelled,
+		HostLag: c.cfg.Clock.HostLag()}
 	for _, inst := range c.instances {
 		ir := inst.Report()
 		r.Instances = append(r.Instances, ir)

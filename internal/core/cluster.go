@@ -11,7 +11,6 @@ import (
 	"ffsva/internal/lab"
 	"ffsva/internal/pipeline"
 	"ffsva/internal/timeline"
-	"ffsva/internal/vclock"
 )
 
 // ErrBadInstances marks a non-positive cluster instance count.
@@ -108,13 +107,7 @@ func RunClusterContext(ctx context.Context, cfg ClusterConfig) (*cluster.Report,
 		return nil, err
 	}
 
-	var clk vclock.Clock
-	if cfg.Virtual {
-		clk = vclock.NewVirtual()
-	} else {
-		clk = vclock.NewReal()
-	}
-	ccfg := cluster.DefaultConfig(clk, cfg.Instances)
+	ccfg := cluster.DefaultConfig(cfg.clock(), cfg.Instances)
 	ccfg.Tuning = cfg.Tuning.WithDefaults()
 	ccfg.Pipeline.BatchPolicy = cfg.BatchPolicy
 	if cfg.BatchSize > 0 {

@@ -64,9 +64,12 @@ type Config struct {
 	// costs one reference inference instead of one per frame.
 	Consolidate bool
 
-	// Virtual selects the deterministic virtual clock (default); false
-	// runs in real time with the same modeled service times.
-	Virtual bool
+	// Paced plays the run in real time: the virtual clock holds each
+	// advance until the wall clock has caught up with it, so the run can
+	// be watched live (on the observability endpoint, say). Its outputs
+	// are the unpaced run's, byte for byte; Result.HostLag reports how
+	// far the host fell behind.
+	Paced bool
 	// ChargeCosts disables device-time modeling when false.
 	ChargeCosts bool
 	// Seed namespaces the streams' object dynamics.
@@ -128,7 +131,6 @@ func DefaultConfig() Config {
 		FilterDegree:    0.5,
 		NumberOfObjects: 1,
 		RefConf:         0.5,
-		Virtual:         true,
 		ChargeCosts:     true,
 		Seed:            1,
 	}
@@ -143,6 +145,9 @@ type Result struct {
 	// boundary and every ingested frame drained to a final disposition,
 	// so the report and accuracy cover exactly the frames processed.
 	Cancelled bool
+	// HostLag is how far the host fell behind a Paced run's schedule
+	// (vclock.VirtualClock.HostLag); zero for an unpaced run.
+	HostLag time.Duration
 }
 
 // Run trains (or reuses cached) models for the workload's camera, builds
@@ -153,8 +158,8 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // ctxPollInterval is how often the cancellation watcher samples the
-// context. Under the virtual clock this is simulated time — polling is
-// free — and under the real clock it bounds cancellation latency.
+// context. It is virtual time, so polling is free; under pacing it also
+// bounds the cancellation latency in wall time.
 const ctxPollInterval = 10 * time.Millisecond
 
 // timelineDefaultEvery is the flight-recorder sampling interval when a
@@ -188,12 +193,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	var clk vclock.Clock
-	if cfg.Virtual {
-		clk = vclock.NewVirtual()
-	} else {
-		clk = vclock.NewReal()
-	}
+	clk := cfg.clock()
 	pcfg := pipeline.DefaultConfig(clk)
 	pcfg.Mode = cfg.Mode
 	pcfg.BatchPolicy = cfg.BatchPolicy
@@ -261,10 +261,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		})
 	}
 	if ctx.Done() != nil {
-		// Watcher process: polls the context on the run's clock so it
-		// works identically under virtual and real time (a virtual run
-		// cannot block on the context's channel — simulated time would
-		// stall), and exits with the pipeline so the clock can drain.
+		// Watcher process: polls the context on the run's clock (a
+		// process cannot block on the context's channel — virtual time
+		// would stall), and exits with the pipeline so the clock can
+		// drain.
 		clk.Go("ctx-watch", func() {
 			for !sys.Finished() {
 				if ctx.Err() != nil {
@@ -280,11 +280,19 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		rep.Bottleneck = cfg.Timeline.Attribute(-1, 0, 0).Summary()
 	}
 
-	res := &Result{Pipeline: rep, Cancelled: rep.Cancelled}
+	res := &Result{Pipeline: rep, Cancelled: rep.Cancelled, HostLag: clk.HostLag()}
 	for _, sr := range rep.Streams {
 		res.Accuracy.Merge(Analyze(sr.Records, cfg.NumberOfObjects))
 	}
 	return res, nil
+}
+
+// clock returns the run's clock, paced to the wall when asked.
+func (c Config) clock() *vclock.VirtualClock {
+	if c.Paced {
+		return vclock.NewPaced()
+	}
+	return vclock.NewVirtual()
 }
 
 // Target returns the workload's target class.

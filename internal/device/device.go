@@ -2,17 +2,16 @@
 // CPUs executing SDDs and frame decode, one GPU shared by the SNMs and
 // T-YOLO, and one GPU dedicated to the reference model (paper §3.1.2).
 //
-// A Device is a capacity-limited resource bound to a Clock. Stages call
-// Use to occupy a slot for a modeled service time; under a VirtualClock
-// this reproduces the paper's GPU-scale throughput deterministically on
-// any host, and under a RealClock it emulates the hardware in real time.
+// A Device is a capacity-limited resource bound to the virtual clock.
+// Stages call Use to occupy a slot for a modeled service time, which
+// reproduces the paper's GPU-scale throughput deterministically on any
+// host.
 // Service times come from a CostModel calibrated to the speeds the paper
 // reports for each model.
 package device
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"ffsva/internal/vclock"
@@ -130,9 +129,8 @@ type Device struct {
 	Kind  Kind
 	Slots int
 
-	clk  vclock.Clock
-	mu   sync.Locker
-	cond vclock.Cond
+	clk  *vclock.VirtualClock
+	cond *vclock.Cond
 
 	inUse     int
 	lastModel Model
@@ -142,7 +140,7 @@ type Device struct {
 
 	// adjust, when set, post-processes every computed service time
 	// before the device sleeps it (fault injection: slowdowns, stalls).
-	// Called with the device lock held; it must be fast and not block.
+	// It must be fast and not block.
 	adjust func(now, dur time.Duration) time.Duration
 }
 
@@ -151,21 +149,16 @@ type Device struct {
 // slept. The faults package uses it to inject device slowdowns and
 // stalls; a nil fn removes the hook.
 func (d *Device) SetAdjust(fn func(now, dur time.Duration) time.Duration) {
-	d.mu.Lock()
 	d.adjust = fn
-	d.mu.Unlock()
 }
 
 // New creates a device with the given parallel capacity (1 for a GPU
 // executing one kernel stream, >1 for a multi-core CPU).
-func New(clk vclock.Clock, name string, kind Kind, slots int) *Device {
+func New(clk *vclock.VirtualClock, name string, kind Kind, slots int) *Device {
 	if slots <= 0 {
 		panic(fmt.Sprintf("device: %s: non-positive slots", name))
 	}
-	d := &Device{Name: name, Kind: kind, Slots: slots, clk: clk}
-	d.mu = clk.NewLocker()
-	d.cond = clk.NewCond(d.mu)
-	return d
+	return &Device{Name: name, Kind: kind, Slots: slots, clk: clk, cond: clk.NewCond()}
 }
 
 // Use occupies one slot for the service time of running model over a
@@ -178,7 +171,6 @@ func (d *Device) Use(model Model, n int, cm CostModel) time.Duration {
 	c := cm[model]
 	dur := time.Duration(n) * c.PerFrame
 
-	d.mu.Lock()
 	for d.inUse >= d.Slots {
 		d.cond.Wait()
 	}
@@ -193,16 +185,13 @@ func (d *Device) Use(model Model, n int, cm CostModel) time.Duration {
 	if d.adjust != nil {
 		dur = d.adjust(d.clk.Now(), dur)
 	}
-	d.mu.Unlock()
 
 	d.clk.Sleep(dur)
 
-	d.mu.Lock()
 	d.inUse--
 	d.busy += dur
 	d.served += int64(n)
 	d.cond.Signal()
-	d.mu.Unlock()
 	return dur
 }
 
@@ -215,7 +204,6 @@ func (d *Device) UseResize(model Model, n int, cm CostModel) time.Duration {
 	}
 	dur := time.Duration(n) * c.Resize
 
-	d.mu.Lock()
 	for d.inUse >= d.Slots {
 		d.cond.Wait()
 	}
@@ -223,18 +211,15 @@ func (d *Device) UseResize(model Model, n int, cm CostModel) time.Duration {
 	if d.adjust != nil {
 		dur = d.adjust(d.clk.Now(), dur)
 	}
-	d.mu.Unlock()
 
 	d.clk.Sleep(dur)
 
-	d.mu.Lock()
 	d.inUse--
 	d.busy += dur
 	// Resize work counts toward served like any other service, so
 	// Stats().Served reflects the device's full frame accounting.
 	d.served += int64(n)
 	d.cond.Signal()
-	d.mu.Unlock()
 	return dur
 }
 
@@ -242,9 +227,7 @@ func (d *Device) UseResize(model Model, n int, cm CostModel) time.Duration {
 // activation cost again. The per-stream-T-YOLO ablation uses it to model
 // reloading a different stream's private detection model on every batch.
 func (d *Device) Invalidate() {
-	d.mu.Lock()
 	d.lastModel = ModelNone
-	d.mu.Unlock()
 }
 
 // Stats is a snapshot of device accounting.
@@ -260,8 +243,6 @@ type Stats struct {
 
 // Stats returns accumulated accounting plus instantaneous occupancy.
 func (d *Device) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return Stats{Busy: d.busy, Switches: d.switches, Served: d.served, InUse: d.inUse, Slots: d.Slots}
 }
 

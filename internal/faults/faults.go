@@ -14,6 +14,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,9 +88,18 @@ type Fault struct {
 	// From/Until is the active clock window [From, Until); Until is
 	// ignored for InstanceCrash (the crash fires at From).
 	From, Until time.Duration
-	// Factor is the DeviceSlow service-time multiplier (2 = half speed).
+	// Factor is the DeviceSlow service-time multiplier (2 = half speed),
+	// in (0, 1e6] when parsed.
 	Factor float64
 }
+
+// maxFactor bounds a DeviceSlow factor: a millionfold slowdown already
+// turns a 15 ms inference into four hours, and a larger one is a stall.
+const maxFactor = 1e6
+
+// forever is the longest service time an adjustment yields; it saturates
+// there instead of wrapping negative.
+const forever = time.Duration(math.MaxInt64)
 
 // String renders the fault in Parse syntax.
 func (f Fault) String() string {
@@ -211,8 +221,9 @@ func (inj *Injector) Corrupts(stream int, seq int64) bool {
 
 // AdjustServiceTime applies active device faults to a nominal service
 // time: DeviceSlow multiplies it, DeviceStall prepends the wait until
-// the stall window ends. Faults compose in plan order. It is the hook
-// behind pipeline.Config.AdjustService.
+// the stall window ends. Faults compose in plan order, and the result
+// saturates rather than overflow. It is the hook behind
+// pipeline.Config.AdjustService.
 func (inj *Injector) AdjustServiceTime(dev string, now, dur time.Duration) time.Duration {
 	for _, f := range inj.faults {
 		if f.Device != "" && f.Device != dev {
@@ -223,11 +234,17 @@ func (inj *Injector) AdjustServiceTime(dev string, now, dur time.Duration) time.
 		}
 		switch f.Kind {
 		case DeviceSlow:
-			if f.Factor > 0 {
-				dur = time.Duration(float64(dur) * f.Factor)
+			if d := float64(dur) * f.Factor; d >= float64(forever) {
+				dur = forever
+			} else if f.Factor > 0 {
+				dur = time.Duration(d)
 			}
 		case DeviceStall:
-			dur += f.Until - now
+			if wait := f.Until - now; dur > forever-wait {
+				dur = forever
+			} else {
+				dur += wait
+			}
 		}
 	}
 	return dur
@@ -260,12 +277,17 @@ func (inj *Injector) hasStreamFaults(stream int) bool {
 //	corrupt:stream=0,seq=100-200
 //
 // stream=-1 targets every stream; an empty dev targets every device.
+// Each kind takes only the keys its String rendering prints (at and from
+// are one key), so an accepted spec round-trips. Times must not be
+// negative, a device window must end after it starts (and a stall's must
+// end), attempts must be
+// at least 1, and a slow factor must lie in (0, maxFactor].
 func Parse(s string) (Fault, error) {
 	kind, rest, found := strings.Cut(s, ":")
 	if !found {
 		return Fault{}, fmt.Errorf("faults: %q: want kind:key=value,...", s)
 	}
-	f := Fault{Stream: -1, Attempts: 1, Until: 1<<63 - 1}
+	f := Fault{Stream: -1, Attempts: 1, Until: forever}
 	switch kind {
 	case "decode":
 		f.Kind = DecodeError
@@ -288,6 +310,9 @@ func Parse(s string) (Fault, error) {
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok {
 			return Fault{}, fmt.Errorf("faults: %q: bad pair %q", s, kv)
+		}
+		if !strings.Contains(kindKeys[f.Kind], " "+k+" ") {
+			return Fault{}, fmt.Errorf("faults: %q: unknown key %q for %s", s, k, f.Kind)
 		}
 		var err error
 		switch k {
@@ -314,22 +339,39 @@ func Parse(s string) (Fault, error) {
 				f.SeqTo, err = strconv.ParseInt(hi, 10, 64)
 			}
 			seqSet = true
-		default:
-			return Fault{}, fmt.Errorf("faults: %q: unknown key %q", s, k)
 		}
 		if err != nil {
 			return Fault{}, fmt.Errorf("faults: %q: bad value for %s: %v", s, k, err)
 		}
+	}
+	switch {
+	case f.Attempts < 1:
+		return Fault{}, fmt.Errorf("faults: %q: attempts must be at least 1", s)
+	case f.From < 0 || f.Until < 0:
+		return Fault{}, fmt.Errorf("faults: %q: times must not be negative", s)
 	}
 	switch f.Kind {
 	case DecodeError, CorruptFrame:
 		if !seqSet || f.SeqTo <= f.SeqFrom {
 			return Fault{}, fmt.Errorf("faults: %q: needs a non-empty seq=A-B window", s)
 		}
-	case DeviceSlow:
-		if f.Factor <= 0 {
-			return Fault{}, fmt.Errorf("faults: %q: slow needs x>0", s)
+	case DeviceSlow, DeviceStall:
+		if f.Until <= f.From || (f.Kind == DeviceStall && f.Until == forever) {
+			return Fault{}, fmt.Errorf("faults: %q: needs from < until, and a stall an until", s)
+		}
+		// Written so a NaN factor fails too.
+		if f.Kind == DeviceSlow && !(f.Factor > 0 && f.Factor <= maxFactor) {
+			return Fault{}, fmt.Errorf("faults: %q: slow needs 0 < x <= %g", s, float64(maxFactor))
 		}
 	}
 	return f, nil
+}
+
+// kindKeys lists, space-delimited, the spec keys each kind takes.
+var kindKeys = map[Kind]string{
+	DecodeError:   " stream seq attempts ",
+	CorruptFrame:  " stream seq ",
+	DeviceSlow:    " inst dev from at until x ",
+	DeviceStall:   " inst dev from at until ",
+	InstanceCrash: " inst at from ",
 }

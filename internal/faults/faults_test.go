@@ -49,17 +49,27 @@ func TestParseDefaults(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for _, spec := range []string{
-		"",                          // no kind
-		"explode:at=1s",             // unknown kind
-		"decode:stream=0",           // missing seq window
-		"decode:stream=0,seq=20-10", // empty seq window
-		"decode:stream=0,seq=20",    // malformed seq
-		"slow:dev=gpu0,from=1s",     // slow without x
-		"slow:dev=gpu0,x=0",         // non-positive factor
-		"crash:inst=one",            // bad int
-		"crash:at=soon",             // bad duration
-		"crash:inst=0,when=1s",      // unknown key
-		"crash:inst",                // pair without =
+		"",                                       // no kind
+		"explode:at=1s",                          // unknown kind
+		"decode:stream=0",                        // missing seq window
+		"decode:stream=0,seq=20-10",              // empty seq window
+		"decode:stream=0,seq=20",                 // malformed seq
+		"slow:dev=gpu0,from=1s",                  // slow without x
+		"slow:dev=gpu0,x=0",                      // non-positive factor
+		"crash:inst=one",                         // bad int
+		"crash:at=soon",                          // bad duration
+		"crash:inst=0,when=1s",                   // unknown key
+		"crash:inst",                             // pair without =
+		"slow:dev=gpu0,from=0s,until=1s,x=Inf",   // infinite factor
+		"slow:dev=gpu0,from=0s,until=1s,x=1e300", // overflowing factor
+		"slow:dev=gpu0,from=0s,until=1s,x=NaN",   // not a factor
+		"decode:stream=0,seq=1-5,attempts=-4",    // negative attempts
+		"decode:stream=0,seq=1-5,attempts=0",     // no failing attempt
+		"crash:inst=0,at=-3s",                    // negative time
+		"slow:dev=gpu0,from=2s,until=1s,x=2",     // inverted window
+		"stall:dev=gpu0,from=1s",                 // stall without end
+		"decode:stream=0,seq=1-5,inst=1",         // key of another kind
+		"crash:inst=0,at=1s,until=2s",            // key of another kind
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q): want error, got nil", spec)
@@ -287,4 +297,50 @@ func TestSourceCorruption(t *testing.T) {
 		t.Error("corruption left the pixel plane untouched")
 	}
 	f1.Release()
+}
+
+// fuzzSeeds are FuzzParse's corpus: the documented specs and the ones
+// that once slipped through with nonsense values.
+var fuzzSeeds = []string{
+	"crash:inst=1,at=8s",
+	"slow:dev=gpu0,from=2s,until=10s,x=2",
+	"slow:dev=gpu0,from=1s,x=3",
+	"stall:dev=gpu1,from=3s,until=4s",
+	"decode:stream=0,seq=100-200,attempts=3",
+	"corrupt:stream=0,seq=100-200",
+	"slow:dev=gpu0,from=0s,until=1s,x=Inf",
+	"slow:dev=gpu0,from=0s,until=1s,x=1e300",
+	"slow:dev=gpu0,from=0s,until=1s,x=1e6",
+	"slow:dev=gpu0,from=0s,until=1s,x=NaN",
+	"decode:stream=0,seq=1-5,attempts=-4",
+	"crash:inst=0,at=-3s",
+	"slow:dev=gpu0,from=2s,until=1s,x=2",
+	"stall:dev=,from=0s,until=2562047h47m16.854775807s",
+}
+
+// FuzzParse: Parse never panics, an accepted spec round-trips through
+// String, and an accepted fault never makes a service time negative.
+func FuzzParse(f *testing.F) {
+	for _, spec := range fuzzSeeds {
+		f.Add(spec, int64(10*time.Millisecond))
+	}
+	f.Fuzz(func(t *testing.T, spec string, dur int64) {
+		ft, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		back, err := Parse(ft.String())
+		if err != nil || back != ft {
+			t.Fatalf("%q parsed to %+v, whose rendering %q parsed to %+v (%v)", spec, ft, ft.String(), back, err)
+		}
+		if dur < 0 {
+			return
+		}
+		inj := NewInjector([]Fault{ft})
+		for _, now := range []time.Duration{0, ft.From, ft.From + (ft.Until-ft.From)/2} {
+			if got := inj.AdjustServiceTime(ft.Device, now, time.Duration(dur)); got < 0 {
+				t.Fatalf("%q turns %v at %v into %v", spec, time.Duration(dur), now, got)
+			}
+		}
+	})
 }

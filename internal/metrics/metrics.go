@@ -198,8 +198,8 @@ type Meter struct {
 }
 
 // NewMeter creates a meter with the given slot width and window length in
-// slots. Meter is not safe for concurrent use; each pipeline monitor owns
-// one (SyncMeter adds locking for shared use).
+// slots. Meter is not safe for concurrent use: its users are the virtual
+// clock's processes, which never run at the same time.
 func NewMeter(slot time.Duration, slots int) *Meter {
 	if slot <= 0 || slots <= 0 {
 		panic("metrics: NewMeter requires positive slot and window")

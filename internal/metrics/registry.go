@@ -1,9 +1,7 @@
 // Registry-layer metric types: gauges, labeled counters, integer
-// distributions, a lock-protected meter, and a named registry that
-// exports everything as flat samples for the pipeline's periodic
-// observability dumps. The registry is clock-aware only through the
-// timestamps callers pass in — it works identically under RealClock and
-// VirtualClock.
+// distributions, and a named registry that exports everything as flat
+// samples for the pipeline's periodic observability dumps. The registry
+// knows the clock only through the timestamps callers pass in.
 package metrics
 
 import (
@@ -132,33 +130,6 @@ func (d *IntDist) Counts() []int64 {
 	return append([]int64(nil), d.counts...)
 }
 
-// SyncMeter wraps a Meter with a mutex so concurrent stages can share it
-// under a RealClock (under the cooperative VirtualClock the lock is
-// uncontended).
-type SyncMeter struct {
-	mu sync.Mutex
-	m  *Meter
-}
-
-// NewSyncMeter creates a locked meter (see NewMeter).
-func NewSyncMeter(slot time.Duration, slots int) *SyncMeter {
-	return &SyncMeter{m: NewMeter(slot, slots)}
-}
-
-// Mark records n events at time now.
-func (s *SyncMeter) Mark(now time.Duration, n int64) {
-	s.mu.Lock()
-	s.m.Mark(now, n)
-	s.mu.Unlock()
-}
-
-// Rate returns events per second over the window ending at now.
-func (s *SyncMeter) Rate(now time.Duration) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Rate(now)
-}
-
 // Sample is one exported metric value. Labeled counters flatten to one
 // sample per label (Name{label}); histograms and distributions flatten to
 // suffixed summary samples (name_count, name_mean, ...).
@@ -170,8 +141,9 @@ type Sample struct {
 
 // Registry is a named collection of metrics with a uniform export. It is
 // clock-aware: Export takes the current clock time so rate meters resolve
-// against virtual or real time identically. Safe for concurrent use;
-// registration order is preserved in exports.
+// against it. Registration is safe for concurrent use, but a Meter is
+// not, so Export runs where its Meters are marked (a clock process).
+// Registration order is preserved in exports.
 type Registry struct {
 	mu    sync.Mutex
 	order []string
@@ -226,8 +198,8 @@ func (r *Registry) IntDist(name string) *IntDist {
 
 // Meter returns the named rate meter, creating it on first use with the
 // given slot width and window length.
-func (r *Registry) Meter(name string, slot time.Duration, slots int) *SyncMeter {
-	return register(r, name, func() *SyncMeter { return NewSyncMeter(slot, slots) })
+func (r *Registry) Meter(name string, slot time.Duration, slots int) *Meter {
+	return register(r, name, func() *Meter { return NewMeter(slot, slots) })
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -268,7 +240,7 @@ func (r *Registry) Export(now time.Duration) []Sample {
 				Sample{name + "_count", "dist", float64(m.Count())},
 				Sample{name + "_mean", "dist", m.Mean()},
 				Sample{name + "_max", "dist", float64(m.Max())})
-		case *SyncMeter:
+		case *Meter:
 			out = append(out, Sample{name, "meter", m.Rate(now)})
 		case *Histogram:
 			out = append(out,

@@ -9,8 +9,8 @@
 // instead the run's monitor process pushes immutable Snapshot values in,
 // and handlers serve the latest push. Health staleness is judged by
 // comparing clock values inside one snapshot (heartbeat vs At), so the
-// endpoint works identically under virtual and real time. The only wall
-// clock involved is net/http's own Date response header.
+// endpoint works identically whether or not the run is paced. The only
+// wall clock involved is net/http's own Date response header.
 //
 // Security: an address with no host (":8080") binds loopback only; an
 // operator must name an interface explicitly to expose the endpoint.

@@ -14,7 +14,7 @@ import (
 // buildFaulty assembles a virtual-clock system of n car streams with a
 // fault plan applied the way a single-instance run applies it: the
 // injector drives AdjustService and wraps every stream's source.
-func buildFaulty(t *testing.T, clk vclock.Clock, n int, tor float64, frames int, plan []faults.Fault, mutate func(*pipeline.Config)) *pipeline.System {
+func buildFaulty(t *testing.T, clk *vclock.VirtualClock, n int, tor float64, frames int, plan []faults.Fault, mutate func(*pipeline.Config)) *pipeline.System {
 	t.Helper()
 	cam, err := lab.CarCamera(tor)
 	if err != nil {

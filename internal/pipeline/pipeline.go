@@ -5,16 +5,14 @@
 // and dynamic batch policies for the SNM (§4.3.2), and task placement on
 // modeled CPU/GPU devices.
 //
-// The same engine runs under a RealClock (real-time emulation with real
-// filter computation) or a VirtualClock (deterministic discrete-event
-// timing for the benchmark harness); filter decisions always come from
-// running the real filter algorithms over the frames.
+// The engine runs on the deterministic virtual clock, whose processes
+// never run at the same time, so its state needs no locks; filter
+// decisions always come from running the real filter algorithms over the
+// frames.
 package pipeline
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ffsva/internal/detect"
@@ -222,7 +220,7 @@ type StreamSpec struct {
 
 // Config assembles a System.
 type Config struct {
-	Clock vclock.Clock
+	Clock *vclock.VirtualClock
 	Costs device.CostModel
 	// ChargeCosts enables device service-time charging. When false the
 	// pipeline is purely functional (real compute, no modeled time).
@@ -345,7 +343,7 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's defaults on a fresh clock.
-func DefaultConfig(clk vclock.Clock) Config {
+func DefaultConfig(clk *vclock.VirtualClock) Config {
 	return Config{
 		Clock:       clk,
 		Costs:       device.Calibrated(),
@@ -441,9 +439,9 @@ type streamState struct {
 	ingestDone bool // prefetch exhausted its frames (or stopped)
 
 	// settled is the stream's last StreamSnapshot, kept once nothing in it
-	// can move again (see StreamSnapshot.settled). Stored and cleared under recMu, read
-	// without it.
-	settled atomic.Pointer[StreamSnapshot]
+	// can move again (see StreamSnapshot.settled); StopStream and
+	// CancelAll clear it.
+	settled *StreamSnapshot
 }
 
 // System is one FFS-VA instance: devices, queues, and stage processes for
@@ -464,11 +462,11 @@ type System struct {
 	// tyNotifies has one wake signal per T-YOLO worker (one worker per
 	// filter GPU; streams are partitioned by ID).
 	tyNotifies []*notify
-	tyLive     int // running T-YOLO workers (guarded by streamsMu)
+	tyLive     int // running T-YOLO workers
 
 	start     time.Duration
 	end       time.Duration
-	tyMeter   *metrics.SyncMeter
+	tyMeter   *metrics.Meter
 	latency   *metrics.Histogram
 	refServed metrics.Counter
 
@@ -484,17 +482,13 @@ type System struct {
 	retryCtr  *metrics.Counter        // retries_total (decode retries)
 	shedCtr   *metrics.Counter        // shed_frames_total
 
-	recMu     sync.Locker // guards per-stream record bookkeeping
-	streamsMu sync.Locker // guards streams slice after Start
-	liveMu    sync.Locker // guards liveSNM, tyLive and finished
-
 	started   bool
 	finished  bool // refStage exited: no further frame can be decided
-	cancelled bool // CancelAll stopped ingest early (guarded by recMu)
-	crashed   bool // Crash() killed the instance (guarded by recMu)
+	cancelled bool // CancelAll stopped ingest early
+	crashed   bool // Crash() killed the instance
 	liveSNM   int  // SNM stages still running + holds
-	// lastBeat is the heartbeat's latest clock stamp (guarded by recMu);
-	// it freezes when the instance crashes or finishes.
+	// lastBeat is the heartbeat's latest clock stamp; it freezes when the
+	// instance crashes or finishes.
 	lastBeat time.Duration
 }
 
@@ -549,9 +543,6 @@ func New(cfg Config, specs []StreamSpec) *System {
 	for i := 0; i < cfg.FilterGPUs; i++ {
 		s.tyNotifies = append(s.tyNotifies, newNotify(cfg.Clock))
 	}
-	s.recMu = cfg.Clock.NewLocker()
-	s.streamsMu = cfg.Clock.NewLocker()
-	s.liveMu = cfg.Clock.NewLocker()
 	if cfg.SpillToStorage {
 		s.disk = device.New(cfg.Clock, "ssd", device.Disk, 1)
 	}
@@ -618,10 +609,7 @@ func (s *System) newStream(spec StreamSpec) *streamState {
 
 // traceHooks turns a queue's put→pop interval into a queue-wait span on
 // the resident frame and its feedback throttling into instant events.
-// The hooks run under the queue lock, which is also what hands frame
-// (and trace-record) ownership from producer to consumer — so the span
-// writes are ordered without any locking of their own. No-op when
-// tracing is off.
+// No-op when tracing is off.
 func (s *System) traceHooks(q *queue.Queue[*frame.Frame], k trace.Kind) {
 	tr := s.cfg.Tracer
 	if tr == nil {
@@ -645,40 +633,25 @@ func (s *System) traceHooks(q *queue.Queue[*frame.Frame], k trace.Kind) {
 // notify is a clock-integrated counting signal used to wake the shared
 // T-YOLO coordinator when any stream enqueues work.
 type notify struct {
-	mu interface {
-		Lock()
-		Unlock()
-	}
-	cond   vclock.Cond
+	cond   *vclock.Cond
 	n      int
 	closed bool
 }
 
-func newNotify(clk vclock.Clock) *notify {
-	l := clk.NewLocker()
-	return &notify{mu: l, cond: clk.NewCond(l)}
+func newNotify(clk *vclock.VirtualClock) *notify {
+	return &notify{cond: clk.NewCond()}
 }
 
 func (n *notify) add(k int) {
-	n.mu.Lock()
 	n.n += k
 	n.cond.Signal()
-	n.mu.Unlock()
 }
 
-func (n *notify) sub(k int) {
-	n.mu.Lock()
-	n.n -= k
-	n.mu.Unlock()
-}
+func (n *notify) sub(k int) { n.n -= k }
 
 // wait blocks until work is pending or the signal is closed; it reports
-// whether work may remain. The n<=0 guard (rather than n==0) tolerates
-// the real-clock race where the consumer drains an item before its add
-// lands.
+// whether work may remain.
 func (n *notify) wait() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for n.n <= 0 && !n.closed {
 		n.cond.Wait()
 	}
@@ -686,8 +659,6 @@ func (n *notify) wait() bool {
 }
 
 func (n *notify) close() {
-	n.mu.Lock()
 	n.closed = true
 	n.cond.Broadcast()
-	n.mu.Unlock()
 }

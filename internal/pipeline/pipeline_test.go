@@ -12,7 +12,7 @@ import (
 )
 
 // build assembles a virtual-clock system of n identical car streams.
-func build(t *testing.T, clk vclock.Clock, n int, tor float64, frames int, mutate func(*pipeline.Config)) *pipeline.System {
+func build(t *testing.T, clk *vclock.VirtualClock, n int, tor float64, frames int, mutate func(*pipeline.Config)) *pipeline.System {
 	t.Helper()
 	cam, err := lab.CarCamera(tor)
 	if err != nil {
@@ -206,22 +206,6 @@ func TestSharedTYoloFairness(t *testing.T) {
 	if float64(hi) > 3*float64(lo) {
 		t.Errorf("T-YOLO service imbalance: min %d max %d", lo, hi)
 	}
-}
-
-func TestRealClockSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time emulation sleeps wall-clock time")
-	}
-	clk := vclock.NewReal()
-	sys := build(t, clk, 1, 0.3, 120, func(c *pipeline.Config) {
-		c.Clock = clk
-	})
-	rep := sys.Run()
-	checkConservation(t, rep)
-	if rep.Throughput <= 0 {
-		t.Fatal("no throughput under real clock")
-	}
-	t.Logf("real clock: %v", rep)
 }
 
 func TestReportStageRatiosMonotone(t *testing.T) {

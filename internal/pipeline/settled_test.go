@@ -61,7 +61,7 @@ func TestSnapshotOfFinishedSystemIsFlat(t *testing.T) {
 	small, large := finishedSystem(t, 100), finishedSystem(t, 1000)
 	first := large.Snapshot()
 	for _, st := range large.streams {
-		kept := st.settled.Load()
+		kept := st.settled
 		if kept == nil {
 			t.Fatalf("stream %d finished but did not settle", st.spec.ID)
 		}
@@ -135,7 +135,7 @@ func TestSettledSnapshotsMatchLiveState(t *testing.T) {
 	settledEarly := false
 	sys.Monitor(200*time.Millisecond, func(sn Snapshot) {
 		for i, st := range sys.streams {
-			kept := st.settled.Load()
+			kept := st.settled
 			if kept == nil {
 				continue
 			}

@@ -130,9 +130,8 @@ type Snapshot struct {
 	Metrics []metrics.Sample `json:"metrics,omitempty"`
 }
 
-// Snapshot samples the system's live state. It is safe to call from any
-// clock process (the cluster manager, the periodic monitor) while stages
-// run.
+// Snapshot samples the system's live state. Any clock process (the
+// cluster manager, the periodic monitor) may call it while stages run.
 func (s *System) Snapshot() Snapshot {
 	now := s.cfg.Clock.Now()
 	sn := Snapshot{
@@ -144,16 +143,13 @@ func (s *System) Snapshot() Snapshot {
 		Heartbeat:      s.Heartbeat(),
 		HeartbeatEvery: s.cfg.HeartbeatEvery,
 	}
-	s.liveMu.Lock()
 	elapsed := now - s.start
-	s.liveMu.Unlock()
-	streams := s.snapshotStreams()
-	if len(streams) > 0 { // none: Streams stays nil, as an append would leave it
-		sn.Streams = make([]StreamSnapshot, len(streams))
+	if len(s.streams) > 0 { // none: Streams stays nil, as an append would leave it
+		sn.Streams = make([]StreamSnapshot, len(s.streams))
 	}
-	for i, st := range streams {
+	for i, st := range s.streams {
 		ss := &sn.Streams[i]
-		if kept := st.settled.Load(); kept != nil {
+		if kept := st.settled; kept != nil {
 			*ss = *kept
 		} else {
 			s.streamSnapshot(st, ss)
@@ -202,15 +198,12 @@ func (s *System) Snapshot() Snapshot {
 // streamSnapshot fills ss with the stream's live state and, once the
 // stream has settled, keeps a copy for every later Snapshot.
 func (s *System) streamSnapshot(st *streamState, ss *StreamSnapshot) {
-	*ss = StreamSnapshot{ID: st.spec.ID, Frames: st.spec.Frames}
-	s.recMu.Lock()
-	ss.Ingested = st.ingested
-	ss.Drops = st.counts
-	ss.CurLag = st.curLag
-	ss.MaxLag = st.ingestLag
-	ss.IngestDone = st.ingestDone
-	ss.Stopped = st.stop
-	s.recMu.Unlock()
+	*ss = StreamSnapshot{
+		ID: st.spec.ID, Frames: st.spec.Frames,
+		Ingested: st.ingested, Drops: st.counts,
+		CurLag: st.curLag, MaxLag: st.ingestLag,
+		IngestDone: st.ingestDone, Stopped: st.stop,
+	}
 	for _, n := range ss.Drops {
 		ss.Decided += n
 	}
@@ -223,14 +216,8 @@ func (s *System) streamSnapshot(st *streamState, ss *StreamSnapshot) {
 	}
 	ss.Backlog = ss.SDDQ.Depth + ss.SpillPending
 	if ss.settled() {
-		s.recMu.Lock()
-		// StopStream and CancelAll set stop under this lock and clear the
-		// kept copy; one that ran since the read above must not be undone.
-		if st.stop == ss.Stopped {
-			kept := *ss
-			st.settled.Store(&kept)
-		}
-		s.recMu.Unlock()
+		kept := *ss
+		st.settled = &kept
 	}
 }
 
@@ -263,8 +250,7 @@ func devSnap(name, kind string, st device.Stats, elapsed time.Duration) DeviceSn
 // Monitor registers a periodic observer process on the system's clock:
 // every interval it takes a Snapshot and hands it to fn, until the
 // system finishes (the final sample observes the finished state). It
-// must be called before the clock runs the world, and works identically
-// under RealClock and VirtualClock.
+// must be called before the clock runs the world.
 func (s *System) Monitor(every time.Duration, fn func(Snapshot)) {
 	if every <= 0 {
 		panic("pipeline: Monitor requires a positive interval")

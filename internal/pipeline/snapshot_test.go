@@ -2,6 +2,7 @@ package pipeline_test
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -159,24 +160,24 @@ func TestWorstLagExcludesFinishedStreams(t *testing.T) {
 	}
 }
 
-// TestMonitorRealClock proves the same monitor runs under the real clock
-// (goroutines + wall time) and still terminates with a finished sample.
-func TestMonitorRealClock(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time emulation sleeps wall-clock time")
+// TestMonitorPaced proves the monitor runs unchanged on a paced clock:
+// the same samples as the unpaced run, ending with a finished one.
+func TestMonitorPaced(t *testing.T) {
+	run := func(clk *vclock.VirtualClock) []string {
+		sys := build(t, clk, 1, 0.3, 60, nil)
+		var samples []string
+		sys.Monitor(100*time.Millisecond, func(sn pipeline.Snapshot) {
+			samples = append(samples, sn.JSON())
+		})
+		checkConservation(t, sys.Run())
+		if len(samples) == 0 || !strings.Contains(samples[len(samples)-1], `"finished":true`) {
+			t.Fatalf("last of %d samples not finished", len(samples))
+		}
+		return samples
 	}
-	clk := vclock.NewReal()
-	sys := build(t, clk, 1, 0.3, 60, nil)
-	var samples []pipeline.Snapshot
-	sys.Monitor(100*time.Millisecond, func(sn pipeline.Snapshot) {
-		samples = append(samples, sn)
-	})
-	rep := sys.Run()
-	checkConservation(t, rep)
-	if len(samples) == 0 {
-		t.Fatal("no samples under real clock")
-	}
-	if !samples[len(samples)-1].Finished {
-		t.Fatal("final real-clock sample not finished")
+	want := run(vclock.NewVirtual())
+	got := run(vclock.NewPaced())
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("paced samples differ:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -15,12 +15,10 @@ import (
 // then runs the clock (clk.Run()) and finally collects Report().
 func (s *System) Start() {
 	clk := s.cfg.Clock
-	s.liveMu.Lock()
 	s.start = clk.Now()
 	s.started = true
 	s.liveSNM += len(s.streams)
 	s.tyLive = len(s.tyNotifies)
-	s.liveMu.Unlock()
 	for _, st := range s.streams {
 		s.launch(st)
 	}
@@ -39,15 +37,9 @@ func (s *System) Start() {
 // time — the staleness a cluster manager's failure detection keys on.
 func (s *System) heartbeat() {
 	clk := s.cfg.Clock
-	for {
-		s.recMu.Lock()
-		if s.crashed {
-			s.recMu.Unlock()
-			return
-		}
+	for !s.crashed {
 		s.lastBeat = clk.Now()
-		s.recMu.Unlock()
-		if s.Finished() {
+		if s.finished {
 			return
 		}
 		clk.Sleep(s.cfg.HeartbeatEvery)
@@ -61,27 +53,15 @@ func (s *System) heartbeat() {
 // Report still satisfies conservation — and StopStream still sizes
 // continuations correctly, which together let cluster recovery account
 // for and re-forward every stream of the dead instance.
-func (s *System) Crash() {
-	s.recMu.Lock()
-	s.crashed = true
-	s.recMu.Unlock()
-}
+func (s *System) Crash() { s.crashed = true }
 
 // Crashed reports whether Crash was called.
-func (s *System) Crashed() bool {
-	s.recMu.Lock()
-	defer s.recMu.Unlock()
-	return s.crashed
-}
+func (s *System) Crashed() bool { return s.crashed }
 
 // Heartbeat returns the clock time of the instance's last liveness
 // stamp. Zero until the heartbeat process (Config.HeartbeatEvery) first
 // runs.
-func (s *System) Heartbeat() time.Duration {
-	s.recMu.Lock()
-	defer s.recMu.Unlock()
-	return s.lastBeat
-}
+func (s *System) Heartbeat() time.Duration { return s.lastBeat }
 
 // launch spawns the per-stream stage processes.
 func (s *System) launch(st *streamState) {
@@ -113,11 +93,7 @@ func (s *System) spillDrainer(st *streamState) {
 // Hold keeps the shared stages alive while no stream is running, so a
 // manager process can add streams later (cluster admission). Every Hold
 // must be paired with a Release.
-func (s *System) Hold() {
-	s.liveMu.Lock()
-	s.liveSNM++
-	s.liveMu.Unlock()
-}
+func (s *System) Hold() { s.liveSNM++ }
 
 // Release undoes a Hold; when the last hold and stream finish, the shared
 // stages shut down.
@@ -127,16 +103,11 @@ func (s *System) Release() { s.snmDone() }
 // from a clock process (or before Start via New's specs).
 func (s *System) AddStream(spec StreamSpec) {
 	st := s.newStream(spec)
-	s.liveMu.Lock()
 	if s.liveSNM <= 0 {
-		s.liveMu.Unlock()
 		panic("pipeline: AddStream after shared stages shut down (missing Hold?)")
 	}
 	s.liveSNM++
-	s.liveMu.Unlock()
-	s.streamsMu.Lock()
 	s.streams = append(s.streams, st)
-	s.streamsMu.Unlock()
 	s.launch(st)
 }
 
@@ -145,16 +116,12 @@ func (s *System) AddStream(spec StreamSpec) {
 // re-forward the remainder to another instance. The second result is the
 // stream's source, which the continuation must reuse.
 func (s *System) StopStream(id int) (remaining int64, src FrameSource, nextSeq int64, ok bool) {
-	s.streamsMu.Lock()
-	defer s.streamsMu.Unlock()
 	for _, st := range s.streams {
 		if st.spec.ID == id && !st.stop {
-			s.recMu.Lock()
 			st.stop = true
-			st.settled.Store(nil)
+			st.settled = nil
 			remaining = int64(st.spec.Frames) - st.ingested
 			nextSeq = st.spec.SeqBase + st.ingested
-			s.recMu.Unlock()
 			return remaining, st.spec.Source, nextSeq, true
 		}
 	}
@@ -168,30 +135,15 @@ func (s *System) StopStream(id int) (remaining int64, src FrameSource, nextSeq i
 // partial result. Safe to call more than once; later AddStream streams
 // are not affected (cluster migration decides their fate separately).
 func (s *System) CancelAll() {
-	s.streamsMu.Lock()
-	defer s.streamsMu.Unlock()
-	s.recMu.Lock()
 	for _, st := range s.streams {
 		st.stop = true
-		st.settled.Store(nil)
+		st.settled = nil
 	}
 	s.cancelled = true
-	s.recMu.Unlock()
 }
 
 // Cancelled reports whether CancelAll was called.
-func (s *System) Cancelled() bool {
-	s.recMu.Lock()
-	defer s.recMu.Unlock()
-	return s.cancelled
-}
-
-// snapshotStreams copies the stream list for lock-free iteration.
-func (s *System) snapshotStreams() []*streamState {
-	s.streamsMu.Lock()
-	defer s.streamsMu.Unlock()
-	return append([]*streamState(nil), s.streams...)
-}
+func (s *System) Cancelled() bool { return s.cancelled }
 
 // lookupStream finds the stream fragment owning the given source
 // sequence number. A migrated continuation reuses its predecessor's id
@@ -199,8 +151,6 @@ func (s *System) snapshotStreams() []*streamState {
 // still resolve to the fragment whose record window covers their seq —
 // otherwise their records would be silently lost.
 func (s *System) lookupStream(id int, seq int64) *streamState {
-	s.streamsMu.Lock()
-	defer s.streamsMu.Unlock()
 	var fallback *streamState
 	for i := len(s.streams) - 1; i >= 0; i-- {
 		st := s.streams[i]
@@ -245,11 +195,8 @@ func (s *System) prefetch(st *streamState) {
 		}
 		// A stopped (migrated/cancelled) or crashed stream must not pay
 		// decode for a frame it will never ingest; the authoritative
-		// check below re-runs atomically with the pull.
-		s.recMu.Lock()
-		halted := st.stop || s.crashed
-		s.recMu.Unlock()
-		if halted {
+		// check below re-runs after the decode, next to the pull.
+		if st.stop || s.crashed {
 			break
 		}
 		// Decode, retrying transient failures within the budget. Every
@@ -280,14 +227,13 @@ func (s *System) prefetch(st *streamState) {
 		if !lost && s.cfg.ChargeCosts {
 			s.cpu.Use(device.ModelDecode, 1, s.cfg.Costs)
 		}
-		// The stop check must be atomic with pulling the frame: StopStream
-		// reads ingested to size the continuation, so once it returns this
-		// prefetcher may not take another frame — a frame ingested after a
-		// stale pre-decode check would be owned by both fragments and the
-		// continuation's last frame would fall outside its record window.
-		s.recMu.Lock()
+		// The stop check must come with pulling the frame, after the
+		// decode charge yielded: StopStream reads ingested to size the
+		// continuation, so once it returns this prefetcher may not take
+		// another frame — a frame ingested after a stale pre-decode check
+		// would be owned by both fragments and the continuation's last
+		// frame would fall outside its record window.
 		if st.stop || s.crashed {
-			s.recMu.Unlock()
 			break // stream re-forwarded elsewhere (or instance dead)
 		}
 		if lost {
@@ -299,7 +245,6 @@ func (s *System) prefetch(st *streamState) {
 				st.firstCap = clk.Now()
 			}
 			st.ingested++
-			s.recMu.Unlock()
 			s.ingestCtr.Inc()
 			s.finishLost(st, seq, DropError)
 			continue
@@ -321,7 +266,6 @@ func (s *System) prefetch(st *streamState) {
 			st.firstCap = f.Captured
 		}
 		st.ingested++
-		s.recMu.Unlock()
 		s.ingestCtr.Inc()
 		late := clk.Now() - target
 		if st.spill != nil {
@@ -347,22 +291,17 @@ func (s *System) prefetch(st *streamState) {
 			// Lateness against the capture schedule: sustained growth
 			// means the stream is no longer analyzed in real time.
 			lag := clk.Now() - target
-			s.recMu.Lock()
 			st.curLag = lag
 			if lag > st.ingestLag {
 				st.ingestLag = lag
 			}
-			s.recMu.Unlock()
 		}
 	}
 	// Ingest is over: clear the lateness signal so a finished stream's
 	// stale curLag cannot keep the instance looking overloaded forever.
-	s.recMu.Lock()
 	st.ingestDone = true
 	st.curLag = 0
-	last := st.drained()
-	s.recMu.Unlock()
-	if last {
+	if st.drained() {
 		s.releaseDetector(st)
 	}
 	if st.spill != nil {
@@ -501,11 +440,8 @@ func (s *System) tyNotifyFor(st *streamState) *notify {
 
 // snmDone closes the T-YOLO wake signals once the last SNM stage exits.
 func (s *System) snmDone() {
-	s.liveMu.Lock()
 	s.liveSNM--
-	last := s.liveSNM == 0
-	s.liveMu.Unlock()
-	if last {
+	if s.liveSNM == 0 {
 		for _, n := range s.tyNotifies {
 			n.close()
 		}
@@ -514,11 +450,8 @@ func (s *System) snmDone() {
 
 // tyDone closes the reference queue once the last T-YOLO worker exits.
 func (s *System) tyDone() {
-	s.liveMu.Lock()
 	s.tyLive--
-	last := s.tyLive == 0
-	s.liveMu.Unlock()
-	if last {
+	if s.tyLive == 0 {
 		s.refQ.Close()
 	}
 }
@@ -533,7 +466,8 @@ func (s *System) tyWorker(w int) {
 	k := len(s.tyNotifies)
 	note := s.tyNotifies[w]
 	for note.wait() {
-		for _, st := range s.snapshotStreams() {
+		// Streams admitted while this cycle yields wait for the next one.
+		for _, st := range s.streams {
 			if st.spec.ID%k != w {
 				continue
 			}
@@ -612,10 +546,8 @@ func (s *System) refStage() {
 	} else {
 		s.refLoop()
 	}
-	s.liveMu.Lock()
 	s.end = s.cfg.Clock.Now()
 	s.finished = true
-	s.liveMu.Unlock()
 }
 
 // refLoop is the classic per-frame reference path.
@@ -671,11 +603,7 @@ func (s *System) finishOrphan(f *frame.Frame) {
 
 // Finished reports whether the reference stage has exited, i.e. no
 // further frame can be decided. The periodic monitor uses it to stop.
-func (s *System) Finished() bool {
-	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
-	return s.finished
-}
+func (s *System) Finished() bool { return s.finished }
 
 // finish records a frame's final disposition.
 func (s *System) finish(st *streamState, f *frame.Frame, d Disposition, refCount int) {
@@ -714,7 +642,6 @@ func (s *System) finishCounts(st *streamState, f *frame.Frame, d Disposition, re
 		f.Trace = nil
 		s.cfg.Tracer.Finish(ft, d.String(), d == DropError, rec.Decided)
 	}
-	s.recMu.Lock()
 	if idx := f.Seq - st.spec.SeqBase; idx >= 0 && idx < int64(len(st.records)) {
 		st.records[idx] = rec
 	}
@@ -723,7 +650,6 @@ func (s *System) finishCounts(st *streamState, f *frame.Frame, d Disposition, re
 	}
 	st.counts[d]++
 	last := st.drained()
-	s.recMu.Unlock()
 	// finish is the single terminal point of a frame's journey, so this
 	// is the one place its pixel plane can go back to the frame pool
 	// (a no-op for frames not built by frame.NewPooled or never drawn).
@@ -745,7 +671,6 @@ func (s *System) finishLost(st *streamState, seq int64, d Disposition) {
 		TruthCount: -1, RefCount: -1, RefFullCount: -1,
 	}
 	s.dispCtr.With(d.String()).Inc()
-	s.recMu.Lock()
 	if idx := seq - st.spec.SeqBase; idx >= 0 && idx < int64(len(st.records)) {
 		st.records[idx] = rec
 	}
@@ -753,15 +678,13 @@ func (s *System) finishLost(st *streamState, seq int64, d Disposition) {
 		st.lastDone = now
 	}
 	st.counts[d]++
-	last := st.drained()
-	s.recMu.Unlock()
-	if last {
+	if st.drained() {
 		s.releaseDetector(st)
 	}
 }
 
 // drained reports whether the fragment has stopped ingesting and
-// decided every frame it ingested. The caller holds recMu.
+// decided every frame it ingested.
 func (st *streamState) drained() bool {
 	if !st.ingestDone {
 		return false
@@ -791,16 +714,12 @@ func (s *System) releaseDetector(st *streamState) {
 	}
 	id := st.spec.ID
 	complete, dry := true, false
-	s.streamsMu.Lock()
-	s.recMu.Lock()
 	for _, frag := range s.streams {
 		if frag.spec.ID == id {
 			complete = complete && frag.drained()
 			dry = dry || frag.ingested == int64(frag.spec.Frames)
 		}
 	}
-	s.recMu.Unlock()
-	s.streamsMu.Unlock()
 	if complete && dry {
 		det.Unregister(id)
 	}
@@ -819,7 +738,7 @@ func (s *System) TYoloRate() float64 {
 // overload signal a cluster manager re-forwards on.
 func (s *System) WorstBacklog() int {
 	worst := 0
-	for _, st := range s.snapshotStreams() {
+	for _, st := range s.streams {
 		n := st.sddQ.Len()
 		if st.spill != nil {
 			n += st.spill.Pending()
@@ -836,7 +755,7 @@ func (s *System) WorstBacklog() int {
 // queues legitimately touch their thresholds in bursts, managers should
 // combine this with WorstLag for a sustained signal.
 func (s *System) Overloaded() bool {
-	for _, st := range s.snapshotStreams() {
+	for _, st := range s.streams {
 		if st.snmQ.Full() || st.tyQ.Full() {
 			return true
 		}
@@ -851,10 +770,7 @@ func (s *System) Overloaded() bool {
 // must not keep the instance looking overloaded forever.
 func (s *System) WorstLag() time.Duration {
 	var worst time.Duration
-	streams := s.snapshotStreams()
-	s.recMu.Lock()
-	defer s.recMu.Unlock()
-	for _, st := range streams {
+	for _, st := range s.streams {
 		if !st.stop && !st.ingestDone && st.curLag > worst {
 			worst = st.curLag
 		}

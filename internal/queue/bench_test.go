@@ -6,17 +6,6 @@ import (
 	"ffsva/internal/vclock"
 )
 
-func BenchmarkPutGetRealClock(b *testing.B) {
-	clk := vclock.NewReal()
-	q := New[int](clk, "bench", 64)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			q.TryPut(1)
-			q.TryGet()
-		}
-	})
-}
-
 func BenchmarkVirtualPipelineHop(b *testing.B) {
 	// One producer/consumer hop per item under the virtual scheduler;
 	// measures the cooperative context-switch cost that bounds simulated

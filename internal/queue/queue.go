@@ -2,14 +2,13 @@
 // FFS-VA's filters (paper §3.1.2) and carry its global feedback-queue
 // mechanism (§4.3.1): every queue has a depth threshold, and a producer
 // blocked on a full queue is precisely the paper's "the SNM thread
-// automatically slows down or even gets blocked" behaviour. Queues are
-// clock-aware, so the same code runs under real goroutines or the
-// deterministic virtual scheduler.
+// automatically slows down or even gets blocked" behaviour. Queues block
+// on the virtual clock's condition variables; its processes never run at
+// the same time, so a queue needs no lock.
 package queue
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"ffsva/internal/vclock"
@@ -36,11 +35,10 @@ type Stats struct {
 
 // Hooks observes a queue's item movement with clock timestamps; the
 // tracing layer turns the put→pop interval into queue-wait spans and
-// blocked puts into feedback-throttle instants. Hooks run under the
-// queue lock, so for a given item OnPut strictly precedes OnPop and the
-// pair brackets the item's residency — and the lock also orders the
-// hook's writes to the item against the consumer's reads (ownership
-// handoff). Hooks must be fast and must not touch the queue.
+// blocked puts into feedback-throttle instants. Hooks run inside the
+// queue operation, so for a given item OnPut strictly precedes OnPop and
+// the pair brackets the item's residency. Hooks must be fast and must not
+// touch the queue.
 type Hooks[T any] struct {
 	// OnPut fires after an item is appended (Put or TryPut).
 	OnPut func(x T, now time.Duration)
@@ -55,11 +53,10 @@ type Hooks[T any] struct {
 type Queue[T any] struct {
 	name string
 	cap  int
-	clk  vclock.Clock
+	clk  *vclock.VirtualClock
 
-	mu    sync.Locker
-	avail vclock.Cond // signaled when items are added or queue closes
-	space vclock.Cond // signaled when items are removed or queue closes
+	avail *vclock.Cond // signaled when items are added or queue closes
+	space *vclock.Cond // signaled when items are removed or queue closes
 
 	items  []T
 	closed bool
@@ -69,24 +66,17 @@ type Queue[T any] struct {
 
 // New creates a queue holding at most capacity items. The capacity is the
 // paper's queue-depth threshold: producers block at it.
-func New[T any](clk vclock.Clock, name string, capacity int) *Queue[T] {
+func New[T any](clk *vclock.VirtualClock, name string, capacity int) *Queue[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("queue: %s: non-positive capacity", name))
 	}
-	q := &Queue[T]{name: name, cap: capacity, clk: clk, mu: clk.NewLocker()}
-	q.avail = clk.NewCond(q.mu)
-	q.space = clk.NewCond(q.mu)
-	return q
+	return &Queue[T]{name: name, cap: capacity, clk: clk, avail: clk.NewCond(), space: clk.NewCond()}
 }
 
 // SetHooks installs (or clears) the queue's observation hooks. Install
 // before producers start; the zero Hooks value restores the unobserved
 // fast path (three nil checks per operation).
-func (q *Queue[T]) SetHooks(h Hooks[T]) {
-	q.mu.Lock()
-	q.hooks = h
-	q.mu.Unlock()
-}
+func (q *Queue[T]) SetHooks(h Hooks[T]) { q.hooks = h }
 
 // Name returns the queue's diagnostic name.
 func (q *Queue[T]) Name() string { return q.name }
@@ -95,24 +85,14 @@ func (q *Queue[T]) Name() string { return q.name }
 func (q *Queue[T]) Cap() int { return q.cap }
 
 // Len returns the current depth.
-func (q *Queue[T]) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
+func (q *Queue[T]) Len() int { return len(q.items) }
 
 // Full reports whether the queue is at its depth threshold.
-func (q *Queue[T]) Full() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items) >= q.cap
-}
+func (q *Queue[T]) Full() bool { return len(q.items) >= q.cap }
 
 // Stats returns accumulated accounting plus the queue's current depth,
 // capacity and closed state.
 func (q *Queue[T]) Stats() Stats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	s := q.stats
 	s.Depth = len(q.items)
 	s.Cap = q.cap
@@ -123,8 +103,6 @@ func (q *Queue[T]) Stats() Stats {
 // Put appends x, blocking while the queue is full. It returns false when
 // the queue was closed (item discarded).
 func (q *Queue[T]) Put(x T) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	blocked := false
 	for len(q.items) >= q.cap && !q.closed {
 		if !blocked && q.hooks.OnBlocked != nil {
@@ -155,8 +133,6 @@ func (q *Queue[T]) Put(x T) bool {
 // TryPut appends x only if space is available, never blocking. It returns
 // false when full or closed.
 func (q *Queue[T]) TryPut(x T) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.closed {
 		q.stats.ClosedPuts++
 		return false
@@ -179,8 +155,6 @@ func (q *Queue[T]) TryPut(x T) bool {
 // Get removes and returns the oldest item, blocking while the queue is
 // empty. ok is false once the queue is closed and drained.
 func (q *Queue[T]) Get() (x T, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	for len(q.items) == 0 && !q.closed {
 		q.avail.Wait()
 	}
@@ -193,8 +167,6 @@ func (q *Queue[T]) Get() (x T, ok bool) {
 // TryGet removes the oldest item without blocking; ok is false when
 // empty.
 func (q *Queue[T]) TryGet() (x T, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if len(q.items) == 0 {
 		return x, false
 	}
@@ -208,8 +180,6 @@ func (q *Queue[T]) GetUpTo(n int) []T {
 	if n <= 0 {
 		return nil
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	for len(q.items) == 0 && !q.closed {
 		q.avail.Wait()
 	}
@@ -239,8 +209,6 @@ func (q *Queue[T]) GetExact(n int) []T {
 	if n > q.cap {
 		n = q.cap
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	for len(q.items) < n && !q.closed {
 		q.avail.Wait()
 	}
@@ -254,7 +222,7 @@ func (q *Queue[T]) GetExact(n int) []T {
 	return out
 }
 
-// pop removes the head; callers hold the lock and guarantee non-empty.
+// pop removes the head; callers guarantee non-empty.
 func (q *Queue[T]) pop() T {
 	x := q.items[0]
 	var zero T
@@ -271,8 +239,6 @@ func (q *Queue[T]) pop() T {
 // Close marks the queue closed: pending and future Puts fail, consumers
 // drain the remainder and then receive ok=false.
 func (q *Queue[T]) Close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.closed {
 		return
 	}
@@ -282,15 +248,7 @@ func (q *Queue[T]) Close() {
 }
 
 // Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.closed
-}
+func (q *Queue[T]) Closed() bool { return q.closed }
 
 // Drained reports whether the queue is closed and empty.
-func (q *Queue[T]) Drained() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.closed && len(q.items) == 0
-}
+func (q *Queue[T]) Drained() bool { return q.closed && len(q.items) == 0 }

@@ -1,6 +1,6 @@
 // Package spill implements the paper's §5.5 remedy for sudden TOR
 // bursts: "we can temporarily store these video frames in the storage
-// system, to be processed later". A Store is a clock-aware, unbounded,
+// system, to be processed later". A Store is a clock-integrated, unbounded,
 // disk-backed overflow buffer. When a stream's capture buffer fills, the
 // prefetcher diverts frames to the store (paying a storage write) instead
 // of blocking, and a drainer re-injects them — in order — once the
@@ -9,7 +9,6 @@
 package spill
 
 import (
-	"sync"
 	"time"
 
 	"ffsva/internal/device"
@@ -38,12 +37,10 @@ type Stats struct {
 // pipeline.CaptureSource), so the simulated disk costs the host heap its
 // capture record, not its pixels.
 type Store struct {
-	clk    vclock.Clock
 	disk   *device.Device
 	charge bool
 
-	mu    sync.Locker
-	avail vclock.Cond
+	avail *vclock.Cond
 
 	q        []*frame.Frame
 	inFlight int // frames popped by the drainer but not yet re-injected
@@ -53,11 +50,8 @@ type Store struct {
 
 // New creates a store backed by the given storage device (nil disables
 // cost charging regardless of charge).
-func New(clk vclock.Clock, disk *device.Device, charge bool) *Store {
-	s := &Store{clk: clk, disk: disk, charge: charge && disk != nil}
-	s.mu = clk.NewLocker()
-	s.avail = clk.NewCond(s.mu)
-	return s
+func New(clk *vclock.VirtualClock, disk *device.Device, charge bool) *Store {
+	return &Store{disk: disk, charge: charge && disk != nil, avail: clk.NewCond()}
 }
 
 // Write appends a frame to the store, paying the storage write cost.
@@ -65,14 +59,12 @@ func (s *Store) Write(f *frame.Frame) {
 	if s.charge {
 		s.disk.Use(device.ModelSpill, 1, spillCosts)
 	}
-	s.mu.Lock()
 	s.q = append(s.q, f)
 	s.stats.Writes++
 	if d := len(s.q) + s.inFlight; d > s.stats.MaxDepth {
 		s.stats.MaxDepth = d
 	}
 	s.avail.Signal()
-	s.mu.Unlock()
 }
 
 // Read removes the oldest frame, blocking until one is available; ok is
@@ -80,12 +72,10 @@ func (s *Store) Write(f *frame.Frame) {
 // Delivered after the frame has been re-injected downstream, so Pending
 // stays accurate for ordering decisions.
 func (s *Store) Read() (f *frame.Frame, ok bool) {
-	s.mu.Lock()
 	for len(s.q) == 0 && !s.closed {
 		s.avail.Wait()
 	}
 	if len(s.q) == 0 {
-		s.mu.Unlock()
 		return nil, false
 	}
 	f = s.q[0]
@@ -93,7 +83,6 @@ func (s *Store) Read() (f *frame.Frame, ok bool) {
 	s.q = s.q[1:]
 	s.inFlight++
 	s.stats.Reads++
-	s.mu.Unlock()
 	if s.charge {
 		s.disk.Use(device.ModelSpill, 1, spillCosts)
 	}
@@ -101,35 +90,21 @@ func (s *Store) Read() (f *frame.Frame, ok bool) {
 }
 
 // Delivered marks one read frame as re-injected downstream.
-func (s *Store) Delivered() {
-	s.mu.Lock()
-	s.inFlight--
-	s.mu.Unlock()
-}
+func (s *Store) Delivered() { s.inFlight-- }
 
 // Pending counts frames still owed to the pipeline (queued plus in
 // flight). While Pending is non-zero, new frames must also spill or they
 // would overtake the stored ones.
-func (s *Store) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.q) + s.inFlight
-}
+func (s *Store) Pending() int { return len(s.q) + s.inFlight }
 
 // Close marks the end of input; readers drain the remainder.
 func (s *Store) Close() {
-	s.mu.Lock()
 	s.closed = true
 	s.avail.Broadcast()
-	s.mu.Unlock()
 }
 
 // Stats returns accumulated accounting.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
+func (s *Store) Stats() Stats { return s.stats }
 
 // spillCosts prices the storage transfers.
 var spillCosts = device.CostModel{

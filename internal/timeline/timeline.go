@@ -11,9 +11,9 @@
 // otherwise answers by a human eyeballing benchmark deltas.
 //
 // Determinism: the recorder never reads the wall clock. Every tick
-// carries only virtual-clock (or real-clock, under -real) values taken
-// from the snapshot that produced it, so two identically seeded runs
-// record byte-identical timelines. Event-triggered dumps (dump.go)
+// carries only virtual-clock values taken from the snapshot that
+// produced it, so two identically seeded runs — paced or not — record
+// byte-identical timelines. Event-triggered dumps (dump.go)
 // freeze the window around fault/overload/migration instants to JSONL
 // files with clock-derived names.
 //

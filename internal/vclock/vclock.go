@@ -1,103 +1,291 @@
-// Package vclock provides the time and process-scheduling abstraction used
-// by every timed component of FFS-VA.
+// Package vclock is the one clock every timed component of FFS-VA runs
+// on (queues, devices, pipeline stages, the cluster manager): a
+// deterministic, cooperative discrete-event scheduler. It reproduces the
+// paper's GPU-scale throughput and latency numbers on any host,
+// independent of the machine the reproduction runs on.
 //
-// Two implementations exist:
-//
-//   - RealClock: wall-clock time and ordinary goroutines. Used when the
-//     pipeline performs real computation in real time (examples, functional
-//     tests).
-//   - VirtualClock: a deterministic, cooperative discrete-event scheduler.
-//     Used by the benchmark harness to reproduce the paper's GPU-scale
-//     throughput and latency numbers on any host, independent of the
-//     machine the reproduction runs on.
-//
-// Code written against Clock (queues, devices, pipeline stages) runs
-// unchanged under either implementation.
+// A paced clock (NewPaced) runs the very same schedule, but holds each
+// advance of virtual time until the wall clock has caught up with it, so
+// a run can be watched live. Everything a process observes is virtual
+// time either way, so a paced run's outputs are byte-identical to the
+// unpaced run's; how far the host fell behind is reported separately as
+// HostLag instead of being folded into the run's timings.
 package vclock
 
 import (
-	"sync"
+	"container/heap"
+	"fmt"
+	"sort"
+	"strings"
 	"time"
 )
 
-// Clock abstracts time, sleeping, process creation and synchronization.
+// VirtualClock is a deterministic cooperative discrete-event scheduler.
 //
-// Processes are created with Go and coordinate through Cond variables
-// created by NewCond. Run starts the world and blocks until every process
-// has returned.
-type Clock interface {
-	// Now reports the current time as an offset from the clock epoch.
-	Now() time.Duration
+// Every process registered with Go runs on its own goroutine, but at most
+// one process executes at a time: a process runs until it blocks in Sleep
+// or Cond.Wait (or returns), at which point control passes back to the
+// scheduler. When no process is runnable, virtual time jumps to the
+// earliest pending timer. Scheduling order is FIFO with stable sequence
+// numbers, so a given program produces the same event order and the same
+// virtual timings on every run and every machine. Because processes never
+// run at the same time, state shared between them needs no lock.
+//
+// Rules of use:
+//
+//   - Go may be called before Run from the owning goroutine, and at any
+//     point from a running process.
+//   - Sleep, Now and Cond operations may only be called from a running
+//     process once Run has started.
+//   - Run is called exactly once and returns when all processes finished.
+//
+// If all live processes are blocked on condition variables and no timer is
+// pending, the world cannot make progress; Run panics with a report naming
+// each blocked process. This converts pipeline deadlocks into loud,
+// debuggable failures instead of hangs.
+type VirtualClock struct {
+	now     time.Duration
+	seq     int64
+	ready   []*vproc
+	timers  timerHeap
+	cur     *vproc
+	live    int
+	back    chan struct{} // process -> scheduler handoff
+	started bool
+	// procs is the registry of live processes, for diagnostics: a
+	// process leaves it when it returns, so a long run's churn of short
+	// processes does not accumulate.
+	procs []*vproc
 
-	// Sleep suspends the calling process for d. Under a VirtualClock it
-	// must only be called from a process started with Go.
-	Sleep(d time.Duration)
-
-	// Go registers a new process. Under a RealClock the function runs as
-	// an ordinary goroutine; under a VirtualClock it runs cooperatively.
-	// The name is used in diagnostics (e.g. deadlock reports).
-	Go(name string, fn func())
-
-	// NewLocker returns a mutual-exclusion lock appropriate for the
-	// clock: a real mutex for RealClock, a no-op for the cooperative
-	// VirtualClock (where at most one process runs at a time).
-	NewLocker() sync.Locker
-
-	// NewCond returns a condition variable bound to l.
-	NewCond(l sync.Locker) Cond
-
-	// Run starts the clock and blocks until all processes have finished.
-	Run()
-
-	// IsVirtual reports whether time is simulated.
-	IsVirtual() bool
+	// paced holds every advance of virtual time to t until t of wall
+	// time has passed since Run began at wall0 (NewPaced); hostLag is the
+	// furthest the wall had already passed an advance's target.
+	paced   bool
+	wall0   time.Time
+	hostLag time.Duration
 }
 
-// Cond is the subset of sync.Cond semantics the pipeline needs. Waiters
-// must re-check their predicate in a loop: spurious wakeups are permitted
-// by both implementations.
-type Cond interface {
-	Wait()
-	Signal()
-	Broadcast()
+// vproc is one cooperative process.
+type vproc struct {
+	name   string
+	resume chan struct{}
+	state  string // diagnostic: "ready", "running", "sleeping", "waiting:<cond>"
+	slot   int    // index in the clock's procs
 }
 
-// RealClock implements Clock over wall time and goroutines.
-type RealClock struct {
-	start time.Time
-	wg    sync.WaitGroup
+type timerEntry struct {
+	at  time.Duration
+	seq int64
+	p   *vproc
 }
 
-// NewReal returns a Clock backed by wall time; its epoch is the moment of
-// the call.
-func NewReal() *RealClock {
-	return &RealClock{start: time.Now()}
+type timerHeap []timerEntry
+
+func (h timerHeap) Len() int { return len(h) }
+func (h timerHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *timerHeap) Push(x any)   { *h = append(*h, x.(timerEntry)) }
+func (h *timerHeap) Pop() (out any) {
+	old := *h
+	n := len(old)
+	out = old[n-1]
+	*h = old[:n-1]
+	return out
 }
 
-// Now reports wall time elapsed since the clock was created.
-func (c *RealClock) Now() time.Duration { return time.Since(c.start) }
+// NewVirtual returns a VirtualClock at time zero with no processes. Its
+// Run takes only the host time the processes need.
+func NewVirtual() *VirtualClock {
+	return &VirtualClock{back: make(chan struct{})}
+}
 
-// Sleep pauses the calling goroutine for d.
-func (c *RealClock) Sleep(d time.Duration) { time.Sleep(d) }
+// NewPaced returns a VirtualClock whose Run never lets virtual time run
+// ahead of wall time since Run began: the same schedule as NewVirtual,
+// played in real time.
+func NewPaced() *VirtualClock {
+	c := NewVirtual()
+	c.paced = true
+	return c
+}
 
-// Go runs fn on a new goroutine tracked by Run.
-func (c *RealClock) Go(name string, fn func()) {
-	_ = name
-	c.wg.Add(1)
+// Now reports current virtual time.
+func (c *VirtualClock) Now() time.Duration { return c.now }
+
+// HostLag reports, for a paced clock, the furthest the wall clock had
+// already run past virtual time when the scheduler came to advance it —
+// how far the host fell behind the schedule — including at the end of
+// Run. It is zero for an unpaced clock, and read once Run has returned.
+func (c *VirtualClock) HostLag() time.Duration { return c.hostLag }
+
+// Go registers a process. The function starts suspended and runs when the
+// scheduler first picks it.
+func (c *VirtualClock) Go(name string, fn func()) {
+	p := &vproc{name: name, resume: make(chan struct{}), state: "ready", slot: len(c.procs)}
+	c.live++
+	c.ready = append(c.ready, p)
+	c.procs = append(c.procs, p)
 	go func() {
-		defer c.wg.Done()
+		<-p.resume
 		fn()
+		c.forget(p)
+		c.live--
+		c.cur = nil
+		c.back <- struct{}{}
 	}()
 }
 
-// NewLocker returns a fresh mutex.
-func (c *RealClock) NewLocker() sync.Locker { return &sync.Mutex{} }
+// forget removes a finished process from the registry by moving the
+// last entry into its slot. It runs on the finishing process, which
+// still holds the processor.
+func (c *VirtualClock) forget(p *vproc) {
+	last := c.procs[len(c.procs)-1]
+	c.procs[p.slot], last.slot = last, p.slot
+	c.procs[len(c.procs)-1] = nil
+	c.procs = c.procs[:len(c.procs)-1]
+}
 
-// NewCond returns a condition variable backed by sync.Cond.
-func (c *RealClock) NewCond(l sync.Locker) Cond { return sync.NewCond(l) }
+// Sleep blocks the calling process for d of virtual time. A non-positive d
+// still yields the processor (the process re-enters the ready queue at the
+// current time), which makes Sleep(0) a deterministic yield point.
+func (c *VirtualClock) Sleep(d time.Duration) {
+	p := c.mustCur("Sleep")
+	if d < 0 {
+		d = 0
+	}
+	c.seq++
+	heap.Push(&c.timers, timerEntry{at: c.now + d, seq: c.seq, p: p})
+	p.state = "sleeping"
+	c.yield(p)
+}
 
-// Run blocks until every process started with Go has returned.
-func (c *RealClock) Run() { c.wg.Wait() }
+// Yield reschedules the calling process at the back of the ready queue
+// without advancing time.
+func (c *VirtualClock) Yield() {
+	p := c.mustCur("Yield")
+	p.state = "ready"
+	c.ready = append(c.ready, p)
+	c.yield(p)
+}
 
-// IsVirtual reports false: RealClock time is wall time.
-func (c *RealClock) IsVirtual() bool { return false }
+// yield transfers control to the scheduler and blocks until resumed.
+func (c *VirtualClock) yield(p *vproc) {
+	c.cur = nil
+	c.back <- struct{}{}
+	<-p.resume
+}
+
+func (c *VirtualClock) mustCur(op string) *vproc {
+	if c.cur == nil {
+		panic("vclock: " + op + " called from outside a clock process")
+	}
+	return c.cur
+}
+
+// Cond is a condition variable integrated with the scheduler. Waiters
+// must re-check their predicate in a loop.
+type Cond struct {
+	clk     *VirtualClock
+	waiters []*vproc
+}
+
+// NewCond returns a condition variable on the clock.
+func (c *VirtualClock) NewCond() *Cond { return &Cond{clk: c} }
+
+// Wait suspends the calling process until Signal or Broadcast.
+func (cd *Cond) Wait() {
+	p := cd.clk.mustCur("Cond.Wait")
+	p.state = "waiting"
+	cd.waiters = append(cd.waiters, p)
+	cd.clk.yield(p)
+}
+
+// Signal readies the longest-waiting process, if any.
+func (cd *Cond) Signal() {
+	if len(cd.waiters) == 0 {
+		return
+	}
+	p := cd.waiters[0]
+	cd.waiters = cd.waiters[1:]
+	p.state = "ready"
+	cd.clk.ready = append(cd.clk.ready, p)
+}
+
+// Broadcast readies every waiting process in wait order.
+func (cd *Cond) Broadcast() {
+	for _, p := range cd.waiters {
+		p.state = "ready"
+		cd.clk.ready = append(cd.clk.ready, p)
+	}
+	cd.waiters = cd.waiters[:0]
+}
+
+// Run executes processes until all have finished. It panics on deadlock
+// (live processes, nothing runnable, no timers).
+func (c *VirtualClock) Run() {
+	if c.started {
+		panic("vclock: Run called twice")
+	}
+	c.started = true
+	if c.paced {
+		c.wall0 = time.Now()
+	}
+	for c.live > 0 {
+		if len(c.ready) == 0 {
+			if c.timers.Len() == 0 {
+				panic(c.deadlockReport())
+			}
+			e := heap.Pop(&c.timers).(timerEntry)
+			if e.at > c.now {
+				if c.paced {
+					c.pace(e.at)
+				}
+				c.now = e.at
+			}
+			e.p.state = "ready"
+			c.ready = append(c.ready, e.p)
+			// Release every timer scheduled for this same instant so
+			// they run in seq order before time moves again.
+			for c.timers.Len() > 0 && c.timers[0].at == c.now {
+				e2 := heap.Pop(&c.timers).(timerEntry)
+				e2.p.state = "ready"
+				c.ready = append(c.ready, e2.p)
+			}
+		}
+		p := c.ready[0]
+		c.ready = c.ready[1:]
+		p.state = "running"
+		c.cur = p
+		p.resume <- struct{}{}
+		<-c.back
+	}
+	if c.paced {
+		c.pace(c.now)
+	}
+}
+
+// pace holds the scheduler until t of wall time has passed since Run
+// began, or, when the wall is already past t, records by how much.
+func (c *VirtualClock) pace(t time.Duration) {
+	behind := time.Since(c.wall0) - t
+	if behind < 0 {
+		time.Sleep(-behind)
+	} else if behind > c.hostLag {
+		c.hostLag = behind
+	}
+}
+
+// deadlockReport builds the panic message listing stuck processes.
+func (c *VirtualClock) deadlockReport() string {
+	var names []string
+	for _, p := range c.procs {
+		names = append(names, p.name+"("+p.state+")")
+	}
+	sort.Strings(names)
+	return fmt.Sprintf("vclock: deadlock at t=%v: %d live process(es) blocked with no pending timers: %s",
+		c.now, c.live, strings.Join(names, ", "))
+}

@@ -3,7 +3,6 @@ package vclock
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -92,29 +91,24 @@ func TestVirtualSameInstantFIFO(t *testing.T) {
 
 func TestVirtualCondProducerConsumer(t *testing.T) {
 	c := NewVirtual()
-	l := c.NewLocker()
-	cond := c.NewCond(l)
+	cond := c.NewCond()
 	var buf []int
 	var got []int
 	const n = 100
 	c.Go("producer", func() {
 		for i := 0; i < n; i++ {
 			c.Sleep(time.Millisecond)
-			l.Lock()
 			buf = append(buf, i)
 			cond.Signal()
-			l.Unlock()
 		}
 	})
 	c.Go("consumer", func() {
 		for len(got) < n {
-			l.Lock()
 			for len(buf) == 0 {
 				cond.Wait()
 			}
 			got = append(got, buf[0])
 			buf = buf[1:]
-			l.Unlock()
 		}
 	})
 	c.Run()
@@ -133,7 +127,7 @@ func TestVirtualCondProducerConsumer(t *testing.T) {
 
 func TestVirtualBroadcastWakesAll(t *testing.T) {
 	c := NewVirtual()
-	cond := c.NewCond(c.NewLocker())
+	cond := c.NewCond()
 	woke := 0
 	ready := false
 	for i := 0; i < 5; i++ {
@@ -159,7 +153,7 @@ func TestVirtualDeterminism(t *testing.T) {
 	run := func() (time.Duration, string) {
 		c := NewVirtual()
 		var log []string
-		cond := c.NewCond(c.NewLocker())
+		cond := c.NewCond()
 		queue := 0
 		for i := 0; i < 3; i++ {
 			i := i
@@ -192,7 +186,7 @@ func TestVirtualDeterminism(t *testing.T) {
 
 func TestVirtualDeadlockPanics(t *testing.T) {
 	c := NewVirtual()
-	cond := c.NewCond(c.NewLocker())
+	cond := c.NewCond()
 	c.Go("stuck", func() {
 		cond.Wait()
 	})
@@ -229,7 +223,7 @@ func TestVirtualRegistryForgetsFinishedProcesses(t *testing.T) {
 	}
 
 	c = NewVirtual()
-	cond := c.NewCond(c.NewLocker())
+	cond := c.NewCond()
 	for _, name := range []string{"b-stuck", "a-stuck"} {
 		c.Go(name, func() {
 			c.Sleep(5 * time.Millisecond)
@@ -301,51 +295,6 @@ func TestVirtualNegativeSleepYields(t *testing.T) {
 	c.Run()
 }
 
-func TestRealClockBasics(t *testing.T) {
-	c := NewReal()
-	if c.IsVirtual() {
-		t.Fatal("RealClock.IsVirtual() = true")
-	}
-	start := c.Now()
-	done := false
-	c.Go("worker", func() {
-		c.Sleep(10 * time.Millisecond)
-		done = true
-	})
-	c.Run()
-	if !done {
-		t.Fatal("Run returned before process finished")
-	}
-	if c.Now()-start < 10*time.Millisecond {
-		t.Fatalf("elapsed %v, want >= 10ms", c.Now()-start)
-	}
-}
-
-func TestRealCondWorksWithMutex(t *testing.T) {
-	c := NewReal()
-	l := c.NewLocker()
-	if _, ok := l.(*sync.Mutex); !ok {
-		t.Fatalf("RealClock.NewLocker() = %T, want *sync.Mutex", l)
-	}
-	cond := c.NewCond(l)
-	fired := false
-	c.Go("waiter", func() {
-		l.Lock()
-		for !fired {
-			cond.Wait()
-		}
-		l.Unlock()
-	})
-	c.Go("signaler", func() {
-		c.Sleep(5 * time.Millisecond)
-		l.Lock()
-		fired = true
-		cond.Signal()
-		l.Unlock()
-	})
-	c.Run()
-}
-
 func TestVirtualYield(t *testing.T) {
 	c := NewVirtual()
 	var order []string
@@ -379,5 +328,77 @@ func TestVirtualManyProcessesStress(t *testing.T) {
 	c.Run()
 	if count != n {
 		t.Fatalf("count = %d, want %d", count, n)
+	}
+}
+
+// pacedWorld runs a small producer/consumer world — timers, a condition
+// variable and a process that burns burn of wall time at t=20ms — and
+// returns its event log.
+func pacedWorld(c *VirtualClock, burn time.Duration) string {
+	var log []string
+	cond := c.NewCond()
+	queued := 0
+	for i := 0; i < 3; i++ {
+		c.Go(fmt.Sprintf("prod%d", i), func() {
+			for j := 0; j < 4; j++ {
+				c.Sleep(time.Duration(i+1) * 5 * time.Millisecond)
+				queued++
+				cond.Signal()
+			}
+		})
+	}
+	c.Go("cons", func() {
+		for taken := 0; taken < 12; taken++ {
+			for queued == 0 {
+				cond.Wait()
+			}
+			queued--
+			log = append(log, fmt.Sprintf("%d@%v", taken, c.Now()))
+		}
+	})
+	c.Go("burner", func() {
+		c.Sleep(20 * time.Millisecond)
+		for start := time.Now(); time.Since(start) < burn; {
+		}
+		log = append(log, fmt.Sprintf("burnt@%v", c.Now()))
+	})
+	c.Run()
+	return strings.Join(log, ",")
+}
+
+// TestPacedMatchesUnpaced: a paced world runs the unpaced world's event
+// order at the same virtual times, takes at least its virtual span of
+// wall time, and reports as host lag the wall time a process burnt
+// without letting virtual time move.
+func TestPacedMatchesUnpaced(t *testing.T) {
+	free := NewVirtual()
+	want := pacedWorld(free, 0)
+	if free.HostLag() != 0 {
+		t.Errorf("unpaced clock reports host lag %v", free.HostLag())
+	}
+
+	paced := NewPaced()
+	start := time.Now()
+	got := pacedWorld(paced, 0)
+	wall := time.Since(start)
+	if got != want {
+		t.Fatalf("paced event log differs:\n%s\nwant:\n%s", got, want)
+	}
+	if paced.Now() != free.Now() {
+		t.Fatalf("paced run ended at %v, unpaced at %v", paced.Now(), free.Now())
+	}
+	if wall < paced.Now() {
+		t.Fatalf("paced run took %v of wall time for %v of virtual time", wall, paced.Now())
+	}
+
+	const burn = 50 * time.Millisecond
+	burnt := NewPaced()
+	if got := pacedWorld(burnt, burn); got != want {
+		t.Fatalf("burning wall time changed the event log:\n%s\nwant:\n%s", got, want)
+	}
+	// The burn starts no earlier than 20ms of wall time and the next
+	// event is due at 30ms, so the host is at least burn-10ms late.
+	if burnt.HostLag() < burn-10*time.Millisecond || burnt.HostLag() <= paced.HostLag() {
+		t.Fatalf("host lag %v after burning %v (%v without)", burnt.HostLag(), burn, paced.HostLag())
 	}
 }
