@@ -296,7 +296,7 @@ type Cluster struct {
 
 	// bookkeeping (cooperatively accessed from manager/monitor procs)
 	loc     map[int]int                 // stream id -> owning instance (kept after completion)
-	done    map[int]bool                // streams finished or abandoned
+	owners  map[int]int                 // loc without the finished or abandoned streams
 	specs   map[int]pipeline.StreamSpec // last spec per stream id
 	counts  []int                       // active streams per instance
 	over    []int                       // consecutive overload observations
@@ -349,7 +349,7 @@ func New(cfg Config, arrivals []Arrival) *Cluster {
 		sch:      sch,
 		arrivals: append([]Arrival(nil), arrivals...),
 		loc:      make(map[int]int),
-		done:     make(map[int]bool),
+		owners:   make(map[int]int),
 		specs:    make(map[int]pipeline.StreamSpec),
 		open:     make(map[int]fragState),
 	}
@@ -477,13 +477,28 @@ func (c *Cluster) view(snaps []pipeline.Snapshot) *sched.View {
 			Backlog:    snaps[i].WorstBacklog,
 		}
 	}
-	owners := make(map[int]int, len(c.loc))
-	for id, inst := range c.loc {
-		if !c.done[id] {
-			owners[id] = inst
-		}
-	}
-	return c.sch.View(c.cfg.Clock.Now(), insts, owners)
+	return c.sch.View(c.cfg.Clock.Now(), insts, c.owners)
+}
+
+// place records that instance inst now owns stream id.
+func (c *Cluster) place(id, inst int) {
+	c.loc[id] = inst
+	c.owners[id] = inst
+}
+
+// owns reports whether instance inst owns stream id and the stream is
+// still live there.
+func (c *Cluster) owns(inst, id int) bool {
+	owner, ok := c.owners[id]
+	return ok && owner == inst
+}
+
+// finish marks stream id finished or abandoned: it leaves the
+// scheduler's view and its quota, and loc keeps its last owner for the
+// report.
+func (c *Cluster) finish(id int) {
+	delete(c.owners, id)
+	c.sch.Done(id)
 }
 
 // Instant maps the event to its trace-instant form: the instance track
@@ -582,7 +597,7 @@ func (c *Cluster) manage() {
 			spec.ID = a.ID
 			spec.Source = c.injs[idx].WrapSource(spec.Source, a.ID)
 			c.instances[idx].AddStream(spec)
-			c.loc[a.ID] = idx
+			c.place(a.ID, idx)
 			c.specs[a.ID] = spec
 			c.counts[idx]++
 			c.record(Event{Kind: EventAdmit, At: clk.Now(), StreamID: a.ID, From: -1, To: idx})
@@ -656,9 +671,9 @@ func (c *Cluster) reject(a Arrival, why sched.RejectReason) {
 // trackCompletions marks streams whose final fragment has ingested and
 // decided every frame, releasing their instance slot and their quota.
 // (The instance's pipeline has already dropped the stream's detector
-// state, at its last verdict, by the same rule.) The ownership map
-// keeps the entry (reports read it); done excludes the stream from
-// scheduling. Each instance's snapshot is walked once.
+// state, at its last verdict, by the same rule.) loc keeps the entry
+// (reports read it); finish takes the stream out of owners, and so out
+// of scheduling. Each instance's snapshot is walked once.
 func (c *Cluster) trackCompletions(snaps []pipeline.Snapshot) {
 	for inst := range snaps {
 		// A crashed instance also shows IngestDone (its ingest loops
@@ -674,10 +689,8 @@ func (c *Cluster) trackCompletions(snaps []pipeline.Snapshot) {
 		// fragment with frames remaining means the stream continued
 		// elsewhere).
 		clear(c.open)
-		streams := snaps[inst].Streams
-		for i := range streams {
-			ss := &streams[i]
-			if c.done[ss.ID] || c.loc[ss.ID] != inst {
+		for _, ss := range snaps[inst].Streams {
+			if !c.owns(inst, ss.ID) {
 				continue
 			}
 			f := c.open[ss.ID]
@@ -689,9 +702,8 @@ func (c *Cluster) trackCompletions(snaps []pipeline.Snapshot) {
 			if f.busy || !f.ingestDone {
 				continue
 			}
-			c.done[id] = true
+			c.finish(id)
 			c.counts[inst]--
-			c.sch.Done(id)
 		}
 	}
 }
@@ -759,7 +771,7 @@ func (c *Cluster) rebalance(snaps []pipeline.Snapshot) {
 	}
 	moves := c.sch.Rebalance(c.view(snaps), true, migratePerTick)
 	for _, m := range moves {
-		if c.done[m.Stream] || c.loc[m.Stream] != m.From {
+		if !c.owns(m.From, m.Stream) {
 			continue
 		}
 		if m.To < 0 || m.To >= len(c.instances) || c.failed[m.To] || c.retired[m.To] {
@@ -784,8 +796,8 @@ func (c *Cluster) fail(i int, snaps []pipeline.Snapshot) {
 	c.rebalanceUntil = now + rebalanceWindow*c.cfg.CheckEvery
 	c.record(Event{Kind: EventFail, At: now, StreamID: -1, From: i, To: -1})
 	var ids []int
-	for id, inst := range c.loc {
-		if inst == i && !c.done[id] {
+	for id, inst := range c.owners {
+		if inst == i {
 			ids = append(ids, id)
 		}
 	}
@@ -797,13 +809,11 @@ func (c *Cluster) fail(i int, snaps []pipeline.Snapshot) {
 		to := c.sch.Recover(id, i, c.view(snaps))
 		if to < 0 {
 			c.instances[i].StopStream(id)
-			c.done[id] = true
-			c.sch.Done(id)
+			c.finish(id)
 			continue
 		}
 		if !c.continueStream(id, i, to, EventRecover) {
-			c.done[id] = true
-			c.sch.Done(id)
+			c.finish(id)
 		}
 	}
 }
@@ -831,8 +841,8 @@ func (c *Cluster) processUnregs(snaps []pipeline.Snapshot) {
 // fragmentsDrained reports whether every fragment of stream id on the
 // instance has stopped ingesting and decided all of its frames.
 func fragmentsDrained(sn *pipeline.Snapshot, id int) bool {
-	for i := range sn.Streams {
-		if ss := &sn.Streams[i]; ss.ID == id && !drained(ss) {
+	for _, ss := range sn.Streams {
+		if ss.ID == id && !drained(ss) {
 			return false
 		}
 	}
@@ -873,7 +883,7 @@ func (c *Cluster) continueStream(victim, from, to int, kind EventKind) bool {
 	// The source instance's detector still holds the stream's background;
 	// defer the cleanup until the stopped fragment's frames drain.
 	c.unregs = append(c.unregs, unreg{inst: from, id: victim})
-	c.loc[victim] = to
+	c.place(victim, to)
 	c.specs[victim] = cont
 	c.counts[to]++
 	c.sch.Moved(victim, c.cfg.Clock.Now())

@@ -34,8 +34,7 @@ func watchLiveDetectorState(t *testing.T, cfg *Config, cl **Cluster) {
 // ingesting and decided all it ingested, and one ran its source dry.
 func completedIn(sn *pipeline.Snapshot, id int) bool {
 	dry := false
-	for i := range sn.Streams {
-		ss := &sn.Streams[i]
+	for _, ss := range sn.Streams {
 		if ss.ID != id {
 			continue
 		}
@@ -52,7 +51,7 @@ func completedIn(sn *pipeline.Snapshot, id int) bool {
 func checkDetectorsEmpty(t *testing.T, c *Cluster) {
 	t.Helper()
 	for id := range c.loc {
-		if !c.done[id] {
+		if _, live := c.owners[id]; live {
 			t.Errorf("stream %d never completed", id)
 		}
 		for j, tg := range c.tgs {

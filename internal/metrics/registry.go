@@ -6,7 +6,8 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"time"
 )
@@ -43,6 +44,8 @@ func (g *Gauge) Value() float64 {
 type LabeledCounter struct {
 	mu sync.Mutex
 	m  map[string]*Counter
+	// labels lists the keys of m in sorted order, the order exports use.
+	labels []string
 }
 
 // With returns the counter for the given label, creating it on first use.
@@ -56,19 +59,19 @@ func (lc *LabeledCounter) With(label string) *Counter {
 	if c == nil {
 		c = &Counter{}
 		lc.m[label] = c
+		i, _ := slices.BinarySearch(lc.labels, label)
+		lc.labels = slices.Insert(lc.labels, i, label)
 	}
 	return c
 }
 
-// Values returns a copy of the per-label counts.
-func (lc *LabeledCounter) Values() map[string]int64 {
+// each calls fn with every label and its count, in sorted label order.
+func (lc *LabeledCounter) each(fn func(label string, v int64)) {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	out := make(map[string]int64, len(lc.m))
-	for k, c := range lc.m {
-		out[k] = c.Value()
+	for _, l := range lc.labels {
+		fn(l, lc.m[l].Value())
 	}
-	return out
 }
 
 // IntDist is a distribution of small non-negative integers — the SNM
@@ -123,11 +126,16 @@ func (d *IntDist) Max() int {
 	return d.max
 }
 
-// Counts returns a copy of the per-value counts, indexed by value.
-func (d *IntDist) Counts() []int64 {
+// Counts returns the per-value counts, indexed by value: prev itself
+// when it still holds exactly them, otherwise a new slice. The result is
+// read-only, which is what lets a caller hand the same slice out again.
+func (d *IntDist) Counts(prev []int64) []int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append([]int64(nil), d.counts...)
+	if slices.Equal(prev, d.counts) {
+		return prev
+	}
+	return slices.Clone(d.counts)
 }
 
 // Sample is one exported metric value. Labeled counters flatten to one
@@ -145,32 +153,62 @@ type Sample struct {
 // not, so Export runs where its Meters are marked (a clock process).
 // Registration order is preserved in exports.
 type Registry struct {
-	mu    sync.Mutex
-	order []string
-	items map[string]any
+	mu      sync.Mutex
+	entries []*entry
+	byName  map[string]*entry
+
+	// scratch is where Export assembles samples; last is the slice it
+	// most recently returned, handed out again while nothing differs.
+	scratch []Sample
+	last    []Sample
+}
+
+// entry is one registered metric with its sample names, formatted once.
+type entry struct {
+	metric any
+	// names are the sample names of a fixed-shape metric, in export
+	// order; a labeled counter's are in labeled, keyed by label.
+	names   []string
+	labeled map[string]string
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{items: make(map[string]any)}
+	return &Registry{byName: make(map[string]*entry)}
+}
+
+// newEntry formats the sample names a metric flattens to.
+func newEntry(name string, metric any) *entry {
+	e := &entry{metric: metric, names: []string{name}}
+	switch metric.(type) {
+	case *LabeledCounter:
+		e.labeled = make(map[string]string)
+	case *IntDist:
+		e.names = []string{name + "_count", name + "_mean", name + "_max"}
+	case *Histogram:
+		e.names = []string{name + "_count", name + "_mean_seconds", name + "_p50_seconds",
+			name + "_p95_seconds", name + "_p99_seconds", name + "_max_seconds"}
+	}
+	return e
 }
 
 // register stores a metric under name, panicking on a kind-conflicting
 // re-registration; an existing metric of the right type is returned so
 // idempotent registration is safe.
-func register[T any](r *Registry, name string, make func() T) T {
+func register[T any](r *Registry, name string, build func() T) T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if got, ok := r.items[name]; ok {
-		t, ok := got.(T)
+	if got, ok := r.byName[name]; ok {
+		t, ok := got.metric.(T)
 		if !ok {
 			panic(fmt.Sprintf("metrics: %s re-registered as a different kind", name))
 		}
 		return t
 	}
-	t := make()
-	r.items[name] = t
-	r.order = append(r.order, name)
+	t := build()
+	e := newEntry(name, t)
+	r.byName[name] = e
+	r.entries = append(r.entries, e)
 	return t
 }
 
@@ -209,48 +247,55 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // Export flattens every registered metric into samples, in registration
 // order. now is the current clock time, used to resolve meter rates.
+// The result is read-only and shared: while every sample equals the
+// previous export's, Export returns that same slice and allocates
+// nothing.
 func (r *Registry) Export(now time.Duration) []Sample {
 	r.mu.Lock()
-	order := append([]string(nil), r.order...)
-	items := make(map[string]any, len(r.items))
-	for k, v := range r.items {
-		items[k] = v
-	}
-	r.mu.Unlock()
-
-	var out []Sample
-	for _, name := range order {
-		switch m := items[name].(type) {
+	defer r.mu.Unlock()
+	out := r.scratch[:0]
+	for _, e := range r.entries {
+		n := e.names
+		switch m := e.metric.(type) {
 		case *Counter:
-			out = append(out, Sample{name, "counter", float64(m.Value())})
+			out = append(out, Sample{n[0], "counter", float64(m.Value())})
 		case *Gauge:
-			out = append(out, Sample{name, "gauge", m.Value()})
+			out = append(out, Sample{n[0], "gauge", m.Value()})
 		case *LabeledCounter:
-			vals := m.Values()
-			labels := make([]string, 0, len(vals))
-			for l := range vals {
-				labels = append(labels, l)
-			}
-			sort.Strings(labels)
-			for _, l := range labels {
-				out = append(out, Sample{fmt.Sprintf("%s{%s}", name, l), "counter", float64(vals[l])})
-			}
+			m.each(func(label string, v int64) {
+				name, ok := e.labeled[label]
+				if !ok {
+					name = fmt.Sprintf("%s{%s}", n[0], label)
+					e.labeled[label] = name
+				}
+				out = append(out, Sample{name, "counter", float64(v)})
+			})
 		case *IntDist:
 			out = append(out,
-				Sample{name + "_count", "dist", float64(m.Count())},
-				Sample{name + "_mean", "dist", m.Mean()},
-				Sample{name + "_max", "dist", float64(m.Max())})
+				Sample{n[0], "dist", float64(m.Count())},
+				Sample{n[1], "dist", m.Mean()},
+				Sample{n[2], "dist", float64(m.Max())})
 		case *Meter:
-			out = append(out, Sample{name, "meter", m.Rate(now)})
+			out = append(out, Sample{n[0], "meter", m.Rate(now)})
 		case *Histogram:
 			out = append(out,
-				Sample{name + "_count", "histogram", float64(m.Count())},
-				Sample{name + "_mean_seconds", "histogram", m.Mean().Seconds()},
-				Sample{name + "_p50_seconds", "histogram", m.Quantile(0.5).Seconds()},
-				Sample{name + "_p95_seconds", "histogram", m.Quantile(0.95).Seconds()},
-				Sample{name + "_p99_seconds", "histogram", m.Quantile(0.99).Seconds()},
-				Sample{name + "_max_seconds", "histogram", m.Max().Seconds()})
+				Sample{n[0], "histogram", float64(m.Count())},
+				Sample{n[1], "histogram", m.Mean().Seconds()},
+				Sample{n[2], "histogram", m.Quantile(0.5).Seconds()},
+				Sample{n[3], "histogram", m.Quantile(0.95).Seconds()},
+				Sample{n[4], "histogram", m.Quantile(0.99).Seconds()},
+				Sample{n[5], "histogram", m.Max().Seconds()})
 		}
 	}
-	return out
+	r.scratch = out
+	if !slices.EqualFunc(out, r.last, sameSample) {
+		r.last = slices.Clone(out)
+	}
+	return r.last
+}
+
+// sameSample reports whether two samples render identically: values are
+// compared bit for bit, so -0 and NaN are never mistaken for 0 or equal.
+func sameSample(a, b Sample) bool {
+	return a.Name == b.Name && a.Kind == b.Kind && math.Float64bits(a.Value) == math.Float64bits(b.Value)
 }

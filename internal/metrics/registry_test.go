@@ -63,3 +63,53 @@ func TestExportDeterministic(t *testing.T) {
 		t.Fatalf("labeled counter order = %v, want %v", labels, want)
 	}
 }
+
+// TestExportSharesUnchangedSamples: an Export that finds every sample
+// equal to the previous one returns that same slice and allocates
+// nothing; a change publishes a new slice and leaves the old one as it
+// was, and a label first touched after an export still sorts into place.
+func TestExportSharesUnchangedSamples(t *testing.T) {
+	r := fillRegistry([]string{"snm", "tyolo"})
+	first := r.Export(2 * time.Second)
+	if allocs := testing.AllocsPerRun(100, func() { r.Export(2 * time.Second) }); allocs != 0 {
+		t.Errorf("unchanged Export allocates %v times", allocs)
+	}
+	if again := r.Export(2 * time.Second); &again[0] != &first[0] {
+		t.Error("unchanged Export returned a new slice")
+	}
+	kept := append([]Sample(nil), first...)
+
+	r.Counter("frames_ingested").Inc()
+	r.LabeledCounter("drops").With("sdd").Add(3)
+	changed := r.Export(2 * time.Second)
+	if &changed[0] == &first[0] || !reflect.DeepEqual(first, kept) {
+		t.Fatalf("a change wrote into the published export:\n%v\nwas\n%v", first, kept)
+	}
+	if changed[0].Value != 43 {
+		t.Errorf("frames_ingested = %v after Inc, want 43", changed[0].Value)
+	}
+	want := fillRegistry([]string{"sdd", "snm", "tyolo"})
+	want.Counter("frames_ingested").Inc()
+	if w := want.Export(2 * time.Second); !reflect.DeepEqual(changed, w) {
+		t.Errorf("export after a late label:\n%v\nwant\n%v", changed, w)
+	}
+}
+
+// TestIntDistCountsSharesUnchanged: Counts hands back the caller's slice
+// while it still holds the counts, and a new one once they move.
+func TestIntDistCountsSharesUnchanged(t *testing.T) {
+	var d IntDist
+	if got := d.Counts(nil); got != nil {
+		t.Fatalf("empty distribution: %v, want nil", got)
+	}
+	d.Observe(2)
+	first := d.Counts(nil)
+	if same := d.Counts(first); &same[0] != &first[0] {
+		t.Error("unchanged Counts returned a new slice")
+	}
+	d.Observe(1)
+	next := d.Counts(first)
+	if !reflect.DeepEqual(first, []int64{0, 0, 1}) || !reflect.DeepEqual(next, []int64{0, 1, 1}) {
+		t.Errorf("counts %v then %v, want [0 0 1] then [0 1 1]", first, next)
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ffsva/internal/core"
 	"ffsva/internal/obs"
@@ -53,6 +54,40 @@ func liveConfig() core.Config {
 // the verdict, the assertions just prove the responses stay well-formed
 // mid-run.
 func TestScrapeWhileRunning(t *testing.T) {
+	scrapeWhileRunning(t, func(tr *trace.Tracer, rec *timeline.Recorder, push func(int, pipeline.Snapshot)) error {
+		cfg := liveConfig()
+		cfg.Trace = tr
+		cfg.Timeline = rec
+		cfg.OnSnapshot = push
+		_, err := core.Run(cfg)
+		return err
+	})
+}
+
+// TestScrapeWhileClusterRuns is TestScrapeWhileRunning over four
+// instances: HTTP goroutines render pushed snapshots, whose parts later
+// snapshots share, while the manager keeps publishing new ones.
+func TestScrapeWhileClusterRuns(t *testing.T) {
+	scrapeWhileRunning(t, func(tr *trace.Tracer, rec *timeline.Recorder, push func(int, pipeline.Snapshot)) error {
+		cfg := core.DefaultClusterConfig()
+		cfg.Instances = 4
+		cfg.Streams = 8
+		cfg.FramesPerStream = 60
+		cfg.ArrivalEvery = 100 * time.Millisecond
+		cfg.TOR = 0.4
+		cfg.CheckEvery = 250 * time.Millisecond
+		cfg.Trace = tr
+		cfg.Timeline = rec
+		cfg.OnSnapshot = push
+		_, err := core.RunCluster(cfg)
+		return err
+	})
+}
+
+// scrapeWhileRunning starts an obs server with a tracer and a recorder,
+// calls run with them and the server's Push in the background, and
+// scrapes every endpoint from several goroutines until run returns.
+func scrapeWhileRunning(t *testing.T, run func(*trace.Tracer, *timeline.Recorder, func(int, pipeline.Snapshot)) error) {
 	tr := trace.New(trace.Options{})
 	rec := timeline.New(timeline.Options{Tracer: tr})
 	s := obs.NewServer("127.0.0.1:0", tr)
@@ -62,16 +97,11 @@ func TestScrapeWhileRunning(t *testing.T) {
 	t.Cleanup(func() { s.Close() })
 	s.SetTimeline(rec)
 
-	cfg := liveConfig()
-	cfg.Trace = tr
-	cfg.Timeline = rec
-	cfg.OnSnapshot = func(instance int, sn pipeline.Snapshot) { s.Push(instance, sn) }
-
 	done := make(chan struct{})
 	var runErr error
 	go func() {
 		defer close(done)
-		_, runErr = core.Run(cfg)
+		runErr = run(tr, rec, s.Push)
 	}()
 
 	var wg sync.WaitGroup

@@ -345,7 +345,9 @@ func (s *Server) handleTracez(w http.ResponseWriter, _ *http.Request) {
 
 // parseWindow reads the shared /timeline and /bottleneck query
 // parameters: instance (default -1 = all), from and to (Go duration
-// strings, e.g. "1.5s"; to defaults to the newest tick).
+// strings, e.g. "1.5s"; to defaults to the newest tick). Any other
+// negative instance, a negative time, and a window whose from lies past
+// an explicit to are errors, not an "all" or an empty window.
 func parseWindow(r *http.Request) (instance int, from, to time.Duration, err error) {
 	instance = -1
 	q := r.URL.Query()
@@ -354,20 +356,36 @@ func parseWindow(r *http.Request) (instance int, from, to time.Duration, err err
 		if err != nil {
 			return 0, 0, 0, fmt.Errorf("instance: %w", err)
 		}
-	}
-	if v := q.Get("from"); v != "" {
-		from, err = time.ParseDuration(v)
-		if err != nil {
-			return 0, 0, 0, fmt.Errorf("from: %w", err)
+		if instance < -1 {
+			return 0, 0, 0, fmt.Errorf("instance: %d is neither an instance nor -1 (all)", instance)
 		}
 	}
-	if v := q.Get("to"); v != "" {
-		to, err = time.ParseDuration(v)
-		if err != nil {
-			return 0, 0, 0, fmt.Errorf("to: %w", err)
-		}
+	if from, err = parseTime(q.Get("from")); err != nil {
+		return 0, 0, 0, fmt.Errorf("from: %w", err)
+	}
+	if to, err = parseTime(q.Get("to")); err != nil {
+		return 0, 0, 0, fmt.Errorf("to: %w", err)
+	}
+	if to > 0 && from > to {
+		return 0, 0, 0, fmt.Errorf("from %v is after to %v", from, to)
 	}
 	return instance, from, to, nil
+}
+
+// parseTime reads one window bound: a non-negative Go duration, zero
+// when absent.
+func parseTime(v string) (time.Duration, error) {
+	if v == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil {
+		return 0, err
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("%v is negative", d)
+	}
+	return d, nil
 }
 
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 
 	"ffsva/internal/metrics"
 	"ffsva/internal/pipeline"
+	"ffsva/internal/timeline"
 	"ffsva/internal/trace"
 )
 
@@ -331,4 +333,71 @@ func TestCloseJoinsServeGoroutine(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("goroutines leaked across Close: %d before, %d after", before, n)
 	}
+}
+
+// windowQueries seed FuzzParseWindow and TestParseWindow: each query and
+// whether parseWindow must accept it.
+var windowQueries = []struct {
+	query string
+	ok    bool
+}{
+	{"", true},
+	{"instance=-1", true},
+	{"instance=2&from=1s&to=2.5s", true},
+	{"from=3s", true},
+	{"from=2s&to=2s", true},
+	{"instance=-7", false},
+	{"to=-1s", false},
+	{"from=-250ms", false},
+	{"from=3s&to=1s", false},
+	{"instance=x", false},
+	{"from=bogus", false},
+}
+
+// TestParseWindow pins which window queries are accepted: -1 is the
+// only "all instances", and a negative time or a from past to is a 400,
+// not a silently widened or emptied window.
+func TestParseWindow(t *testing.T) {
+	for _, c := range windowQueries {
+		inst, from, to, err := parseWindow(&http.Request{URL: &url.URL{RawQuery: c.query}})
+		if (err == nil) != c.ok {
+			t.Errorf("%q: instance=%d from=%v to=%v err=%v, want ok=%v", c.query, inst, from, to, err, c.ok)
+		}
+	}
+	s := NewServer("127.0.0.1:0", nil)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	s.SetTimeline(timeline.New(timeline.Options{}))
+	for _, path := range []string{"/timeline", "/bottleneck"} {
+		for _, q := range []string{"instance=-7", "to=-1s", "from=3s&to=1s"} {
+			resp, err := http.Get("http://" + s.Addr() + path + "?" + q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s?%s: status %d, want 400", path, q, resp.StatusCode)
+			}
+		}
+	}
+}
+
+// FuzzParseWindow: whatever the query, an accepted window names one
+// instance or -1, starts at a non-negative time and, when it has an
+// end, does not start after it.
+func FuzzParseWindow(f *testing.F) {
+	for _, c := range windowQueries {
+		f.Add(c.query)
+	}
+	f.Fuzz(func(t *testing.T, query string) {
+		inst, from, to, err := parseWindow(&http.Request{URL: &url.URL{RawQuery: query}})
+		if err != nil {
+			return
+		}
+		if inst < -1 || from < 0 || to < 0 || (to > 0 && from > to) {
+			t.Fatalf("%q accepted as instance=%d from=%v to=%v", query, inst, from, to)
+		}
+	})
 }

@@ -438,10 +438,9 @@ type streamState struct {
 	stop       bool // set by StopStream; prefetch halts at next frame
 	ingestDone bool // prefetch exhausted its frames (or stopped)
 
-	// settled is the stream's last StreamSnapshot, kept once nothing in it
-	// can move again (see StreamSnapshot.settled); StopStream and
-	// CancelAll clear it.
-	settled *StreamSnapshot
+	// pub is the stream's last published StreamSnapshot (see
+	// System.publishStream); nil until the first Snapshot.
+	pub *StreamSnapshot
 }
 
 // System is one FFS-VA instance: devices, queues, and stage processes for
@@ -481,6 +480,9 @@ type System struct {
 	faultCtr  *metrics.Counter        // faults_injected_total
 	retryCtr  *metrics.Counter        // retries_total (decode retries)
 	shedCtr   *metrics.Counter        // shed_frames_total
+
+	// pub is what the last Snapshot published, for the next to share.
+	pub published
 
 	started   bool
 	finished  bool // refStage exited: no further frame can be decided

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -80,6 +81,11 @@ type DeviceSnapshot struct {
 // signal, SNM batch-size distribution (§4.3.2), and device busy
 // fractions — in one structure. The cluster manager and the periodic
 // monitor both consume it.
+//
+// A Snapshot's slices and the entries Streams points to are published
+// parts: later snapshots of the same System share every part that has
+// not changed since, so they are read-only to everyone, the System
+// included. Copy before modifying.
 type Snapshot struct {
 	At          time.Duration `json:"at"`
 	Mode        string        `json:"mode"`
@@ -121,17 +127,32 @@ type Snapshot struct {
 	SNMBatchMax   int     `json:"snm_batch_max"`
 	SNMBatchDist  []int64 `json:"snm_batch_dist,omitempty"`
 
-	Streams []StreamSnapshot `json:"streams"`
-	RefQ    QueueSnapshot    `json:"ref_q"`
-	Devices []DeviceSnapshot `json:"devices"`
+	Streams []*StreamSnapshot `json:"streams"`
+	RefQ    QueueSnapshot     `json:"ref_q"`
+	Devices []DeviceSnapshot  `json:"devices"`
 
 	// Metrics is the registry export (counters, gauges, meters,
 	// histogram summaries) at snapshot time.
 	Metrics []metrics.Sample `json:"metrics,omitempty"`
 }
 
+// published holds the parts the System's last Snapshot handed out; the
+// next Snapshot shares each one that has not changed.
+type published struct {
+	streams []*StreamSnapshot
+	dist    []int64
+	devices []DeviceSnapshot
+	// scratch is where Snapshot assembles the device views before
+	// comparing them with devices.
+	scratch []DeviceSnapshot
+}
+
 // Snapshot samples the system's live state. Any clock process (the
 // cluster manager, the periodic monitor) may call it while stages run.
+// It allocates only for what changed since the previous Snapshot: an
+// unchanged stream keeps its published entry, and an unchanged stream
+// list, batch distribution, device list or metrics export keeps its
+// published slice.
 func (s *System) Snapshot() Snapshot {
 	now := s.cfg.Clock.Now()
 	sn := Snapshot{
@@ -143,17 +164,8 @@ func (s *System) Snapshot() Snapshot {
 		Heartbeat:      s.Heartbeat(),
 		HeartbeatEvery: s.cfg.HeartbeatEvery,
 	}
-	elapsed := now - s.start
-	if len(s.streams) > 0 { // none: Streams stays nil, as an append would leave it
-		sn.Streams = make([]StreamSnapshot, len(s.streams))
-	}
-	for i, st := range s.streams {
-		ss := &sn.Streams[i]
-		if kept := st.settled; kept != nil {
-			*ss = *kept
-		} else {
-			s.streamSnapshot(st, ss)
-		}
+	sn.Streams = s.publishStreams()
+	for _, ss := range sn.Streams {
 		sn.Ingested += ss.Ingested
 		sn.Decided += ss.Decided
 		for d, n := range ss.Drops {
@@ -180,23 +192,72 @@ func (s *System) Snapshot() Snapshot {
 	sn.SNMBatchCount = s.snmBatch.Count()
 	sn.SNMBatchMean = s.snmBatch.Mean()
 	sn.SNMBatchMax = s.snmBatch.Max()
-	sn.SNMBatchDist = s.snmBatch.Counts()
+	s.pub.dist = s.snmBatch.Counts(s.pub.dist)
+	sn.SNMBatchDist = s.pub.dist
 
-	sn.Devices = append(sn.Devices, devSnap("cpu", "cpu", s.cpu.Stats(), elapsed))
-	for i, g := range s.filterGPUs {
-		sn.Devices = append(sn.Devices, devSnap(fmt.Sprintf("gpu%d", i), "gpu", g.Stats(), elapsed))
+	elapsed := now - s.start
+	devs := append(s.pub.scratch[:0], devSnap(s.cpu, elapsed))
+	for _, g := range s.filterGPUs {
+		devs = append(devs, devSnap(g, elapsed))
 	}
-	sn.Devices = append(sn.Devices,
-		devSnap(fmt.Sprintf("gpu%d", len(s.filterGPUs)), "gpu", s.gpu1.Stats(), elapsed))
+	devs = append(devs, devSnap(s.gpu1, elapsed))
 	if s.disk != nil {
-		sn.Devices = append(sn.Devices, devSnap("ssd", "disk", s.disk.Stats(), elapsed))
+		devs = append(devs, devSnap(s.disk, elapsed))
 	}
+	s.pub.scratch = devs
+	if !slices.Equal(devs, s.pub.devices) {
+		s.pub.devices = slices.Clone(devs)
+	}
+	sn.Devices = s.pub.devices
 	sn.Metrics = s.reg.Export(now)
 	return sn
 }
 
-// streamSnapshot fills ss with the stream's live state and, once the
-// stream has settled, keeps a copy for every later Snapshot.
+// publishStreams returns the Streams of a new Snapshot: the last
+// published slice itself while no stream has a new entry, otherwise a
+// new slice sharing every unchanged entry. Streams are only ever
+// appended, so the last slice is a prefix of the current stream list.
+func (s *System) publishStreams() []*StreamSnapshot {
+	prev := s.pub.streams
+	var out []*StreamSnapshot
+	for i, st := range s.streams {
+		ss := s.publishStream(st)
+		if out == nil {
+			if i < len(prev) && prev[i] == ss {
+				continue
+			}
+			out = make([]*StreamSnapshot, len(s.streams))
+			copy(out, prev[:i])
+		}
+		out[i] = ss
+	}
+	if out == nil {
+		return prev
+	}
+	s.pub.streams = out
+	return out
+}
+
+// publishStream returns the stream's entry for a new Snapshot: the
+// last published one while it still equals the live state, otherwise a
+// new one, which becomes the published entry. A published entry is
+// never written again. Once it shows the stream settled (see
+// StreamSnapshot.settled) only Stopped can still move, so the live
+// state is not even recomputed until StopStream or CancelAll flips it.
+func (s *System) publishStream(st *streamState) *StreamSnapshot {
+	if p := st.pub; p != nil && p.settled() && p.Stopped == st.stop {
+		return p
+	}
+	var live StreamSnapshot
+	s.streamSnapshot(st, &live)
+	if st.pub == nil || *st.pub != live {
+		st.pub = new(StreamSnapshot) // live stays on the stack
+		*st.pub = live
+	}
+	return st.pub
+}
+
+// streamSnapshot fills ss with the stream's live state.
 func (s *System) streamSnapshot(st *streamState, ss *StreamSnapshot) {
 	*ss = StreamSnapshot{
 		ID: st.spec.ID, Frames: st.spec.Frames,
@@ -215,18 +276,13 @@ func (s *System) streamSnapshot(st *streamState, ss *StreamSnapshot) {
 		ss.Spilled = st.spill.Stats().Writes
 	}
 	ss.Backlog = ss.SDDQ.Depth + ss.SpillPending
-	if ss.settled() {
-		kept := *ss
-		st.settled = &kept
-	}
 }
 
 // settled reports whether the stream can no longer change: ingest is
 // over, every queue is closed and empty (so all three stage processes
 // have exited and nothing waits for T-YOLO), nothing is left in the
 // spill store and every ingested frame has its disposition (so nothing
-// is in the reference queue either). Only Stopped can still flip, and
-// whoever flips it drops the kept copy.
+// is in the reference queue either). Only Stopped can still flip.
 func (ss *StreamSnapshot) settled() bool {
 	drained := func(q *QueueSnapshot) bool { return q.Closed && q.Depth == 0 }
 	return ss.IngestDone && ss.Decided == ss.Ingested && ss.SpillPending == 0 &&
@@ -235,16 +291,17 @@ func (ss *StreamSnapshot) settled() bool {
 
 // devSnap builds a device view; it lives here (not in package device) so
 // the busy-fraction denominator is the system's elapsed run time.
-func devSnap(name, kind string, st device.Stats, elapsed time.Duration) DeviceSnapshot {
-	d := DeviceSnapshot{
-		Name: name, Kind: kind,
+func devSnap(d *device.Device, elapsed time.Duration) DeviceSnapshot {
+	st := d.Stats()
+	ds := DeviceSnapshot{
+		Name: d.Name, Kind: d.Kind.String(),
 		InUse: st.InUse, Slots: st.Slots,
 		Busy: st.Busy, Served: st.Served, Switches: st.Switches,
 	}
 	if elapsed > 0 && st.Slots > 0 {
-		d.BusyFraction = float64(st.Busy) / (float64(st.Slots) * float64(elapsed))
+		ds.BusyFraction = float64(st.Busy) / (float64(st.Slots) * float64(elapsed))
 	}
-	return d
+	return ds
 }
 
 // Monitor registers a periodic observer process on the system's clock:

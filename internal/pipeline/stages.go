@@ -119,7 +119,6 @@ func (s *System) StopStream(id int) (remaining int64, src FrameSource, nextSeq i
 	for _, st := range s.streams {
 		if st.spec.ID == id && !st.stop {
 			st.stop = true
-			st.settled = nil
 			remaining = int64(st.spec.Frames) - st.ingested
 			nextSeq = st.spec.SeqBase + st.ingested
 			return remaining, st.spec.Source, nextSeq, true
@@ -137,7 +136,6 @@ func (s *System) StopStream(id int) (remaining int64, src FrameSource, nextSeq i
 func (s *System) CancelAll() {
 	for _, st := range s.streams {
 		st.stop = true
-		st.settled = nil
 	}
 	s.cancelled = true
 }

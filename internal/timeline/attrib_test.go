@@ -15,7 +15,7 @@ func attribSnap(at time.Duration, refBusy, filterBusy time.Duration, refDepth in
 	return pipeline.Snapshot{
 		At:       at,
 		Ingested: int64(at / (10 * time.Millisecond)),
-		Streams: []pipeline.StreamSnapshot{
+		Streams: []*pipeline.StreamSnapshot{
 			{ID: 0,
 				SDDQ: pipeline.QueueSnapshot{Depth: 0, Cap: 10},
 				SNMQ: pipeline.QueueSnapshot{Depth: 1, Cap: 10},

@@ -20,7 +20,7 @@ func snapAt(at time.Duration) pipeline.Snapshot {
 		At:       at,
 		Ingested: int64(at / time.Millisecond),
 		Decided:  int64(at / (2 * time.Millisecond)),
-		Streams: []pipeline.StreamSnapshot{
+		Streams: []*pipeline.StreamSnapshot{
 			{
 				ID:       0,
 				Ingested: int64(at / time.Millisecond),
@@ -101,7 +101,7 @@ func TestTenantRollup(t *testing.T) {
 	r.SetTenant(1, "acme")
 	r.SetTenant(2, "acme")
 	sn := snapAt(time.Second)
-	sn.Streams = []pipeline.StreamSnapshot{
+	sn.Streams = []*pipeline.StreamSnapshot{
 		{ID: 0, Ingested: 10, Decided: 5, Backlog: 1},
 		{ID: 1, Ingested: 20, Decided: 15, Backlog: 2},
 		{ID: 2, Ingested: 30, Decided: 25, Backlog: 3},
