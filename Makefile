@@ -1,14 +1,14 @@
 # FFS-VA reproduction build targets.
 #
 # `make ci` is the full gate: build, vet, lint, the complete test suite
-# under the race detector, and the result and benchmark gates. `make
+# under the race detector, the trace smoke test and the results check. `make
 # test` is the quick edit-compile loop; `make race` restricts -race to
 # the packages whose tests share state across real goroutines, for a
 # faster pre-push check.
 
 GO ?= go
 
-.PHONY: all build vet lint lint-self fmt-check test race ci results-check benchmark bench bench-gate bench-all bench-trace bench-cluster bench-consolidate bench-timeline trace-smoke
+.PHONY: all build vet lint lint-self fmt-check test race ci results-check benchmark trace-smoke
 
 all: build
 
@@ -74,17 +74,13 @@ ci:
 	$(GO) test -race -timeout 3600s ./...
 	$(MAKE) trace-smoke
 	$(MAKE) results-check
-	$(MAKE) bench-gate
-	$(MAKE) bench-cluster
-	$(MAKE) bench-consolidate
-	$(MAKE) bench-timeline
 
 # results-check regenerates the deterministic evaluation tables and diffs
 # them against the committed docs/results-quick.txt. Every figure in them
 # is a virtual-clock result, so only the start stamp and the per-job
 # "(… took …)" wall times may differ; any other line that moves is a
-# changed result. Takes ~15 min on a 2-vCPU host.
-RESULTS_JOBS = headline,table1,fig3,fig4,fig5,fig6a,fig6b,fig7,fig8,table2,fig9,fig10,ablations,extensions
+# changed result. Takes ~6.5 min on a 2-vCPU host.
+RESULTS_JOBS = headline,table1,fig3,fig4,fig5,fig6a,fig6b,fig7,fig8,table2,fig9,fig10,ablations,extensions,cluster,consolidate
 RESULTS_VOLATILE = -e ', started ' -e '^(.* took .*)$$'
 results-check:
 	$(GO) run ./cmd/ffsbench -scale quick -only $(RESULTS_JOBS) -o results_check.txt
@@ -108,52 +104,6 @@ trace-smoke:
 # (bench/README.md). Every performance claim is measured with it;
 # `go run ./bench -workload offline_hightor` is the 45 s check of one
 # workload, `go run ./bench -compare a.json b.json` judges two `-out`
-# documents. The bench-* targets below are the older per-subsystem gates.
+# documents.
 benchmark:
 	bash bench/run.sh -width 1 -rounds 2
-
-# bench sweeps the compute kernels and a wall-clock end-to-end run
-# across GOMAXPROCS×pool widths {1,2,4,8}, recording per-width ns/op to
-# BENCH_kernels.json.
-bench:
-	$(GO) run ./cmd/ffsbench -only kernels -scale quick
-
-# bench-gate is the CI form of bench: it additionally fails on a missing
-# multi-core speedup (>=1.5x end-to-end at width>=4 — auto-skipped with
-# an explicit marker on hosts with too few cores to show one) or on a
-# serial ns/op regression beyond 1.4x of the committed baseline.
-bench-gate:
-	$(GO) run ./cmd/ffsbench -only kernels -scale quick -gate
-
-bench-all:
-	$(GO) run ./cmd/ffsbench -scale quick
-
-# bench-trace gates the tracing overhead: the standard workload with
-# tracing off vs on must stay within 3% FPS, recorded in BENCH_trace.json.
-bench-trace:
-	$(GO) run ./cmd/ffsbench -only trace -scale quick
-
-# bench-cluster sweeps concurrent-stream counts against a fixed fleet
-# under both placement policies and records the max sustained level to
-# BENCH_cluster.json. The sweep runs on the virtual clock with charged
-# costs, so the figures are deterministic; -gate fails on any drop below
-# the committed baseline (skipped, with an explicit marker, on hosts too
-# small to spend the wall-clock on).
-bench-cluster:
-	$(GO) run ./cmd/ffsbench -only cluster -scale quick -gate
-
-# bench-timeline gates the flight-recorder overhead: the traced
-# standard workload with the timeline sampler + attribution on vs off
-# must stay within 3% FPS, recorded in BENCH_timeline.json (skipped,
-# with an explicit marker, on single-core hosts).
-bench-timeline:
-	$(GO) run ./cmd/ffsbench -only timeline -scale quick -gate
-
-# bench-consolidate sweeps the consolidated fleet past the committed
-# full-frame knee and measures the reference-bound tier (high TOR, GPU-1
-# saturated) with and without object-level consolidation, recording both
-# to BENCH_consolidate.json. -gate fails unless the consolidated fleet
-# sustains more streams than the BENCH_cluster.json baseline (skipped,
-# with an explicit marker, on single-core hosts).
-bench-consolidate:
-	$(GO) run ./cmd/ffsbench -only consolidate -scale quick -gate

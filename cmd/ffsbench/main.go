@@ -1,11 +1,12 @@
 // Command ffsbench regenerates every table and figure of the FFS-VA
 // paper's evaluation section on the synthetic substrate, plus the
-// ablation studies, and prints them as text tables.
+// ablation studies and the fleet capacity sweeps, and prints them as
+// text tables.
 //
 // Usage:
 //
 //	ffsbench [-scale quick|full] [-only table1,fig3,...] [-o out.txt]
-//	         [-metrics 500ms] [-metrics-json] [-gate]
+//	         [-metrics 500ms] [-metrics-json]
 //
 // The quick scale (default) preserves every experiment's shape in a few
 // minutes; full mirrors the paper's run sizes. The "metrics" job runs an
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -29,27 +31,107 @@ import (
 // tabler is any experiment result that renders to tables.
 type tabler interface{ Tables() []*experiments.Table }
 
+// tables is a job result that is already a list of tables.
+type tables []*experiments.Table
+
+func (t tables) Tables() []*experiments.Table { return t }
+
+// jobEnv is what a job reads besides the scale: the metrics job's
+// sampling settings and the output it dumps raw snapshots to.
+type jobEnv struct {
+	scale        experiments.Scale
+	metricsEvery time.Duration
+	metricsJSON  bool
+	out          io.Writer
+}
+
+// job is one table-producing experiment, selected by id with -only.
+type job struct {
+	id  string
+	run func(jobEnv) (tabler, error)
+}
+
+// jobs lists every job in output order.
+var jobs = []job{
+	{"headline", func(e jobEnv) (tabler, error) { return experiments.RunHeadline(e.scale) }},
+	{"table1", func(e jobEnv) (tabler, error) { return experiments.Table1(e.scale) }},
+	{"fig3", func(e jobEnv) (tabler, error) { return experiments.Fig3(e.scale) }},
+	{"fig4", func(e jobEnv) (tabler, error) { return experiments.Fig4(e.scale) }},
+	{"fig5", func(e jobEnv) (tabler, error) { return experiments.Fig5(e.scale) }},
+	{"fig6a", func(e jobEnv) (tabler, error) { return experiments.Fig6a(e.scale) }},
+	{"fig6b", func(e jobEnv) (tabler, error) { return experiments.Fig6b(e.scale) }},
+	{"fig7", func(e jobEnv) (tabler, error) { return experiments.Fig7(e.scale) }},
+	{"fig8", func(e jobEnv) (tabler, error) { return experiments.Fig8(e.scale) }},
+	{"table2", func(e jobEnv) (tabler, error) { return experiments.Table2(e.scale) }},
+	{"fig9", func(e jobEnv) (tabler, error) { return experiments.Fig9(e.scale) }},
+	{"fig10", func(e jobEnv) (tabler, error) { return experiments.Fig10(e.scale) }},
+	{"ablations", func(e jobEnv) (tabler, error) { return runAblations(e.scale) }},
+	{"extensions", func(e jobEnv) (tabler, error) { return runExtensions(e.scale) }},
+	{"metrics", func(e jobEnv) (tabler, error) { return runMetrics(e.scale, e.metricsEvery, e.metricsJSON, e.out) }},
+	{"cluster", func(e jobEnv) (tabler, error) { return runClusterBench(e.scale) }},
+	{"consolidate", func(e jobEnv) (tabler, error) { return runConsolidateBench(e.scale) }},
+}
+
+// jobIDs is the comma-separated list of every job id, in output order.
+func jobIDs() string {
+	ids := make([]string, len(jobs))
+	for i, j := range jobs {
+		ids[i] = j.id
+	}
+	return strings.Join(ids, ",")
+}
+
+// selectJobs returns, in output order, the jobs named by only, a
+// comma-separated id list; an empty list selects every job. An id that
+// names no job is an error listing the valid ids.
+func selectJobs(only string) ([]job, error) {
+	if only == "" {
+		return jobs, nil
+	}
+	var ids []string
+	for _, id := range strings.Split(only, ",") {
+		id = strings.TrimSpace(strings.ToLower(id))
+		if id == "" {
+			continue
+		}
+		if !slices.ContainsFunc(jobs, func(j job) bool { return j.id == id }) {
+			return nil, fmt.Errorf("unknown job %q; valid ids: %s", id, jobIDs())
+		}
+		ids = append(ids, id)
+	}
+	var sel []job
+	for _, j := range jobs {
+		if slices.Contains(ids, j.id) {
+			sel = append(sel, j)
+		}
+	}
+	return sel, nil
+}
+
 func main() {
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
-	only := flag.String("only", "", "comma-separated experiment ids to run (default all): headline,table1,fig3,fig4,fig5,fig6a,fig6b,fig7,fig8,table2,fig9,fig10,ablations,extensions,metrics,kernels,trace,cluster,consolidate,timeline")
+	only := flag.String("only", "", "comma-separated job ids to run (default all): "+jobIDs())
 	outPath := flag.String("o", "", "write output to file instead of stdout")
 	metricsEvery := flag.Duration("metrics", 500*time.Millisecond, "snapshot interval for the metrics job")
 	metricsJSON := flag.Bool("metrics-json", false, "also dump each metrics-job snapshot as a JSON line")
-	gateFlag := flag.Bool("gate", false, "kernels job: fail (exit 1) on a missing multi-core speedup or serial ns/op regression; cluster job: fail on a max-sustained-streams regression; consolidate job: fail unless the consolidated fleet beats the full-frame baseline; timeline job: fail when the flight recorder costs over its overhead budget")
 	flag.Parse()
 
-	var scale experiments.Scale
+	env := jobEnv{metricsEvery: *metricsEvery, metricsJSON: *metricsJSON, out: os.Stdout}
 	switch *scaleFlag {
 	case "quick":
-		scale = experiments.QuickScale()
+		env.scale = experiments.QuickScale()
 	case "full":
-		scale = experiments.FullScale()
+		env.scale = experiments.FullScale()
 	default:
 		fmt.Fprintf(os.Stderr, "ffsbench: unknown scale %q\n", *scaleFlag)
 		os.Exit(2)
 	}
+	sel, err := selectJobs(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ffsbench: -only: %v\n", err)
+		os.Exit(2)
+	}
 
-	var out io.Writer = os.Stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
@@ -57,61 +139,23 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		out = f
+		env.out = f
 	}
 
-	wanted := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			wanted[strings.TrimSpace(strings.ToLower(id))] = true
-		}
-	}
-	want := func(id string) bool { return len(wanted) == 0 || wanted[id] }
-
-	type job struct {
-		id  string
-		run func() (tabler, error)
-	}
-	jobs := []job{
-		{"headline", func() (tabler, error) { return experiments.RunHeadline(scale) }},
-		{"table1", func() (tabler, error) { return experiments.Table1(scale) }},
-		{"fig3", func() (tabler, error) { return experiments.Fig3(scale) }},
-		{"fig4", func() (tabler, error) { return experiments.Fig4(scale) }},
-		{"fig5", func() (tabler, error) { return experiments.Fig5(scale) }},
-		{"fig6a", func() (tabler, error) { return experiments.Fig6a(scale) }},
-		{"fig6b", func() (tabler, error) { return experiments.Fig6b(scale) }},
-		{"fig7", func() (tabler, error) { return experiments.Fig7(scale) }},
-		{"fig8", func() (tabler, error) { return experiments.Fig8(scale) }},
-		{"table2", func() (tabler, error) { return experiments.Table2(scale) }},
-		{"fig9", func() (tabler, error) { return experiments.Fig9(scale) }},
-		{"fig10", func() (tabler, error) { return experiments.Fig10(scale) }},
-		{"ablations", func() (tabler, error) { return runAblations(scale) }},
-		{"extensions", func() (tabler, error) { return runExtensions(scale) }},
-		{"metrics", func() (tabler, error) { return runMetrics(scale, *metricsEvery, *metricsJSON, out) }},
-		{"kernels", func() (tabler, error) { return runKernels(scale, *gateFlag) }},
-		{"trace", func() (tabler, error) { return runTraceBench(scale) }},
-		{"cluster", func() (tabler, error) { return runClusterBench(scale, *gateFlag) }},
-		{"consolidate", func() (tabler, error) { return runConsolidateBench(scale, *gateFlag) }},
-		{"timeline", func() (tabler, error) { return runTimelineBench(scale, *gateFlag) }},
-	}
-
-	fmt.Fprintf(out, "FFS-VA evaluation reproduction (scale=%s), started %s\n\n", scale.Name, time.Now().Format(time.RFC3339))
+	fmt.Fprintf(env.out, "FFS-VA evaluation reproduction (scale=%s), started %s\n\n", env.scale.Name, time.Now().Format(time.RFC3339))
 	failed := false
-	for _, j := range jobs {
-		if !want(j.id) {
-			continue
-		}
+	for _, j := range sel {
 		start := time.Now()
-		res, err := j.run()
+		res, err := j.run(env)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ffsbench: %s: %v\n", j.id, err)
 			failed = true
 			continue
 		}
 		for _, t := range res.Tables() {
-			fmt.Fprintln(out, t)
+			fmt.Fprintln(env.out, t)
 		}
-		fmt.Fprintf(out, "(%s took %v)\n\n", j.id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(env.out, "(%s took %v)\n\n", j.id, time.Since(start).Round(time.Millisecond))
 	}
 	if failed {
 		os.Exit(1)
@@ -144,17 +188,6 @@ func runMetrics(scale experiments.Scale, every time.Duration, asJSON bool, out i
 	return res, nil
 }
 
-// ablationSet bundles the three ablations as one job.
-type ablationSet struct{ results []*experiments.AblationResult }
-
-func (a *ablationSet) Tables() []*experiments.Table {
-	var out []*experiments.Table
-	for _, r := range a.results {
-		out = append(out, r.Tables()...)
-	}
-	return out
-}
-
 func runAblations(scale experiments.Scale) (tabler, error) {
 	return runSet(scale,
 		experiments.AblationCascade,
@@ -174,13 +207,13 @@ func runExtensions(scale experiments.Scale) (tabler, error) {
 }
 
 func runSet(scale experiments.Scale, fns ...func(experiments.Scale) (*experiments.AblationResult, error)) (tabler, error) {
-	set := &ablationSet{}
+	var set tables
 	for _, f := range fns {
 		r, err := f(scale)
 		if err != nil {
 			return nil, err
 		}
-		set.results = append(set.results, r)
+		set = append(set, r.Tables()...)
 	}
 	return set, nil
 }
