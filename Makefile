@@ -1,14 +1,15 @@
 # FFS-VA reproduction build targets.
 #
 # `make ci` is the full gate: build, vet, lint, the complete test suite
-# under the race detector, the trace smoke test and the results check. `make
+# under the race detector, the trace smoke test, the results check and
+# the digest check. `make
 # test` is the quick edit-compile loop; `make race` restricts -race to
 # the packages whose tests share state across real goroutines, for a
 # faster pre-push check.
 
 GO ?= go
 
-.PHONY: all build vet lint lint-self fmt-check test race ci results-check benchmark trace-smoke
+.PHONY: all build vet lint lint-self fmt-check test race ci results-check digest-check benchmark trace-smoke
 
 all: build
 
@@ -18,9 +19,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs ffslint — the repo's own eight invariant analyzers (detnow,
-# putcheck, poolrelease, dispositions, qconsume, spanend, maporder,
-# gostop; see DESIGN.md §12) — plus a gofmt cleanliness check. The run
+# lint runs ffslint — the repo's own four invariant analyzers (detnow,
+# poolrelease, maporder, gostop: what no test pins; see DESIGN.md §12) —
+# plus a gofmt cleanliness check. Frame conservation at the pipeline's
+# queue edges is structural and pinned by tests instead. The run
 # is interprocedural by default (module-wide ownership summaries) and
 # must finish inside the 30s budget; the wall time is printed so drift
 # is visible in CI logs. Zero unsuppressed diagnostics is the bar.
@@ -74,6 +76,7 @@ ci:
 	$(GO) test -race -timeout 3600s ./...
 	$(MAKE) trace-smoke
 	$(MAKE) results-check
+	$(MAKE) digest-check
 
 # results-check regenerates the deterministic evaluation tables and diffs
 # them against the committed docs/results-quick.txt. Every figure in them
@@ -89,6 +92,22 @@ results-check:
 	@status=0; diff results_check.want results_check.got || status=1; \
 		rm -f results_check.txt results_check.want results_check.got; \
 		if [ $$status -ne 0 ]; then echo "results-check: tables differ from docs/results-quick.txt"; fi; \
+		exit $$status
+
+# digest-check runs the benchmark once, briefly, and checks each
+# workload's model_digest against bench/BASELINE.json's. A digest hashes
+# every stream's dispositions and ingest lag on the virtual clock, so it
+# is exact and host-independent: any difference is a changed model-time
+# result. Takes ~1.5 min on a 2-vCPU host.
+DIGESTS = awk '/^    "[a-z_]+": \{$$/ {w = $$1} /"model_digest"/ {print w, $$2}' $(1) | tr -d '",:'
+digest-check:
+	bash bench/run.sh -width 1 -rounds 1 -trace 0 -out digest_check.json >/dev/null
+	@$(call DIGESTS,bench/BASELINE.json) > digest_check.want
+	@$(call DIGESTS,digest_check.json) > digest_check.got
+	@status=0; [ -s digest_check.want ] || status=1; \
+		diff digest_check.want digest_check.got || status=1; \
+		rm -f digest_check.json digest_check.want digest_check.got; \
+		if [ $$status -ne 0 ]; then echo "digest-check: model_digest differs from bench/BASELINE.json"; fi; \
 		exit $$status
 
 # trace-smoke proves the Perfetto export end to end: a quickstart run

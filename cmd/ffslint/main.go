@@ -1,17 +1,17 @@
 // Command ffslint runs the repo's custom static-analysis suite: the
-// analyzers that machine-check the pipeline's invariants (determinism,
-// no silent frame loss, pooled-buffer release, frame-disposition
-// accounting, map-order determinism, goroutine joinability). It is
+// analyzers that machine-check the invariants the tests do not pin
+// (determinism, pooled-buffer release, map-order determinism, goroutine
+// joinability). It is
 // stdlib-only — go/parser + go/types with a source importer — so
 // `make lint` needs no module downloads.
 //
 // Usage:
 //
-//	ffslint [-run detnow,putcheck,...] [-tests] [-list]
+//	ffslint [-run detnow,poolrelease,...] [-tests] [-list]
 //	        [-interproc=true] [-debug] [-summary] [-budget 30s] [packages]
 //
 // Interprocedural mode (the default) builds a whole-module view and runs
-// the path-sensitive analyzers against per-function ownership summaries;
+// poolrelease against per-function ownership summaries;
 // -interproc=false restores the original intra-function behaviour.
 // -debug prints where the interprocedural analysis fell back to the
 // conservative assumption (unresolved callees, recursion, depth bound).

@@ -1,29 +1,23 @@
 // Package analysis is ffslint's engine: a stdlib-only static-analysis
 // framework (go/parser + go/types + go/ast, no external modules) and the
-// eight repo-specific analyzers that machine-check the pipeline's
-// invariants — the recurring single-frame state errors that break
-// FFS-VA's frame-conservation accounting and that PRs 1–3 each fixed by
-// hand:
+// four repo-specific analyzers that machine-check invariants the tests
+// do not pin (DESIGN.md §12):
 //
-//   - detnow:       no wall clock or global math/rand outside vclock and
+//   - detnow:      no wall clock or global math/rand outside vclock and
 //     an explicit allowlist (determinism).
-//   - putcheck:     no discarded queue.Put/TryPut result (silent frame
-//     loss, the PR-1 DropClosed bug class).
-//   - poolrelease:  every pooled acquisition reaches a Release or escapes
+//   - poolrelease: every pooled acquisition reaches a Release or escapes
 //     on all intra-function paths (the PR-3 leak bug class).
-//   - dispositions: the failure path of a frame Put must record a Drop*
-//     disposition or re-forward the frame (conservation).
-//   - qconsume:     a consumer loop must not continue past a dequeued
-//     frame without releasing, finishing, or re-forwarding it (the
-//     refStage orphan-leak bug class — the Get side of dispositions).
-//   - spanend:      every trace span handle reaches End/EndDrop or
-//     escapes on all paths (no silently truncated latency traces).
-//   - maporder:     no ranging over a map directly into a deterministic
+//   - maporder:    no ranging over a map directly into a deterministic
 //     output (logs, exports, reports) — iterate sorted keys instead.
-//   - gostop:       every goroutine spawned in the pipeline packages is
+//   - gostop:      every goroutine spawned in the pipeline packages is
 //     joinable: it must observe a stop channel, context, or WaitGroup.
 //
-// The path-sensitive analyzers additionally run *interprocedurally* when
+// Frame conservation at the pipeline's queue edges is structural rather
+// than linted: one forward helper makes every blocking frame put, one
+// crash drain and one resolveOwners retire what a stage cannot serve,
+// and tests pin each of them.
+//
+// The path-sensitive analyzer additionally runs *interprocedurally* when
 // a Program (see BuildProgram) is attached to the pass: call sites
 // consult per-function ownership summaries instead of assuming any call
 // that receives a resource is a safe escape. Unresolvable callees,
@@ -54,9 +48,9 @@ type Pass struct {
 	PkgPath string
 	Pkg     *types.Package
 	Info    *types.Info
-	// Prog, when non-nil, switches the path-sensitive analyzers into
-	// interprocedural mode: ownership summaries replace the blanket
-	// escape-via-call assumption.
+	// Prog, when non-nil, switches poolrelease into interprocedural
+	// mode: ownership summaries replace the blanket escape-via-call
+	// assumption.
 	Prog *Program
 
 	diags *[]Diagnostic
@@ -94,11 +88,7 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		DetNow,
-		PutCheck,
 		PoolRelease,
-		Dispositions,
-		QConsume,
-		SpanEnd,
 		MapOrder,
 		GoStop,
 	}
@@ -123,8 +113,8 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // RunAnalyzersProgram is RunAnalyzers with an optional whole-module
-// Program attached: non-nil prog switches the path-sensitive analyzers
-// to interprocedural ownership summaries and lets maporder/gostop follow
+// Program attached: non-nil prog switches poolrelease to
+// interprocedural ownership summaries and lets maporder/gostop follow
 // writes and join mechanisms through module-internal calls.
 func RunAnalyzersProgram(prog *Program, pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var raw []Diagnostic

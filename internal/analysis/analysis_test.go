@@ -19,10 +19,10 @@ func golden(t *testing.T, a *Analyzer, dir string) {
 }
 
 // goldenInterproc is golden in interprocedural mode (whole-module
-// Program attached, several analyzers at once).
-func goldenInterproc(t *testing.T, analyzers []*Analyzer, dir string) {
+// Program attached).
+func goldenInterproc(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
-	fails, err := RunGoldenInterproc(analyzers, dir)
+	fails, err := RunGoldenInterproc(a, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,12 +34,11 @@ func RunGolden(a *Analyzer, dir string) ([]GoldenFailure, error) {
 }
 
 // RunGoldenInterproc is RunGolden in interprocedural mode: it attaches
-// the whole-module Program (so ownership summaries work) and can run
-// several analyzers at once, since interproc fixtures typically carry
-// expectations for more than one of the path-sensitive checks.
-func RunGoldenInterproc(analyzers []*Analyzer, dir string) ([]GoldenFailure, error) {
+// the whole-module Program, so ownership summaries and the transitive
+// sink and join searches work.
+func RunGoldenInterproc(a *Analyzer, dir string) ([]GoldenFailure, error) {
 	return goldenRun(dir, func(l *Loader, pkg *Package) []Diagnostic {
-		return RunAnalyzersProgram(BuildProgram(l.All()), pkg, analyzers)
+		return RunAnalyzersProgram(BuildProgram(l.All()), pkg, []*Analyzer{a})
 	})
 }
 

@@ -5,7 +5,7 @@ import "testing"
 // TestGoStopGolden runs gostop over its fixture in interprocedural mode
 // (the named-callee cases need the whole-module view).
 func TestGoStopGolden(t *testing.T) {
-	goldenInterproc(t, []*Analyzer{GoStop}, "testdata/src/gostop")
+	goldenInterproc(t, GoStop, "testdata/src/gostop")
 }
 
 // TestGoStopScope pins the analyzer to the long-running pipeline

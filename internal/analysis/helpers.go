@@ -57,28 +57,6 @@ func queuePutCall(info *types.Info, call *ast.CallExpr) (method string, elem ast
 	return name, call.Args[0], true
 }
 
-// queueGetCall reports whether call is queue.Queue.Get or TryGet.
-func queueGetCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return false
-	}
-	name := sel.Sel.Name
-	if name != "Get" && name != "TryGet" {
-		return false
-	}
-	s, isMethod := info.Selections[sel]
-	if !isMethod || s.Kind() != types.MethodVal {
-		return false
-	}
-	named := namedOf(s.Recv())
-	if named == nil {
-		return false
-	}
-	obj := named.Origin().Obj()
-	return obj.Name() == "Queue" && obj.Pkg() != nil && pathIs(obj.Pkg().Path(), "internal/queue")
-}
-
 // namedOf unwraps pointers to reach a named type.
 func namedOf(t types.Type) *types.Named {
 	for {
@@ -91,20 +69,6 @@ func namedOf(t types.Type) *types.Named {
 			return nil
 		}
 	}
-}
-
-// isFrameType reports whether t is *frame.Frame.
-func isFrameType(t types.Type) bool {
-	p, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := p.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Frame" && obj.Pkg() != nil && pathIs(obj.Pkg().Path(), "internal/frame")
 }
 
 // calleeFunc resolves a call to the *types.Func it invokes (package
@@ -147,22 +111,4 @@ func usesObject(info *types.Info, n ast.Node, obj types.Object) bool {
 		return !found
 	})
 	return found
-}
-
-// isDispositionConst reports whether e resolves to a constant of the
-// pipeline's Disposition type (DropSDD, DropClosed, Detected, ...).
-func isDispositionConst(info *types.Info, e ast.Expr) bool {
-	var obj types.Object
-	switch v := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		obj = info.Uses[v]
-	case *ast.SelectorExpr:
-		obj = info.Uses[v.Sel]
-	}
-	c, ok := obj.(*types.Const)
-	if !ok {
-		return false
-	}
-	named := namedOf(c.Type())
-	return named != nil && named.Obj().Name() == "Disposition"
 }

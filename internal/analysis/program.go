@@ -10,7 +10,7 @@ import (
 
 // Program is the whole-module view the interprocedural mode analyzes
 // over: every loaded package plus an index from each function object to
-// its declaration. The path-sensitive analyzers consult it for ownership
+// its declaration. poolrelease consults it for ownership
 // summaries (summary.go) instead of assuming any call that receives a
 // resource is a safe escape; maporder and gostop consult it to follow
 // writes and join mechanisms through module-internal calls.

@@ -9,8 +9,8 @@ import (
 )
 
 // Outcome is one point of the ownership lattice: what a function does
-// with a tracked resource (frame, tensor, gray plane, trace record, span
-// handle) it receives as a parameter.
+// with a tracked resource (frame, tensor, gray plane, trace record) it
+// receives as a parameter.
 //
 //	Borrowed    — the function only inspects the value; the caller still
 //	              owns it and must retire it.

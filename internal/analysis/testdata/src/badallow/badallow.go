@@ -4,7 +4,7 @@
 package badallow
 
 func missingReason() int {
-	return 1 //lint:allow putcheck
+	return 1 //lint:allow poolrelease
 }
 
 func unknownAnalyzer() int {

@@ -12,7 +12,6 @@ package interprocfix
 import (
 	"ffsva/internal/frame"
 	"ffsva/internal/nn"
-	"ffsva/internal/queue"
 )
 
 // ---- helpers the summaries classify ----
@@ -55,24 +54,6 @@ func badHelperSwallows() {
 	finish(f)
 }
 
-// badBorrowedContinue is the qconsume variant: intra mode counts any
-// use of f as handling it, but observe only borrows it, so the continue
-// abandons the dequeued frame.
-func badBorrowedContinue(q *queue.Queue[*frame.Frame]) {
-	for {
-		f, ok := q.Get()
-		if !ok {
-			break
-		}
-		if f.Seq < 0 {
-			observe(f)
-			// MARK:interproc-only
-			continue // want `continue abandons the dequeued frame`
-		}
-		f.Release()
-	}
-}
-
 // ---- false positives the summaries clear ----
 
 // goodHelperReleases is clean: swallow's summary is consumed-on-every-
@@ -105,13 +86,4 @@ func goodTransferToNewName() {
 func badDiscardedReturn() {
 	t := nn.GetTensor(4) // want `not released on every path`
 	clamp(t)
-}
-
-// goodSummaryConsumedSink exercises dispositions: the failure path of a
-// checked frame put calls a helper whose name matches no heuristic but
-// whose summary proves the frame is consumed. Intra mode flags this put.
-func goodSummaryConsumedSink(q *queue.Queue[*frame.Frame], f *frame.Frame) {
-	if !q.Put(f) { // MARK:intra-fp
-		swallow(f)
-	}
 }

@@ -164,8 +164,8 @@ const ctxPollInterval = 10 * time.Millisecond
 
 // timelineDefaultEvery is the flight-recorder sampling interval when a
 // Timeline is set but no MetricsEvery was chosen: fine enough for
-// windowed attribution, coarse enough that sampling stays in the
-// bench-gated <3% overhead budget.
+// windowed attribution, coarse enough that sampling stays a small share
+// of the run (bench's timeline.observe_us_at_1000 prices one sample).
 const timelineDefaultEvery = 250 * time.Millisecond
 
 // RunContext is Run with cancellation: when ctx is cancelled mid-run,

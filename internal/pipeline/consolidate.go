@@ -17,6 +17,8 @@ package pipeline
 // canvases, and charge identical device time.
 
 import (
+	"time"
+
 	"ffsva/internal/detect"
 	"ffsva/internal/device"
 	"ffsva/internal/frame"
@@ -24,111 +26,75 @@ import (
 	"ffsva/internal/trace"
 )
 
-// refConsolidatedLoop drains the reference queue in consolidation
-// rounds: gather up to ConsolidateFrames survivors (topping up for
-// ConsolidateWait when the first grab comes back short), resolve their
-// streams, pack, infer, unpack.
-func (s *System) refConsolidatedLoop() {
-	clk := s.cfg.Clock
-	limit := s.cfg.ConsolidateFrames
-	for {
-		batch := s.refQ.GetUpTo(limit)
-		if len(batch) == 0 {
-			break // queue closed and drained
-		}
-		if len(batch) < limit && s.cfg.ConsolidateWait > 0 {
-			// Deadline-bounded top-up: one fixed modeled wait, then take
-			// whatever arrived. A single sleep (rather than a poll loop)
-			// keeps the round's schedule deterministic.
-			clk.Sleep(s.cfg.ConsolidateWait)
-			for len(batch) < limit {
-				f, ok := s.refQ.TryGet()
-				if !ok {
-					break
-				}
-				batch = append(batch, f)
-			}
-		}
-		s.consolidateRound(batch)
-	}
-}
+// Consolidation constants (DESIGN.md §15).
+const (
+	// consolidateCanvas is the square canvas side in pixels, the YOLOv2
+	// input.
+	consolidateCanvas = 416
+	// consolidatePad is the padding added around each candidate crop;
+	// padding recovers objects T-YOLO localized loosely.
+	consolidatePad = 8
+	// consolidateFrames bounds how many frames one round gathers from
+	// the reference queue.
+	consolidateFrames = 16
+	// consolidateWait is the modeled deadline a short round waits for
+	// more frames before packing what it has.
+	consolidateWait = 2 * time.Millisecond
+	// consolidateMinCover is the fraction of a reference detection's box
+	// that must fall inside a single crop for the detection to count in
+	// the consolidated tally. Objects truncated by crop boundaries below
+	// it are the consolidation accuracy cost.
+	consolidateMinCover = 0.7
+)
 
-// consolidateRound runs one gather-pack-infer-unpack cycle over the
-// batch. Every frame in the batch reaches a terminal: finishCounts for
-// owned frames, finishOrphan for frames whose stream retired while they
-// were in flight, finish(DropError) when the instance crashed.
-func (s *System) consolidateRound(batch []*frame.Frame) {
+// serveCanvases runs one pack-infer-unpack cycle over a round's live
+// frames and their owners (resolveOwners has retired the rest).
+func (s *System) serveCanvases(live []*frame.Frame, owners []*streamState) {
 	clk := s.cfg.Clock
-
-	// Resolve streams first: orphans and crash drops cost no pack or
-	// inference work.
-	owners := make([]*streamState, len(batch))
-	live := batch[:0:0]
-	crashed := s.Crashed()
-	for _, f := range batch {
-		st := s.lookupStream(f.StreamID, f.Seq)
-		if st == nil {
-			s.finishOrphan(f)
-			continue
-		}
-		if crashed {
-			s.finish(st, f, DropError, -1)
-			continue
-		}
-		owners[len(live)] = st
-		live = append(live, f)
-	}
-	if len(live) == 0 {
-		return
-	}
-	owners = owners[:len(live)]
 
 	// Pack: crop every candidate with padding and shelf-place it onto
 	// the open canvas, opening a new canvas when a crop does not fit.
 	// The canvas pixels are genuinely assembled (the reference detector
 	// is an oracle here, but the geometry and memory traffic are real).
-	canvas := s.cfg.ConsolidateCanvas
-	pad := s.cfg.ConsolidatePad
-	packer := imgproc.NewShelfPacker(canvas, canvas)
+	// Frame i's crops are rects[ends[i-1]:ends[i]].
+	packer := imgproc.NewShelfPacker(consolidateCanvas, consolidateCanvas)
 	canvases := 1
-	dst := imgproc.GetGray(canvas, canvas)
+	dst := imgproc.GetGray(consolidateCanvas, consolidateCanvas)
 	for i := range dst.Pix {
 		dst.Pix[i] = 0
 	}
-	crops := make([][]imgproc.Rect, len(live))
-	totalCrops := 0
+	rects, ends := s.ref.rects[:0], s.ref.ends[:0]
 	packStart := clk.Now()
-	for i, f := range live {
+	for _, f := range live {
 		g := imgproc.FromFrame(f)
 		for _, c := range f.Cands {
-			r, ok := imgproc.PadRect(imgproc.Rect{X: c.X, Y: c.Y, W: c.W, H: c.H}, pad, f.W, f.H)
+			r, ok := imgproc.PadRect(imgproc.Rect{X: c.X, Y: c.Y, W: c.W, H: c.H}, consolidatePad, f.W, f.H)
 			if !ok {
 				continue
 			}
-			if r.W > canvas || r.H > canvas {
-				// A crop larger than the canvas is clamped to it; the
-				// coverage test below charges the truncation honestly.
-				r.W = min(r.W, canvas)
-				r.H = min(r.H, canvas)
-			}
+			// A crop larger than the canvas is clamped to it; the
+			// coverage test below charges the truncation honestly.
+			r.W = min(r.W, consolidateCanvas)
+			r.H = min(r.H, consolidateCanvas)
 			x, y, placed := packer.Place(r.W, r.H)
 			if !placed {
 				// Canvas full: open a fresh one (the full one is charged
 				// with the rest in the inference phase).
 				canvases++
-				packer = imgproc.NewShelfPacker(canvas, canvas)
+				packer = imgproc.NewShelfPacker(consolidateCanvas, consolidateCanvas)
 				for j := range dst.Pix {
 					dst.Pix[j] = 0
 				}
 				x, y, _ = packer.Place(r.W, r.H)
 			}
 			imgproc.CropInto(dst, g, r, x, y)
-			crops[i] = append(crops[i], r)
-			totalCrops++
+			rects = append(rects, r)
 		}
+		ends = append(ends, len(rects))
 	}
-	if s.cfg.ChargeCosts && totalCrops > 0 {
-		s.cpu.Use(device.ModelPack, totalCrops, s.cfg.Costs)
+	s.ref.rects, s.ref.ends = rects, ends
+	if s.cfg.ChargeCosts && len(rects) > 0 {
+		s.cpu.Use(device.ModelPack, len(rects), s.cfg.Costs)
 	}
 	packEnd := clk.Now()
 	for _, f := range live {
@@ -150,26 +116,28 @@ func (s *System) consolidateRound(batch []*frame.Frame) {
 	// per-stream counts. The reference oracle detects on the full frame;
 	// the crop-coverage clip models what a detector that only saw the
 	// packed crops could have found — an object not covered by any crop
-	// (or truncated below MinCover by a crop boundary) is lost to
-	// consolidation, which is exactly the accuracy delta the lab scores.
-	minCover := s.cfg.ConsolidateMinCover
+	// (or truncated below consolidateMinCover by a crop boundary) is lost
+	// to consolidation, which is exactly the accuracy delta the lab
+	// scores.
+	from := 0
 	for i, f := range live {
 		st := owners[i]
 		f.Trace.AddSpan(trace.KRef, refStart, refEnd, s.gpu1.Name, len(live))
 		dets := s.cfg.Ref.Detect(f)
 		fullCount := detect.Count(dets, st.spec.Target, s.cfg.RefConf)
-		rects := crops[i]
+		mine := rects[from:ends[i]]
+		from = ends[i]
 		count := 0
 		for _, d := range dets {
 			if d.Class != st.spec.Target || d.Conf < s.cfg.RefConf {
 				continue
 			}
-			if imgproc.CoverFrac(d.Box, rects) >= minCover {
+			if imgproc.CoverFrac(d.Box, mine) >= consolidateMinCover {
 				count++
 			}
 		}
 		t0 := clk.Now()
-		f.Trace.AddSpan(trace.KUnpack, t0, t0, s.cpu.Name, len(crops[i]))
+		f.Trace.AddSpan(trace.KUnpack, t0, t0, s.cpu.Name, len(mine))
 		s.refServed.Inc()
 		s.finishCounts(st, f, Detected, count, fullCount)
 	}

@@ -82,11 +82,12 @@ const (
 	DropSNM
 	DropTYolo
 	Detected // reached and was analyzed by the reference model
-	// DropClosed marks a frame discarded because its downstream queue had
-	// been closed (e.g. a stream stopped for cluster re-forwarding while
-	// frames were in flight). Without this disposition such frames would
-	// vanish with no Record, leaving Done=false holes that silently skew
-	// accuracy and latency accounting.
+	// DropClosed marks a frame discarded because its downstream queue was
+	// closed under its producer (System.forward). Each stage closes its
+	// output only after its last put, so this stays zero unless an edge
+	// is severed from outside; without it such frames would vanish with
+	// no Record, leaving Done=false holes that silently skew accuracy and
+	// latency accounting.
 	DropClosed
 	// DropError marks a frame lost to a fault: a decode failure past the
 	// retry budget, a corrupted payload, or an instance crash while the
@@ -182,12 +183,12 @@ type CaptureSource interface {
 // FallibleSource is a FrameSource whose decodes can fail (fault
 // injection; faults.Source implements it). The prefetcher probes
 // DecodeFails before pulling: each true is one failed attempt, retried
-// within Config.DecodeRetryBudget. A frame still failing past the
-// budget is abandoned via Discard — the source advances past it without
-// delivering a frame — and recorded as DropError so the conservation
-// ledger stays complete. The probe/pull split keeps the actual pull
-// atomic with the stop check (continuation sizing), which a consuming
-// try-decode could not.
+// within decodeRetryBudget (2). A frame still failing past the budget is
+// abandoned via Discard — the source advances past it without delivering
+// a frame — and recorded as DropError so the conservation ledger stays
+// complete. The probe/pull split keeps the actual pull atomic with the
+// stop check (continuation sizing), which a consuming try-decode could
+// not.
 type FallibleSource interface {
 	FrameSource
 	DecodeFails() bool
@@ -263,40 +264,15 @@ type Config struct {
 	// default 0.5.
 	RefConf float64
 
-	// Object-level consolidation of the reference tier (Rivas et al.):
-	// instead of one full-frame reference inference per surviving frame,
-	// T-YOLO's candidate boxes are cropped with padding, shelf-packed
-	// into fixed canvases across streams, and each canvas costs one
-	// reference inference. See DESIGN.md §15.
-
-	// Consolidate turns crop-and-pack consolidation on.
+	// Consolidate turns on object-level consolidation of the reference
+	// tier (Rivas et al.): instead of one full-frame reference inference
+	// per surviving frame, T-YOLO's candidate boxes are cropped with
+	// padding, shelf-packed into fixed canvases across streams, and each
+	// canvas costs one reference inference. See DESIGN.md §15.
 	Consolidate bool
-	// ConsolidateCanvas is the square canvas side in pixels (default
-	// 416, the YOLOv2 input).
-	ConsolidateCanvas int
-	// ConsolidatePad is the padding added around each candidate crop
-	// (default 8); padding recovers objects T-YOLO localized loosely.
-	ConsolidatePad int
-	// ConsolidateFrames bounds how many frames one consolidation round
-	// gathers from the reference queue (default 16).
-	ConsolidateFrames int
-	// ConsolidateWait is the deadline a partially-filled round waits for
-	// more frames before packing what it has (default 2ms of modeled
-	// time); zero-with-Consolidate uses the default, negative disables
-	// the top-up wait.
-	ConsolidateWait time.Duration
-	// ConsolidateMinCover is the fraction of a reference detection's box
-	// that must fall inside a single crop for the detection to count in
-	// the consolidated tally (default 0.7). Objects truncated by crop
-	// boundaries below it are the consolidation accuracy cost.
-	ConsolidateMinCover float64
 
 	// Fault tolerance.
 
-	// DecodeRetryBudget is how many times a failed frame decode is
-	// retried before the frame is abandoned with DropError. Zero means
-	// the default (2); negative disables retries.
-	DecodeRetryBudget int
 	// ShedAfter enables the load-shedding bypass when positive: once a
 	// stream's ingest lateness exceeds it, frames that do not fit in the
 	// capture buffer are shed (DropShed) instead of blocking ingest, so
@@ -335,12 +311,20 @@ type Config struct {
 	// goes straight to T-YOLO.
 	DisableSNM bool
 	// PerStreamTYolo models one private T-YOLO per stream instead of the
-	// shared model: every T-YOLO batch pays a full model reload.
+	// shared model: every T-YOLO batch pays a full model reload
+	// (tyoloReload).
 	PerStreamTYolo bool
-	// TYoloReload is the per-batch reload charge under PerStreamTYolo
-	// (defaults to 60ms, ~1.2 GB over PCIe).
-	TYoloReload time.Duration
 }
+
+// Fixed model constants no run varies.
+const (
+	// tyoloReload is the per-batch T-YOLO reload charge under
+	// PerStreamTYolo: ~1.2 GB over PCIe.
+	tyoloReload = 60 * time.Millisecond
+	// decodeRetryBudget is how many times a failed frame decode is
+	// retried before the frame is abandoned with DropError.
+	decodeRetryBudget = 2
+)
 
 // DefaultConfig returns the paper's defaults on a fresh clock.
 func DefaultConfig(clk *vclock.VirtualClock) Config {
@@ -387,32 +371,8 @@ func (c *Config) fill() {
 	if c.FilterGPUs <= 0 {
 		c.FilterGPUs = 1
 	}
-	switch {
-	case c.DecodeRetryBudget == 0:
-		c.DecodeRetryBudget = 2
-	case c.DecodeRetryBudget < 0:
-		c.DecodeRetryBudget = 0
-	}
 	if c.RefConf <= 0 {
 		c.RefConf = 0.5
-	}
-	if c.ConsolidateCanvas <= 0 {
-		c.ConsolidateCanvas = 416
-	}
-	if c.ConsolidatePad <= 0 {
-		c.ConsolidatePad = 8
-	}
-	if c.ConsolidateFrames <= 0 {
-		c.ConsolidateFrames = 16
-	}
-	switch {
-	case c.ConsolidateWait == 0:
-		c.ConsolidateWait = 2 * time.Millisecond
-	case c.ConsolidateWait < 0:
-		c.ConsolidateWait = 0
-	}
-	if c.ConsolidateMinCover <= 0 {
-		c.ConsolidateMinCover = 0.7
 	}
 }
 
@@ -457,6 +417,9 @@ type System struct {
 
 	streams []*streamState
 	refQ    *queue.Queue[*frame.Frame]
+	// ref is the reference stage's scratch, reused by every frame and
+	// consolidation round.
+	ref refScratch
 
 	// tyNotifies has one wake signal per T-YOLO worker (one worker per
 	// filter GPU; streams are partitioned by ID).
@@ -506,18 +469,14 @@ func New(cfg Config, specs []StreamSpec) *System {
 	}
 	if cfg.PerStreamTYolo {
 		// Inflate the T-YOLO activation charge to a full model reload;
-		// tyStage invalidates the device before each batch so it is paid
+		// tyWorker invalidates the device before each batch so it is paid
 		// every time.
-		reload := cfg.TYoloReload
-		if reload <= 0 {
-			reload = 60 * time.Millisecond
-		}
 		costs := device.CostModel{}
 		for k, v := range cfg.Costs {
 			costs[k] = v
 		}
 		c := costs[device.ModelTYolo]
-		c.Activate = reload
+		c.Activate = tyoloReload
 		costs[device.ModelTYolo] = c
 		cfg.Costs = costs
 	}

@@ -42,8 +42,8 @@ type StreamSnapshot struct {
 	// Decided is the number of frames with a final disposition; Ingested
 	// minus Decided is the stream's in-flight population.
 	Decided int64 `json:"decided"`
-	// Drops indexes by Disposition (drop-sdd, drop-snm, drop-t-yolo,
-	// detected, drop-closed).
+	// Drops indexes by Disposition: drop-sdd, drop-snm, drop-t-yolo,
+	// detected, drop-closed, drop-error, drop-shed, drop-admission.
 	Drops      [NumDispositions]int64 `json:"drops"`
 	IngestDone bool                   `json:"ingest_done"`
 	Stopped    bool                   `json:"stopped"`

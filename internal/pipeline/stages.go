@@ -8,6 +8,8 @@ import (
 	"ffsva/internal/device"
 	"ffsva/internal/filters"
 	"ffsva/internal/frame"
+	"ffsva/internal/imgproc"
+	"ffsva/internal/queue"
 	"ffsva/internal/trace"
 )
 
@@ -82,9 +84,7 @@ func (s *System) spillDrainer(st *streamState) {
 		if !ok {
 			break
 		}
-		if !st.sddQ.Put(f) {
-			s.finish(st, f, DropClosed, -1)
-		}
+		s.forward(st, st.sddQ, f)
 		st.spill.Delivered()
 	}
 	st.sddQ.Close()
@@ -209,7 +209,7 @@ func (s *System) prefetch(st *streamState) {
 					s.cpu.Use(device.ModelDecode, 1, s.cfg.Costs)
 				}
 				tries++
-				if tries > s.cfg.DecodeRetryBudget {
+				if tries > decodeRetryBudget {
 					lost = true
 					break
 				}
@@ -244,7 +244,7 @@ func (s *System) prefetch(st *streamState) {
 			}
 			st.ingested++
 			s.ingestCtr.Inc()
-			s.finishLost(st, seq, DropError)
+			s.finishLost(st, seq)
 			continue
 		}
 		var f *frame.Frame
@@ -280,10 +280,10 @@ func (s *System) prefetch(st *streamState) {
 			// back-end is degraded (the paper's ≥30 FPS ingest guarantee).
 			if !st.sddQ.TryPut(f) {
 				s.shedCtr.Inc()
-				s.finish(st, f, DropShed, -1)
+				s.finish(st, f, DropShed)
 			}
-		} else if !st.sddQ.Put(f) {
-			s.finish(st, f, DropClosed, -1)
+		} else {
+			s.forward(st, st.sddQ, f)
 		}
 		if s.cfg.Mode == Online {
 			// Lateness against the capture schedule: sustained growth
@@ -317,24 +317,20 @@ func (s *System) sddStage(st *streamState) {
 		if !ok {
 			break
 		}
-		if s.Crashed() {
-			// Dead instance: drain without consuming device time.
-			s.finish(st, f, DropError, -1)
+		if s.drainCrashed(st, f) {
 			continue
 		}
 		if f.Corrupt {
 			// Damaged payload: reject before feeding the cascade garbage.
 			s.faultCtr.Inc()
 			s.cfg.Tracer.Instant("fault corrupt-frame", "fault", s.cfg.Instance, clk.Now())
-			s.finish(st, f, DropError, -1)
+			s.finish(st, f, DropError)
 			continue
 		}
 		// Pixels exist from here on: every later stage reads them.
 		f.Draw()
 		if s.cfg.DisableSDD {
-			if !st.snmQ.Put(f) {
-				s.finish(st, f, DropClosed, -1)
-			}
+			s.forward(st, st.snmQ, f)
 			continue
 		}
 		sp := f.Trace.StartSpan(trace.KSDD, "cpu", clk.Now())
@@ -344,12 +340,10 @@ func (s *System) sddStage(st *streamState) {
 		}
 		if st.spec.SDD.Process(f) == filters.Drop {
 			sp.EndDrop(clk.Now())
-			s.finish(st, f, DropSDD, -1)
+			s.finish(st, f, DropSDD)
 		} else {
 			sp.End(clk.Now())
-			if !st.snmQ.Put(f) {
-				s.finish(st, f, DropClosed, -1)
-			}
+			s.forward(st, st.snmQ, f)
 		}
 	}
 	st.snmQ.Close()
@@ -370,20 +364,13 @@ func (s *System) snmStage(st *streamState) {
 		if len(batch) == 0 {
 			break
 		}
-		if s.Crashed() {
-			for _, f := range batch {
-				s.finish(st, f, DropError, -1)
-			}
+		if s.drainCrashed(st, batch...) {
 			continue
 		}
 		s.snmBatch.Observe(len(batch))
 		if s.cfg.DisableSNM {
 			for _, f := range batch {
-				if st.tyQ.Put(f) {
-					s.tyNotifyFor(st).add(1)
-				} else {
-					s.finish(st, f, DropClosed, -1)
-				}
+				s.forwardToTYolo(st, f)
 			}
 			continue
 		}
@@ -409,15 +396,10 @@ func (s *System) snmStage(st *streamState) {
 			f.Trace.AddSpan(trace.KSNMAssemble, t0, t1, "cpu", len(batch))
 			f.Trace.AddSpan(trace.KSNMInfer, t1, t2, gpuName, len(batch))
 			if verdicts[i] == filters.Pass {
-				// Blocks at the T-YOLO depth threshold: feedback.
-				if st.tyQ.Put(f) {
-					s.tyNotifyFor(st).add(1)
-				} else {
-					s.finish(st, f, DropClosed, -1)
-				}
+				s.forwardToTYolo(st, f)
 			} else {
 				f.Trace.MarkDrop()
-				s.finish(st, f, DropSNM, -1)
+				s.finish(st, f, DropSNM)
 			}
 		}
 	}
@@ -481,10 +463,7 @@ func (s *System) tyWorker(w int) {
 				continue
 			}
 			note.sub(len(batch))
-			if s.Crashed() {
-				for _, f := range batch {
-					s.finish(st, f, DropError, -1)
-				}
+			if s.drainCrashed(st, batch...) {
 				continue
 			}
 			t0 := clk.Now()
@@ -520,13 +499,10 @@ func (s *System) tyWorker(w int) {
 				f.Trace.AddSpan(trace.KTYoloInfer, prev, now, gpuName, len(batch))
 				prev = now
 				if verdict == filters.Pass {
-					if !s.refQ.Put(f) {
-						f.Trace.MarkDrop()
-						s.finish(st, f, DropClosed, -1)
-					}
+					s.forward(st, s.refQ, f)
 				} else {
 					f.Trace.MarkDrop()
-					s.finish(st, f, DropTYolo, -1)
+					s.finish(st, f, DropTYolo)
 				}
 			}
 			s.tyMeter.Mark(clk.Now(), int64(len(batch)))
@@ -535,52 +511,97 @@ func (s *System) tyWorker(w int) {
 	s.tyDone()
 }
 
-// refStage is the reference model on its dedicated GPU-1: per-frame
-// full-frame inference by default, the crop-and-pack consolidator
-// (consolidate.go) under Config.Consolidate.
+// refStage is the reference model on its dedicated GPU-1. Each turn
+// takes one frame, or one consolidation round under Config.Consolidate;
+// resolveOwners retires what no stream here can take, and the rest is
+// served per frame or, packed, per canvas (consolidate.go).
 func (s *System) refStage() {
-	if s.cfg.Consolidate {
-		s.refConsolidatedLoop()
-	} else {
-		s.refLoop()
+	for batch := s.refTake(); len(batch) > 0; batch = s.refTake() {
+		live, owners := s.resolveOwners(batch)
+		switch {
+		case !s.cfg.Consolidate:
+			for i, f := range live {
+				s.serveFrame(owners[i], f)
+			}
+		case len(live) > 0:
+			s.serveCanvases(live, owners)
+		}
 	}
 	s.end = s.cfg.Clock.Now()
 	s.finished = true
 }
 
-// refLoop is the classic per-frame reference path.
-func (s *System) refLoop() {
-	clk := s.cfg.Clock
-	for {
-		f, ok := s.refQ.Get()
-		if !ok {
-			break
-		}
-		if s.Crashed() {
-			if st := s.lookupStream(f.StreamID, f.Seq); st != nil {
-				s.finish(st, f, DropError, -1)
-			} else {
-				s.finishOrphan(f)
-			}
-			continue
-		}
-		// Resolve the stream before charging the device: an orphan costs
-		// no reference inference.
-		st := s.lookupStream(f.StreamID, f.Seq)
-		if st == nil {
-			s.finishOrphan(f)
-			continue
-		}
-		sp := f.Trace.StartSpan(trace.KRef, s.gpu1.Name, clk.Now())
-		if s.cfg.ChargeCosts {
-			s.gpu1.Use(device.ModelRef, 1, s.cfg.Costs)
-		}
-		dets := s.cfg.Ref.Detect(f)
-		sp.End(clk.Now())
-		count := detect.Count(dets, st.spec.Target, s.cfg.RefConf)
-		s.refServed.Inc()
-		s.finishCounts(st, f, Detected, count, count)
+// refScratch is the reference stage's reusable working set, so a frame
+// or a consolidation round allocates nothing once the slices have grown.
+type refScratch struct {
+	batch  []*frame.Frame
+	owners []*streamState
+	// rects are a round's crops in frame order; ends[i] is where frame
+	// i's crops end.
+	rects []imgproc.Rect
+	ends  []int
+}
+
+// refTake blocks for the next frame. Under consolidation it gathers up
+// to consolidateFrames: what is queued now and, if that comes up short,
+// what arrives within one fixed consolidateWait. A single sleep (rather
+// than a poll loop) keeps the round's schedule deterministic. It returns
+// nothing once the queue is closed and drained.
+func (s *System) refTake() []*frame.Frame {
+	f, ok := s.refQ.Get()
+	if !ok {
+		return nil
 	}
+	batch := append(s.ref.batch[:0], f)
+	for waited := false; s.cfg.Consolidate && len(batch) < consolidateFrames; {
+		if f, ok := s.refQ.TryGet(); ok {
+			batch = append(batch, f)
+		} else if waited {
+			break
+		} else {
+			s.cfg.Clock.Sleep(consolidateWait)
+			waited = true
+		}
+	}
+	s.ref.batch = batch
+	return batch
+}
+
+// resolveOwners retires the frames of a batch that no stream here can
+// take — orphans (their stream was retired or migrated with frames in
+// flight) and, on a crashed instance, all of them — before any device
+// time is charged. It returns the rest, compacted in place, with their
+// owning streams.
+func (s *System) resolveOwners(batch []*frame.Frame) ([]*frame.Frame, []*streamState) {
+	live, owners := batch[:0], s.ref.owners[:0]
+	for _, f := range batch {
+		st := s.lookupStream(f.StreamID, f.Seq)
+		switch {
+		case st == nil:
+			s.finishOrphan(f)
+		case s.crashed:
+			s.finish(st, f, DropError)
+		default:
+			live = append(live, f)
+			owners = append(owners, st)
+		}
+	}
+	s.ref.owners = owners
+	return live, owners
+}
+
+// serveFrame is full-frame reference inference on one frame.
+func (s *System) serveFrame(st *streamState, f *frame.Frame) {
+	clk := s.cfg.Clock
+	sp := f.Trace.StartSpan(trace.KRef, s.gpu1.Name, clk.Now())
+	if s.cfg.ChargeCosts {
+		s.gpu1.Use(device.ModelRef, 1, s.cfg.Costs)
+	}
+	dets := s.cfg.Ref.Detect(f)
+	sp.End(clk.Now())
+	count := detect.Count(dets, st.spec.Target, s.cfg.RefConf)
+	s.refServed.Inc()
+	s.finishCounts(st, f, Detected, count, count)
 }
 
 // finishOrphan retires a frame that reached the reference stage with no
@@ -603,15 +624,51 @@ func (s *System) finishOrphan(f *frame.Frame) {
 // further frame can be decided. The periodic monitor uses it to stop.
 func (s *System) Finished() bool { return s.finished }
 
-// finish records a frame's final disposition.
-func (s *System) finish(st *streamState, f *frame.Frame, d Disposition, refCount int) {
-	s.finishCounts(st, f, d, refCount, -1)
+// forward hands f to the next stage's queue, blocking at its depth
+// threshold (the feedback of §4.3.1). It is the only blocking frame Put
+// in the engine: a put fails only when q was closed under its producer,
+// and the frame then retires as DropClosed with its drop marked. It
+// reports whether q took the frame.
+func (s *System) forward(st *streamState, q *queue.Queue[*frame.Frame], f *frame.Frame) bool {
+	if q.Put(f) {
+		return true
+	}
+	f.Trace.MarkDrop()
+	s.finish(st, f, DropClosed)
+	return false
 }
 
-// finishCounts is finish with the reference tier's second tally: under
-// consolidation refCount is the truncation-adjusted count over the
-// packed crops and refFull the full-frame count, so accuracy accounting
-// can measure what cropping cost.
+// forwardToTYolo forwards f to its stream's T-YOLO queue and wakes the
+// worker that owns the stream.
+func (s *System) forwardToTYolo(st *streamState, f *frame.Frame) {
+	if s.forward(st, st.tyQ, f) {
+		s.tyNotifyFor(st).add(1)
+	}
+}
+
+// drainCrashed retires frames that reached a stage of a crashed
+// instance as DropError, without consuming device time, and reports
+// whether it did.
+func (s *System) drainCrashed(st *streamState, frames ...*frame.Frame) bool {
+	if !s.crashed {
+		return false
+	}
+	for _, f := range frames {
+		s.finish(st, f, DropError)
+	}
+	return true
+}
+
+// finish records a dropped frame's final disposition.
+func (s *System) finish(st *streamState, f *frame.Frame, d Disposition) {
+	s.finishCounts(st, f, d, -1, -1)
+}
+
+// finishCounts records a frame's final disposition with the reference
+// tier's two tallies: under consolidation refCount is the
+// truncation-adjusted count over the packed crops and refFull the
+// full-frame count, so accuracy accounting can measure what cropping
+// cost.
 func (s *System) finishCounts(st *streamState, f *frame.Frame, d Disposition, refCount, refFull int) {
 	rec := Record{
 		Done:         true,
@@ -633,49 +690,43 @@ func (s *System) finishCounts(st *streamState, f *frame.Frame, d Disposition, re
 		}
 	}
 	s.latency.Observe(rec.Decided - rec.Captured)
-	s.dispCtr.With(d.String()).Inc()
 	if ft := f.Trace; ft != nil {
 		// finish is also the trace record's terminal point: detach it
 		// before the frame is released so retention owns it exclusively.
 		f.Trace = nil
 		s.cfg.Tracer.Finish(ft, d.String(), d == DropError, rec.Decided)
 	}
-	if idx := f.Seq - st.spec.SeqBase; idx >= 0 && idx < int64(len(st.records)) {
+	// finish is the single terminal point of a frame's journey, so this
+	// is the one place its pixel plane can go back to the frame pool
+	// (a no-op for frames not built by frame.NewPooled or never drawn).
+	f.Release()
+	s.record(st, rec)
+}
+
+// finishLost records a frame that was consumed from the source but never
+// delivered (decode failure past the retry budget) as DropError: there
+// is no frame object to route or release, but the slot must still
+// appear in the ledger or the conservation invariant would see a hole.
+func (s *System) finishLost(st *streamState, seq int64) {
+	now := s.cfg.Clock.Now()
+	s.record(st, Record{
+		Done: true, Seq: seq, Disposition: DropError,
+		Captured: now, Decided: now,
+		TruthCount: -1, RefCount: -1, RefFullCount: -1,
+	})
+}
+
+// record enters a decided frame in its fragment's ledger and, at the
+// fragment's last verdict, releases the stream's detector state.
+func (s *System) record(st *streamState, rec Record) {
+	s.dispCtr.With(rec.Disposition.String()).Inc()
+	if idx := rec.Seq - st.spec.SeqBase; idx >= 0 && idx < int64(len(st.records)) {
 		st.records[idx] = rec
 	}
 	if rec.Decided > st.lastDone {
 		st.lastDone = rec.Decided
 	}
-	st.counts[d]++
-	last := st.drained()
-	// finish is the single terminal point of a frame's journey, so this
-	// is the one place its pixel plane can go back to the frame pool
-	// (a no-op for frames not built by frame.NewPooled or never drawn).
-	f.Release()
-	if last {
-		s.releaseDetector(st)
-	}
-}
-
-// finishLost records a frame that was consumed from the source but never
-// delivered (decode failure past the retry budget): there is no frame
-// object to route or release, but the slot must still appear in the
-// ledger or the conservation invariant would see a hole.
-func (s *System) finishLost(st *streamState, seq int64, d Disposition) {
-	now := s.cfg.Clock.Now()
-	rec := Record{
-		Done: true, Seq: seq, Disposition: d,
-		Captured: now, Decided: now,
-		TruthCount: -1, RefCount: -1, RefFullCount: -1,
-	}
-	s.dispCtr.With(d.String()).Inc()
-	if idx := seq - st.spec.SeqBase; idx >= 0 && idx < int64(len(st.records)) {
-		st.records[idx] = rec
-	}
-	if now > st.lastDone {
-		st.lastDone = now
-	}
-	st.counts[d]++
+	st.counts[rec.Disposition]++
 	if st.drained() {
 		s.releaseDetector(st)
 	}

@@ -161,7 +161,8 @@ func (ft *FrameTrace) MarkDrop() {
 }
 
 // StartSpan opens a service span and returns its handle; the stage must
-// End or EndDrop it on every path (the spanend analyzer enforces this).
+// End or EndDrop it on every path, since a span left open records
+// nothing.
 func (ft *FrameTrace) StartSpan(k Kind, dev string, now time.Duration) SpanHandle {
 	if ft == nil {
 		return SpanHandle{}
