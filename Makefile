@@ -44,25 +44,25 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-# The packages whose tests exercise real goroutines against shared state.
+# The packages whose code or tests start goroutines that share state.
 # Everything on the virtual clock (queues, devices, pipeline, cluster,
 # fault injection) runs one process at a time and shares nothing across
-# goroutines but the clock's own handoff, so what is left is the
-# parallel compute kernels with the one mutex-guarded buffer pool they
-# all draw from (worker pool; tensor, image and frame planes; kernel
-# scratch), the tracer, observability server and flight recorder, whose
-# readers are HTTP and dump goroutines, and lab and train,
-# which mint streams around read-only artefacts their camera shares
-# (background plane, detector seed, trained weights) and train distinct
-# cameras concurrently through lab's cache
-# (TestConcurrentTrainCameraTrainsEachOnce), nn's one trained net
-# inferred on from eight goroutines (TestSharedNetInferAcrossGoroutines),
-# and vclock, whose processes are goroutines handing the processor over
-# (TestVirtualRegistryForgetsFinishedProcesses). The per-pixel loops
-# run ~50x slower under the detector (vidgen ~8 min, detect ~5 min on a
+# goroutines but the clock's own handoff. The compute kernels are serial
+# loops and start none, so imgproc, frame, filters, detect and train are
+# not listed. What is left: par's pool hammer (goroutines trading slices
+# through one SlicePool), nn's one trained net inferred on from eight
+# goroutines (TestSharedNetInferAcrossGoroutines) and its pooled tensors
+# under concurrent streams, vidgen's and lab's concurrent minting around
+# read-only artefacts a camera shares (background plane, detector seed,
+# trained weights) and lab's cache training distinct cameras at once
+# (TestConcurrentTrainCameraTrainsEachOnce), the tracer, observability
+# server and flight recorder, whose readers are HTTP and dump
+# goroutines, and vclock, whose processes are goroutines handing the
+# processor over (TestVirtualRegistryForgetsFinishedProcesses). The
+# per-pixel loops run ~50x slower under the detector (vidgen ~8 min on a
 # 2-vCPU host), hence the timeout above go test's 600s default.
 race:
-	$(GO) test -race -timeout 1800s ./internal/vclock ./internal/par ./internal/nn ./internal/imgproc ./internal/frame ./internal/filters ./internal/vidgen ./internal/detect ./internal/lab ./internal/train ./internal/trace ./internal/obs ./internal/timeline
+	$(GO) test -race -timeout 1800s ./internal/vclock ./internal/par ./internal/nn ./internal/vidgen ./internal/lab ./internal/trace ./internal/obs ./internal/timeline
 
 # The experiments suite alone needs ~20 min under -race (the virtual
 # clock is cooperative, so the race detector's overhead doesn't

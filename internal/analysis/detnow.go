@@ -55,9 +55,9 @@ var detnowRandFuncs = map[string]bool{
 // deterministic-simulation package must stay clock-pure: time flows
 // only through the virtual clock and randomness only through seeded
 // *rand.Rand values, or virtual-time replays stop being bit-identical.
-// GOMAXPROCS(0) reads stay legal everywhere (internal/par sizes its
-// default pool from one); setting it reshapes scheduling under every
-// other goroutine in the process, so only the benchmark sweep may.
+// GOMAXPROCS(0) reads stay legal everywhere; setting it reshapes
+// scheduling under every other goroutine in the process, so no package
+// may (the benchmark sets a child's width through its environment).
 var DetNow = &Analyzer{
 	Name: "detnow",
 	Doc:  "no wall clock, global math/rand, or GOMAXPROCS mutation outside internal/vclock and the allowlist (determinism)",
@@ -110,7 +110,7 @@ func runDetNow(pass *Pass) {
 			case "runtime":
 				if sel.Sel.Name == "GOMAXPROCS" && !isZeroLit(call.Args) {
 					pass.Reportf(call.Pos(),
-						"runtime.GOMAXPROCS mutation reshapes scheduling process-wide; size parallelism with par.SetWorkers (GOMAXPROCS(0) reads are fine)")
+						"runtime.GOMAXPROCS mutation reshapes scheduling process-wide (GOMAXPROCS(0) reads are fine)")
 				}
 			}
 			return true

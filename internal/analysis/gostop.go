@@ -15,7 +15,6 @@ var goStopScope = []string{
 	"internal/pipeline",
 	"internal/cluster",
 	"internal/queue",
-	"internal/par",
 	"internal/obs",
 	"internal/spill",
 	"internal/faults",

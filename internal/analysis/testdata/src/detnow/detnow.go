@@ -33,7 +33,7 @@ func good(clk *vclock.VirtualClock) int {
 }
 
 // resized mutates the global scheduler width — which silently reshapes
-// how every concurrent kernel in the process shards — while the
+// scheduling under every goroutine in the process — while the
 // argumentless-zero read stays legal.
 func resized() int {
 	runtime.GOMAXPROCS(4)        // want `runtime\.GOMAXPROCS mutation`

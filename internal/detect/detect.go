@@ -24,7 +24,6 @@ import (
 
 	"ffsva/internal/frame"
 	"ffsva/internal/imgproc"
-	"ffsva/internal/par"
 )
 
 // Detection is one detected object instance.
@@ -195,10 +194,10 @@ func (t *TinyGrid) seedFor(bg *imgproc.Gray) []float64 {
 }
 
 // Detect implements Detector. The per-pixel stages — resize, foreground
-// difference, background EMA, blur, binarize — shard over the par
-// worker pool; component labeling and classification are a tiny
-// fraction of the work and stay serial. Scratch images come from the
-// image pool, so a warm detector allocates only its detections.
+// difference, background EMA, blur, binarize — carry the work;
+// component labeling and classification are a tiny fraction of it.
+// Scratch images come from the image pool, so a warm detector
+// allocates only its detections.
 func (t *TinyGrid) Detect(f *frame.Frame) []Detection {
 	size := t.cfg.InputSize
 	small := imgproc.GetGray(size, size)
@@ -217,9 +216,8 @@ func (t *TinyGrid) Detect(f *frame.Frame) []Detection {
 	t.mu.Unlock()
 
 	// Foreground difference against the running background, fused with
-	// the background EMA update: both walk the same pixels and each
-	// index touches only its own diff/ema slots, so the fused loop
-	// shards cleanly. Warmup adapts faster so a cold detector converges.
+	// the background EMA update: both walk the same pixels. Warmup
+	// adapts faster so a cold detector converges.
 	alpha := t.cfg.BGAlpha
 	if st.frames < 50 {
 		alpha = 0.15
@@ -227,14 +225,7 @@ func (t *TinyGrid) Detect(f *frame.Frame) []Detection {
 	st.frames++
 	diff := imgproc.GetGray(size, size)
 	defer diff.Release()
-	pix, ema, out := small.Pix, st.ema, diff.Pix
-	if par.Workers() == 1 {
-		diffAndAdapt(pix, ema, out, alpha)
-	} else {
-		par.For(len(pix), 4096, func(lo, hi int) {
-			diffAndAdapt(pix[lo:hi], ema[lo:hi], out[lo:hi], alpha)
-		})
-	}
+	diffAndAdapt(small.Pix, st.ema, diff.Pix, alpha)
 
 	blur := imgproc.GetGray(size, size)
 	imgproc.BoxBlur3Into(diff, blur)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ffsva/internal/frame"
-	"ffsva/internal/par"
 	"ffsva/internal/vidgen"
 )
 
@@ -346,8 +345,6 @@ func TestCompressedNilTruth(t *testing.T) {
 // planes, the labelling's work space and the confidence table came off
 // one GC-independent pool this was 20 allocations and 400 KB.
 func TestDetectAllocsIndependentOfGC(t *testing.T) {
-	prev := par.SetWorkers(1)
-	defer par.SetWorkers(prev)
 	cfg := vidgen.Small(1, frame.ClassCar, 0.1)
 	s := vidgen.New(cfg)
 	tg := NewTinyGrid(DefaultTinyGridConfig())

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ffsva/internal/frame"
-	"ffsva/internal/par"
 	"ffsva/internal/vidgen"
 )
 
@@ -47,7 +46,7 @@ func detectDigest(cfg vidgen.Config, n int, seeded bool) (digest uint64, dets in
 // TestTinyGridGolden pins the detector's output — which is the resize,
 // the diff/EMA pass, the blur, the labelling and the confidence mean all
 // at once — to digests recorded before those kernels were rewritten
-// (ISSUE 14), at one worker and at four.
+// (ISSUE 14).
 func TestTinyGridGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -60,14 +59,10 @@ func TestTinyGridGolden(t *testing.T) {
 		{"car_tor0.1_seeded", vidgen.Small(1, frame.ClassCar, 0.1), true, goldenCarSeeded, goldenCarSeededDets},
 		{"car_tor0.1_cold", vidgen.Small(1, frame.ClassCar, 0.1), false, goldenCarCold, goldenCarColdDets},
 	} {
-		for _, workers := range []int{1, 4} {
-			prev := par.SetWorkers(workers)
-			got, dets := detectDigest(tc.cfg, 400, tc.seeded)
-			par.SetWorkers(prev)
-			if got != tc.want || dets != tc.wantDets {
-				t.Errorf("%s workers=%d: digest %016x over %d detections, want %016x over %d",
-					tc.name, workers, got, dets, tc.want, tc.wantDets)
-			}
+		got, dets := detectDigest(tc.cfg, 400, tc.seeded)
+		if got != tc.want || dets != tc.wantDets {
+			t.Errorf("%s: digest %016x over %d detections, want %016x over %d",
+				tc.name, got, dets, tc.want, tc.wantDets)
 		}
 	}
 }

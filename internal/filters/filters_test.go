@@ -9,7 +9,6 @@ import (
 	"ffsva/internal/detect"
 	"ffsva/internal/frame"
 	"ffsva/internal/imgproc"
-	"ffsva/internal/par"
 	"ffsva/internal/vidgen"
 )
 
@@ -332,12 +331,10 @@ func TestUncompensatedDistanceIsMSE(t *testing.T) {
 	}
 }
 
-// TestSDDProcessAllocsIndependentOfGC: on the inline path the difference
-// detector's visit allocates at most the view of the frame, whatever the
-// collector does between frames.
+// TestSDDProcessAllocsIndependentOfGC: the difference detector's visit
+// allocates at most the view of the frame, whatever the collector does
+// between frames.
 func TestSDDProcessAllocsIndependentOfGC(t *testing.T) {
-	prev := par.SetWorkers(1)
-	defer par.SetWorkers(prev)
 	s := vidgen.New(vidgen.Small(1, frame.ClassCar, 0.1))
 	sdd := NewSDD(s.Background(), 40, MetricMSE)
 	frames := vidgen.Generate(s, 8)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ffsva/internal/frame"
-	"ffsva/internal/par"
 	"ffsva/internal/vidgen"
 )
 
@@ -47,14 +46,10 @@ func TestSDDGolden(t *testing.T) {
 		{"mse", MetricMSE, 40, goldenSDDMSE, goldenSDDMSEPassed},
 		{"sad", MetricSAD, 30000, goldenSDDSAD, goldenSDDSADPassed},
 	} {
-		for _, workers := range []int{1, 4} {
-			prev := par.SetWorkers(workers)
-			got, passed := sddDigest(cfg, 400, tc.metric, tc.delta)
-			par.SetWorkers(prev)
-			if got != tc.want || passed != tc.wantPassed {
-				t.Errorf("%s workers=%d: digest %016x with %d passed, want %016x with %d",
-					tc.name, workers, got, passed, tc.want, tc.wantPassed)
-			}
+		got, passed := sddDigest(cfg, 400, tc.metric, tc.delta)
+		if got != tc.want || passed != tc.wantPassed {
+			t.Errorf("%s: digest %016x with %d passed, want %016x with %d",
+				tc.name, got, passed, tc.want, tc.wantPassed)
 		}
 	}
 }

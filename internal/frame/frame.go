@@ -6,7 +6,6 @@ package frame
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"ffsva/internal/par"
@@ -208,7 +207,6 @@ func (f *Frame) Draw() {
 		return
 	}
 	f.drawer = nil
-	poolGets.Add(1)
 	f.Pix, f.pooled = pixPool.Get(f.W*f.H), true
 	d.Draw(f.Pix)
 }
@@ -219,17 +217,12 @@ func (f *Frame) Draw() {
 // steady-state frame generation allocates only the Frame header.
 var pixPool par.SlicePool[uint8]
 
-// poolGets and poolPuts count pooled-frame acquisitions and returns, so
-// tests can assert the get/put balance across a run: a frame path that
-// skips Release shows up as a persistent gets-puts surplus.
-var poolGets, poolPuts atomic.Int64
-
 // PoolStats returns the cumulative pooled-frame acquisition and return
-// counts. The pool is process-global, so callers compare deltas around
-// the region under test rather than absolute values.
-func PoolStats() (gets, puts int64) {
-	return poolGets.Load(), poolPuts.Load()
-}
+// counts, so tests can assert the get/put balance across a run: a frame
+// path that skips Release shows up as a persistent gets-puts surplus.
+// The pool is process-global, so callers compare deltas around the
+// region under test rather than absolute values.
+func PoolStats() (gets, puts int64) { return pixPool.Stats() }
 
 // NewPooled returns a frame whose pixel plane is borrowed from the
 // frame-buffer pool. The plane is NOT cleared — it holds whatever the
@@ -239,7 +232,6 @@ func PoolStats() (gets, puts int64) {
 // use New. The pipeline calls Release once the frame's verdict is
 // final.
 func NewPooled(w, h int) *Frame {
-	poolGets.Add(1)
 	return &Frame{W: w, H: h, Pix: pixPool.Get(w * h), pooled: true}
 }
 
@@ -257,7 +249,6 @@ func (f *Frame) Release() {
 	if !f.pooled || f.Pix == nil {
 		return
 	}
-	poolPuts.Add(1)
 	pixPool.Put(f.Pix)
 	f.Pix = nil
 	f.pooled = false

@@ -159,6 +159,7 @@ func TestPooledPlanesSurviveMixedResolutionsAndGC(t *testing.T) {
 			if len(f.Pix) != sz[0]*sz[1] {
 				t.Fatalf("NewPooled(%d, %d): plane of %d", sz[0], sz[1], len(f.Pix))
 			}
+			escaped = f // as every frame a source hands the pipeline does
 			f.Release()
 		}
 	}
@@ -172,3 +173,7 @@ func TestPooledPlanesSurviveMixedResolutionsAndGC(t *testing.T) {
 		t.Fatalf("%v allocations per round of %d frames, want %v (the headers)", allocs, len(sizes), want)
 	}
 }
+
+// escaped makes a test's frames escape to the heap the way the
+// pipeline's do, so an allocation count includes their headers.
+var escaped *Frame

@@ -3,8 +3,6 @@ package imgproc
 import (
 	"runtime"
 	"testing"
-
-	"ffsva/internal/par"
 )
 
 // gcBetween is testing.AllocsPerRun with two collections inside every
@@ -20,9 +18,6 @@ func gcBetween(f func()) float64 {
 }
 
 func TestPooledKernelsDoNotAllocate(t *testing.T) {
-	prev := par.SetWorkers(1)
-	defer par.SetWorkers(prev)
-
 	var keep *Gray
 	if allocs := gcBetween(func() {
 		keep = GetGray(100, 100)

@@ -3,15 +3,12 @@ package imgproc
 import (
 	"math/rand"
 	"testing"
-
-	"ffsva/internal/par"
 )
 
 // TestResizeMSEMatchesTwoPass proves the fused resize+score kernel is
 // bitwise-identical to ResizeInto followed by MSE — both the returned
-// distance and every pixel it writes — at several pool widths,
-// including the equal-size copy fast path and odd shapes whose row
-// chunks split unevenly.
+// distance and every pixel it writes — including the equal-size copy
+// fast path and odd shapes.
 func TestResizeMSEMatchesTwoPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	cases := []struct {
@@ -32,24 +29,19 @@ func TestResizeMSEMatchesTwoPass(t *testing.T) {
 		ResizeInto(src, want)
 		wantMSE := MSE(want, ref)
 
-		for _, width := range []int{1, 2, 8} {
-			prev := par.SetWorkers(width)
-			got := GetGray(tc.dstW, tc.dstH)
-			for i := range got.Pix {
-				got.Pix[i] = 0xCD // poison: every pixel must be overwritten
-			}
-			gotMSE := ResizeMSE(src, got, ref)
-			par.SetWorkers(prev)
-
-			if gotMSE != wantMSE {
-				t.Fatalf("%s width=%d: ResizeMSE = %v, two-pass = %v", tc.name, width, gotMSE, wantMSE)
-			}
-			for i := range want.Pix {
-				if got.Pix[i] != want.Pix[i] {
-					t.Fatalf("%s width=%d: pixel %d = %d, want %d", tc.name, width, i, got.Pix[i], want.Pix[i])
-				}
-			}
-			got.Release()
+		got := GetGray(tc.dstW, tc.dstH)
+		for i := range got.Pix {
+			got.Pix[i] = 0xCD // poison: every pixel must be overwritten
 		}
+		gotMSE := ResizeMSE(src, got, ref)
+		if gotMSE != wantMSE {
+			t.Fatalf("%s: ResizeMSE = %v, two-pass = %v", tc.name, gotMSE, wantMSE)
+		}
+		for i := range want.Pix {
+			if got.Pix[i] != want.Pix[i] {
+				t.Fatalf("%s: pixel %d = %d, want %d", tc.name, i, got.Pix[i], want.Pix[i])
+			}
+		}
+		got.Release()
 	}
 }

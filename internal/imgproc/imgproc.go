@@ -34,6 +34,12 @@ func NewGray(w, h int) *Gray {
 // state allocation-free.
 var grayPix par.SlicePool[uint8]
 
+// PoolStats returns how many image planes the pool has handed out and
+// taken back — pooled Gray images and ConnectedComponents' visited
+// planes — so tests can assert that every plane a run borrowed went
+// back. The counts are cumulative and process-global: compare deltas.
+func PoolStats() (gets, puts int64) { return grayPix.Stats() }
+
 // GetGray returns a pooled w×h image whose pixels are NOT cleared; it is
 // for kernels that overwrite every pixel (resize targets, diff outputs).
 // Release it with Gray.Release when done.
@@ -127,10 +133,9 @@ func sourcePair(i int, ratio float64, srcN int) (i0, i1 int, f float64) {
 	return i0, i1, f
 }
 
-// resizer is one src→dst bilinear resize: the source plane, the target
-// width and the column taps. It is a plain value — the row kernels below
-// take what they need from it, so a caller's *Gray never has to outlive
-// the call.
+// resizer is one src→dst bilinear resize: the source plane and the
+// column taps. It is a plain value — the row kernel takes what it needs
+// from it, so a caller's *Gray never has to outlive the call.
 //
 // The arithmetic is frozen: every output pixel is
 //
@@ -145,7 +150,6 @@ func sourcePair(i int, ratio float64, srcN int) (i0, i1 int, f float64) {
 type resizer struct {
 	pix    []uint8
 	sw, sh int
-	w      int
 	yRatio float64
 	taps   []colTap
 }
@@ -153,7 +157,7 @@ type resizer struct {
 // newResizer works out the taps of a src→(w,h) resize into pooled
 // scratch; release returns it.
 func newResizer(src *Gray, w, h int) resizer {
-	r := resizer{pix: src.Pix, sw: src.W, sh: src.H, w: w,
+	r := resizer{pix: src.Pix, sw: src.W, sh: src.H,
 		yRatio: float64(src.H) / float64(h), taps: tapPool.Get(w)}
 	xRatio := float64(src.W) / float64(w)
 	for x := range r.taps {
@@ -165,7 +169,7 @@ func newResizer(src *Gray, w, h int) resizer {
 
 func (r resizer) release() { tapPool.Put(r.taps) }
 
-// row writes output row y into dst (length r.w).
+// row writes output row y into dst, one row of the target width.
 func (r resizer) row(y int, dst []uint8) {
 	y0, y1, fy := sourcePair(y, r.yRatio, r.sh)
 	gy := 1 - fy
@@ -177,15 +181,6 @@ func (r resizer) row(y int, dst []uint8) {
 		top := float64(r0[t.x0])*t.gx + float64(r0[t.x1])*t.fx
 		bot := float64(r1[t.x0])*t.gx + float64(r1[t.x1])*t.fx
 		dst[x] = roundToUint8(top*gy + bot*fy)
-	}
-}
-
-// rows writes output rows [lo, hi) into the w-wide plane out. The
-// methods take the resizer by value so that a sharding closure holds a
-// copy and the caller's stays on its stack.
-func (r resizer) rows(lo, hi int, out []uint8) {
-	for y := lo; y < hi; y++ {
-		r.row(y, out[y*r.w:(y+1)*r.w])
 	}
 }
 
@@ -208,10 +203,7 @@ func roundToUint8(v float64) uint8 {
 }
 
 // ResizeInto scales src into dst (sized by dst.W×dst.H), overwriting
-// every pixel, so dst may be a dirty pooled image. Output rows are
-// independent and shard over the worker pool; each row is written by
-// exactly one shard, so the result is bitwise-identical to the serial
-// loop.
+// every pixel, so dst may be a dirty pooled image.
 func ResizeInto(src, dst *Gray) {
 	w, h := dst.W, dst.H
 	if w <= 0 || h <= 0 {
@@ -222,32 +214,21 @@ func ResizeInto(src, dst *Gray) {
 		return
 	}
 	r := newResizer(src, w, h)
-	out := dst.Pix
-	if par.Workers() == 1 {
-		// Inline, and without the closure below: the serial path does not
-		// allocate.
-		r.rows(0, h, out)
-	} else {
-		par.For(h, 8, func(lo, hi int) { r.rows(lo, hi, out) })
+	for y := 0; y < h; y++ {
+		r.row(y, dst.Pix[y*w:(y+1)*w])
 	}
 	r.release()
 }
 
-// resizeMSERows is the fixed row chunk of the fused resize+score
-// reduction; boundaries depend only on the output height, so the
-// partial-combination order is machine-independent.
-const resizeMSERows = 8
-
 // ResizeMSE scales src into dst exactly as ResizeInto does and, in the
 // same pass, returns the mean squared error between the fresh dst and
 // ref, scoring each output row while it is still hot in cache. dst and
-// ref must both be dst.W×dst.H. Row-chunk difference sums are exact
-// integers combined in chunk order, so the result is bitwise-identical
-// to ResizeInto followed by MSE, for any worker count.
+// ref must both be dst.W×dst.H. The row sums are exact integers, so the
+// result is bitwise-identical to ResizeInto followed by MSE.
 //
 // No filter calls it: SDD compensates luminance, which needs the whole
 // resized image before its offset pass. It stays only because the
-// benchmark and the kernel sweep time it by name (DESIGN.md §9).
+// benchmark times it by name (DESIGN.md §9).
 func ResizeMSE(src, dst, ref *Gray) float64 {
 	sameSize("ResizeMSE", dst, ref)
 	w, h := dst.W, dst.H
@@ -259,18 +240,14 @@ func ResizeMSE(src, dst, ref *Gray) float64 {
 		return MSE(dst, ref)
 	}
 	r := newResizer(src, w, h)
-	out, refPix := dst.Pix, ref.Pix
-	partials := make([]uint64, par.NumChunks(h, resizeMSERows))
-	par.ForChunks(h, resizeMSERows, func(ci, lo, hi int) {
-		r.rows(lo, hi, out)
-		partials[ci] = sumSquaredDiff(out[lo*w:hi*w], refPix[lo*w:hi*w])
-	})
-	r.release()
 	var sum uint64
-	for _, p := range partials {
-		sum += p
+	for y := 0; y < h; y++ {
+		row := dst.Pix[y*w : (y+1)*w]
+		r.row(y, row)
+		sum += sumSquaredDiff(row, ref.Pix[y*w:(y+1)*w])
 	}
-	return float64(sum) / float64(len(out))
+	r.release()
+	return float64(sum) / float64(len(dst.Pix))
 }
 
 // sumSquaredDiff returns Σ(a[i]−b[i])² over two equal-length planes.
@@ -301,28 +278,12 @@ func ResizeNearest(src *Gray, w, h int) *Gray {
 	return dst
 }
 
-// mseChunk is the fixed reduction chunk for the pixel-difference
-// metrics. Per-chunk sums are exact integers (every squared 8-bit diff
-// is ≤ 255², far below 2⁵³), so combining chunk partials yields the
-// same value as the serial sum, bitwise, for any worker count.
-const mseChunk = 1 << 14
-
 // MSE returns the mean squared pixel error between two equal-size images.
-// It is SDD's default distance metric (paper §3.2.1). The reduction runs
-// over the worker pool in fixed chunks; because every partial is an
-// exact integer, the result is bitwise-identical to the serial loop.
+// It is SDD's default distance metric (paper §3.2.1). The sum is an exact
+// integer (every squared 8-bit diff is ≤ 255²), divided once.
 func MSE(a, b *Gray) float64 {
 	sameSize("MSE", a, b)
-	n := len(a.Pix)
-	partials := make([]uint64, par.NumChunks(n, mseChunk))
-	par.ForChunks(n, mseChunk, func(ci, lo, hi int) {
-		partials[ci] = sumSquaredDiff(a.Pix[lo:hi], b.Pix[lo:hi])
-	})
-	var sum uint64
-	for _, p := range partials {
-		sum += p
-	}
-	return float64(sum) / float64(n)
+	return float64(sumSquaredDiff(a.Pix, b.Pix)) / float64(len(a.Pix))
 }
 
 // NRMSE returns the root of MSE normalized by the 8-bit dynamic range, in
@@ -332,25 +293,17 @@ func NRMSE(a, b *Gray) float64 {
 }
 
 // SAD returns the sum of absolute differences between two equal-size
-// images. Like MSE, the chunked integer reduction is exact.
+// images. Like MSE, the integer sum is exact.
 func SAD(a, b *Gray) float64 {
 	sameSize("SAD", a, b)
-	n := len(a.Pix)
-	partials := make([]uint64, par.NumChunks(n, mseChunk))
-	par.ForChunks(n, mseChunk, func(ci, lo, hi int) {
-		var sum uint64
-		for i := lo; i < hi; i++ {
-			d := int(a.Pix[i]) - int(b.Pix[i])
-			if d < 0 {
-				d = -d
-			}
-			sum += uint64(d)
-		}
-		partials[ci] = sum
-	})
+	bp := b.Pix[:len(a.Pix)]
 	var sum uint64
-	for _, p := range partials {
-		sum += p
+	for i, v := range a.Pix {
+		d := int(v) - int(bp[i])
+		if d < 0 {
+			d = -d
+		}
+		sum += uint64(d)
 	}
 	return float64(sum)
 }
@@ -368,15 +321,14 @@ func AbsDiff(a, b *Gray) *Gray {
 func AbsDiffInto(a, b, out *Gray) {
 	sameSize("AbsDiff", a, b)
 	sameSize("AbsDiff", a, out)
-	par.For(len(a.Pix), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d := int(a.Pix[i]) - int(b.Pix[i])
-			if d < 0 {
-				d = -d
-			}
-			out.Pix[i] = uint8(d)
+	bp, op := b.Pix[:len(a.Pix)], out.Pix[:len(a.Pix)]
+	for i, v := range a.Pix {
+		d := int(v) - int(bp[i])
+		if d < 0 {
+			d = -d
 		}
-	})
+		op[i] = uint8(d)
+	}
 }
 
 // MeanStd returns the mean and standard deviation of the image pixels.
@@ -409,17 +361,8 @@ func Binarize(g *Gray, thresh uint8) *Gray {
 // pixel, so out may be a dirty pooled image.
 func BinarizeInto(g *Gray, thresh uint8, out *Gray) {
 	sameSize("Binarize", g, out)
-	in, dst := g.Pix, out.Pix
-	if par.Workers() == 1 {
-		binarize(in, dst, thresh)
-		return
-	}
-	par.For(len(in), 4096, func(lo, hi int) { binarize(in[lo:hi], dst[lo:hi], thresh) })
-}
-
-func binarize(in, dst []uint8, thresh uint8) {
-	dst = dst[:len(in)]
-	for i, p := range in {
+	dst := out.Pix[:len(g.Pix)]
+	for i, p := range g.Pix {
 		if p > thresh {
 			dst[i] = 1
 		} else {
@@ -439,8 +382,7 @@ func BoxBlur3(g *Gray) *Gray {
 // BoxBlur3Into writes the 3×3 box filter of g into out, overwriting
 // every pixel, so out may be a dirty pooled image. Each output pixel is
 // the integer mean of the neighbours that exist — 9 inside, 6 on an
-// edge, 4 in a corner. Output rows shard over the worker pool; the input
-// is read-only, so shards are independent.
+// edge, 4 in a corner.
 func BoxBlur3Into(g, out *Gray) {
 	sameSize("BoxBlur3", g, out)
 	w, h := g.W, g.H
@@ -449,19 +391,15 @@ func BoxBlur3Into(g, out *Gray) {
 		blurSmall(in, dst, w, h)
 		return
 	}
-	if par.Workers() == 1 {
-		blurRows(in, dst, w, h, 0, h)
-		return
-	}
-	par.For(h, 8, func(lo, hi int) { blurRows(in, dst, w, h, lo, hi) })
+	blurRows(in, dst, w, h)
 }
 
-// blurRows blurs rows [lo, hi) of a plane at least 3×3: per output row,
-// the column sums of the two or three source rows around it, then a
-// 3-wide window over those sums.
-func blurRows(in, dst []uint8, w, h, lo, hi int) {
+// blurRows blurs a plane at least 3×3: per output row, the column sums
+// of the two or three source rows around it, then a 3-wide window over
+// those sums.
+func blurRows(in, dst []uint8, w, h int) {
 	col := sumPool.Get(w)
-	for y := lo; y < hi; y++ {
+	for y := 0; y < h; y++ {
 		top, bot := max(y-1, 0), min(y+1, h-1)
 		a := in[top*w : top*w+w]
 		b := in[bot*w : bot*w+w]

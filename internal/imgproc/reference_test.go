@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"ffsva/internal/par"
 )
 
 // The functions below are the kernels as they stood before ISSUE 14
@@ -185,17 +183,6 @@ func samePixels(t *testing.T, what string, got, want []uint8) {
 	}
 }
 
-// atWidths runs check with the worker pool pinned to one worker and to
-// four.
-func atWidths(t *testing.T, check func(workers int)) {
-	t.Helper()
-	for _, workers := range []int{1, 4} {
-		prev := par.SetWorkers(workers)
-		check(workers)
-		par.SetWorkers(prev)
-	}
-}
-
 func checkResizeMatchesReference(t *testing.T, src *Gray, w, h int) {
 	t.Helper()
 	want := resizeReference(src, w, h)
@@ -217,7 +204,7 @@ func TestResizeMatchesReference(t *testing.T) {
 			{sw, sh}, {2*sw + 1, 3*sh + 2}}
 		for _, src := range []*Gray{noisyGray(rng, sw, sh), structuredGray(sw, sh)} {
 			for _, tg := range targets {
-				atWidths(t, func(int) { checkResizeMatchesReference(t, src, tg[0], tg[1]) })
+				checkResizeMatchesReference(t, src, tg[0], tg[1])
 			}
 		}
 	}
@@ -246,7 +233,7 @@ func TestBoxBlur3MatchesReference(t *testing.T) {
 	sizes = append(sizes, [2]int{208, 208}, [2]int{209, 207}, [2]int{3, 40}, [2]int{40, 3})
 	for _, sz := range sizes {
 		for _, g := range []*Gray{noisyGray(rng, sz[0], sz[1]), structuredGray(sz[0], sz[1])} {
-			atWidths(t, func(int) { checkBlurMatchesReference(t, g) })
+			checkBlurMatchesReference(t, g)
 		}
 	}
 }
@@ -359,7 +346,7 @@ func FuzzResizeMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, sw, sh, dw, dh uint8) {
 		src := fuzzPlane(data, int(sw)%96+1, int(sh)%96+1)
 		w, h := int(dw)%128+1, int(dh)%128+1
-		atWidths(t, func(int) { checkResizeMatchesReference(t, src, w, h) })
+		checkResizeMatchesReference(t, src, w, h)
 	})
 }
 
@@ -370,6 +357,6 @@ func FuzzBoxBlur3MatchesReference(f *testing.F) {
 	f.Add([]byte("sphinx of black quartz"), uint8(40), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, w, h uint8) {
 		g := fuzzPlane(data, int(w)%96+1, int(h)%96+1)
-		atWidths(t, func(int) { checkBlurMatchesReference(t, g) })
+		checkBlurMatchesReference(t, g)
 	})
 }

@@ -3,8 +3,6 @@ package nn
 import (
 	"math/rand"
 	"testing"
-
-	"ffsva/internal/par"
 )
 
 // naiveConvRef is the unblocked reference matmul the blocked kernel
@@ -44,11 +42,25 @@ func naiveConvRef(c *Conv2D, x *Tensor) *Tensor {
 	return out
 }
 
+// bitwiseEqual compares two tensors exactly — no tolerance.
+func bitwiseEqual(t *testing.T, name string, want, got *Tensor) {
+	t.Helper()
+	if len(want.Data) != len(got.Data) {
+		t.Fatalf("%s: length %d vs %d", name, len(want.Data), len(got.Data))
+	}
+	for i := range want.Data {
+		if want.Data[i] != got.Data[i] {
+			t.Fatalf("%s: element %d differs: want %v got %v",
+				name, i, want.Data[i], got.Data[i])
+		}
+	}
+}
+
 // TestConvBlockMatchesScalarReference pins the register/cache-blocked
 // matmul to the scalar kernel it replaced: same bias-then-ascending-k
 // accumulation per element, same zero-weight skips, across shapes that
 // exercise the channel-quad tail (OutC % 4 != 0) and the position-panel
-// boundary (pdim > convPanel), at several pool widths.
+// boundary (pdim > convPanel).
 func TestConvBlockMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cases := []struct {
@@ -71,14 +83,10 @@ func TestConvBlockMatchesScalarReference(t *testing.T) {
 		}
 		x := randTensor(rng, 2, tc.inC, tc.h, tc.w)
 		want := naiveConvRef(c, x)
-		for _, width := range []int{1, 2, 3, 8} {
-			prev := par.SetWorkers(width)
-			got := c.Infer(x)
-			fwd := c.Forward(x)
-			par.SetWorkers(prev)
-			bitwiseEqual(t, tc.name+".Infer", want, got)
-			bitwiseEqual(t, tc.name+".Forward", want, fwd)
-			got.Release()
-		}
+		got := c.Infer(x)
+		fwd := c.Forward(x)
+		bitwiseEqual(t, tc.name+".Infer", want, got)
+		bitwiseEqual(t, tc.name+".Forward", want, fwd)
+		got.Release()
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-
-	"ffsva/internal/par"
 )
 
 // Layer is one differentiable stage of a network. Forward caches whatever
@@ -24,12 +22,6 @@ import (
 // (not a copy) until Backward has run. The pass state is made on the
 // first Forward and is not part of what Net.Clone copies, so a network
 // that only ever infers never has one.
-//
-// Forward passes shard their output rows (and batch samples) over the
-// par worker pool; every shard writes a disjoint output region, so the
-// result is bitwise-identical to the serial computation for any worker
-// count. Backward stays serial: it accumulates shared parameter
-// gradients and training is not the steady-state hot path.
 //
 // Training is single-goroutine: Forward caches state for Backward. The
 // inference path (each layer's Infer, hence Net.Infer) reads the layer
@@ -166,7 +158,7 @@ func (c *Conv2D) im2colInto(x []float32, inH, inW, outH, outW int, cols []float3
 // kernel sweeps kdim.
 const convPanel = 512
 
-// convBlock computes output channels [oc0, oc1) of one sample:
+// convBlock computes every output channel of one sample (one per bias):
 // out[oc*pdim+p] = bias[oc] + Σ_k w[oc*kdim+k]·cols[k*pdim+p]. The
 // outer loop blocks over output-position panels; within a panel,
 // channels run in quads so each im2col row panel is loaded once per
@@ -175,14 +167,15 @@ const convPanel = 512
 // row kernel's — bias first, then k ascending with zero-weight taps
 // skipped — so outputs are bitwise-identical to the unblocked loop, and
 // Forward and Infer (which both route here) to each other.
-func convBlock(out, w, bias, cols []float32, oc0, oc1, kdim, pdim int) {
+func convBlock(out, w, bias, cols []float32, kdim, pdim int) {
+	nout := len(bias)
 	for p0 := 0; p0 < pdim; p0 += convPanel {
 		p1 := p0 + convPanel
 		if p1 > pdim {
 			p1 = pdim
 		}
-		oc := oc0
-		for ; oc+4 <= oc1; oc += 4 {
+		oc := 0
+		for ; oc+4 <= nout; oc += 4 {
 			d0 := out[oc*pdim+p0 : oc*pdim+p1]
 			d1 := out[(oc+1)*pdim+p0 : (oc+1)*pdim+p1]
 			d2 := out[(oc+2)*pdim+p0 : (oc+2)*pdim+p1]
@@ -235,7 +228,7 @@ func convBlock(out, w, bias, cols []float32, oc0, oc1, kdim, pdim int) {
 				}
 			}
 		}
-		for ; oc < oc1; oc++ {
+		for ; oc < nout; oc++ {
 			d := out[oc*pdim+p0 : oc*pdim+p1]
 			b := bias[oc]
 			for i := range d {
@@ -256,35 +249,18 @@ func convBlock(out, w, bias, cols []float32, oc0, oc1, kdim, pdim int) {
 	}
 }
 
-// forwardInto runs the convolution over the batch: im2col sharded by
-// sample, then the matmul sharded by (sample, channel quad). cols[s] is
-// sample s's (kdim, pdim) matrix.
+// forwardInto runs the convolution over the batch, one sample at a
+// time: im2col into cols[s], sample s's (kdim, pdim) matrix, then the
+// matmul over every output channel.
 func (c *Conv2D) forwardInto(x, out *Tensor, cols [][]float32, n, inH, inW, outH, outW int) {
 	sampleIn := c.InC * inH * inW
 	sampleOut := c.OutC * outH * outW
 	kdim := c.InC * c.K * c.K
 	pdim := outH * outW
-	par.For(n, 1, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			c.im2colInto(x.Data[s*sampleIn:(s+1)*sampleIn], inH, inW, outH, outW, cols[s])
-		}
-	})
-	// Each index is one convBlock call over a quad of output channels —
-	// big enough to amortize a dispatch, while still exposing
-	// n*⌈OutC/4⌉ independent pieces of work.
-	ocb := (c.OutC + 3) / 4
-	par.For(n*ocb, 1, func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			s, b := idx/ocb, idx%ocb
-			oc0 := b * 4
-			oc1 := oc0 + 4
-			if oc1 > c.OutC {
-				oc1 = c.OutC
-			}
-			convBlock(out.Data[s*sampleOut:(s+1)*sampleOut],
-				c.w.Val.Data, c.b.Val.Data, cols[s], oc0, oc1, kdim, pdim)
-		}
-	})
+	for s := 0; s < n; s++ {
+		c.im2colInto(x.Data[s*sampleIn:(s+1)*sampleIn], inH, inW, outH, outW, cols[s])
+		convBlock(out.Data[s*sampleOut:(s+1)*sampleOut], c.w.Val.Data, c.b.Val.Data, cols[s], kdim, pdim)
+	}
 }
 
 // Forward implements Layer for NCHW input (N, InC, H, W).
@@ -508,15 +484,14 @@ func (r *ReLU) Params() []*Param { return nil }
 // reluInto writes max(v, 0) for every element of x into out. Both
 // branches store, so out may be a dirty pooled buffer.
 func reluInto(x, out *Tensor) {
-	par.For(x.Len(), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if v := x.Data[i]; v > 0 {
-				out.Data[i] = v
-			} else {
-				out.Data[i] = 0
-			}
+	dst := out.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		if v > 0 {
+			dst[i] = v
+		} else {
+			dst[i] = 0
 		}
-	})
+	}
 }
 
 // Forward implements Layer.
@@ -575,19 +550,7 @@ func poolShape(x *Tensor) (n, ch, h, w, oh, ow int) {
 	return n, ch, h, w, oh, ow
 }
 
-// poolGrain returns the plane-count grain for sharding (sample,
-// channel) planes of oh×ow outputs: enough planes per chunk that each
-// dispatch covers a few thousand window reductions.
-func poolGrain(oh, ow int) int {
-	g := 4096 / (oh * ow)
-	if g < 1 {
-		g = 1
-	}
-	return g
-}
-
-// Forward implements Layer. Planes (sample, channel) are independent, so
-// they shard over the worker pool.
+// Forward implements Layer.
 func (m *MaxPool2) Forward(x *Tensor) *Tensor {
 	n, ch, h, w, oh, ow := poolShape(x)
 	p := begin(&m.tr, x)
@@ -598,30 +561,28 @@ func (m *MaxPool2) Forward(x *Tensor) *Tensor {
 	}
 	argmax := p.argmax[:out.Len()]
 	p.argmax = argmax
-	par.For(n*ch, poolGrain(oh, ow), func(lo, hi int) {
-		for plane := lo; plane < hi; plane++ {
-			base := plane * h * w
-			obase := plane * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					i00 := base + (2*oy)*w + 2*ox
-					best := i00
-					if x.Data[i00+1] > x.Data[best] {
-						best = i00 + 1
-					}
-					if x.Data[i00+w] > x.Data[best] {
-						best = i00 + w
-					}
-					if x.Data[i00+w+1] > x.Data[best] {
-						best = i00 + w + 1
-					}
-					oi := obase + oy*ow + ox
-					out.Data[oi] = x.Data[best]
-					argmax[oi] = best
+	for plane := 0; plane < n*ch; plane++ {
+		base := plane * h * w
+		obase := plane * oh * ow
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				i00 := base + (2*oy)*w + 2*ox
+				best := i00
+				if x.Data[i00+1] > x.Data[best] {
+					best = i00 + 1
 				}
+				if x.Data[i00+w] > x.Data[best] {
+					best = i00 + w
+				}
+				if x.Data[i00+w+1] > x.Data[best] {
+					best = i00 + w + 1
+				}
+				oi := obase + oy*ow + ox
+				out.Data[oi] = x.Data[best]
+				argmax[oi] = best
 			}
 		}
-	})
+	}
 	return out
 }
 
@@ -631,28 +592,26 @@ func (m *MaxPool2) Forward(x *Tensor) *Tensor {
 func (m *MaxPool2) Infer(x *Tensor) *Tensor {
 	n, ch, h, w, oh, ow := poolShape(x)
 	out := GetTensorDirty(n, ch, oh, ow)
-	par.For(n*ch, poolGrain(oh, ow), func(lo, hi int) {
-		for plane := lo; plane < hi; plane++ {
-			base := plane * h * w
-			obase := plane * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					i00 := base + (2*oy)*w + 2*ox
-					best := x.Data[i00]
-					if v := x.Data[i00+1]; v > best {
-						best = v
-					}
-					if v := x.Data[i00+w]; v > best {
-						best = v
-					}
-					if v := x.Data[i00+w+1]; v > best {
-						best = v
-					}
-					out.Data[obase+oy*ow+ox] = best
+	for plane := 0; plane < n*ch; plane++ {
+		base := plane * h * w
+		obase := plane * oh * ow
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				i00 := base + (2*oy)*w + 2*ox
+				best := x.Data[i00]
+				if v := x.Data[i00+1]; v > best {
+					best = v
 				}
+				if v := x.Data[i00+w]; v > best {
+					best = v
+				}
+				if v := x.Data[i00+w+1]; v > best {
+					best = v
+				}
+				out.Data[obase+oy*ow+ox] = best
 			}
 		}
-	})
+	}
 	return out
 }
 
@@ -688,29 +647,21 @@ func (d *Dense) Name() string { return fmt.Sprintf("dense(%d->%d)", d.In, d.Out)
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 
-// forwardInto computes the affine map sharded by (sample, output unit);
-// each index writes exactly one output element. Every element is
-// written, so out may be a dirty pooled buffer. The grain scales with
-// the dot-product length so a chunk always carries a few thousand
-// multiply-adds — wide layers shard per unit, narrow ones only in
-// batches big enough to beat the dispatch cost.
+// forwardInto computes the affine map, one output element per (sample,
+// output unit). Every element is written, so out may be a dirty pooled
+// buffer.
 func (d *Dense) forwardInto(x, out *Tensor, n int) {
-	grain := 2048 / d.In
-	if grain < 1 {
-		grain = 1
-	}
-	par.For(n*d.Out, grain, func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			s, o := idx/d.Out, idx%d.Out
-			in := x.Data[s*d.In : (s+1)*d.In]
+	for s := 0; s < n; s++ {
+		in := x.Data[s*d.In : (s+1)*d.In]
+		for o := 0; o < d.Out; o++ {
 			wRow := d.w.Val.Data[o*d.In : (o+1)*d.In]
 			acc := d.b.Val.Data[o]
 			for i, v := range in {
 				acc += wRow[i] * v
 			}
-			out.Data[idx] = acc
+			out.Data[s*d.Out+o] = acc
 		}
-	})
+	}
 }
 
 // checkInput validates the per-sample feature count and returns the

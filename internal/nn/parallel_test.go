@@ -6,75 +6,15 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-
-	"ffsva/internal/par"
 )
-
-// bitwiseEqual compares two tensors exactly — no tolerance. The
-// parallel kernels shard disjoint output regions without changing any
-// per-element arithmetic, so every bit must match the serial loop.
-func bitwiseEqual(t *testing.T, name string, serial, parallel *Tensor) {
-	t.Helper()
-	if len(serial.Data) != len(parallel.Data) {
-		t.Fatalf("%s: length %d vs %d", name, len(serial.Data), len(parallel.Data))
-	}
-	for i := range serial.Data {
-		if serial.Data[i] != parallel.Data[i] {
-			t.Fatalf("%s: element %d differs: serial %v parallel %v",
-				name, i, serial.Data[i], parallel.Data[i])
-		}
-	}
-}
-
-// runSerialAndParallel evaluates f once with the pool pinned to one
-// worker and once with a wide pool, returning both results.
-func runSerialAndParallel(f func() *Tensor) (serial, parallel *Tensor) {
-	prev := par.SetWorkers(1)
-	serial = f()
-	par.SetWorkers(8)
-	parallel = f()
-	par.SetWorkers(prev)
-	return serial, parallel
-}
-
-func TestConv2DParallelBitwiseIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	c := NewConv2D(rng, 3, 8, 3, 1, 1)
-	x := randTensor(rng, 2, 3, 17, 19) // odd sizes: uneven shards
-	s, p := runSerialAndParallel(func() *Tensor { return c.Forward(x).Clone() })
-	bitwiseEqual(t, "Conv2D.Forward", s, p)
-	s, p = runSerialAndParallel(func() *Tensor { return c.Infer(x) })
-	bitwiseEqual(t, "Conv2D.Infer", s, p)
-}
-
-func TestDenseParallelBitwiseIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	d := NewDense(rng, 301, 47)
-	x := randTensor(rng, 5, 301)
-	s, p := runSerialAndParallel(func() *Tensor { return d.Forward(x).Clone() })
-	bitwiseEqual(t, "Dense.Forward", s, p)
-	s, p = runSerialAndParallel(func() *Tensor { return d.Infer(x) })
-	bitwiseEqual(t, "Dense.Infer", s, p)
-}
-
-func TestNetInferParallelBitwiseIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	net := snmNet(rng, 50)
-	x := randTensor(rng, 8, 1, 50, 50)
-	s, p := runSerialAndParallel(func() *Tensor { return net.Infer(x) })
-	bitwiseEqual(t, "Net.Infer", s, p)
-	s.Release()
-	p.Release()
-}
 
 // TestSharedNetInferAcrossGoroutines is the contract that lets a
 // camera's streams share one trained net: eight goroutines run Infer on
-// it at once, at batch sizes 1 to 10 on a two-worker pool, and each gets
-// the bits its own clone of the net computes. Run with -race: Infer must
-// not write to the layers.
+// it at once, at batch sizes 1 to 10, and each gets the bits its own
+// clone of the net computes. Run with -race: Infer must not write to the
+// layers.
 func TestSharedNetInferAcrossGoroutines(t *testing.T) {
 	shared := snmNet(rand.New(rand.NewSource(78)), 50)
-	defer par.SetWorkers(par.SetWorkers(2))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-
-	"ffsva/internal/par"
 )
 
 // The functions below are the backward kernels as they stood before
@@ -291,10 +289,8 @@ func TestFirstLayerGradientsWithoutInputGradient(t *testing.T) {
 
 // TestTrainingStepReusesItsBuffers pins what "a training pass reuses its
 // buffers" means in bytes: once the first step has sized them, a step on
-// the SNM's shapes allocates no tensor — what is left is the closures of
-// the forward kernels' par.For calls, well under a kilobyte, against
-// 2.7 MB a step when every layer allocated its outputs, columns and
-// gradients fresh.
+// the SNM's shapes allocates nothing, against 2.7 MB a step when every
+// layer allocated its outputs, columns and gradients fresh.
 func TestTrainingStepReusesItsBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	net := snmNet(rng, 50)
@@ -308,7 +304,6 @@ func TestTrainingStepReusesItsBuffers(t *testing.T) {
 		net.Backward(grad)
 		opt.Step(params)
 	}
-	defer par.SetWorkers(par.SetWorkers(1))
 	step()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -319,8 +314,8 @@ func TestTrainingStepReusesItsBuffers(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes, allocs := (after.TotalAlloc-before.TotalAlloc)/steps, (after.Mallocs-before.Mallocs)/steps
 	t.Logf("a warm training step allocates %d bytes in %d objects", bytes, allocs)
-	if bytes > 1024 || allocs > 8 {
-		t.Errorf("a warm training step allocates %d bytes in %d objects, want only the seven par.For closures", bytes, allocs)
+	if bytes != 0 || allocs != 0 {
+		t.Errorf("a warm training step allocates %d bytes in %d objects, want none", bytes, allocs)
 	}
 	for i, l := range net.Clone().Layers {
 		switch l := l.(type) {

@@ -3,118 +3,8 @@ package par
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
-
-func TestForCoversEveryIndexOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100, 4096, 100_000} {
-		hits := make([]int32, n)
-		For(n, 8, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, h)
-			}
-		}
-	}
-}
-
-func TestForChunksBoundariesDependOnlyOnSize(t *testing.T) {
-	const n, size = 100_000, 1 << 14
-	nc := NumChunks(n, size)
-	if nc != 7 {
-		t.Fatalf("NumChunks = %d, want 7", nc)
-	}
-	// The same (n, size) must shard identically under any worker count:
-	// chunk ci covers [ci*size, min(n, (ci+1)*size)).
-	for _, w := range []int{1, 4} {
-		prev := SetWorkers(w)
-		seen := make([]int64, nc)
-		ForChunks(n, size, func(ci, lo, hi int) {
-			if lo != ci*size {
-				t.Errorf("w=%d chunk %d: lo = %d, want %d", w, ci, lo, ci*size)
-			}
-			want := lo + size
-			if want > n {
-				want = n
-			}
-			if hi != want {
-				t.Errorf("w=%d chunk %d: hi = %d, want %d", w, ci, hi, want)
-			}
-			atomic.AddInt64(&seen[ci], 1)
-		})
-		SetWorkers(prev)
-		for ci, c := range seen {
-			if c != 1 {
-				t.Fatalf("w=%d: chunk %d ran %d times", w, ci, c)
-			}
-		}
-	}
-}
-
-func TestSetWorkersRoundTrip(t *testing.T) {
-	orig := Workers()
-	if prev := SetWorkers(1); prev != orig {
-		t.Fatalf("SetWorkers returned %d, want %d", prev, orig)
-	}
-	if Workers() != 1 {
-		t.Fatalf("Workers = %d after SetWorkers(1)", Workers())
-	}
-	SetWorkers(orig)
-	if Workers() != orig {
-		t.Fatalf("Workers = %d, want %d restored", Workers(), orig)
-	}
-}
-
-// TestNestedForNoDeadlock proves a kernel may call another kernel: the
-// non-blocking submit falls back to inline execution when every worker
-// is busy, so nesting can starve but never deadlock.
-func TestNestedForNoDeadlock(t *testing.T) {
-	var total atomic.Int64
-	For(64, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			For(64, 1, func(lo2, hi2 int) {
-				total.Add(int64(hi2 - lo2))
-			})
-		}
-	})
-	if got := total.Load(); got != 64*64 {
-		t.Fatalf("nested total = %d, want %d", got, 64*64)
-	}
-}
-
-// TestConcurrentKernels races many goroutines through For and the
-// slice pool at once; run with -race.
-func TestConcurrentKernels(t *testing.T) {
-	var pool SlicePool[float32]
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for iter := 0; iter < 50; iter++ {
-				buf := pool.Get(1024)
-				For(len(buf), 8, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						buf[i] = float32(g*iter + i)
-					}
-				})
-				for i, v := range buf {
-					if v != float32(g*iter+i) {
-						t.Errorf("g=%d iter=%d: buf[%d] = %v", g, iter, i, v)
-						return
-					}
-				}
-				pool.Put(buf)
-			}
-		}(g)
-	}
-	wg.Wait()
-}
 
 // TestSlicePoolRetentionLimit: a length's free list keeps maxFree slices
 // and drops the rest, by count alone — so a process that starts cold
@@ -136,6 +26,10 @@ func TestSlicePoolRetentionLimit(t *testing.T) {
 	}
 	if recycled != maxFree {
 		t.Fatalf("recycled %d of %d filed slices, want maxFree = %d", recycled, maxFree+8, maxFree)
+	}
+	// A Put counts whether or not its slice was filed.
+	if gets, puts := pool.Stats(); gets != maxFree+8 || puts != maxFree+9 {
+		t.Fatalf("Stats() = %d gets, %d puts, want %d, %d", gets, puts, maxFree+8, maxFree+9)
 	}
 	if allocs := testing.AllocsPerRun(10, func() { pool.Put(pool.Get(48)) }); allocs != 0 {
 		t.Fatalf("Get/Put of another length allocated %v times per run", allocs)

@@ -27,9 +27,13 @@ import "sync"
 // overwrite every element. After Put the caller must drop every
 // reference to the slice — the next Get of that length owns it. The
 // zero SlicePool is ready to use.
+//
+// The pool counts its Gets and Puts (Stats), so a test can assert that
+// every buffer a run borrowed went back.
 type SlicePool[T any] struct {
-	mu   sync.Mutex
-	free map[int]*freeList[T]
+	mu         sync.Mutex
+	free       map[int]*freeList[T]
+	gets, puts int64
 }
 
 // maxFree is how many slices one length's free list retains: more than
@@ -52,6 +56,7 @@ func (p *SlicePool[T]) Get(n int) []T {
 		return nil
 	}
 	p.mu.Lock()
+	p.gets++
 	if l := p.free[n]; l != nil && len(l.slices) > 0 {
 		last := len(l.slices) - 1
 		s := l.slices[last]
@@ -73,6 +78,7 @@ func (p *SlicePool[T]) Put(s []T) {
 		return
 	}
 	p.mu.Lock()
+	p.puts++
 	l := p.free[n]
 	if l == nil {
 		if p.free == nil {
@@ -85,4 +91,15 @@ func (p *SlicePool[T]) Put(s []T) {
 		l.slices = append(l.slices, s)
 	}
 	p.mu.Unlock()
+}
+
+// Stats returns how many slices the pool has handed out and taken back
+// since it was made; a Put counts whether or not its slice was filed.
+// Calls with a zero length are no-ops and count neither way. The counts
+// are cumulative, so callers compare deltas around the region under
+// test.
+func (p *SlicePool[T]) Stats() (gets, puts int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.gets, p.puts
 }

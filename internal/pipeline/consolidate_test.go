@@ -9,6 +9,8 @@ import (
 	"bytes"
 	"testing"
 
+	"ffsva/internal/frame"
+	"ffsva/internal/imgproc"
 	"ffsva/internal/trace"
 	"ffsva/internal/vclock"
 )
@@ -77,6 +79,26 @@ func TestConsolidateConservesAndPacks(t *testing.T) {
 	if rep.RefCanvases >= detected {
 		t.Fatalf("canvases %d >= served frames %d: consolidation saved nothing",
 			rep.RefCanvases, detected)
+	}
+}
+
+// TestConsolidatePoolsBalance: every image plane and every frame plane a
+// consolidated run borrows goes back to its pool — the canvases
+// serveCanvases packs included, which nothing else would notice leaking.
+func TestConsolidatePoolsBalance(t *testing.T) {
+	imgGets0, imgPuts0 := imgproc.PoolStats()
+	frameGets0, framePuts0 := frame.PoolStats()
+	rep, _ := runConsolidated(t, 2, 90)
+	if rep.RefCanvases == 0 {
+		t.Fatal("no canvases packed; the test no longer probes the consolidator")
+	}
+	imgGets, imgPuts := imgproc.PoolStats()
+	frameGets, framePuts := frame.PoolStats()
+	if gets, puts := imgGets-imgGets0, imgPuts-imgPuts0; gets != puts {
+		t.Errorf("imgproc pool: %d gets, %d puts", gets, puts)
+	}
+	if gets, puts := frameGets-frameGets0, framePuts-framePuts0; gets != puts || gets == 0 {
+		t.Errorf("frame pool: %d gets, %d puts", gets, puts)
 	}
 }
 
