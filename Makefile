@@ -46,23 +46,28 @@ test:
 
 # The packages whose code or tests start goroutines that share state.
 # Everything on the virtual clock (queues, devices, pipeline, cluster,
-# fault injection) runs one process at a time and shares nothing across
-# goroutines but the clock's own handoff. The compute kernels are serial
-# loops and start none, so imgproc, frame, filters, detect and train are
-# not listed. What is left: par's pool hammer (goroutines trading slices
+# fault injection) runs one process at a time, but each process is a
+# goroutine and the clock's state moves between them: a process that
+# blocks runs the scheduling step and hands the processor straight to
+# the next one over a channel. Those handoffs are the happens-before
+# edges the race detector checks, so vclock, queue and device, whose
+# tests hand the processor around at every Put, Get, Wait and Use, are
+# listed; the pipeline and cluster suites take minutes under -race and
+# are left to make ci. The compute kernels are serial loops and start
+# no goroutine, so imgproc, frame, filters, detect and train are not
+# listed. What is left: par's pool hammer (goroutines trading slices
 # through one SlicePool), nn's one trained net inferred on from eight
 # goroutines (TestSharedNetInferAcrossGoroutines) and its pooled tensors
 # under concurrent streams, vidgen's and lab's concurrent minting around
 # read-only artefacts a camera shares (background plane, detector seed,
 # trained weights) and lab's cache training distinct cameras at once
-# (TestConcurrentTrainCameraTrainsEachOnce), the tracer, observability
-# server and flight recorder, whose readers are HTTP and dump
-# goroutines, and vclock, whose processes are goroutines handing the
-# processor over (TestVirtualRegistryForgetsFinishedProcesses). The
-# per-pixel loops run ~50x slower under the detector (vidgen ~8 min on a
-# 2-vCPU host), hence the timeout above go test's 600s default.
+# (TestConcurrentTrainCameraTrainsEachOnce), and the tracer,
+# observability server and flight recorder, whose readers are HTTP and
+# dump goroutines. The per-pixel loops run ~50x slower under the
+# detector (vidgen ~8 min on a 2-vCPU host), hence the timeout above go
+# test's 600s default.
 race:
-	$(GO) test -race -timeout 1800s ./internal/vclock ./internal/par ./internal/nn ./internal/vidgen ./internal/lab ./internal/trace ./internal/obs ./internal/timeline
+	$(GO) test -race -timeout 1800s ./internal/vclock ./internal/queue ./internal/device ./internal/par ./internal/nn ./internal/vidgen ./internal/lab ./internal/trace ./internal/obs ./internal/timeline
 
 # The experiments suite alone needs ~20 min under -race (the virtual
 # clock is cooperative, so the race detector's overhead doesn't

@@ -230,3 +230,28 @@ func TestInvalidSlotsPanics(t *testing.T) {
 	}()
 	New(vclock.NewVirtual(), "bad", CPU, 0)
 }
+
+// TestUseAllocatesNothing: once warm, a Use on a one-slot GPU that a
+// second process contends for — so the call waits on the device's
+// condition, sleeps its service time and signals the next user —
+// allocates nothing.
+func TestUseAllocatesNothing(t *testing.T) {
+	clk := vclock.NewVirtual()
+	cm := Calibrated()
+	gpu := New(clk, "gpu0", GPU, 1)
+	stop := false
+	var allocs float64
+	clk.Go("measured", func() {
+		allocs = testing.AllocsPerRun(1000, func() { gpu.Use(ModelSNM, 1, cm) })
+		stop = true
+	})
+	clk.Go("rival", func() {
+		for !stop {
+			gpu.Use(ModelTYolo, 1, cm)
+		}
+	})
+	clk.Run()
+	if allocs != 0 {
+		t.Fatalf("device.Use allocated %v times per call", allocs)
+	}
+}

@@ -218,35 +218,49 @@ func (n *Net) SaveWeights(w io.Writer) error {
 }
 
 // LoadWeights restores parameters previously written by SaveWeights into
-// a structurally identical network.
+// a structurally identical network. It is all or nothing: the whole
+// input is read and checked — magic, parameter count, every size, every
+// value, nothing after the last — before any parameter is overwritten,
+// so on error the network is exactly as it was.
 func (n *Net) LoadWeights(r io.Reader) error {
 	br := bufio.NewReader(r)
 	var magic uint32
 	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
-		return err
+		return fmt.Errorf("nn: reading weights magic: %w", err)
 	}
 	if magic != weightsMagic {
 		return fmt.Errorf("nn: bad weights magic %#x", magic)
 	}
 	var count uint32
 	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return err
+		return fmt.Errorf("nn: reading weights count: %w", err)
 	}
 	params := n.Params()
 	if int(count) != len(params) {
 		return fmt.Errorf("nn: weights hold %d params, network has %d", count, len(params))
 	}
-	for _, p := range params {
+	vals := make([][]float32, len(params))
+	for i, p := range params {
 		var sz uint32
 		if err := binary.Read(br, binary.LittleEndian, &sz); err != nil {
-			return err
+			return fmt.Errorf("nn: reading size of param %d: %w", i, err)
 		}
 		if int(sz) != p.Val.Len() {
-			return fmt.Errorf("nn: param size mismatch: file %d vs net %d", sz, p.Val.Len())
+			return fmt.Errorf("nn: param %d size mismatch: file %d vs net %d", i, sz, p.Val.Len())
 		}
-		if err := binary.Read(br, binary.LittleEndian, p.Val.Data); err != nil {
-			return err
+		vals[i] = make([]float32, sz)
+		if err := binary.Read(br, binary.LittleEndian, vals[i]); err != nil {
+			return fmt.Errorf("nn: reading param %d: %w", i, err)
 		}
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		if err != nil {
+			return fmt.Errorf("nn: reading weights: %w", err)
+		}
+		return fmt.Errorf("nn: trailing bytes after %d params", len(params))
+	}
+	for i, p := range params {
+		copy(p.Val.Data, vals[i])
 	}
 	return nil
 }

@@ -17,7 +17,7 @@ import (
 
 // runConsolidated builds and runs a fresh consolidated system and
 // returns its report plus the JSONL trace export.
-func runConsolidated(t *testing.T, streams, frames int) (*Report, []byte) {
+func runConsolidated(t *testing.T, streams, frames int) (*Report, *trace.Tracer) {
 	t.Helper()
 	clk := vclock.NewVirtual()
 	cfg := DefaultConfig(clk)
@@ -32,13 +32,17 @@ func runConsolidated(t *testing.T, streams, frames int) (*Report, []byte) {
 		specs[i] = rawSpec(i, frames)
 	}
 	sys := New(cfg, specs)
-	rep := sys.Run() // panics if any frame lost its disposition
+	return sys.Run(), tr // Run panics if any frame lost its disposition
+}
 
+// traceJSONL exports a tracer's retained frames as JSON lines.
+func traceJSONL(t *testing.T, tr *trace.Tracer) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatalf("trace export: %v", err)
 	}
-	return rep, buf.Bytes()
+	return buf.Bytes()
 }
 
 func TestConsolidateConservesAndPacks(t *testing.T) {
@@ -84,11 +88,12 @@ func TestConsolidateConservesAndPacks(t *testing.T) {
 
 // TestConsolidatePoolsBalance: every image plane and every frame plane a
 // consolidated run borrows goes back to its pool — the canvases
-// serveCanvases packs included, which nothing else would notice leaking.
+// serveCanvases packs included, which nothing else would notice leaking
+// — and every frame's trace record reaches Finish.
 func TestConsolidatePoolsBalance(t *testing.T) {
 	imgGets0, imgPuts0 := imgproc.PoolStats()
 	frameGets0, framePuts0 := frame.PoolStats()
-	rep, _ := runConsolidated(t, 2, 90)
+	rep, tr := runConsolidated(t, 2, 90)
 	if rep.RefCanvases == 0 {
 		t.Fatal("no canvases packed; the test no longer probes the consolidator")
 	}
@@ -100,11 +105,15 @@ func TestConsolidatePoolsBalance(t *testing.T) {
 	if gets, puts := frameGets-frameGets0, framePuts-framePuts0; gets != puts || gets == 0 {
 		t.Errorf("frame pool: %d gets, %d puts", gets, puts)
 	}
+	if gets, puts := tr.PoolStats(); gets != puts || gets != rep.TotalFrames {
+		t.Errorf("trace records: %d gets, %d puts for %d frames", gets, puts, rep.TotalFrames)
+	}
 }
 
 func TestConsolidateDeterministic(t *testing.T) {
-	rep1, jsonl1 := runConsolidated(t, 2, 90)
-	rep2, jsonl2 := runConsolidated(t, 2, 90)
+	rep1, tr1 := runConsolidated(t, 2, 90)
+	rep2, tr2 := runConsolidated(t, 2, 90)
+	jsonl1, jsonl2 := traceJSONL(t, tr1), traceJSONL(t, tr2)
 	if rep1.String() != rep2.String() {
 		t.Fatalf("reports differ:\n%s\n---\n%s", rep1, rep2)
 	}

@@ -353,13 +353,15 @@ func (s *System) sddStage(st *streamState) {
 // formed according to the batch policy.
 func (s *System) snmStage(st *streamState) {
 	clk := s.cfg.Clock
+	// batch is refilled in place by every drain: nothing keeps a batch
+	// past its iteration.
+	var batch []*frame.Frame
 	for {
-		var batch []*frame.Frame
 		switch s.cfg.BatchPolicy {
 		case BatchDynamic:
-			batch = st.snmQ.GetUpTo(s.cfg.BatchSize)
+			batch = st.snmQ.GetUpTo(batch, s.cfg.BatchSize)
 		default: // BatchStatic, BatchFeedback: wait for a full batch
-			batch = st.snmQ.GetExact(s.cfg.BatchSize)
+			batch = st.snmQ.GetExact(batch, s.cfg.BatchSize)
 		}
 		if len(batch) == 0 {
 			break

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"time"
 
+	"ffsva/internal/fifo"
 	"ffsva/internal/vclock"
 )
 
@@ -58,7 +59,9 @@ type Queue[T any] struct {
 	avail *vclock.Cond // signaled when items are added or queue closes
 	space *vclock.Cond // signaled when items are removed or queue closes
 
-	items  []T
+	// items keeps its backing array: pops free slots at the front, and
+	// a Put slides the queued items down over them before growing it.
+	items  fifo.Buffer[T]
 	closed bool
 	stats  Stats
 	hooks  Hooks[T]
@@ -85,16 +88,16 @@ func (q *Queue[T]) Name() string { return q.name }
 func (q *Queue[T]) Cap() int { return q.cap }
 
 // Len returns the current depth.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // Full reports whether the queue is at its depth threshold.
-func (q *Queue[T]) Full() bool { return len(q.items) >= q.cap }
+func (q *Queue[T]) Full() bool { return q.items.Len() >= q.cap }
 
 // Stats returns accumulated accounting plus the queue's current depth,
 // capacity and closed state.
 func (q *Queue[T]) Stats() Stats {
 	s := q.stats
-	s.Depth = len(q.items)
+	s.Depth = q.items.Len()
 	s.Cap = q.cap
 	s.Closed = q.closed
 	return s
@@ -104,7 +107,7 @@ func (q *Queue[T]) Stats() Stats {
 // the queue was closed (item discarded).
 func (q *Queue[T]) Put(x T) bool {
 	blocked := false
-	for len(q.items) >= q.cap && !q.closed {
+	for q.items.Len() >= q.cap && !q.closed {
 		if !blocked && q.hooks.OnBlocked != nil {
 			q.hooks.OnBlocked(q.clk.Now())
 		}
@@ -118,10 +121,10 @@ func (q *Queue[T]) Put(x T) bool {
 	if blocked {
 		q.stats.BlockedPuts++
 	}
-	q.items = append(q.items, x)
+	q.items.Push(x)
 	q.stats.Puts++
-	if len(q.items) > q.stats.MaxDepth {
-		q.stats.MaxDepth = len(q.items)
+	if q.items.Len() > q.stats.MaxDepth {
+		q.stats.MaxDepth = q.items.Len()
 	}
 	if q.hooks.OnPut != nil {
 		q.hooks.OnPut(x, q.clk.Now())
@@ -137,13 +140,13 @@ func (q *Queue[T]) TryPut(x T) bool {
 		q.stats.ClosedPuts++
 		return false
 	}
-	if len(q.items) >= q.cap {
+	if q.items.Len() >= q.cap {
 		return false
 	}
-	q.items = append(q.items, x)
+	q.items.Push(x)
 	q.stats.Puts++
-	if len(q.items) > q.stats.MaxDepth {
-		q.stats.MaxDepth = len(q.items)
+	if q.items.Len() > q.stats.MaxDepth {
+		q.stats.MaxDepth = q.items.Len()
 	}
 	if q.hooks.OnPut != nil {
 		q.hooks.OnPut(x, q.clk.Now())
@@ -155,10 +158,10 @@ func (q *Queue[T]) TryPut(x T) bool {
 // Get removes and returns the oldest item, blocking while the queue is
 // empty. ok is false once the queue is closed and drained.
 func (q *Queue[T]) Get() (x T, ok bool) {
-	for len(q.items) == 0 && !q.closed {
+	for q.items.Len() == 0 && !q.closed {
 		q.avail.Wait()
 	}
-	if len(q.items) == 0 {
+	if q.items.Len() == 0 {
 		return x, false
 	}
 	return q.pop(), true
@@ -167,7 +170,7 @@ func (q *Queue[T]) Get() (x T, ok bool) {
 // TryGet removes the oldest item without blocking; ok is false when
 // empty.
 func (q *Queue[T]) TryGet() (x T, ok bool) {
-	if len(q.items) == 0 {
+	if q.items.Len() == 0 {
 		return x, false
 	}
 	return q.pop(), true
@@ -175,33 +178,29 @@ func (q *Queue[T]) TryGet() (x T, ok bool) {
 
 // GetUpTo removes up to n items, blocking until at least one is available
 // or the queue is closed and drained. This is the dynamic-batch drain
-// (paper §4.3.2): take what is there, never wait for a full batch.
-func (q *Queue[T]) GetUpTo(n int) []T {
+// (paper §4.3.2): take what is there, never wait for a full batch. The
+// items are appended to buf[:0], which is returned, so a caller that
+// passes back the previous batch's slice allocates nothing once it has
+// grown to the batch size.
+func (q *Queue[T]) GetUpTo(buf []T, n int) []T {
+	buf = buf[:0]
 	if n <= 0 {
-		return nil
+		return buf
 	}
-	for len(q.items) == 0 && !q.closed {
+	for q.items.Len() == 0 && !q.closed {
 		q.avail.Wait()
 	}
-	if len(q.items) == 0 {
-		return nil
-	}
-	if n > len(q.items) {
-		n = len(q.items)
-	}
-	out := make([]T, n)
-	for i := range out {
-		out[i] = q.pop()
-	}
-	return out
+	return q.popInto(buf, n)
 }
 
 // GetExact removes exactly n items, blocking until n are available; if
 // the queue closes first it returns whatever remains. This is the
-// static-batch drain: wait for a full batch.
-func (q *Queue[T]) GetExact(n int) []T {
+// static-batch drain: wait for a full batch. Like GetUpTo, it appends to
+// buf[:0] and returns it.
+func (q *Queue[T]) GetExact(buf []T, n int) []T {
+	buf = buf[:0]
 	if n <= 0 {
-		return nil
+		return buf
 	}
 	// A batch larger than the depth threshold can never fill (producers
 	// block at the threshold — the paper calls this out in §4.3.2), so
@@ -209,25 +208,23 @@ func (q *Queue[T]) GetExact(n int) []T {
 	if n > q.cap {
 		n = q.cap
 	}
-	for len(q.items) < n && !q.closed {
+	for q.items.Len() < n && !q.closed {
 		q.avail.Wait()
 	}
-	if n > len(q.items) {
-		n = len(q.items)
+	return q.popInto(buf, n)
+}
+
+// popInto appends up to n items, oldest first, to buf.
+func (q *Queue[T]) popInto(buf []T, n int) []T {
+	for n = min(n, q.items.Len()); n > 0; n-- {
+		buf = append(buf, q.pop())
 	}
-	out := make([]T, n)
-	for i := range out {
-		out[i] = q.pop()
-	}
-	return out
+	return buf
 }
 
 // pop removes the head; callers guarantee non-empty.
 func (q *Queue[T]) pop() T {
-	x := q.items[0]
-	var zero T
-	q.items[0] = zero // release reference
-	q.items = q.items[1:]
+	x := q.items.Pop()
 	q.stats.Gets++
 	if q.hooks.OnPop != nil {
 		q.hooks.OnPop(x, q.clk.Now())
@@ -251,4 +248,4 @@ func (q *Queue[T]) Close() {
 func (q *Queue[T]) Closed() bool { return q.closed }
 
 // Drained reports whether the queue is closed and empty.
-func (q *Queue[T]) Drained() bool { return q.closed && len(q.items) == 0 }
+func (q *Queue[T]) Drained() bool { return q.closed && q.items.Len() == 0 }

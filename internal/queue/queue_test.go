@@ -131,9 +131,9 @@ func TestGetUpToDrainsAvailable(t *testing.T) {
 	clk.Go("consumer", func() {
 		clk.Sleep(10 * time.Millisecond)
 		// Dynamic batch: should take all 7 available, not wait for 30.
-		b := q.GetUpTo(30)
+		b := q.GetUpTo(nil, 30)
 		batches = append(batches, b)
-		b = q.GetUpTo(30) // blocks until item 7 appears
+		b = q.GetUpTo(nil, 30) // blocks until item 7 appears
 		batches = append(batches, b)
 	})
 	clk.Run()
@@ -155,7 +155,7 @@ func TestGetExactWaitsForFullBatch(t *testing.T) {
 		q.Close()
 	})
 	clk.Go("consumer", func() {
-		batch = q.GetExact(5)
+		batch = q.GetExact(nil, 5)
 		when = clk.Now()
 	})
 	clk.Run()
@@ -177,7 +177,7 @@ func TestGetExactClampsToCapacity(t *testing.T) {
 		}
 	})
 	clk.Go("consumer", func() {
-		batch = q.GetExact(100) // would deadlock without the clamp
+		batch = q.GetExact(nil, 100) // would deadlock without the clamp
 	})
 	clk.Run()
 	if len(batch) != 3 {
@@ -196,7 +196,7 @@ func TestGetExactReturnsRemainderOnClose(t *testing.T) {
 	})
 	clk.Go("consumer", func() {
 		clk.Sleep(time.Millisecond)
-		batch = q.GetExact(5)
+		batch = q.GetExact(nil, 5)
 	})
 	clk.Run()
 	if len(batch) != 2 {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -119,15 +120,23 @@ func TestRetentionErrRing(t *testing.T) {
 // clean (no stale spans) on reuse.
 func TestPoolingRecycles(t *testing.T) {
 	tr := New(Options{Ring: -1, HeadN: -1, SlowN: -1, ErrRing: -1})
-	finishOne(tr, 0, ms(1), "detected", false)
+	first := tr.StartFrame(0, 0, 0, ms(0))
+	tr.Finish(first, "detected", false, ms(1))
 	tr.mu.Lock()
 	if got := len(tr.retained()); got != 0 {
 		t.Fatalf("retained %d frames with all samplers off", got)
 	}
 	tr.mu.Unlock()
+	// The free list belongs to the tracer, not to the collector: the
+	// record survives two collections.
+	runtime.GC()
+	runtime.GC()
 	// Pull a record back out of the pool via StartFrame: whatever comes
 	// back must present as fresh.
 	ft := tr.StartFrame(3, 7, 1, ms(9))
+	if ft != first {
+		t.Fatal("StartFrame allocated a record with one on the free list")
+	}
 	if len(ft.Spans) != 0 || ft.waitActive || ft.refs != 0 {
 		t.Fatalf("recycled record not reset: %+v", ft)
 	}
@@ -135,6 +144,12 @@ func TestPoolingRecycles(t *testing.T) {
 		t.Fatalf("StartFrame identity wrong: %+v", ft)
 	}
 	tr.Finish(ft, "detected", false, ms(10))
+	if allocs := testing.AllocsPerRun(100, func() { finishOne(tr, 1, ms(1), "detected", false) }); allocs != 0 {
+		t.Fatalf("a warm traced frame allocated %v times", allocs)
+	}
+	if gets, puts := tr.PoolStats(); gets != 103 || puts != 103 {
+		t.Fatalf("PoolStats() = %d gets, %d puts, want 103 each", gets, puts)
+	}
 }
 
 // TestWaitSpanLifecycle covers the wait bookkeeping: BeginWait closes a

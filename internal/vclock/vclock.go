@@ -4,6 +4,13 @@
 // paper's GPU-scale throughput and latency numbers on any host,
 // independent of the machine the reproduction runs on.
 //
+// There is no scheduler goroutine. A process that blocks runs the
+// scheduling step itself and hands the processor straight to the next
+// process — one goroutine switch per virtual event, none when the next
+// process is the one that blocked — and the steady state allocates
+// nothing: the timer heap and the ready and waiter queues reuse their
+// arrays.
+//
 // A paced clock (NewPaced) runs the very same schedule, but holds each
 // advance of virtual time until the wall clock has caught up with it, so
 // a run can be watched live. Everything a process observes is virtual
@@ -13,23 +20,27 @@
 package vclock
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
+
+	"ffsva/internal/fifo"
 )
 
 // VirtualClock is a deterministic cooperative discrete-event scheduler.
 //
 // Every process registered with Go runs on its own goroutine, but at most
-// one process executes at a time: a process runs until it blocks in Sleep
-// or Cond.Wait (or returns), at which point control passes back to the
-// scheduler. When no process is runnable, virtual time jumps to the
-// earliest pending timer. Scheduling order is FIFO with stable sequence
-// numbers, so a given program produces the same event order and the same
-// virtual timings on every run and every machine. Because processes never
-// run at the same time, state shared between them needs no lock.
+// one process executes at a time: a process runs until it blocks in
+// Sleep, Yield or Cond.Wait (or returns). The blocking process then picks
+// the next one itself and passes the processor to it directly; when no
+// process is runnable, virtual time jumps to the earliest pending timer.
+// Scheduling order is FIFO with stable sequence numbers, so a given
+// program produces the same event order and the same virtual timings on
+// every run and every machine. Because processes never run at the same
+// time, state shared between them needs no lock: each handoff is a
+// channel send, which orders everything the previous process wrote before
+// everything the next one reads.
 //
 // Rules of use:
 //
@@ -46,12 +57,15 @@ import (
 type VirtualClock struct {
 	now     time.Duration
 	seq     int64
-	ready   []*vproc
+	ready   fifo.Buffer[*vproc]
 	timers  timerHeap
 	cur     *vproc
 	live    int
-	back    chan struct{} // process -> scheduler handoff
 	started bool
+	// done wakes Run once no process can run: every process finished,
+	// or, when deadlock is set, the live ones are stuck.
+	done     chan struct{}
+	deadlock string
 	// procs is the registry of live processes, for diagnostics: a
 	// process leaves it when it returns, so a long run's churn of short
 	// processes does not accumulate.
@@ -67,9 +81,11 @@ type VirtualClock struct {
 
 // vproc is one cooperative process.
 type vproc struct {
-	name   string
+	name string
+	// resume carries the processor to this process; it holds at most
+	// the one pending handoff.
 	resume chan struct{}
-	state  string // diagnostic: "ready", "running", "sleeping", "waiting:<cond>"
+	state  string // diagnostic: "ready", "running", "sleeping", "waiting"
 	slot   int    // index in the clock's procs
 }
 
@@ -79,29 +95,59 @@ type timerEntry struct {
 	p   *vproc
 }
 
+// timerHeap is a binary min-heap of timers ordered by (at, seq). seq is
+// unique, so the order is total and the pop sequence is fully determined.
 type timerHeap []timerEntry
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
+func (h timerHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(timerEntry)) }
-func (h *timerHeap) Pop() (out any) {
-	old := *h
-	n := len(old)
-	out = old[n-1]
-	*h = old[:n-1]
-	return out
+
+func (h *timerHeap) push(e timerEntry) {
+	*h = append(*h, e)
+	t := *h
+	for i := len(t) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !t.less(i, parent) {
+			break
+		}
+		t[i], t[parent] = t[parent], t[i]
+		i = parent
+	}
+}
+
+func (h *timerHeap) pop() timerEntry {
+	t := *h
+	top := t[0]
+	last := len(t) - 1
+	t[0] = t[last]
+	t[last] = timerEntry{}
+	t = t[:last]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < len(t) && t.less(l, least) {
+			least = l
+		}
+		if r < len(t) && t.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		t[i], t[least] = t[least], t[i]
+		i = least
+	}
+	*h = t
+	return top
 }
 
 // NewVirtual returns a VirtualClock at time zero with no processes. Its
 // Run takes only the host time the processes need.
 func NewVirtual() *VirtualClock {
-	return &VirtualClock{back: make(chan struct{})}
+	return &VirtualClock{done: make(chan struct{}, 1)}
 }
 
 // NewPaced returns a VirtualClock whose Run never lets virtual time run
@@ -125,17 +171,16 @@ func (c *VirtualClock) HostLag() time.Duration { return c.hostLag }
 // Go registers a process. The function starts suspended and runs when the
 // scheduler first picks it.
 func (c *VirtualClock) Go(name string, fn func()) {
-	p := &vproc{name: name, resume: make(chan struct{}), state: "ready", slot: len(c.procs)}
+	p := &vproc{name: name, resume: make(chan struct{}, 1), state: "ready", slot: len(c.procs)}
 	c.live++
-	c.ready = append(c.ready, p)
+	c.ready.Push(p)
 	c.procs = append(c.procs, p)
 	go func() {
 		<-p.resume
 		fn()
 		c.forget(p)
 		c.live--
-		c.cur = nil
-		c.back <- struct{}{}
+		c.handOff(c.next())
 	}()
 }
 
@@ -158,7 +203,7 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 		d = 0
 	}
 	c.seq++
-	heap.Push(&c.timers, timerEntry{at: c.now + d, seq: c.seq, p: p})
+	c.timers.push(timerEntry{at: c.now + d, seq: c.seq, p: p})
 	p.state = "sleeping"
 	c.yield(p)
 }
@@ -168,15 +213,63 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 func (c *VirtualClock) Yield() {
 	p := c.mustCur("Yield")
 	p.state = "ready"
-	c.ready = append(c.ready, p)
+	c.ready.Push(p)
 	c.yield(p)
 }
 
-// yield transfers control to the scheduler and blocks until resumed.
+// yield gives up the processor of p, which has just blocked: it passes
+// the processor to the next process and waits to be resumed, or keeps
+// running without a switch when the next process is p itself.
 func (c *VirtualClock) yield(p *vproc) {
-	c.cur = nil
-	c.back <- struct{}{}
+	next := c.next()
+	if next == p {
+		return
+	}
+	c.handOff(next)
 	<-p.resume
+}
+
+// next is the scheduling step, run by the process giving up the
+// processor (or by Run, for the first one). It returns the head of the
+// ready queue, marked running; when none is ready it first moves virtual
+// time to the earliest pending timer and readies every timer due at that
+// instant, in seq order. It returns nil when no process can run.
+func (c *VirtualClock) next() *vproc {
+	if c.ready.Len() == 0 {
+		if len(c.timers) == 0 {
+			return nil
+		}
+		if at := c.timers[0].at; at > c.now {
+			if c.paced {
+				c.pace(at)
+			}
+			c.now = at
+		}
+		for len(c.timers) > 0 && c.timers[0].at == c.now {
+			e := c.timers.pop()
+			e.p.state = "ready"
+			c.ready.Push(e.p)
+		}
+	}
+	p := c.ready.Pop()
+	p.state = "running"
+	c.cur = p
+	return p
+}
+
+// handOff passes the processor to p, or, when p is nil, back to Run: all
+// processes finished, or the live ones are stuck and Run reports the
+// deadlock.
+func (c *VirtualClock) handOff(p *vproc) {
+	if p != nil {
+		p.resume <- struct{}{}
+		return
+	}
+	c.cur = nil
+	if c.live > 0 {
+		c.deadlock = c.deadlockReport()
+	}
+	c.done <- struct{}{}
 }
 
 func (c *VirtualClock) mustCur(op string) *vproc {
@@ -190,7 +283,7 @@ func (c *VirtualClock) mustCur(op string) *vproc {
 // must re-check their predicate in a loop.
 type Cond struct {
 	clk     *VirtualClock
-	waiters []*vproc
+	waiters fifo.Buffer[*vproc]
 }
 
 // NewCond returns a condition variable on the clock.
@@ -200,32 +293,33 @@ func (c *VirtualClock) NewCond() *Cond { return &Cond{clk: c} }
 func (cd *Cond) Wait() {
 	p := cd.clk.mustCur("Cond.Wait")
 	p.state = "waiting"
-	cd.waiters = append(cd.waiters, p)
+	cd.waiters.Push(p)
 	cd.clk.yield(p)
 }
 
 // Signal readies the longest-waiting process, if any.
 func (cd *Cond) Signal() {
-	if len(cd.waiters) == 0 {
+	if cd.waiters.Len() == 0 {
 		return
 	}
-	p := cd.waiters[0]
-	cd.waiters = cd.waiters[1:]
+	p := cd.waiters.Pop()
 	p.state = "ready"
-	cd.clk.ready = append(cd.clk.ready, p)
+	cd.clk.ready.Push(p)
 }
 
 // Broadcast readies every waiting process in wait order.
 func (cd *Cond) Broadcast() {
-	for _, p := range cd.waiters {
+	for cd.waiters.Len() > 0 {
+		p := cd.waiters.Pop()
 		p.state = "ready"
-		cd.clk.ready = append(cd.clk.ready, p)
+		cd.clk.ready.Push(p)
 	}
-	cd.waiters = cd.waiters[:0]
 }
 
-// Run executes processes until all have finished. It panics on deadlock
-// (live processes, nothing runnable, no timers).
+// Run executes processes until all have finished. It starts the first
+// process and then only waits: from there on the processes pass the
+// processor among themselves. It panics on deadlock (live processes,
+// nothing runnable, no timers).
 func (c *VirtualClock) Run() {
 	if c.started {
 		panic("vclock: Run called twice")
@@ -234,42 +328,21 @@ func (c *VirtualClock) Run() {
 	if c.paced {
 		c.wall0 = time.Now()
 	}
-	for c.live > 0 {
-		if len(c.ready) == 0 {
-			if c.timers.Len() == 0 {
-				panic(c.deadlockReport())
-			}
-			e := heap.Pop(&c.timers).(timerEntry)
-			if e.at > c.now {
-				if c.paced {
-					c.pace(e.at)
-				}
-				c.now = e.at
-			}
-			e.p.state = "ready"
-			c.ready = append(c.ready, e.p)
-			// Release every timer scheduled for this same instant so
-			// they run in seq order before time moves again.
-			for c.timers.Len() > 0 && c.timers[0].at == c.now {
-				e2 := heap.Pop(&c.timers).(timerEntry)
-				e2.p.state = "ready"
-				c.ready = append(c.ready, e2.p)
-			}
-		}
-		p := c.ready[0]
-		c.ready = c.ready[1:]
-		p.state = "running"
-		c.cur = p
-		p.resume <- struct{}{}
-		<-c.back
+	if c.live > 0 {
+		c.handOff(c.next())
+		<-c.done
+	}
+	if c.deadlock != "" {
+		panic(c.deadlock)
 	}
 	if c.paced {
 		c.pace(c.now)
 	}
 }
 
-// pace holds the scheduler until t of wall time has passed since Run
-// began, or, when the wall is already past t, records by how much.
+// pace holds the scheduling step (and with it every process) until t of
+// wall time has passed since Run began, or, when the wall is already
+// past t, records by how much.
 func (c *VirtualClock) pace(t time.Duration) {
 	behind := time.Since(c.wall0) - t
 	if behind < 0 {
