@@ -57,8 +57,11 @@ type (
 	// Quotas / Elastic sub-configs plus the manager tuning knobs.
 	ClusterConfig = core.ClusterConfig
 	// ClusterTuning bundles the control-plane knobs inside
-	// ClusterConfig; cluster defaults live in exactly one place behind
-	// it.
+	// ClusterConfig: the monitor period (CheckEvery), the overloaded
+	// checks before a re-forward (OverloadChecks), failure detection
+	// (HeartbeatEvery, FailTimeout) and the Placement / Quotas /
+	// Elastic sub-configs. The overload and spare-capacity thresholds
+	// are the paper's fixed signals, not knobs.
 	ClusterTuning = cluster.Tuning
 	// PlacementConfig selects the stream placement policy
 	// (ClusterConfig.Placement): PlacementLeastLoad or PlacementHash.
@@ -105,8 +108,9 @@ type (
 	// after the run, export with WriteTraceEvents (Perfetto-loadable
 	// Chrome trace-event JSON) or WriteJSONL.
 	Tracer = trace.Tracer
-	// TraceOptions bounds the tracer's retention; the zero value applies
-	// the defaults (head + ring + slowest-N + error sampling).
+	// TraceOptions is the tracer's (empty) option set: retention is
+	// fixed (first 32 frames, last 256, slowest 16, last 64 dropped or
+	// failed).
 	TraceOptions = trace.Options
 	// StageStat is one row of the wait-vs-service latency decomposition
 	// in Report.Spans.
@@ -123,8 +127,9 @@ type (
 	// bottleneck attribution engine behind Report.Bottleneck and the
 	// /bottleneck endpoint.
 	Timeline = timeline.Recorder
-	// TimelineOptions bounds the flight recorder; the zero value applies
-	// the defaults (4096-tick ring, 1024 events, dumps off).
+	// TimelineOptions sets the flight recorder's dump directory
+	// (DumpDir; empty turns dumps off) and its tracer. The bounds are
+	// fixed: a 4096-tick ring, 1024 events, at most 16 dumps.
 	TimelineOptions = timeline.Options
 	// TimelineTick is one flight-recorder sample.
 	TimelineTick = timeline.Tick
@@ -251,9 +256,8 @@ func RunClusterContext(ctx context.Context, cfg ClusterConfig) (*ClusterReport, 
 // records with the given event-intensity threshold.
 func Analyze(records []Record, minObjects int) Accuracy { return core.Analyze(records, minObjects) }
 
-// NewTracer builds a per-frame tracer with the given retention bounds
-// (zero TraceOptions for the defaults). Set it as Config.Trace before
-// the run and export it afterwards.
+// NewTracer builds a per-frame tracer (TraceOptions has no fields). Set
+// it as Config.Trace before the run and export it afterwards.
 func NewTracer(opt TraceOptions) *Tracer { return trace.New(opt) }
 
 // NewObsServer builds the live observability endpoint for addr; a
@@ -262,10 +266,10 @@ func NewTracer(opt TraceOptions) *Tracer { return trace.New(opt) }
 // call Start/Close around the run.
 func NewObsServer(addr string, tr *Tracer) *ObsServer { return obs.NewServer(addr, tr) }
 
-// NewTimeline builds the flight recorder (zero TimelineOptions for the
-// defaults). Set it as Config.Timeline before the run; query Window and
-// Attribute during or after it; Close it to flush event-triggered
-// dumps.
+// NewTimeline builds the flight recorder (zero TimelineOptions for no
+// dumps and no tracer). Set it as Config.Timeline before the run; query
+// Window and Attribute during or after it; Close it to flush
+// event-triggered dumps.
 func NewTimeline(opt TimelineOptions) *Timeline { return timeline.New(opt) }
 
 // ValidateTrace structurally checks an exported Chrome trace-event JSON

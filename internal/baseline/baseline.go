@@ -18,33 +18,28 @@ import (
 	"ffsva/internal/vclock"
 )
 
-// Config assembles a baseline System.
+// Config assembles a baseline System. Everything else is the paper's
+// testbed, fixed: calibrated costs, the oracle reference model, and the
+// constants below.
 type Config struct {
-	Clock       *vclock.VirtualClock
-	Costs       device.CostModel
-	ChargeCosts bool
-	Mode        pipeline.Mode
-	// GPUs is how many GPUs run the reference model (the paper's server
-	// has two).
-	GPUs     int
-	CPUSlots int
-	Ref      detect.Detector
-	// QueueDepth bounds the shared work queue.
-	QueueDepth int
+	Clock *vclock.VirtualClock
+	Mode  pipeline.Mode
 }
 
-// DefaultConfig mirrors the paper's testbed: two GPUs, calibrated costs.
+// The testbed's fixed shape.
+const (
+	// gpus is how many GPUs run the reference model (the paper's server
+	// has two).
+	gpus = 2
+	// cpuSlots is the CPU's core capacity for decode.
+	cpuSlots = 16
+	// queueDepth bounds the shared work queue.
+	queueDepth = 8
+)
+
+// DefaultConfig mirrors the paper's testbed in offline mode.
 func DefaultConfig(clk *vclock.VirtualClock) Config {
-	return Config{
-		Clock:       clk,
-		Costs:       device.Calibrated(),
-		ChargeCosts: true,
-		Mode:        pipeline.Offline,
-		GPUs:        2,
-		CPUSlots:    16,
-		Ref:         detect.NewOracle(detect.DefaultOracleConfig()),
-		QueueDepth:  8,
-	}
+	return Config{Clock: clk, Mode: pipeline.Offline}
 }
 
 // StreamSpec is one input stream.
@@ -72,6 +67,8 @@ type streamState struct {
 // System runs YOLOv2-only analysis.
 type System struct {
 	cfg     Config
+	costs   device.CostModel
+	ref     detect.Detector
 	cpu     *device.Device
 	gpus    []*device.Device
 	q       *queue.Queue[*frame.Frame]
@@ -82,25 +79,18 @@ type System struct {
 
 // New builds a baseline system.
 func New(cfg Config, specs []StreamSpec) *System {
-	if cfg.Clock == nil || cfg.Ref == nil {
-		panic("baseline: Clock and Ref are required")
-	}
-	if cfg.GPUs <= 0 {
-		cfg.GPUs = 2
-	}
-	if cfg.CPUSlots <= 0 {
-		cfg.CPUSlots = 16
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 8
+	if cfg.Clock == nil {
+		panic("baseline: Clock is required")
 	}
 	s := &System{
 		cfg:     cfg,
-		cpu:     device.New(cfg.Clock, "cpu", device.CPU, cfg.CPUSlots),
-		q:       queue.New[*frame.Frame](cfg.Clock, "yolo", cfg.QueueDepth),
+		costs:   device.Calibrated(),
+		ref:     detect.NewOracle(detect.DefaultOracleConfig()),
+		cpu:     device.New(cfg.Clock, "cpu", device.CPU, cpuSlots),
+		q:       queue.New[*frame.Frame](cfg.Clock, "yolo", queueDepth),
 		latency: metrics.NewHistogram(),
 	}
-	for i := 0; i < cfg.GPUs; i++ {
+	for i := 0; i < gpus; i++ {
 		s.gpus = append(s.gpus, device.New(cfg.Clock, fmt.Sprintf("gpu%d", i), device.GPU, 1))
 	}
 	for _, spec := range specs {
@@ -150,9 +140,7 @@ func (s *System) prefetch(st *streamState) {
 				clk.Sleep(target - now)
 			}
 		}
-		if s.cfg.ChargeCosts {
-			s.cpu.Use(device.ModelDecode, 1, s.cfg.Costs)
-		}
+		s.cpu.Use(device.ModelDecode, 1, s.costs)
 		f := st.spec.Source.Next()
 		f.StreamID = st.spec.ID
 		f.Captured = clk.Now()
@@ -189,11 +177,9 @@ func (s *System) worker(g *device.Device) {
 		if !ok {
 			return
 		}
-		if s.cfg.ChargeCosts {
-			g.Use(device.ModelRef, 1, s.cfg.Costs)
-		}
+		g.Use(device.ModelRef, 1, s.costs)
 		st := byID[f.StreamID]
-		dets := s.cfg.Ref.Detect(f)
+		dets := s.ref.Detect(f)
 		now := s.cfg.Clock.Now()
 		if detect.Count(dets, st.spec.Target, 0.5) > 0 {
 			st.detected++

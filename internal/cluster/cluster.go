@@ -33,9 +33,6 @@ import (
 // cluster defaults: cluster.DefaultConfig and core.DefaultClusterConfig
 // both draw from DefaultTuning.
 type Tuning struct {
-	// SpareTYRate is the shared T-YOLO rate (FPS) below which an
-	// instance is considered to have spare capacity.
-	SpareTYRate float64
 	// CheckEvery is the manager's monitor period; it doubles as the
 	// post-move cooldown, so a stream is never bounced twice within one
 	// CheckEvery window.
@@ -43,12 +40,6 @@ type Tuning struct {
 	// OverloadChecks is how many consecutive overloaded observations
 	// trigger a re-forward.
 	OverloadChecks int
-	// LagThreshold is the ingest lateness above which an instance counts
-	// as overloaded (combined with the queue signal).
-	LagThreshold time.Duration
-	// BacklogThreshold is the capture-buffer depth (frames) above which
-	// an instance counts as overloaded; backlog/FPS is seconds behind.
-	BacklogThreshold int
 
 	// HeartbeatEvery is each instance's liveness stamp period (forwarded
 	// to pipeline.Config); FailTimeout is how stale a stamp may go before
@@ -66,18 +57,28 @@ type Tuning struct {
 	Elastic   sched.ElasticConfig
 }
 
-// DefaultTuning returns the control-plane defaults per the paper's
-// signals (140 FPS spare threshold, 1 s monitor period, 3 s behind at
-// 30 FPS backlog threshold).
+// The paper's fixed overload and spare-capacity signals (§4.3).
+const (
+	// spareTYRate is the shared T-YOLO rate (FPS) below which an
+	// instance is considered to have spare capacity.
+	spareTYRate = 140
+	// lagThreshold is the ingest lateness above which an instance counts
+	// as overloaded (combined with the queue signal).
+	lagThreshold = 250 * time.Millisecond
+	// backlogThreshold is the capture-buffer depth (frames) above which
+	// an instance counts as overloaded: 3 s behind at 30 FPS.
+	backlogThreshold = 90
+)
+
+// DefaultTuning returns the control-plane defaults: a 1 s monitor
+// period, three overloaded checks before a re-forward, and failure
+// detection on.
 func DefaultTuning() Tuning {
 	return Tuning{
-		SpareTYRate:      140,
-		CheckEvery:       time.Second,
-		OverloadChecks:   3,
-		LagThreshold:     250 * time.Millisecond,
-		BacklogThreshold: 90, // 3 s at 30 FPS
-		HeartbeatEvery:   500 * time.Millisecond,
-		FailTimeout:      2 * time.Second,
+		CheckEvery:     time.Second,
+		OverloadChecks: 3,
+		HeartbeatEvery: 500 * time.Millisecond,
+		FailTimeout:    2 * time.Second,
 	}
 }
 
@@ -87,20 +88,11 @@ func DefaultTuning() Tuning {
 // normalize to 0, explicitly disabling failure detection.
 func (t Tuning) WithDefaults() Tuning {
 	d := DefaultTuning()
-	if t.SpareTYRate == 0 {
-		t.SpareTYRate = d.SpareTYRate
-	}
 	if t.CheckEvery == 0 {
 		t.CheckEvery = d.CheckEvery
 	}
 	if t.OverloadChecks == 0 {
 		t.OverloadChecks = d.OverloadChecks
-	}
-	if t.LagThreshold == 0 {
-		t.LagThreshold = d.LagThreshold
-	}
-	if t.BacklogThreshold == 0 {
-		t.BacklogThreshold = d.BacklogThreshold
 	}
 	if t.HeartbeatEvery == 0 {
 		t.HeartbeatEvery = d.HeartbeatEvery
@@ -473,7 +465,7 @@ func (c *Cluster) view(snaps []pipeline.Snapshot) *sched.View {
 			Overloaded: c.overloaded(&snaps[i]),
 			Streams:    c.counts[i],
 			TYoloRate:  snaps[i].TYoloRate,
-			Spare:      snaps[i].TYoloRate < c.cfg.SpareTYRate,
+			Spare:      snaps[i].TYoloRate < spareTYRate,
 			Backlog:    snaps[i].WorstBacklog,
 		}
 	}
@@ -548,13 +540,13 @@ func (c *Cluster) record(e Event) {
 // capture backlog, and queues pinned at their thresholds while backlog
 // builds.
 func (c *Cluster) overloaded(sn *pipeline.Snapshot) bool {
-	if sn.WorstLag > c.cfg.LagThreshold {
+	if sn.WorstLag > lagThreshold {
 		return true
 	}
-	if sn.WorstBacklog > c.cfg.BacklogThreshold {
+	if sn.WorstBacklog > backlogThreshold {
 		return true
 	}
-	return sn.Overloaded && sn.WorstBacklog > c.cfg.BacklogThreshold/3
+	return sn.Overloaded && sn.WorstBacklog > backlogThreshold/3
 }
 
 // manage is the control-plane loop: one consistent observation per

@@ -100,8 +100,9 @@ func TestThousandStreamScale(t *testing.T) {
 		cfg.Horizon = 15 * time.Second
 		cfg.Placement.Policy = policy
 		// The scale contract under test is the control plane's, not the
-		// filters': skip virtual stage costs so 10,000 frames stay cheap.
-		cfg.Pipeline.ChargeCosts = false
+		// filters': an empty cost model charges no stage time, so 10,000
+		// frames stay cheap.
+		cfg.Pipeline.Costs = device.CostModel{}
 		return New(cfg, scaleArrivals(cam, streams, frames)).Run()
 	}
 	for _, policy := range []string{sched.PolicyLeastLoad, sched.PolicyHash} {

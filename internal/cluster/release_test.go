@@ -74,7 +74,7 @@ func TestFinishedStreamsReleaseDetectorState(t *testing.T) {
 	const streams, frames = 200, 6
 	cfg := DefaultConfig(vclock.NewVirtual(), 4)
 	cfg.Horizon = 5 * time.Second
-	cfg.Pipeline.ChargeCosts = false
+	cfg.Pipeline.Costs = device.CostModel{}
 	var cl *Cluster
 	watchLiveDetectorState(t, &cfg, &cl)
 	cl = New(cfg, arrivals(t, cam, streams, frames, 5*time.Millisecond))

@@ -59,8 +59,9 @@ type Scheduler struct {
 	active   int            // streams currently placed, cluster-wide
 	tenantOf map[int]string // stream id -> tenant
 	tenants  map[string]int // tenant -> active streams
+	// placedAt is when each stream was admitted or last moved: its
+	// recency, and the start of its move cooldown.
 	placedAt map[int]time.Duration
-	lastMove map[int]time.Duration
 
 	// overSince is when every live instance became overloaded at once
 	// (scale-up streak); overNow marks the streak as running.
@@ -89,7 +90,6 @@ func New(cfg Config) (*Scheduler, error) {
 		tenantOf:  make(map[int]string),
 		tenants:   make(map[string]int),
 		placedAt:  make(map[int]time.Duration),
-		lastMove:  make(map[int]time.Duration),
 		idleSince: make(map[int]time.Duration),
 	}, nil
 }
@@ -144,7 +144,6 @@ func (s *Scheduler) Admit(id int, tenant string, v *View) (int, RejectReason) {
 	s.tenantOf[id] = tenant
 	s.tenants[tenant]++
 	s.placedAt[id] = v.Now
-	s.lastMove[id] = v.Now
 	return inst, RejectNone
 }
 
@@ -152,7 +151,6 @@ func (s *Scheduler) Admit(id int, tenant string, v *View) (int, RejectReason) {
 // rebalance): the stream's recency and cooldown restart.
 func (s *Scheduler) Moved(id int, now time.Duration) {
 	s.placedAt[id] = now
-	s.lastMove[id] = now
 }
 
 // Done releases a stream's quota when it finishes or is abandoned.
@@ -163,7 +161,6 @@ func (s *Scheduler) Done(id int) {
 	}
 	delete(s.tenantOf, id)
 	delete(s.placedAt, id)
-	delete(s.lastMove, id)
 	s.active--
 	if s.tenants[tenant]--; s.tenants[tenant] <= 0 {
 		delete(s.tenants, tenant)
@@ -178,7 +175,7 @@ func (s *Scheduler) Victim(inst int, v *View) (int, int) {
 	if stream < 0 || target < 0 {
 		return -1, -1
 	}
-	if v.Now-s.lastMove[stream] < s.cfg.Cooldown {
+	if v.Now-s.placedAt[stream] < s.cfg.Cooldown {
 		return -1, -1
 	}
 	return stream, target
@@ -197,7 +194,7 @@ func (s *Scheduler) Rebalance(v *View, changed bool, budget int) []Move {
 	moves := s.policy.Rebalance(v, changed, budget)
 	kept := moves[:0]
 	for _, m := range moves {
-		if v.Now-s.lastMove[m.Stream] >= s.cfg.Cooldown {
+		if v.Now-s.placedAt[m.Stream] >= s.cfg.Cooldown {
 			kept = append(kept, m)
 		}
 	}

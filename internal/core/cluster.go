@@ -8,7 +8,6 @@ import (
 
 	"ffsva/internal/cluster"
 	"ffsva/internal/detect"
-	"ffsva/internal/lab"
 	"ffsva/internal/pipeline"
 	"ffsva/internal/timeline"
 )
@@ -92,14 +91,7 @@ func RunClusterContext(ctx context.Context, cfg ClusterConfig) (*cluster.Report,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var cam *lab.Camera
-	var err error
-	switch cfg.Workload {
-	case WorkloadPerson:
-		cam, err = lab.PersonCamera(cfg.TOR)
-	default:
-		cam, err = lab.CarCamera(cfg.TOR)
-	}
+	cam, err := Camera(cfg.Workload, cfg.TOR)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +105,6 @@ func RunClusterContext(ctx context.Context, cfg ClusterConfig) (*cluster.Report,
 	if cfg.BatchSize > 0 {
 		ccfg.Pipeline.BatchSize = cfg.BatchSize
 	}
-	ccfg.Pipeline.ChargeCosts = cfg.ChargeCosts
 	ccfg.Pipeline.ShedAfter = cfg.ShedAfter
 	ccfg.Pipeline.RefConf = cfg.RefConf
 	ccfg.Pipeline.Consolidate = cfg.Consolidate
@@ -162,14 +153,7 @@ func RunClusterContext(ctx context.Context, cfg ClusterConfig) (*cluster.Report,
 			Tenant: tenant,
 			Frames: cfg.FramesPerStream,
 			Make: func(tg *detect.TinyGrid) pipeline.StreamSpec {
-				return cam.Stream(i, tg, lab.StreamOptions{
-					Seed:            streamSeed(cfg.Seed, i),
-					Frames:          cfg.FramesPerStream,
-					FilterDegree:    cfg.FilterDegree,
-					HasFilterDegree: true,
-					NumberOfObjects: cfg.NumberOfObjects,
-					Tolerance:       cfg.Tolerance,
-				})
+				return cfg.stream(cam, tg, i)
 			},
 		}
 	}

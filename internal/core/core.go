@@ -70,8 +70,6 @@ type Config struct {
 	// are the unpaced run's, byte for byte; Result.HostLag reports how
 	// far the host fell behind.
 	Paced bool
-	// ChargeCosts disables device-time modeling when false.
-	ChargeCosts bool
 	// Seed namespaces the streams' object dynamics.
 	Seed int64
 
@@ -131,7 +129,6 @@ func DefaultConfig() Config {
 		FilterDegree:    0.5,
 		NumberOfObjects: 1,
 		RefConf:         0.5,
-		ChargeCosts:     true,
 		Seed:            1,
 	}
 }
@@ -178,14 +175,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var cam *lab.Camera
-	var err error
-	switch cfg.Workload {
-	case WorkloadPerson:
-		cam, err = lab.PersonCamera(cfg.TOR)
-	default:
-		cam, err = lab.CarCamera(cfg.TOR)
-	}
+	cam, err := Camera(cfg.Workload, cfg.TOR)
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +190,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.BatchSize > 0 {
 		pcfg.BatchSize = cfg.BatchSize
 	}
-	pcfg.ChargeCosts = cfg.ChargeCosts
 	pcfg.ShedAfter = cfg.ShedAfter
 	pcfg.Tracer = cfg.Trace
 	pcfg.RefConf = cfg.RefConf
@@ -216,14 +205,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	tg := detect.NewTinyGrid(detect.DefaultTinyGridConfig())
 	specs := make([]pipeline.StreamSpec, cfg.Streams)
 	for i := 0; i < cfg.Streams; i++ {
-		specs[i] = cam.Stream(i, tg, lab.StreamOptions{
-			Seed:            streamSeed(cfg.Seed, i),
-			Frames:          cfg.FramesPerStream,
-			FilterDegree:    cfg.FilterDegree,
-			HasFilterDegree: true,
-			NumberOfObjects: cfg.NumberOfObjects,
-			Tolerance:       cfg.Tolerance,
-		})
+		specs[i] = cfg.stream(cam, tg, i)
 		if inj != nil {
 			specs[i].Source = inj.WrapSource(specs[i].Source, specs[i].ID)
 		}
@@ -293,6 +275,27 @@ func (c Config) clock() *vclock.VirtualClock {
 		return vclock.NewPaced()
 	}
 	return vclock.NewVirtual()
+}
+
+// stream mints stream i of the run over the camera's trained models.
+func (c Config) stream(cam *lab.Camera, tg *detect.TinyGrid, i int) pipeline.StreamSpec {
+	return cam.Stream(i, tg, lab.StreamOptions{
+		Seed:            streamSeed(c.Seed, i),
+		Frames:          c.FramesPerStream,
+		FilterDegree:    c.FilterDegree,
+		HasFilterDegree: true,
+		NumberOfObjects: c.NumberOfObjects,
+		Tolerance:       c.Tolerance,
+	})
+}
+
+// Camera trains (or reuses the cached) camera of workload w at the
+// given target-object ratio.
+func Camera(w WorkloadKind, tor float64) (*lab.Camera, error) {
+	if w == WorkloadPerson {
+		return lab.PersonCamera(tor)
+	}
+	return lab.CarCamera(tor)
 }
 
 // Target returns the workload's target class.

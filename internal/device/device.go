@@ -117,6 +117,10 @@ func Calibrated() CostModel {
 		ModelSNM:    {PerFrame: 200 * time.Microsecond, Activate: 4000 * time.Microsecond, Resize: 150 * time.Microsecond, Memory: 200 << 10},
 		ModelTYolo:  {PerFrame: 4500 * time.Microsecond, Activate: 600 * time.Microsecond, Resize: 400 * time.Microsecond, Memory: 1200 << 20},
 		ModelRef:    {PerFrame: 14900 * time.Microsecond, Activate: 0, Memory: 1700 << 20},
+		// One frame to or from the spill store: a few hundred KB per
+		// encoded frame at NVMe-class bandwidth, an order of magnitude
+		// cheaper than any GPU stage.
+		ModelSpill: {PerFrame: 350 * time.Microsecond},
 		// One crop's copy into a canvas: a memcpy of a few tens of KB
 		// plus packer bookkeeping, far below any inference charge.
 		ModelPack: {PerFrame: 50 * time.Microsecond},

@@ -145,13 +145,7 @@ type runOpts struct {
 // run executes one virtual-clock FFS-VA configuration and returns its
 // report plus merged accuracy.
 func run(o runOpts) (*pipeline.Report, core.Accuracy, error) {
-	var cam *lab.Camera
-	var err error
-	if o.workload == core.WorkloadPerson {
-		cam, err = lab.PersonCamera(o.tor)
-	} else {
-		cam, err = lab.CarCamera(o.tor)
-	}
+	cam, err := core.Camera(o.workload, o.tor)
 	if err != nil {
 		return nil, core.Accuracy{}, err
 	}

@@ -93,9 +93,7 @@ func (s *System) serveCanvases(live []*frame.Frame, owners []*streamState) {
 		ends = append(ends, len(rects))
 	}
 	s.ref.rects, s.ref.ends = rects, ends
-	if s.cfg.ChargeCosts && len(rects) > 0 {
-		s.cpu.Use(device.ModelPack, len(rects), s.cfg.Costs)
-	}
+	s.cpu.Use(device.ModelPack, len(rects), s.cfg.Costs)
 	packEnd := clk.Now()
 	for _, f := range live {
 		f.Trace.AddSpan(trace.KPack, packStart, packEnd, s.cpu.Name, len(live))
@@ -106,9 +104,7 @@ func (s *System) serveCanvases(live []*frame.Frame, owners []*streamState) {
 	refStart := clk.Now()
 	for k := 0; k < canvases; k++ {
 		s.canvasCtr.Inc()
-		if s.cfg.ChargeCosts {
-			s.gpu1.Use(device.ModelRef, 1, s.cfg.Costs)
-		}
+		s.gpu1.Use(device.ModelRef, 1, s.cfg.Costs)
 	}
 	refEnd := clk.Now()
 

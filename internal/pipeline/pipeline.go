@@ -222,10 +222,10 @@ type StreamSpec struct {
 // Config assembles a System.
 type Config struct {
 	Clock *vclock.VirtualClock
-	Costs device.CostModel
-	// ChargeCosts enables device service-time charging. When false the
-	// pipeline is purely functional (real compute, no modeled time).
-	ChargeCosts bool
+	// Costs prices every device service. An empty CostModel charges
+	// nothing: the pipeline is then purely functional (real compute, no
+	// modeled time).
+	Costs       device.CostModel
 	Mode        Mode
 	BatchPolicy BatchPolicy
 	// BatchSize is the SNM batch bound (paper default 10 in-pipeline).
@@ -255,8 +255,6 @@ type Config struct {
 	// across all filter GPUs. The reference model always has its own
 	// additional GPU. Default 1, the paper's two-GPU server.
 	FilterGPUs int
-	// CPUSlots is CPU core capacity for decode/SDD/resize tasks.
-	CPUSlots int
 	// Ref is the reference model detector (shared).
 	Ref detect.Detector
 	// RefConf is the confidence threshold applied to the reference
@@ -324,6 +322,8 @@ const (
 	// decodeRetryBudget is how many times a failed frame decode is
 	// retried before the frame is abandoned with DropError.
 	decodeRetryBudget = 2
+	// cpuSlots is the CPU's core capacity for decode/SDD/resize tasks.
+	cpuSlots = 16
 )
 
 // DefaultConfig returns the paper's defaults on a fresh clock.
@@ -331,14 +331,12 @@ func DefaultConfig(clk *vclock.VirtualClock) Config {
 	return Config{
 		Clock:       clk,
 		Costs:       device.Calibrated(),
-		ChargeCosts: true,
 		Mode:        Offline,
 		BatchPolicy: BatchDynamic,
 		BatchSize:   10,
 		DepthSDD:    2, DepthSNM: 10, DepthTYolo: 2,
 		NumTYolo: 8,
 		DepthRef: 4,
-		CPUSlots: 16,
 		Ref:      detect.NewOracle(detect.DefaultOracleConfig()),
 	}
 }
@@ -361,9 +359,6 @@ func (c *Config) fill() {
 	}
 	if c.NumTYolo <= 0 {
 		c.NumTYolo = 8
-	}
-	if c.CPUSlots <= 0 {
-		c.CPUSlots = 16
 	}
 	if c.IngestBuffer <= 0 {
 		c.IngestBuffer = 600 // 20 s at 30 FPS
@@ -483,7 +478,7 @@ func New(cfg Config, specs []StreamSpec) *System {
 	reg := metrics.NewRegistry()
 	s := &System{
 		cfg:       cfg,
-		cpu:       device.New(cfg.Clock, "cpu", device.CPU, cfg.CPUSlots),
+		cpu:       device.New(cfg.Clock, "cpu", device.CPU, cpuSlots),
 		refQ:      queue.New[*frame.Frame](cfg.Clock, "ref", cfg.DepthRef),
 		tyMeter:   reg.Meter("tyolo_fps", time.Second, 5),
 		latency:   reg.Histogram("frame_latency"),
@@ -552,7 +547,7 @@ func (s *System) newStream(spec StreamSpec) *streamState {
 	}
 	var store *spill.Store
 	if cfg.SpillToStorage && cfg.Mode == Online {
-		store = spill.New(cfg.Clock, s.disk, cfg.ChargeCosts)
+		store = spill.New(cfg.Clock, s.disk, cfg.Costs)
 	}
 	st := &streamState{
 		spec:    spec,

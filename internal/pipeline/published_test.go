@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ffsva/internal/device"
 	"ffsva/internal/filters"
 	"ffsva/internal/frame"
 	"ffsva/internal/imgproc"
@@ -42,7 +43,7 @@ func finishedSystem(t *testing.T, n int) *System {
 	t.Helper()
 	specs := blankSpecs(n)
 	cfg := DefaultConfig(vclock.NewVirtual())
-	cfg.ChargeCosts = false
+	cfg.Costs = device.CostModel{}
 	sys := New(cfg, specs)
 	rep := sys.Run()
 	if got := rep.Streams[n-1].Counts[DropSDD]; got != 1 {

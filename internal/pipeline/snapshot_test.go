@@ -152,7 +152,7 @@ func TestWorstLagExcludesFinishedStreams(t *testing.T) {
 	if !sawLag {
 		t.Fatal("overload configuration never showed ingest lag; test is vacuous")
 	}
-	if got := sys.WorstLag(); got != 0 {
+	if got := sys.Snapshot().WorstLag; got != 0 {
 		t.Fatalf("WorstLag = %v after all ingest finished, want 0", got)
 	}
 	if final.WorstLag != 0 || final.LiveStreams != 0 {

@@ -205,9 +205,7 @@ func (s *System) prefetch(st *streamState) {
 			tries := 0
 			for fsrc.DecodeFails() {
 				s.faultCtr.Inc()
-				if s.cfg.ChargeCosts {
-					s.cpu.Use(device.ModelDecode, 1, s.cfg.Costs)
-				}
+				s.cpu.Use(device.ModelDecode, 1, s.cfg.Costs)
 				tries++
 				if tries > decodeRetryBudget {
 					lost = true
@@ -222,7 +220,7 @@ func (s *System) prefetch(st *streamState) {
 				s.cfg.Tracer.Instant(fmt.Sprintf("fault decode stream %d", st.spec.ID), "fault", s.cfg.Instance, clk.Now())
 			}
 		}
-		if !lost && s.cfg.ChargeCosts {
+		if !lost {
 			s.cpu.Use(device.ModelDecode, 1, s.cfg.Costs)
 		}
 		// The stop check must come with pulling the frame, after the
@@ -334,10 +332,8 @@ func (s *System) sddStage(st *streamState) {
 			continue
 		}
 		sp := f.Trace.StartSpan(trace.KSDD, "cpu", clk.Now())
-		if s.cfg.ChargeCosts {
-			s.cpu.UseResize(device.ModelSDD, 1, s.cfg.Costs)
-			s.cpu.Use(device.ModelSDD, 1, s.cfg.Costs)
-		}
+		s.cpu.UseResize(device.ModelSDD, 1, s.cfg.Costs)
+		s.cpu.Use(device.ModelSDD, 1, s.cfg.Costs)
 		if st.spec.SDD.Process(f) == filters.Drop {
 			sp.EndDrop(clk.Now())
 			s.finish(st, f, DropSDD)
@@ -380,13 +376,9 @@ func (s *System) snmStage(st *streamState) {
 		// inference are timed separately so the trace splits
 		// "stalled on batchmates" from "being computed".
 		t0 := clk.Now()
-		if s.cfg.ChargeCosts {
-			s.cpu.UseResize(device.ModelSNM, len(batch), s.cfg.Costs)
-		}
+		s.cpu.UseResize(device.ModelSNM, len(batch), s.cfg.Costs)
 		t1 := clk.Now()
-		if s.cfg.ChargeCosts {
-			s.snmGPU(st).Use(device.ModelSNM, len(batch), s.cfg.Costs)
-		}
+		s.snmGPU(st).Use(device.ModelSNM, len(batch), s.cfg.Costs)
 		// One multi-sample forward for the whole batch: the network
 		// computes each sample with the same per-sample loops, so the
 		// verdicts match per-frame Process calls exactly while paying
@@ -469,18 +461,16 @@ func (s *System) tyWorker(w int) {
 				continue
 			}
 			t0 := clk.Now()
-			if s.cfg.ChargeCosts {
-				s.cpu.UseResize(device.ModelTYolo, len(batch), s.cfg.Costs)
-				tyGPU := s.filterGPUs[w]
-				if s.cfg.PerStreamTYolo {
-					// Each stream has its own T-YOLO: loading it evicts
-					// the previous stream's copy, so every batch pays
-					// the (inflated) activation charge on the GPU.
-					tyGPU.Invalidate()
-				}
-				tyGPU.Use(device.ModelTYolo, len(batch), s.cfg.Costs)
+			s.cpu.UseResize(device.ModelTYolo, len(batch), s.cfg.Costs)
+			tyGPU := s.filterGPUs[w]
+			if s.cfg.PerStreamTYolo {
+				// Each stream has its own T-YOLO: loading it evicts the
+				// previous stream's copy, so every batch pays the
+				// (inflated) activation charge on the GPU.
+				tyGPU.Invalidate()
 			}
-			gpuName := s.filterGPUs[w].Name
+			tyGPU.Use(device.ModelTYolo, len(batch), s.cfg.Costs)
+			gpuName := tyGPU.Name
 			// Consecutive spans over the batch: the first member absorbs
 			// the batched device charge, the rest their own Process time.
 			prev := t0
@@ -596,9 +586,7 @@ func (s *System) resolveOwners(batch []*frame.Frame) ([]*frame.Frame, []*streamS
 func (s *System) serveFrame(st *streamState, f *frame.Frame) {
 	clk := s.cfg.Clock
 	sp := f.Trace.StartSpan(trace.KRef, s.gpu1.Name, clk.Now())
-	if s.cfg.ChargeCosts {
-		s.gpu1.Use(device.ModelRef, 1, s.cfg.Costs)
-	}
+	s.gpu1.Use(device.ModelRef, 1, s.cfg.Costs)
 	dets := s.cfg.Ref.Detect(f)
 	sp.End(clk.Now())
 	count := detect.Count(dets, st.spec.Target, s.cfg.RefConf)
@@ -774,57 +762,4 @@ func (s *System) releaseDetector(st *streamState) {
 	if complete && dry {
 		det.Unregister(id)
 	}
-}
-
-// TYoloRate reports the shared T-YOLO stage's recent processing rate in
-// FPS over the meter window; the cluster manager compares it against the
-// paper's 140 FPS spare-capacity signal.
-func (s *System) TYoloRate() float64 {
-	return s.tyMeter.Rate(s.cfg.Clock.Now())
-}
-
-// WorstBacklog reports the deepest ingest (capture-buffer) queue across
-// streams, in frames. Backlog divided by FPS is how many seconds the
-// instance is running behind; a sustained multi-second backlog is the
-// overload signal a cluster manager re-forwards on.
-func (s *System) WorstBacklog() int {
-	worst := 0
-	for _, st := range s.streams {
-		n := st.sddQ.Len()
-		if st.spill != nil {
-			n += st.spill.Pending()
-		}
-		if n > worst {
-			worst = n
-		}
-	}
-	return worst
-}
-
-// Overloaded reports whether any SNM or T-YOLO queue sits at its depth
-// threshold — the paper's instance-overload signal (§4.3.1). Because
-// queues legitimately touch their thresholds in bursts, managers should
-// combine this with WorstLag for a sustained signal.
-func (s *System) Overloaded() bool {
-	for _, st := range s.streams {
-		if st.snmQ.Full() || st.tyQ.Full() {
-			return true
-		}
-	}
-	return false
-}
-
-// WorstLag reports the worst current ingest lateness across the
-// instance's online streams: the definitive "no longer real-time"
-// signal a cluster manager acts on. Streams that have finished ingesting
-// (or were stopped) are excluded — a completed stream's stale lateness
-// must not keep the instance looking overloaded forever.
-func (s *System) WorstLag() time.Duration {
-	var worst time.Duration
-	for _, st := range s.streams {
-		if !st.stop && !st.ingestDone && st.curLag > worst {
-			worst = st.curLag
-		}
-	}
-	return worst
 }

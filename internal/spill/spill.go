@@ -9,19 +9,9 @@
 package spill
 
 import (
-	"time"
-
 	"ffsva/internal/device"
 	"ffsva/internal/frame"
 	"ffsva/internal/vclock"
-)
-
-// Cost of moving one frame to or from storage. At a few hundred KB per
-// encoded frame and NVMe-class bandwidth this is well under a millisecond
-// — an order of magnitude cheaper than any GPU stage.
-const (
-	WriteCost = 350 * time.Microsecond
-	ReadCost  = 350 * time.Microsecond
 )
 
 // Stats is a snapshot of store accounting.
@@ -37,8 +27,8 @@ type Stats struct {
 // pipeline.CaptureSource), so the simulated disk costs the host heap its
 // capture record, not its pixels.
 type Store struct {
-	disk   *device.Device
-	charge bool
+	disk  *device.Device
+	costs device.CostModel
 
 	avail *vclock.Cond
 
@@ -48,17 +38,16 @@ type Store struct {
 	stats    Stats
 }
 
-// New creates a store backed by the given storage device (nil disables
-// cost charging regardless of charge).
-func New(clk *vclock.VirtualClock, disk *device.Device, charge bool) *Store {
-	return &Store{disk: disk, charge: charge && disk != nil, avail: clk.NewCond()}
+// New creates a store backed by the given storage device, which every
+// transfer charges at costs' ModelSpill entry. A nil disk charges
+// nothing.
+func New(clk *vclock.VirtualClock, disk *device.Device, costs device.CostModel) *Store {
+	return &Store{disk: disk, costs: costs, avail: clk.NewCond()}
 }
 
 // Write appends a frame to the store, paying the storage write cost.
 func (s *Store) Write(f *frame.Frame) {
-	if s.charge {
-		s.disk.Use(device.ModelSpill, 1, spillCosts)
-	}
+	s.charge()
 	s.q = append(s.q, f)
 	s.stats.Writes++
 	if d := len(s.q) + s.inFlight; d > s.stats.MaxDepth {
@@ -83,10 +72,15 @@ func (s *Store) Read() (f *frame.Frame, ok bool) {
 	s.q = s.q[1:]
 	s.inFlight++
 	s.stats.Reads++
-	if s.charge {
-		s.disk.Use(device.ModelSpill, 1, spillCosts)
-	}
+	s.charge()
 	return f, true
+}
+
+// charge pays one frame's storage transfer.
+func (s *Store) charge() {
+	if s.disk != nil {
+		s.disk.Use(device.ModelSpill, 1, s.costs)
+	}
 }
 
 // Delivered marks one read frame as re-injected downstream.
@@ -105,8 +99,3 @@ func (s *Store) Close() {
 
 // Stats returns accumulated accounting.
 func (s *Store) Stats() Stats { return s.stats }
-
-// spillCosts prices the storage transfers.
-var spillCosts = device.CostModel{
-	device.ModelSpill: {PerFrame: WriteCost},
-}

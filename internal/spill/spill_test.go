@@ -17,7 +17,7 @@ func mkFrame(seq int64) *frame.Frame {
 
 func TestWriteReadOrder(t *testing.T) {
 	clk := vclock.NewVirtual()
-	st := New(clk, nil, false)
+	st := New(clk, nil, nil)
 	var got []int64
 	clk.Go("writer", func() {
 		for i := int64(0); i < 50; i++ {
@@ -48,7 +48,7 @@ func TestWriteReadOrder(t *testing.T) {
 
 func TestPendingIncludesInFlight(t *testing.T) {
 	clk := vclock.NewVirtual()
-	st := New(clk, nil, false)
+	st := New(clk, nil, nil)
 	clk.Go("p", func() {
 		st.Write(mkFrame(0))
 		st.Write(mkFrame(1))
@@ -74,7 +74,7 @@ func TestPendingIncludesInFlight(t *testing.T) {
 func TestChargesStorageDevice(t *testing.T) {
 	clk := vclock.NewVirtual()
 	disk := device.New(clk, "ssd", device.Disk, 1)
-	st := New(clk, disk, true)
+	st := New(clk, disk, device.Calibrated())
 	clk.Go("p", func() {
 		for i := int64(0); i < 10; i++ {
 			st.Write(mkFrame(i))
@@ -88,7 +88,7 @@ func TestChargesStorageDevice(t *testing.T) {
 		}
 	})
 	clk.Run()
-	want := time.Duration(20) * WriteCost // 10 writes + 10 reads
+	want := 20 * device.Calibrated()[device.ModelSpill].PerFrame // 10 writes + 10 reads
 	if got := disk.Stats().Busy; got != want {
 		t.Fatalf("disk busy = %v, want %v", got, want)
 	}
@@ -99,7 +99,7 @@ func TestChargesStorageDevice(t *testing.T) {
 
 func TestCloseUnblocksReader(t *testing.T) {
 	clk := vclock.NewVirtual()
-	st := New(clk, nil, false)
+	st := New(clk, nil, nil)
 	done := false
 	clk.Go("reader", func() {
 		if _, ok := st.Read(); ok {
@@ -119,7 +119,7 @@ func TestCloseUnblocksReader(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	clk := vclock.NewVirtual()
-	st := New(clk, nil, false)
+	st := New(clk, nil, nil)
 	clk.Go("p", func() {
 		st.Write(mkFrame(0))
 		st.Write(mkFrame(1))

@@ -11,7 +11,7 @@ import (
 
 // dumper owns the event-triggered flight-recorder dumps: a trigger
 // (fault, overload, migration) arms a pending dump, the next
-// DumpPostTicks ticks let the aftermath land in the ring, and the
+// dumpPostTicks ticks let the aftermath land in the ring, and the
 // frozen window is serialized to JSONL by a background writer
 // goroutine so the clock process feeding Observe never blocks on the
 // filesystem. The writer is stop-channel joinable: close() signals
@@ -22,10 +22,7 @@ import (
 // pending-dump state and are called with the owning Recorder's mutex
 // held.
 type dumper struct {
-	dir  string
-	pre  int
-	post int
-	max  int
+	dir string
 
 	// pending/count are guarded by the owning Recorder's mu.
 	pending *pendingDump
@@ -53,18 +50,23 @@ type dumpJob struct {
 	data []byte
 }
 
-// dumpPreTicks is how many ticks before the trigger a dump keeps.
-const dumpPreTicks = 64
+// Dump window and count bounds.
+const (
+	// dumpPreTicks is how many ticks before the trigger a dump keeps.
+	dumpPreTicks = 64
+	// dumpPostTicks is how many more ticks a triggered dump waits for
+	// before freezing, so the file shows the aftermath.
+	dumpPostTicks = 4
+	// maxDumps bounds the number of dump files per run.
+	maxDumps = 16
+)
 
-func (d *dumper) init(opt Options) {
-	d.dir = opt.DumpDir
-	d.pre = dumpPreTicks
-	d.post = opt.DumpPostTicks
-	d.max = opt.MaxDumps
-	if d.dir == "" {
+func (d *dumper) init(dir string) {
+	d.dir = dir
+	if dir == "" {
 		return
 	}
-	d.jobs = make(chan dumpJob, opt.MaxDumps+1)
+	d.jobs = make(chan dumpJob, maxDumps+1)
 	d.stop = make(chan struct{})
 	d.started = true
 	d.wg.Add(1)
@@ -108,12 +110,12 @@ func (d *dumper) write(j dumpJob) {
 // arm starts (or extends) the pending dump for a trigger event; called
 // with the Recorder's mu held.
 func (d *dumper) arm(ev Event) {
-	if d.dir == "" || d.count >= d.max {
+	if d.dir == "" || d.count >= maxDumps {
 		return
 	}
 	if d.pending == nil {
 		d.count++
-		d.pending = &pendingDump{remaining: d.post}
+		d.pending = &pendingDump{remaining: dumpPostTicks}
 	}
 	d.pending.triggers = append(d.pending.triggers, ev)
 }
@@ -167,7 +169,7 @@ func (d *dumper) freezeLocked(r *Recorder) dumpJob {
 	d.pending = nil
 
 	ticks := r.orderedTicksLocked()
-	keep := d.pre + d.post
+	keep := dumpPreTicks + dumpPostTicks
 	if len(ticks) > keep {
 		ticks = ticks[len(ticks)-keep:]
 	}
@@ -196,8 +198,8 @@ func (d *dumper) freezeLocked(r *Recorder) dumpJob {
 }
 
 // submit hands frozen windows to the writer goroutine; a no-op without
-// a DumpDir. The jobs channel holds MaxDumps+1 entries and at most
-// MaxDumps dumps are ever armed, so the send cannot block.
+// a DumpDir. The jobs channel holds maxDumps+1 entries and at most
+// maxDumps dumps are ever armed, so the send cannot block.
 func (d *dumper) submit(jobs []dumpJob) {
 	for _, j := range jobs {
 		d.jobs <- j

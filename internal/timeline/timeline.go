@@ -33,23 +33,13 @@ import (
 	"ffsva/internal/trace"
 )
 
-// Options tunes a Recorder. Zero fields take defaults.
+// Options configures a Recorder. The zero value records with no dumps
+// and no tracer.
 type Options struct {
-	// Capacity bounds the tick ring (default 4096 ticks, shared across
-	// instances; the oldest ticks are overwritten).
-	Capacity int
-	// MaxEvents bounds the point-event log (default 1024; overflow is
-	// counted, not kept — dump triggers still fire).
-	MaxEvents int
 	// DumpDir, when non-empty, enables event-triggered flight-recorder
 	// dumps: fault, overload, and migration events freeze the
 	// surrounding window of ticks to a JSONL file in this directory.
 	DumpDir string
-	// DumpPostTicks is how many more ticks a triggered dump waits for
-	// before freezing, so the file shows the aftermath (default 4).
-	DumpPostTicks int
-	// MaxDumps bounds the number of dump files per run (default 16).
-	MaxDumps int
 	// Tracer, when non-nil, supplies the per-stage span loads sampled
 	// into every tick, receives the recorder's counter tracks, and has
 	// its instant events subscribed as timeline events and dump
@@ -57,20 +47,15 @@ type Options struct {
 	Tracer *trace.Tracer
 }
 
-func (o *Options) fill() {
-	if o.Capacity <= 0 {
-		o.Capacity = 4096
-	}
-	if o.MaxEvents <= 0 {
-		o.MaxEvents = 1024
-	}
-	if o.DumpPostTicks <= 0 {
-		o.DumpPostTicks = 4
-	}
-	if o.MaxDumps <= 0 {
-		o.MaxDumps = 16
-	}
-}
+// Recorder bounds.
+const (
+	// tickCapacity bounds the tick ring, shared across instances; the
+	// oldest ticks are overwritten.
+	tickCapacity = 4096
+	// maxEvents bounds the point-event log; overflow is counted, not
+	// kept, and dump triggers still fire.
+	maxEvents = 1024
+)
 
 // QueueUse is one queue family's occupancy at tick time (depths and
 // capacities summed across a tier's per-stream queues).
@@ -151,11 +136,9 @@ type Event struct {
 // RecordEvent (wired automatically from the tracer by BindTracer), and
 // Close when the run ends to flush pending dumps.
 type Recorder struct {
-	opt Options
-
 	mu         sync.Mutex
 	tr         *trace.Tracer
-	ticks      []Tick // ring, capacity opt.Capacity
+	ticks      []Tick // ring of tickCapacity ticks
 	next       int    // ring write cursor once full
 	seq        int64  // total ticks observed
 	events     []Event
@@ -169,13 +152,11 @@ type Recorder struct {
 // New creates a Recorder. If opt.Tracer is set it is bound immediately
 // (equivalent to calling BindTracer).
 func New(opt Options) *Recorder {
-	opt.fill()
 	r := &Recorder{
-		opt:        opt,
 		tenants:    map[int]string{},
 		overloaded: map[int]bool{},
 	}
-	r.dump.init(opt)
+	r.dump.init(opt.DumpDir)
 	if opt.Tracer != nil {
 		r.BindTracer(opt.Tracer)
 	}
@@ -278,11 +259,11 @@ func (r *Recorder) Observe(instance int, sn pipeline.Snapshot) {
 	t.Tenants = r.tenantRollupLocked(sn)
 	t.Seq = r.seq
 	r.seq++
-	if len(r.ticks) < r.opt.Capacity {
+	if len(r.ticks) < tickCapacity {
 		r.ticks = append(r.ticks, t)
 	} else {
 		r.ticks[r.next] = t
-		r.next = (r.next + 1) % r.opt.Capacity
+		r.next = (r.next + 1) % tickCapacity
 	}
 	// Overload latch: a false->true transition is itself a trigger
 	// event, so overload windows get frozen even without a tracer.
@@ -353,7 +334,7 @@ func (r *Recorder) tenantRollupLocked(sn pipeline.Snapshot) []TenantUse {
 // any goroutine.
 func (r *Recorder) RecordEvent(ev Event) {
 	r.mu.Lock()
-	if len(r.events) < r.opt.MaxEvents {
+	if len(r.events) < maxEvents {
 		r.events = append(r.events, ev)
 	} else {
 		r.eventDrop++
@@ -390,7 +371,7 @@ func (r *Recorder) orderedTicksLocked() []Tick {
 }
 
 // TickCount returns how many ticks have been observed in total (the
-// ring retains the most recent Options.Capacity of them).
+// ring retains the most recent tickCapacity of them).
 func (r *Recorder) TickCount() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -38,27 +38,28 @@ func snapAt(at time.Duration) pipeline.Snapshot {
 	}
 }
 
-// TestRingWraparound fills a tiny ring past capacity and checks the
+// TestRingWraparound fills the ring past capacity and checks the
 // retained ticks are the newest, oldest first, with monotonic seqs.
 func TestRingWraparound(t *testing.T) {
-	r := New(Options{Capacity: 4})
-	for i := 1; i <= 6; i++ {
+	r := New(Options{})
+	const n = tickCapacity + 2
+	for i := 1; i <= n; i++ {
 		r.Observe(0, snapAt(time.Duration(i)*time.Second))
 	}
-	if got := r.TickCount(); got != 6 {
-		t.Fatalf("TickCount = %d, want 6", got)
+	if got := r.TickCount(); got != n {
+		t.Fatalf("TickCount = %d, want %d", got, n)
 	}
 	ticks := r.Query(-1, 0, 0)
-	if len(ticks) != 4 {
-		t.Fatalf("retained %d ticks, want 4", len(ticks))
+	if len(ticks) != tickCapacity {
+		t.Fatalf("retained %d ticks, want %d", len(ticks), tickCapacity)
 	}
 	for i, tk := range ticks {
 		wantAt := time.Duration(i+3) * time.Second
 		if tk.At != wantAt {
-			t.Errorf("tick %d At = %v, want %v", i, tk.At, wantAt)
+			t.Fatalf("tick %d At = %v, want %v", i, tk.At, wantAt)
 		}
 		if tk.Seq != int64(i+2) {
-			t.Errorf("tick %d Seq = %d, want %d", i, tk.Seq, i+2)
+			t.Fatalf("tick %d Seq = %d, want %d", i, tk.Seq, i+2)
 		}
 	}
 	// Window query trims by time.
@@ -120,16 +121,16 @@ func TestTenantRollup(t *testing.T) {
 	}
 }
 
-// TestEventLogBounded checks the point-event log keeps MaxEvents and
+// TestEventLogBounded checks the point-event log keeps maxEvents and
 // counts overflow instead of growing.
 func TestEventLogBounded(t *testing.T) {
-	r := New(Options{MaxEvents: 2})
-	for i := 0; i < 5; i++ {
+	r := New(Options{})
+	for i := 0; i < maxEvents+3; i++ {
 		r.RecordEvent(Event{Name: "e", Cat: "feedback", At: time.Duration(i) * time.Second})
 	}
 	doc := r.Window(-1, 0, 0)
-	if len(doc.Events) != 2 || doc.DroppedEvents != 3 {
-		t.Fatalf("event log: %d kept, %d dropped; want 2/3", len(doc.Events), doc.DroppedEvents)
+	if len(doc.Events) != maxEvents || doc.DroppedEvents != 3 {
+		t.Fatalf("event log: %d kept, %d dropped; want %d/3", len(doc.Events), doc.DroppedEvents, maxEvents)
 	}
 }
 
@@ -179,14 +180,16 @@ func TestTracerEventsFlowIn(t *testing.T) {
 // trigger line first.
 func TestDumpTriggerWritesFile(t *testing.T) {
 	dir := t.TempDir()
-	r := New(Options{DumpDir: dir, DumpPostTicks: 2})
+	r := New(Options{DumpDir: dir})
 	r.Observe(0, snapAt(1*time.Second))
 	r.RecordEvent(Event{Name: "decode fault stream 0", Cat: "fault", Instance: 0, At: 1500 * time.Millisecond})
-	r.Observe(0, snapAt(2*time.Second))
+	for i := 2; i <= dumpPostTicks; i++ {
+		r.Observe(0, snapAt(time.Duration(i)*time.Second))
+	}
 	if got := r.Dumps(); len(got) != 0 {
 		t.Fatalf("dump froze before the aftermath window: %v", got)
 	}
-	r.Observe(0, snapAt(3*time.Second))
+	r.Observe(0, snapAt(time.Duration(dumpPostTicks+1)*time.Second))
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +214,9 @@ func TestDumpTriggerWritesFile(t *testing.T) {
 		}
 		lines = append(lines, m)
 	}
-	if len(lines) != 4 { // 1 trigger + 3 ticks
-		t.Fatalf("dump has %d lines, want 4", len(lines))
+	// The trigger, the tick before it and the aftermath.
+	if want := 1 + 1 + dumpPostTicks; len(lines) != want {
+		t.Fatalf("dump has %d lines, want %d", len(lines), want)
 	}
 	if lines[0]["type"] != "trigger" || lines[0]["cat"] != "fault" {
 		t.Fatalf("first dump line is not the trigger: %v", lines[0])
@@ -225,10 +229,10 @@ func TestDumpTriggerWritesFile(t *testing.T) {
 }
 
 // TestDumpFlushOnClose checks Close freezes a still-pending dump
-// instead of losing it, and that MaxDumps bounds the files.
+// instead of losing it, and that maxDumps bounds the files.
 func TestDumpFlushOnClose(t *testing.T) {
 	dir := t.TempDir()
-	r := New(Options{DumpDir: dir, DumpPostTicks: 50, MaxDumps: 1})
+	r := New(Options{DumpDir: dir})
 	r.Observe(0, snapAt(time.Second))
 	r.RecordEvent(Event{Name: "overload engaged", Cat: "overload", At: time.Second})
 	r.Observe(0, snapAt(2*time.Second))
@@ -238,18 +242,23 @@ func TestDumpFlushOnClose(t *testing.T) {
 	if dumps := r.Dumps(); len(dumps) != 1 {
 		t.Fatalf("pending dump not flushed on Close: %v", dumps)
 	}
-	// A fresh recorder with MaxDumps 1 ignores a second trigger.
-	r2 := New(Options{DumpDir: dir, DumpPostTicks: 1, MaxDumps: 1})
-	r2.Observe(0, snapAt(time.Second))
-	r2.RecordEvent(Event{Name: "a", Cat: "fault", At: time.Second})
-	r2.Observe(0, snapAt(2*time.Second))
-	r2.RecordEvent(Event{Name: "b", Cat: "fault", At: 3 * time.Second})
-	r2.Observe(0, snapAt(4*time.Second))
+	// A fresh recorder freezes maxDumps dumps and ignores every trigger
+	// after them.
+	r2 := New(Options{DumpDir: t.TempDir()})
+	at := time.Second
+	r2.Observe(0, snapAt(at))
+	for d := 0; d < maxDumps+2; d++ {
+		r2.RecordEvent(Event{Name: "fault", Cat: "fault", At: at})
+		for i := 0; i < dumpPostTicks; i++ {
+			at += time.Second
+			r2.Observe(0, snapAt(at))
+		}
+	}
 	if err := r2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if dumps := r2.Dumps(); len(dumps) != 1 {
-		t.Fatalf("MaxDumps not enforced: %v", dumps)
+	if dumps := r2.Dumps(); len(dumps) != maxDumps {
+		t.Fatalf("maxDumps not enforced: %d dumps, want %d", len(dumps), maxDumps)
 	}
 }
 

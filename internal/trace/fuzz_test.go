@@ -9,12 +9,14 @@ import (
 // frame with one span (dropped or kept, any kind, device and batch), an
 // instant, or a counter sample. Times only move forward, as on the
 // pipeline's clock. Validate demands at least one span, so the run
-// always starts with one finished frame. Only the first 32 events are
-// replayed: that overflows every retention bound, and keeps each exec
-// cheap when the input is a whole trace document.
+// always starts with one finished frame. The first 32 events are
+// replayed in a loop, replayEvents in all: when at least half of them
+// are frames that is more frames than the head and the ring hold
+// together, so the samplers evict, and each exec stays cheap when the
+// input is a whole trace document.
 func tracerFrom(data []byte) *Tracer {
 	data = data[:min(len(data), 128)]
-	tr := New(Options{Ring: 8, HeadN: 4, SlowN: 4, ErrRing: 4, MaxInstants: 16, MaxCounters: 16})
+	tr := New(Options{})
 	devs := []string{"cpu", "gpu0", "gpu1"}
 	names := []string{"throttle", "fault", "reforward"}
 	frame := func(stream, instance int, k Kind, dev string, batch int, now, dur, seq int, drop bool) {
@@ -29,13 +31,17 @@ func tracerFrom(data []byte) *Tracer {
 	}
 	frame(0, 0, KSDD, "cpu", 1, 0, 1, 0, false)
 	now := 1
-	for i := 0; i+4 <= len(data); i += 4 {
-		b := data[i : i+4]
+	events := len(data) / 4
+	if events == 0 {
+		return tr
+	}
+	for e := 0; e < replayEvents; e++ {
+		b := data[4*(e%events) : 4*(e%events)+4]
 		instance := int(b[2] % 3)
 		switch b[0] % 4 {
 		case 0, 1:
 			frame(int(b[1]%4), instance, Kind(b[3]%NumKinds), devs[b[3]%3], int(b[0]>>4)%11,
-				now, int(b[1]%16), i/4+1, b[0]&8 != 0)
+				now, int(b[1]%16), e+1, b[0]&8 != 0)
 		case 2:
 			tr.Instant(names[b[1]%3], "fuzz", instance, ms(now))
 		case 3:
@@ -45,6 +51,10 @@ func tracerFrom(data []byte) *Tracer {
 	}
 	return tr
 }
+
+// replayEvents is how many events tracerFrom replays: twice the frames
+// the head and the ring hold together.
+const replayEvents = 2 * (headN + ringSize)
 
 // FuzzValidate feeds the trace-event validator foreign bytes, and the
 // tracer runs replayed from the same bytes: Validate must never panic,

@@ -14,7 +14,7 @@ import (
 // (make race includes this package) it proves the retention, pooling,
 // histogram, and export paths share state only under tr.mu.
 func TestConcurrentWritersAndExports(t *testing.T) {
-	tr := New(Options{Ring: 32, HeadN: 8, SlowN: 4, ErrRing: 8, MaxInstants: 64})
+	tr := New(Options{})
 	const writers, frames = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {

@@ -14,8 +14,8 @@
 // steady-state tracing does not allocate per frame.
 //
 // Retention is ring-buffer sampling with guaranteed keeps: the last
-// Ring frames, plus head sampling (the first HeadN frames), plus the
-// SlowN slowest frames, plus an ErrRing of dropped/failed frames —
+// 256 frames, plus head sampling (the first 32 frames), plus the 16
+// slowest frames, plus a ring of the last 64 dropped/failed frames —
 // so the interesting tails survive long runs in bounded memory.
 package trace
 
@@ -210,50 +210,29 @@ type Instant struct {
 	At       time.Duration
 }
 
-// Options tunes a Tracer's retention. Zero fields take defaults.
-type Options struct {
-	// Ring is how many most-recent finished frames are kept (default
-	// 256; negative disables the ring).
-	Ring int
-	// HeadN keeps the first N finished frames unconditionally (default
-	// 32), so every trace file shows the pipeline filling.
-	HeadN int
-	// SlowN keeps the N slowest frames seen (default 16) — the p99 tail
-	// the decomposition exists to explain.
-	SlowN int
-	// ErrRing keeps the most recent N dropped/failed frames (default
-	// 64).
-	ErrRing int
-	// MaxInstants bounds the instant-event log (default 4096).
-	MaxInstants int
-	// MaxCounters bounds the counter-track sample log (default 32768;
-	// the timeline recorder pushes a handful of points per tick).
-	MaxCounters int
-}
+// Options configures a Tracer. It has no fields: retention is fixed by
+// the constants below.
+type Options struct{}
 
-func (o *Options) fill() {
-	if o.Ring == 0 {
-		o.Ring = 256
-	}
-	if o.Ring < 0 {
-		o.Ring = 0
-	}
-	if o.HeadN == 0 {
-		o.HeadN = 32
-	}
-	if o.SlowN == 0 {
-		o.SlowN = 16
-	}
-	if o.ErrRing == 0 {
-		o.ErrRing = 64
-	}
-	if o.MaxInstants == 0 {
-		o.MaxInstants = 4096
-	}
-	if o.MaxCounters == 0 {
-		o.MaxCounters = 32768
-	}
-}
+// Retention bounds. A finished frame is kept by every sampler that
+// wants it and recycled once none does.
+const (
+	// ringSize is how many most-recent finished frames are kept.
+	ringSize = 256
+	// headN keeps the first finished frames unconditionally, so every
+	// trace file shows the pipeline filling.
+	headN = 32
+	// slowN keeps the slowest frames seen: the p99 tail the
+	// decomposition exists to explain.
+	slowN = 16
+	// errRingSize keeps the most recent dropped or failed frames.
+	errRingSize = 64
+	// maxInstants bounds the instant-event log.
+	maxInstants = 4096
+	// maxCounters bounds the counter-track sample log; the timeline
+	// recorder pushes a handful of points per tick.
+	maxCounters = 32768
+)
 
 // kindHists is one per-kind set of latency histograms.
 type kindHists [NumKinds]*metrics.Histogram
@@ -272,8 +251,6 @@ func newKindHists() *kindHists {
 // *Tracer is the disabled state: StartFrame returns nil and everything
 // downstream no-ops.
 type Tracer struct {
-	opt Options
-
 	mu sync.Mutex
 	// free is a LIFO of records no sampler keeps. It is not capped: it
 	// never holds more than the run's peak of live records, which the
@@ -307,9 +284,8 @@ type Tracer struct {
 }
 
 // New creates an enabled Tracer.
-func New(opt Options) *Tracer {
-	opt.fill()
-	return &Tracer{opt: opt, hists: map[int]*kindHists{}, loads: map[int]*[NumKinds]KindLoad{}}
+func New(Options) *Tracer {
+	return &Tracer{hists: map[int]*kindHists{}, loads: map[int]*[NumKinds]KindLoad{}}
 }
 
 // StartFrame begins tracing one frame at now. The record is recycled:
@@ -433,67 +409,57 @@ func (tr *Tracer) histsFor(instance int) *kindHists {
 }
 
 // retain places ft in every sampler that wants it; callers hold tr.mu.
-// A record kept by no sampler goes straight back to the free list.
+// The ring takes every frame, so each record is kept at least until the
+// ring evicts it, and release files it for reuse once no sampler keeps
+// it.
 func (tr *Tracer) retain(ft *FrameTrace) {
-	if len(tr.head) < tr.opt.HeadN {
+	if len(tr.head) < headN {
 		tr.head = append(tr.head, ft)
 		ft.refs++
 	}
-	if tr.opt.Ring > 0 {
-		if len(tr.ring) < tr.opt.Ring {
-			tr.ring = append(tr.ring, ft)
-		} else {
-			tr.release(tr.ring[tr.ringNext])
-			tr.ring[tr.ringNext] = ft
-			tr.ringNext = (tr.ringNext + 1) % tr.opt.Ring
-		}
+	if len(tr.ring) < ringSize {
+		tr.ring = append(tr.ring, ft)
+	} else {
+		tr.release(tr.ring[tr.ringNext])
+		tr.ring[tr.ringNext] = ft
+		tr.ringNext = (tr.ringNext + 1) % ringSize
+	}
+	ft.refs++
+	if len(tr.slow) < slowN {
+		tr.slow = append(tr.slow, ft)
 		ft.refs++
-	}
-	if tr.opt.SlowN > 0 {
-		if len(tr.slow) < tr.opt.SlowN {
-			tr.slow = append(tr.slow, ft)
-			ft.refs++
-		} else {
-			min := 0
-			for i := 1; i < len(tr.slow); i++ {
-				if tr.slow[i].Latency() < tr.slow[min].Latency() {
-					min = i
-				}
-			}
-			if ft.Latency() > tr.slow[min].Latency() {
-				tr.release(tr.slow[min])
-				tr.slow[min] = ft
-				ft.refs++
+	} else {
+		min := 0
+		for i := 1; i < len(tr.slow); i++ {
+			if tr.slow[i].Latency() < tr.slow[min].Latency() {
+				min = i
 			}
 		}
+		if ft.Latency() > tr.slow[min].Latency() {
+			tr.release(tr.slow[min])
+			tr.slow[min] = ft
+			ft.refs++
+		}
 	}
-	if tr.opt.ErrRing > 0 && (ft.Failed || ft.Disposition != "detected") {
-		if len(tr.errs) < tr.opt.ErrRing {
+	if ft.Failed || ft.Disposition != "detected" {
+		if len(tr.errs) < errRingSize {
 			tr.errs = append(tr.errs, ft)
 		} else {
 			tr.release(tr.errs[tr.errNext])
 			tr.errs[tr.errNext] = ft
-			tr.errNext = (tr.errNext + 1) % tr.opt.ErrRing
+			tr.errNext = (tr.errNext + 1) % errRingSize
 		}
 		ft.refs++
 	}
-	if ft.refs == 0 {
-		tr.recycle(ft)
-	}
 }
 
-// release drops one retention reference; at zero the record is filed
-// for reuse. Callers hold tr.mu.
+// release drops one retention reference; at zero no sampler keeps the
+// record and it is filed for reuse. Callers hold tr.mu.
 func (tr *Tracer) release(ft *FrameTrace) {
 	ft.refs--
 	if ft.refs == 0 {
-		tr.recycle(ft)
+		tr.free = append(tr.free, ft)
 	}
-}
-
-// recycle files a record no sampler keeps. Callers hold tr.mu.
-func (tr *Tracer) recycle(ft *FrameTrace) {
-	tr.free = append(tr.free, ft)
 }
 
 // PoolStats returns how many records StartFrame has handed out and how
@@ -509,7 +475,7 @@ func (tr *Tracer) PoolStats() (gets, puts int64) {
 }
 
 // Instant records a point event (throttle transition, fault, cluster
-// decision). The log is bounded by Options.MaxInstants; overflow is
+// decision). The log is bounded by maxInstants; overflow is
 // counted, not kept.
 func (tr *Tracer) Instant(name, cat string, instance int, at time.Duration) {
 	if tr == nil {
@@ -517,7 +483,7 @@ func (tr *Tracer) Instant(name, cat string, instance int, at time.Duration) {
 	}
 	in := Instant{Name: name, Cat: cat, Instance: instance, At: at}
 	tr.mu.Lock()
-	if len(tr.instants) < tr.opt.MaxInstants {
+	if len(tr.instants) < maxInstants {
 		tr.instants = append(tr.instants, in)
 	} else {
 		tr.instDrop++
@@ -556,13 +522,13 @@ type CounterPoint struct {
 }
 
 // Counter records one counter-track sample. The log is bounded by
-// Options.MaxCounters; overflow is counted, not kept.
+// maxCounters; overflow is counted, not kept.
 func (tr *Tracer) Counter(name string, instance int, at time.Duration, value float64) {
 	if tr == nil {
 		return
 	}
 	tr.mu.Lock()
-	if len(tr.counters) < tr.opt.MaxCounters {
+	if len(tr.counters) < maxCounters {
 		tr.counters = append(tr.counters, CounterPoint{Name: name, Instance: instance, At: at, Value: value})
 	} else {
 		tr.ctrDrop++

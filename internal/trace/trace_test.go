@@ -49,82 +49,115 @@ func finishOne(tr *Tracer, seq int64, latency time.Duration, disposition string,
 	tr.Finish(ft, disposition, failed, latency)
 }
 
-// TestRetentionRing proves the ring keeps exactly the last Ring frames
-// once head sampling is exhausted, recycling the evicted records.
+// TestRetentionRing proves the ring keeps exactly the last ringSize
+// frames once head sampling is exhausted, recycling the evicted records.
 func TestRetentionRing(t *testing.T) {
-	tr := New(Options{Ring: 4, HeadN: 2, SlowN: -1, ErrRing: -1})
-	for i := int64(0); i < 20; i++ {
+	tr := New(Options{})
+	const n = headN + ringSize + 20
+	for i := int64(0); i < n; i++ {
 		finishOne(tr, i, ms(1), "detected", false)
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if len(tr.head) != 2 || tr.head[0].Seq != 0 || tr.head[1].Seq != 1 {
-		t.Fatalf("head kept %d frames, want seqs 0,1", len(tr.head))
+	if len(tr.head) != headN || tr.head[0].Seq != 0 || tr.head[headN-1].Seq != headN-1 {
+		t.Fatalf("head kept %d frames, want seqs 0..%d", len(tr.head), headN-1)
 	}
-	if len(tr.ring) != 4 {
-		t.Fatalf("ring holds %d frames, want 4", len(tr.ring))
+	if len(tr.ring) != ringSize {
+		t.Fatalf("ring holds %d frames, want %d", len(tr.ring), ringSize)
 	}
 	got := map[int64]bool{}
 	for _, ft := range tr.ring {
 		got[ft.Seq] = true
 	}
-	for seq := int64(16); seq < 20; seq++ {
+	for seq := int64(n - ringSize); seq < n; seq++ {
 		if !got[seq] {
-			t.Fatalf("ring lost recent frame %d; holds %v", seq, got)
+			t.Fatalf("ring lost recent frame %d", seq)
 		}
+	}
+	// Each frame past the head's evicts one no other sampler keeps; the
+	// next StartFrame reuses it, so exactly the last one is filed.
+	if len(tr.free) != 1 || tr.free[0].refs != 0 {
+		t.Fatalf("free list holds %d records after eviction, want 1 with no references", len(tr.free))
 	}
 }
 
 // TestRetentionSlowKeepsTail proves the slow sampler retains the
 // slowest frames seen, not the most recent ones.
 func TestRetentionSlowKeepsTail(t *testing.T) {
-	tr := New(Options{Ring: -1, HeadN: -1, SlowN: 2, ErrRing: -1})
+	tr := New(Options{})
 	finishOne(tr, 0, ms(50), "detected", false) // slow: must survive
-	for i := int64(1); i < 10; i++ {
+	for i := int64(1); i < 2*slowN; i++ {
 		finishOne(tr, i, ms(1), "detected", false)
 	}
-	finishOne(tr, 10, ms(30), "detected", false)
+	finishOne(tr, 2*slowN, ms(30), "detected", false)
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if len(tr.slow) != 2 {
-		t.Fatalf("slow holds %d frames, want 2", len(tr.slow))
+	if len(tr.slow) != slowN {
+		t.Fatalf("slow holds %d frames, want %d", len(tr.slow), slowN)
 	}
-	lat := map[time.Duration]bool{}
+	lat := map[time.Duration]int{}
 	for _, ft := range tr.slow {
-		lat[ft.Latency()] = true
+		lat[ft.Latency()]++
 	}
-	if !lat[ms(50)] || !lat[ms(30)] {
-		t.Fatalf("slow kept latencies %v, want {50ms, 30ms}", lat)
+	if lat[ms(50)] != 1 || lat[ms(30)] != 1 || lat[ms(1)] != slowN-2 {
+		t.Fatalf("slow kept latencies %v, want 50ms and 30ms once and 1ms %d times", lat, slowN-2)
 	}
 }
 
 // TestRetentionErrRing proves dropped and failed frames land in the
-// error ring while clean detections do not.
+// error ring while clean detections do not, and that the ring keeps the
+// most recent errRingSize of them.
 func TestRetentionErrRing(t *testing.T) {
-	tr := New(Options{Ring: -1, HeadN: -1, SlowN: -1, ErrRing: 8})
+	tr := New(Options{})
 	finishOne(tr, 0, ms(1), "detected", false)
 	finishOne(tr, 1, ms(1), "dropped-sdd", false)
 	finishOne(tr, 2, ms(1), "detected", true) // failed detection still errs
 	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	if len(tr.errs) != 2 {
 		t.Fatalf("err ring holds %d frames, want 2", len(tr.errs))
 	}
 	if tr.errs[0].Seq != 1 || tr.errs[1].Seq != 2 {
 		t.Fatalf("err ring seqs = %d,%d, want 1,2", tr.errs[0].Seq, tr.errs[1].Seq)
 	}
+	tr.mu.Unlock()
+	const n = 3 + errRingSize
+	for i := int64(3); i < n; i++ {
+		finishOne(tr, i, ms(1), "dropped-snm", false)
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if len(tr.errs) != errRingSize {
+		t.Fatalf("err ring holds %d frames, want %d", len(tr.errs), errRingSize)
+	}
+	for _, ft := range tr.errs {
+		if ft.Seq < n-errRingSize {
+			t.Fatalf("err ring kept frame %d past its eviction", ft.Seq)
+		}
+	}
 }
 
-// TestPoolingRecycles proves a frame no sampler wants goes back to the
-// pool with its refcount settled, and that recycled records come back
-// clean (no stale spans) on reuse.
+// TestPoolingRecycles proves a frame no sampler wants any longer goes
+// back to the pool with its refcount settled, and that recycled records
+// come back clean (no stale spans) on reuse.
 func TestPoolingRecycles(t *testing.T) {
-	tr := New(Options{Ring: -1, HeadN: -1, SlowN: -1, ErrRing: -1})
-	first := tr.StartFrame(0, 0, 0, ms(0))
-	tr.Finish(first, "detected", false, ms(1))
+	tr := New(Options{})
+	// Fill the head and the ring: the next Finish evicts the oldest
+	// ring frame past the head, which no sampler keeps.
+	const filled = headN + ringSize
+	for i := int64(0); i < filled; i++ {
+		finishOne(tr, i, ms(1), "detected", false)
+	}
 	tr.mu.Lock()
-	if got := len(tr.retained()); got != 0 {
-		t.Fatalf("retained %d frames with all samplers off", got)
+	victim := tr.ring[tr.ringNext]
+	tr.mu.Unlock()
+	if victim.Seq != headN {
+		t.Fatalf("next ring eviction is frame %d, want %d", victim.Seq, headN)
+	}
+	last := tr.StartFrame(0, filled, 0, ms(0))
+	tr.Finish(last, "detected", false, ms(1))
+	tr.mu.Lock()
+	if len(tr.free) != 1 || tr.free[0] != victim || victim.refs != 0 {
+		t.Fatalf("evicted frame %d was not filed for reuse", victim.Seq)
 	}
 	tr.mu.Unlock()
 	// The free list belongs to the tracer, not to the collector: the
@@ -134,7 +167,7 @@ func TestPoolingRecycles(t *testing.T) {
 	// Pull a record back out of the pool via StartFrame: whatever comes
 	// back must present as fresh.
 	ft := tr.StartFrame(3, 7, 1, ms(9))
-	if ft != first {
+	if ft != victim {
 		t.Fatal("StartFrame allocated a record with one on the free list")
 	}
 	if len(ft.Spans) != 0 || ft.waitActive || ft.refs != 0 {
@@ -147,8 +180,10 @@ func TestPoolingRecycles(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { finishOne(tr, 1, ms(1), "detected", false) }); allocs != 0 {
 		t.Fatalf("a warm traced frame allocated %v times", allocs)
 	}
-	if gets, puts := tr.PoolStats(); gets != 103 || puts != 103 {
-		t.Fatalf("PoolStats() = %d gets, %d puts, want 103 each", gets, puts)
+	// AllocsPerRun makes one warm-up call before its 100.
+	const want = filled + 1 + 1 + 101
+	if gets, puts := tr.PoolStats(); gets != want || puts != want {
+		t.Fatalf("PoolStats() = %d gets, %d puts, want %d each", gets, puts, want)
 	}
 }
 
@@ -305,16 +340,16 @@ func TestValidateRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestInstantBound proves the instant log stops at MaxInstants instead
+// TestInstantBound proves the instant log stops at maxInstants instead
 // of growing without bound.
 func TestInstantBound(t *testing.T) {
-	tr := New(Options{MaxInstants: 3})
-	for i := 0; i < 10; i++ {
+	tr := New(Options{})
+	for i := 0; i < maxInstants+7; i++ {
 		tr.Instant("e", "c", 0, ms(i))
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if len(tr.instants) != 3 || tr.instDrop != 7 {
-		t.Fatalf("kept %d instants, dropped %d; want 3 kept, 7 dropped", len(tr.instants), tr.instDrop)
+	if len(tr.instants) != maxInstants || tr.instDrop != 7 {
+		t.Fatalf("kept %d instants, dropped %d; want %d kept, 7 dropped", len(tr.instants), tr.instDrop, maxInstants)
 	}
 }
