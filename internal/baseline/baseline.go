@@ -230,7 +230,7 @@ func (s *System) Report() *Report {
 		if st.lastDone > last {
 			last = st.lastDone
 		}
-		if st.ingestLag > 500*time.Millisecond {
+		if st.ingestLag > pipeline.RealtimeLag {
 			r.Realtime = false
 		}
 		r.Streams = append(r.Streams, StreamReport{

@@ -287,10 +287,8 @@ type Cluster struct {
 	injs []*faults.Injector
 
 	// bookkeeping (cooperatively accessed from manager/monitor procs)
-	loc     map[int]int                 // stream id -> owning instance (kept after completion)
-	owners  map[int]int                 // loc without the finished or abandoned streams
+	owners  map[int]int                 // live stream id -> owning instance
 	specs   map[int]pipeline.StreamSpec // last spec per stream id
-	counts  []int                       // active streams per instance
 	over    []int                       // consecutive overload observations
 	failed  []bool                      // instances declared dead
 	retired []bool                      // instances elastically shut down
@@ -303,14 +301,8 @@ type Cluster struct {
 	// which the placement policy may propose rebalance migrations.
 	rebalanceUntil time.Duration
 
-	// unregs defers clearing migrated-away streams' detector state on
-	// their source instances until the stopped fragments drain. It is
-	// the cluster's only detector release: a stream that completes on an
-	// instance is released by that instance's pipeline.
-	unregs []unreg
-	// open is trackCompletions' scratch: the unfinished streams of the
-	// instance being walked.
-	open map[int]fragState
+	// completed is trackCompletions' scratch.
+	completed []int
 
 	// cancelled stops admission and instance ingest (context
 	// cancellation); managerDone lets the context watcher exit once the
@@ -340,10 +332,8 @@ func New(cfg Config, arrivals []Arrival) *Cluster {
 		cfg:      cfg,
 		sch:      sch,
 		arrivals: append([]Arrival(nil), arrivals...),
-		loc:      make(map[int]int),
 		owners:   make(map[int]int),
 		specs:    make(map[int]pipeline.StreamSpec),
-		open:     make(map[int]fragState),
 	}
 	sort.SliceStable(c.arrivals, func(i, j int) bool { return c.arrivals[i].At < c.arrivals[j].At })
 	for i := 0; i < cfg.Instances; i++ {
@@ -368,16 +358,10 @@ func (c *Cluster) newInstance(i int) {
 	c.injs = append(c.injs, inj)
 	c.instances = append(c.instances, pipeline.New(pc, nil))
 	c.tgs = append(c.tgs, detect.NewTinyGrid(detect.DefaultTinyGridConfig()))
-	c.counts = append(c.counts, 0)
 	c.over = append(c.over, 0)
 	c.failed = append(c.failed, false)
 	c.retired = append(c.retired, false)
 }
-
-// unreg is one deferred detector cleanup: stream id's background model
-// on instance inst becomes garbage after a migration away, but cannot
-// be dropped until the stopped fragment's in-flight frames drain.
-type unreg struct{ inst, id int }
 
 // Run starts every instance, processes arrivals and monitors overload
 // until the horizon, then lets the world drain and reports. It is
@@ -455,7 +439,8 @@ func (c *Cluster) observe() []pipeline.Snapshot {
 }
 
 // view assembles the scheduler's consistent observation from the
-// tick's snapshots and the cluster's bookkeeping.
+// tick's snapshots and the cluster's bookkeeping; the scheduler counts
+// each instance's streams from the ownership map.
 func (c *Cluster) view(snaps []pipeline.Snapshot) *sched.View {
 	insts := make([]sched.Instance, len(snaps))
 	for i := range snaps {
@@ -463,19 +448,12 @@ func (c *Cluster) view(snaps []pipeline.Snapshot) *sched.View {
 			Index:      i,
 			Live:       !c.failed[i] && !c.retired[i],
 			Overloaded: c.overloaded(&snaps[i]),
-			Streams:    c.counts[i],
 			TYoloRate:  snaps[i].TYoloRate,
 			Spare:      snaps[i].TYoloRate < spareTYRate,
 			Backlog:    snaps[i].WorstBacklog,
 		}
 	}
 	return c.sch.View(c.cfg.Clock.Now(), insts, c.owners)
-}
-
-// place records that instance inst now owns stream id.
-func (c *Cluster) place(id, inst int) {
-	c.loc[id] = inst
-	c.owners[id] = inst
 }
 
 // owns reports whether instance inst owns stream id and the stream is
@@ -486,8 +464,7 @@ func (c *Cluster) owns(inst, id int) bool {
 }
 
 // finish marks stream id finished or abandoned: it leaves the
-// scheduler's view and its quota, and loc keeps its last owner for the
-// report.
+// scheduler's view and its quota.
 func (c *Cluster) finish(id int) {
 	delete(c.owners, id)
 	c.sch.Done(id)
@@ -589,9 +566,8 @@ func (c *Cluster) manage() {
 			spec.ID = a.ID
 			spec.Source = c.injs[idx].WrapSource(spec.Source, a.ID)
 			c.instances[idx].AddStream(spec)
-			c.place(a.ID, idx)
+			c.owners[a.ID] = idx
 			c.specs[a.ID] = spec
-			c.counts[idx]++
 			c.record(Event{Kind: EventAdmit, At: clk.Now(), StreamID: a.ID, From: -1, To: idx})
 			// A burst must not share one stale view: the admission just
 			// made shifts the load signals, so re-observe before placing
@@ -610,20 +586,21 @@ func (c *Cluster) manage() {
 				continue
 			}
 			c.over[i]++
-			if c.over[i] >= c.cfg.OverloadChecks && c.counts[i] > 1 {
-				if id, to := c.sch.Victim(i, c.view(snaps)); id >= 0 {
-					if c.continueStream(id, i, to, EventReforward) {
-						c.counts[i]--
-						c.over[i] = 0
-					}
+			if c.over[i] < c.cfg.OverloadChecks {
+				continue
+			}
+			// A lone stream stays: moving it only moves the overload.
+			if v := c.view(snaps); v.Instances[i].Streams > 1 {
+				if id, to := c.sch.Victim(i, v); id >= 0 && c.continueStream(id, i, to, EventReforward) {
+					c.over[i] = 0
 				}
 			}
 		}
 		// Elastic scaling and post-membership-change rebalancing.
 		c.elastic(snaps)
 		c.rebalance(snaps)
-		// Deferred detector cleanups whose fragments have drained.
-		c.processUnregs(c.observe())
+		// For observers only; obs.TestObservedBytesGolden pins their samples.
+		c.observe()
 		// Sleep to the next decision point.
 		wake := clk.Now() + c.cfg.CheckEvery
 		if next < len(c.arrivals) && c.arrivals[next].At < wake {
@@ -660,56 +637,23 @@ func (c *Cluster) reject(a Arrival, why sched.RejectReason) {
 	c.record(Event{Kind: EventReject, At: now, StreamID: a.ID, From: -1, To: -1, Note: note})
 }
 
-// trackCompletions marks streams whose final fragment has ingested and
-// decided every frame, releasing their instance slot and their quota.
-// (The instance's pipeline has already dropped the stream's detector
-// state, at its last verdict, by the same rule.) loc keeps the entry
-// (reports read it); finish takes the stream out of owners, and so out
-// of scheduling. Each instance's snapshot is walked once.
+// trackCompletions finishes the streams each instance's pipeline has
+// completed since the last tick (pipeline.System.Completed), releasing
+// their instance slot and their quota; the pipeline has already dropped
+// their detector state, at their last verdict.
 func (c *Cluster) trackCompletions(snaps []pipeline.Snapshot) {
-	for inst := range snaps {
-		// A crashed instance also shows IngestDone (its ingest loops
-		// broke) with every frame drained — but its streams are not
-		// finished, they are waiting for failure detection to recover
-		// them. Never count completions there.
-		if snaps[inst].Crashed || c.failed[inst] {
+	for i, inst := range c.instances {
+		// A crashed instance's streams are not finished, they are waiting
+		// for failure detection to recover them. Never count completions
+		// there.
+		if snaps[i].Crashed || c.failed[i] {
 			continue
 		}
-		// A stream has fully completed on its instance when every
-		// fragment has decided all ingested frames, none is still
-		// ingesting, and at least one ran its source dry (a stopped
-		// fragment with frames remaining means the stream continued
-		// elsewhere).
-		clear(c.open)
-		for _, ss := range snaps[inst].Streams {
-			if !c.owns(inst, ss.ID) {
-				continue
-			}
-			f := c.open[ss.ID]
-			f.busy = f.busy || !drained(ss)
-			f.ingestDone = f.ingestDone || ss.IngestDone
-			c.open[ss.ID] = f
-		}
-		for id, f := range c.open {
-			if f.busy || !f.ingestDone {
-				continue
-			}
+		c.completed = inst.Completed(c.completed[:0])
+		for _, id := range c.completed {
 			c.finish(id)
-			c.counts[inst]--
 		}
 	}
-}
-
-// fragState folds the fragments one stream has on one instance.
-type fragState struct {
-	busy       bool // some fragment is ingesting or has undecided frames
-	ingestDone bool // some fragment's ingest loop has ended
-}
-
-// drained reports whether a fragment has stopped ingesting and decided
-// all of its frames.
-func drained(ss *pipeline.StreamSnapshot) bool {
-	return ss.Decided >= ss.Ingested && (ss.Stopped || ss.IngestDone)
 }
 
 // elastic applies the scheduler's scale decision: grow the fleet under
@@ -720,13 +664,14 @@ func (c *Cluster) elastic(snaps []pipeline.Snapshot) {
 	if c.cfg.Elastic.Max <= 0 {
 		return
 	}
-	grow, retire := c.sch.Elastic(c.view(snaps))
+	v := c.view(snaps)
+	grow, retire := c.sch.Elastic(v)
 	if grow {
 		c.addInstance()
 		return
 	}
-	if retire >= 0 && retire < len(c.instances) &&
-		c.counts[retire] == 0 && !c.failed[retire] && !c.retired[retire] {
+	// Elastic names only a live instance the view shows empty.
+	if retire >= 0 {
 		c.retire(retire)
 	}
 }
@@ -769,9 +714,7 @@ func (c *Cluster) rebalance(snaps []pipeline.Snapshot) {
 		if m.To < 0 || m.To >= len(c.instances) || c.failed[m.To] || c.retired[m.To] {
 			continue
 		}
-		if c.continueStream(m.Stream, m.From, m.To, EventMigrate) {
-			c.counts[m.From]--
-		}
+		c.continueStream(m.Stream, m.From, m.To, EventMigrate)
 	}
 }
 
@@ -795,7 +738,6 @@ func (c *Cluster) fail(i int, snaps []pipeline.Snapshot) {
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		c.counts[i]--
 		// Recovery rebuilds the view per stream: each continuation
 		// shifts the survivors' counts, and the policy should see it.
 		to := c.sch.Recover(id, i, c.view(snaps))
@@ -810,46 +752,13 @@ func (c *Cluster) fail(i int, snaps []pipeline.Snapshot) {
 	}
 }
 
-// processUnregs runs the deferred detector cleanups that have become
-// safe: the stream no longer lives on the instance and every one of its
-// stopped fragments there has decided all ingested frames — earlier,
-// Detect could lazily re-create the state from an in-flight frame,
-// re-introducing the leak the cleanup exists to fix.
-func (c *Cluster) processUnregs(snaps []pipeline.Snapshot) {
-	kept := c.unregs[:0]
-	for _, u := range c.unregs {
-		switch {
-		case c.loc[u.id] == u.inst:
-			// The stream migrated back; its background is live again.
-		case fragmentsDrained(&snaps[u.inst], u.id):
-			c.tgs[u.inst].Unregister(u.id)
-		default:
-			kept = append(kept, u)
-		}
-	}
-	c.unregs = kept
-}
-
-// fragmentsDrained reports whether every fragment of stream id on the
-// instance has stopped ingesting and decided all of its frames.
-func fragmentsDrained(sn *pipeline.Snapshot, id int) bool {
-	for _, ss := range sn.Streams {
-		if ss.ID == id && !drained(ss) {
-			return false
-		}
-	}
-	return true
-}
-
 // continueStream stops stream victim on instance from and re-forwards
 // its remainder to instance to, rebinding the counting filter to the
 // target's shared T-YOLO and carrying the background model across. It
 // is shared by overload re-forwarding, failure recovery, and rebalance
-// migration, and reports whether a continuation was created. The caller
-// owns counts[from] (re-forward and migration decrement it on success;
-// fail decrements unconditionally — the stream has left the dead
-// instance either way); counts[to] and the location/spec maps are
-// updated here.
+// migration, and reports whether a continuation was created; the
+// ownership and spec maps are updated here. The stopped fragment's
+// detector state on from is its pipeline's to release, once it drains.
 func (c *Cluster) continueStream(victim, from, to int, kind EventKind) bool {
 	remaining, src, nextSeq, ok := c.instances[from].StopStream(victim)
 	if !ok || remaining <= 0 {
@@ -872,12 +781,8 @@ func (c *Cluster) continueStream(victim, from, to int, kind EventKind) bool {
 		c.tgs[to].SetBackground(victim, b)
 	}
 	c.instances[to].AddStream(cont)
-	// The source instance's detector still holds the stream's background;
-	// defer the cleanup until the stopped fragment's frames drain.
-	c.unregs = append(c.unregs, unreg{inst: from, id: victim})
-	c.place(victim, to)
+	c.owners[victim] = to
 	c.specs[victim] = cont
-	c.counts[to]++
 	c.sch.Moved(victim, c.cfg.Clock.Now())
 	c.record(Event{Kind: kind, At: c.cfg.Clock.Now(), StreamID: victim, From: from, To: to})
 	return true
@@ -898,7 +803,8 @@ type Report struct {
 	// arrivals. When nothing is lost outside the pipelines, the total
 	// equals the frames offered to the cluster.
 	Drops [pipeline.NumDispositions]int64
-	// Realtime reports whether every fragment held its schedule.
+	// Realtime reports whether every fragment held its schedule: every
+	// instance report's Realtime.
 	Realtime bool
 	// Cancelled marks a run stopped early by context cancellation; the
 	// per-instance reports cover the frames processed up to the stop.
@@ -909,20 +815,13 @@ type Report struct {
 }
 
 func (c *Cluster) report() *Report {
-	// The clock has fully drained: every deferred detector cleanup whose
-	// stream genuinely left its source instance is safe now.
-	for _, u := range c.unregs {
-		if c.loc[u.id] != u.inst {
-			c.tgs[u.inst].Unregister(u.id)
-		}
-	}
-	c.unregs = nil
 	r := &Report{Events: c.events, StreamFrames: make(map[int]int64), Realtime: true,
 		Rejections: c.rejections, Drops: c.drops, Cancelled: c.cancelled,
 		HostLag: c.cfg.Clock.HostLag()}
 	for _, inst := range c.instances {
 		ir := inst.Report()
 		r.Instances = append(r.Instances, ir)
+		r.Realtime = r.Realtime && ir.Realtime
 		for _, sr := range ir.Streams {
 			done := int64(0)
 			for _, rec := range sr.Records {
@@ -933,9 +832,6 @@ func (c *Cluster) report() *Report {
 			r.StreamFrames[sr.ID] += done
 			for d, n := range sr.Counts {
 				r.Drops[d] += n
-			}
-			if sr.IngestLag > 500*time.Millisecond {
-				r.Realtime = false
 			}
 		}
 	}

@@ -10,47 +10,78 @@ import (
 	"ffsva/internal/vclock"
 )
 
-// watchLiveDetectorState makes every manager observation check that no
-// unfinished stream has lost its background model on the instance that
-// runs it — a release that came too early would go unnoticed otherwise,
-// because Detect quietly starts a fresh model from the next frame. A
-// stream is finished when the instance's own snapshot says so: the
-// pipeline releases at the stream's last verdict, before the manager's
-// next tick marks it done.
-func watchLiveDetectorState(t *testing.T, cfg *Config, cl **Cluster) {
+// watchDetectorState makes every manager observation check the
+// pipeline's release rule from both sides. No unfinished stream may
+// have lost its background model on the instance that runs it — a
+// release that came too early would go unnoticed otherwise, because
+// Detect quietly starts a fresh model from the next frame. And once
+// every fragment of a stream on an instance shows drained, that
+// instance must hold no state for it, whether the stream completed
+// there or left a stopped fragment behind. The returned counter tallies
+// observations of such a left-behind fragment drained on its source
+// instance, so a test can require the case was exercised.
+func watchDetectorState(t *testing.T, cfg *Config, cl **Cluster) *int {
+	leftBehind := new(int)
 	cfg.OnSnapshot = func(inst int, sn pipeline.Snapshot) {
 		c := *cl
-		for id, at := range c.loc {
-			if at == inst && !completedIn(&sn, id) && !c.tgs[inst].Registered(id) {
-				t.Errorf("t=%v: stream %d runs on instance %d without its background model",
-					c.cfg.Clock.Now(), id, inst)
+		now := c.cfg.Clock.Now()
+		frags := foldFragments(&sn)
+		for id, at := range c.owners {
+			if f := frags[id]; at == inst && !(f.drained && f.dry) && !c.tgs[inst].Registered(id) {
+				t.Errorf("t=%v: stream %d runs on instance %d without its background model", now, id, inst)
+			}
+		}
+		for id, f := range frags {
+			if !f.drained {
+				continue
+			}
+			if owner, live := c.owners[id]; live && owner != inst && !f.dry {
+				*leftBehind++
+			}
+			if c.tgs[inst].Registered(id) {
+				t.Errorf("t=%v: every fragment of stream %d on instance %d has drained, but its background model is held",
+					now, id, inst)
 			}
 		}
 	}
+	return leftBehind
 }
 
-// completedIn reports whether an instance snapshot shows stream id
-// complete by the pipeline's rule: every fragment of it has stopped
-// ingesting and decided all it ingested, and one ran its source dry.
-func completedIn(sn *pipeline.Snapshot, id int) bool {
-	dry := false
+// fragFold is what an instance snapshot shows of one stream's
+// fragments there: whether every one has stopped ingesting and decided
+// all it ingested, and whether one ran its source dry.
+type fragFold struct{ drained, dry bool }
+
+// foldFragments folds an instance snapshot per stream ID.
+func foldFragments(sn *pipeline.Snapshot) map[int]fragFold {
+	out := make(map[int]fragFold)
 	for _, ss := range sn.Streams {
-		if ss.ID != id {
-			continue
-		}
-		if !ss.IngestDone || ss.Decided != ss.Ingested {
-			return false
-		}
-		dry = dry || ss.Ingested == int64(ss.Frames)
+		f, seen := out[ss.ID]
+		f.drained = (f.drained || !seen) && ss.IngestDone && ss.Decided == ss.Ingested
+		f.dry = f.dry || ss.Ingested == int64(ss.Frames)
+		out[ss.ID] = f
 	}
-	return dry
+	return out
 }
 
-// checkDetectorsEmpty asserts that no instance's detector holds state
-// for any stream the cluster ever placed.
-func checkDetectorsEmpty(t *testing.T, c *Cluster) {
+// lastOwners replays the event ledger: the last instance each placed
+// stream was admitted, re-forwarded, recovered or migrated to.
+func lastOwners(rep *Report) map[int]int {
+	owner := make(map[int]int)
+	for _, e := range rep.Events {
+		switch e.Kind {
+		case EventAdmit, EventReforward, EventRecover, EventMigrate:
+			owner[e.StreamID] = e.To
+		}
+	}
+	return owner
+}
+
+// checkDetectorsEmpty asserts that every stream the cluster ever placed
+// finished and that no instance's detector holds state for it.
+func checkDetectorsEmpty(t *testing.T, c *Cluster, rep *Report) {
 	t.Helper()
-	for id := range c.loc {
+	for id := range lastOwners(rep) {
 		if _, live := c.owners[id]; live {
 			t.Errorf("stream %d never completed", id)
 		}
@@ -76,7 +107,7 @@ func TestFinishedStreamsReleaseDetectorState(t *testing.T) {
 	cfg.Horizon = 5 * time.Second
 	cfg.Pipeline.Costs = device.CostModel{}
 	var cl *Cluster
-	watchLiveDetectorState(t, &cfg, &cl)
+	watchDetectorState(t, &cfg, &cl)
 	cl = New(cfg, arrivals(t, cam, streams, frames, 5*time.Millisecond))
 	rep := cl.Run()
 
@@ -88,14 +119,14 @@ func TestFinishedStreamsReleaseDetectorState(t *testing.T) {
 			t.Errorf("stream %d decided %d frames, want %d", id, n, frames)
 		}
 	}
-	checkDetectorsEmpty(t, cl)
+	checkDetectorsEmpty(t, cl, rep)
 }
 
 // TestMigratedStreamReleasedOnBothInstances re-forwards a stream under
 // overload and lets it finish on the target: its model must stay on the
-// target for as long as it runs there, and be gone from the source (once
-// the stopped fragment drained) and from the target (on completion) at
-// the end.
+// target for as long as it runs there, be gone from the source as soon
+// as a snapshot shows the stopped fragment drained, and be gone from
+// the target on completion.
 func TestMigratedStreamReleasedOnBothInstances(t *testing.T) {
 	cam, err := lab.CarCamera(0.5)
 	if err != nil {
@@ -110,17 +141,20 @@ func TestMigratedStreamReleasedOnBothInstances(t *testing.T) {
 	costs[device.ModelRef] = c
 	cfg.Pipeline.Costs = costs
 	var cl *Cluster
-	watchLiveDetectorState(t, &cfg, &cl)
+	leftBehind := watchDetectorState(t, &cfg, &cl)
 	cl = New(cfg, arrivals(t, cam, 3, 900, 500*time.Millisecond))
 	rep := cl.Run()
 
 	if rep.Reforwards() == 0 {
 		t.Fatal("no re-forward occurred; the overload recipe no longer triggers")
 	}
+	if *leftBehind == 0 {
+		t.Error("no snapshot showed a stopped fragment drained on its source instance; the release there is not exercised")
+	}
 	for id, n := range rep.StreamFrames {
 		if n != 900 {
 			t.Errorf("stream %d decided %d frames across fragments, want 900", id, n)
 		}
 	}
-	checkDetectorsEmpty(t, cl)
+	checkDetectorsEmpty(t, cl, rep)
 }

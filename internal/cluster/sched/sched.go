@@ -28,7 +28,8 @@ type Instance struct {
 	// Overloaded is the cluster's combined overload signal (ingest lag,
 	// capture backlog, pinned queues) for this tick.
 	Overloaded bool
-	// Streams is the number of active streams placed on the instance.
+	// Streams is the number of active streams placed on the instance;
+	// Scheduler.View counts it from the ownership map.
 	Streams int
 	// TYoloRate is the shared T-YOLO throughput (FPS).
 	TYoloRate float64

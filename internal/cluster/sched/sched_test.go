@@ -318,3 +318,25 @@ func TestConfigValidation(t *testing.T) {
 		t.Errorf("PolicyName = %q", s.PolicyName())
 	}
 }
+
+// TestViewCountsOwnedStreams checks that View sets each instance's
+// Streams to the number of streams the ownership map places on it,
+// whatever the caller passed in.
+func TestViewCountsOwnedStreams(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts := live(0, 1, 2)
+	insts[2].Streams = 7 // stale: View must overwrite it
+	owners := map[int]int{10: 0, 11: 1, 12: 0, 13: 0}
+	v := s.View(0, insts, owners)
+	for i, want := range []int{3, 1, 0} {
+		if got := v.Instances[i].Streams; got != want {
+			t.Errorf("instance %d: Streams = %d, want %d", i, got, want)
+		}
+	}
+	if len(v.Streams) != len(owners) {
+		t.Errorf("view lists %d streams, want %d", len(v.Streams), len(owners))
+	}
+}

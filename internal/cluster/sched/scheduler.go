@@ -98,16 +98,23 @@ func New(cfg Config) (*Scheduler, error) {
 func (s *Scheduler) PolicyName() string { return s.policy.Name() }
 
 // View assembles the tick's consistent observation: the instances as
-// observed by the cluster plus every owned stream annotated with its
-// placement time and move cooldown, sorted (PlacedAt, ID) ascending.
+// observed by the cluster, each with Streams set to the number of
+// streams owners places on it (owners maps stream ID to instance index,
+// which is also the instance's position in insts), plus every owned
+// stream annotated with its placement time and move cooldown, sorted
+// (PlacedAt, ID) ascending.
 func (s *Scheduler) View(now time.Duration, insts []Instance, owners map[int]int) *View {
 	v := &View{Now: now, Instances: insts}
+	for i := range insts {
+		insts[i].Streams = 0
+	}
 	ids := make([]int, 0, len(owners))
 	for id := range owners {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
+		insts[owners[id]].Streams++
 		at := s.placedAt[id]
 		v.Streams = append(v.Streams, Stream{
 			ID:       id,

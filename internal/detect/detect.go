@@ -132,13 +132,14 @@ func NewTinyGrid(cfg TinyGridConfig) *TinyGrid {
 	return &TinyGrid{cfg: cfg, bg: make(map[int]*bgState)}
 }
 
-// Unregister drops a stream's background state. The pipeline calls it at
-// a stream's last verdict on an instance, and the cluster once a
-// migrated-away (or crashed) stream's fragments have fully drained from
-// an instance — without them every finished stream, and every re-forward,
-// would leak the stream's background model into the detector forever. It
-// must not run while the stream still has in-flight frames here: Detect
-// would lazily re-create the state from the next frame.
+// Unregister drops a stream's background state. The pipeline calls it
+// once every fragment of the stream on an instance has drained — at a
+// finished stream's last verdict, and likewise where a stream migrated
+// away, crashed or was cancelled — without it every finished stream,
+// and every re-forward, would leak the stream's background model into
+// the detector forever. It must not run while the stream still has
+// in-flight frames here: Detect would lazily re-create the state from
+// the next frame.
 func (t *TinyGrid) Unregister(streamID int) {
 	t.mu.Lock()
 	delete(t.bg, streamID)

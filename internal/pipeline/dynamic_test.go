@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ffsva/internal/detect"
+	"ffsva/internal/device"
 	"ffsva/internal/lab"
 	"ffsva/internal/pipeline"
 	"ffsva/internal/vclock"
@@ -139,7 +140,10 @@ func TestEmptySystemWithHoldDrains(t *testing.T) {
 	}
 }
 
-// TestWorstBacklogVisible verifies the overload-backlog signal.
+// TestWorstBacklogVisible verifies the overload-backlog signal: with a
+// reference tier too slow for a TOR-1.0 stream, frames pile up in the
+// capture buffer, and the snapshot's WorstBacklog must show them — for
+// a lone stream, exactly its capture-buffer depth plus spilled frames.
 func TestWorstBacklogVisible(t *testing.T) {
 	cam, err := lab.CarCamera(1.0)
 	if err != nil {
@@ -148,6 +152,11 @@ func TestWorstBacklogVisible(t *testing.T) {
 	clk := vclock.NewVirtual()
 	cfg := pipeline.DefaultConfig(clk)
 	cfg.Mode = pipeline.Online
+	costs := device.Calibrated()
+	ref := costs[device.ModelRef]
+	ref.PerFrame = 120 * time.Millisecond
+	costs[device.ModelRef] = ref
+	cfg.Costs = costs
 	sys := pipeline.New(cfg, []pipeline.StreamSpec{
 		cam.Stream(0, detect.NewTinyGrid(detect.DefaultTinyGridConfig()), lab.StreamOptions{Seed: 41, Frames: 240, TOR: 1.0}),
 	})
@@ -157,13 +166,20 @@ func TestWorstBacklogVisible(t *testing.T) {
 	clk.Go("monitor", func() {
 		for i := 0; i < 7; i++ {
 			clk.Sleep(time.Second)
-			if sys.Snapshot().WorstBacklog > 0 {
+			sn := sys.Snapshot()
+			ss := sn.Streams[0]
+			if want := ss.SDDQ.Depth + ss.SpillPending; sn.WorstBacklog != want {
+				t.Errorf("t=%v: WorstBacklog = %d, want the stream's capture depth + spill = %d", clk.Now(), sn.WorstBacklog, want)
+			}
+			if sn.WorstBacklog > 0 {
 				saw++
 			}
 		}
 		sys.Release()
 	})
 	clk.Run()
-	// At TOR 1.0 the backlog signal should register at least transiently.
+	if saw == 0 {
+		t.Error("no sample showed a capture backlog behind the slow reference tier")
+	}
 	t.Logf("backlog observed in %d/7 samples", saw)
 }

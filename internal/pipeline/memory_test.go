@@ -136,3 +136,60 @@ func TestStreamReleasesDetectorAtLastVerdict(t *testing.T) {
 		}
 	}
 }
+
+// TestStoppedFragmentReleasedAndCompletionsListed: the stream-end rule
+// for a fragment that never ran dry and for streams that did. Stream 7
+// is stopped mid-burst with frames still in flight and not continued
+// here — as a migration leaves its source instance — so its detector
+// state must go at its last verdict, not before, and it must not count
+// as completed. Streams 8 and 9 run dry and Completed lists them in
+// completion order, once.
+func TestStoppedFragmentReleasedAndCompletionsListed(t *testing.T) {
+	cam, err := lab.CarCamera(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := vclock.NewVirtual()
+	cfg := pipeline.DefaultConfig(clk)
+	cfg.Mode = pipeline.Online
+	costs := device.Calibrated()
+	ref := costs[device.ModelRef]
+	ref.PerFrame = 120 * time.Millisecond
+	costs[device.ModelRef] = ref
+	cfg.Costs = costs
+	tg := detect.NewTinyGrid(detect.DefaultTinyGridConfig())
+	sys := pipeline.New(cfg, []pipeline.StreamSpec{
+		cam.Stream(7, tg, lab.StreamOptions{Seed: 71, Frames: 450, TOR: 1.0}),
+		cam.Stream(8, tg, lab.StreamOptions{Seed: 81, Frames: 90}),
+		cam.Stream(9, tg, lab.StreamOptions{Seed: 91, Frames: 30}),
+	})
+	sys.Hold()
+	sys.Start()
+	sawInFlight := false
+	clk.Go("manager", func() {
+		clk.Sleep(6 * time.Second)
+		if rem, _, _, ok := sys.StopStream(7); !ok || rem <= 0 {
+			t.Errorf("StopStream(7) = %d remaining, ok=%v", rem, ok)
+		}
+		sys.Release()
+		for !sys.Finished() {
+			clk.Sleep(10 * time.Millisecond)
+			ss := sys.Snapshot().Streams[0]
+			drained := ss.IngestDone && ss.Decided == ss.Ingested
+			sawInFlight = sawInFlight || !drained
+			if held := tg.Registered(7); held == drained {
+				t.Errorf("t=%v: stopped stream 7 drained=%v but detector state held=%v", clk.Now(), drained, held)
+			}
+		}
+	})
+	clk.Run()
+	if !sawInFlight {
+		t.Error("stream 7 had no frame in flight after its stop; the release is not exercised")
+	}
+	if got := sys.Completed(nil); len(got) != 2 || got[0] != 9 || got[1] != 8 {
+		t.Errorf("Completed = %v, want [9 8]", got)
+	}
+	if got := sys.Completed(nil); len(got) != 0 {
+		t.Errorf("second Completed = %v, want nothing new", got)
+	}
+}

@@ -328,46 +328,42 @@ const (
 
 // DefaultConfig returns the paper's defaults on a fresh clock.
 func DefaultConfig(clk *vclock.VirtualClock) Config {
-	return Config{
+	c := Config{
 		Clock:       clk,
 		Costs:       device.Calibrated(),
 		Mode:        Offline,
 		BatchPolicy: BatchDynamic,
-		BatchSize:   10,
-		DepthSDD:    2, DepthSNM: 10, DepthTYolo: 2,
-		NumTYolo: 8,
-		DepthRef: 4,
-		Ref:      detect.NewOracle(detect.DefaultOracleConfig()),
+		Ref:         detect.NewOracle(detect.DefaultOracleConfig()),
 	}
+	c.fillPaper()
+	return c
 }
 
+// fillPaper sets the paper's batch and queue defaults on every unset
+// field: SNM batch 10, depth thresholds 2/10/2 (§4.3.1), 8 frames per
+// stream per T-YOLO cycle, a reference queue of 4.
+func (c *Config) fillPaper() {
+	orDefault(&c.BatchSize, 10)
+	orDefault(&c.DepthSDD, 2)
+	orDefault(&c.DepthSNM, 10)
+	orDefault(&c.DepthTYolo, 2)
+	orDefault(&c.NumTYolo, 8)
+	orDefault(&c.DepthRef, 4)
+}
+
+// fill completes a Config for New: the paper's defaults, then the ones
+// DefaultConfig leaves for New to choose.
 func (c *Config) fill() {
-	if c.BatchSize <= 0 {
-		c.BatchSize = 10
-	}
-	if c.DepthSDD <= 0 {
-		c.DepthSDD = 2
-	}
-	if c.DepthSNM <= 0 {
-		c.DepthSNM = 10
-	}
-	if c.DepthTYolo <= 0 {
-		c.DepthTYolo = 2
-	}
-	if c.DepthRef <= 0 {
-		c.DepthRef = 4
-	}
-	if c.NumTYolo <= 0 {
-		c.NumTYolo = 8
-	}
-	if c.IngestBuffer <= 0 {
-		c.IngestBuffer = 600 // 20 s at 30 FPS
-	}
-	if c.FilterGPUs <= 0 {
-		c.FilterGPUs = 1
-	}
-	if c.RefConf <= 0 {
-		c.RefConf = 0.5
+	c.fillPaper()
+	orDefault(&c.IngestBuffer, 600) // 20 s at 30 FPS
+	orDefault(&c.FilterGPUs, 1)
+	orDefault(&c.RefConf, 0.5)
+}
+
+// orDefault sets *p to v unless it is positive.
+func orDefault[T int | float64](p *T, v T) {
+	if *p <= 0 {
+		*p = v
 	}
 }
 
@@ -447,6 +443,9 @@ type System struct {
 	cancelled bool // CancelAll stopped ingest early
 	crashed   bool // Crash() killed the instance
 	liveSNM   int  // SNM stages still running + holds
+	// completed lists the streams that completed here since the last
+	// Completed call (see fragmentDrained).
+	completed []int
 	// lastBeat is the heartbeat's latest clock stamp; it freezes when the
 	// instance crashes or finishes.
 	lastBeat time.Duration

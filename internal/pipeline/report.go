@@ -35,6 +35,10 @@ type StreamReport struct {
 	Records       []Record
 }
 
+// RealtimeLag is the worst ingest lag a stream may show and still count
+// as analyzed in real time (Report.Realtime).
+const RealtimeLag = 500 * time.Millisecond
+
 // Report aggregates a finished run.
 type Report struct {
 	Mode        Mode
@@ -75,7 +79,7 @@ type Report struct {
 	RefCanvases int64
 
 	// Realtime reports whether every stream kept its online capture
-	// schedule (worst ingest lag under half a second).
+	// schedule (worst ingest lag at most RealtimeLag).
 	Realtime bool
 
 	// Cancelled marks a run stopped early by CancelAll (context
@@ -189,7 +193,7 @@ func (s *System) Report() *Report {
 
 	r.Realtime = s.cfg.Mode == Online
 	for _, sr := range r.Streams {
-		if sr.IngestLag > 500*time.Millisecond {
+		if sr.IngestLag > RealtimeLag {
 			r.Realtime = false
 		}
 	}

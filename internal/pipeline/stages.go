@@ -298,7 +298,7 @@ func (s *System) prefetch(st *streamState) {
 	st.ingestDone = true
 	st.curLag = 0
 	if st.drained() {
-		s.releaseDetector(st)
+		s.fragmentDrained(st)
 	}
 	if st.spill != nil {
 		st.spill.Close() // the drainer closes sddQ after re-injection
@@ -707,7 +707,7 @@ func (s *System) finishLost(st *streamState, seq int64) {
 }
 
 // record enters a decided frame in its fragment's ledger and, at the
-// fragment's last verdict, releases the stream's detector state.
+// fragment's last verdict, applies the stream-end rule.
 func (s *System) record(st *streamState, rec Record) {
 	s.dispCtr.With(rec.Disposition.String()).Inc()
 	if idx := rec.Seq - st.spec.SeqBase; idx >= 0 && idx < int64(len(st.records)) {
@@ -718,7 +718,7 @@ func (s *System) record(st *streamState, rec Record) {
 	}
 	st.counts[rec.Disposition]++
 	if st.drained() {
-		s.releaseDetector(st)
+		s.fragmentDrained(st)
 	}
 }
 
@@ -735,31 +735,46 @@ func (st *streamState) drained() bool {
 	return decided == st.ingested
 }
 
-// releaseDetector drops a completed stream's state from its T-YOLO
-// detector at the stream's last verdict, when the fragment st has just
-// drained. The stream is complete on this instance when every fragment
-// of its ID here has drained and one of them ran its source dry; a
-// fragment stopped with frames left continued elsewhere, and what it
-// leaves behind in the detector is the cluster's to release once it
-// drains. No frame of the stream is left here to detect on, so the
-// state cannot come back. A detector that cannot unregister keeps it.
+// fragmentDrained is the one rule for a stream's end on this instance,
+// applied when fragment st has just drained. Once every fragment of
+// the ID here has drained, no frame of the stream is left to detect on,
+// so its detector state is released: a completed stream's, and that of
+// a fragment left behind by a migration, a recovery, an abandonment or
+// a cancel. If one of those fragments also ran its source dry, the
+// stream has completed here, and Completed reports it.
+func (s *System) fragmentDrained(st *streamState) {
+	id := st.spec.ID
+	dry := false
+	for _, frag := range s.streams {
+		if frag.spec.ID == id {
+			if !frag.drained() {
+				return
+			}
+			dry = dry || frag.ingested == int64(frag.spec.Frames)
+		}
+	}
+	s.releaseDetector(st)
+	if dry {
+		s.completed = append(s.completed, id)
+	}
+}
+
+// releaseDetector drops the stream's state from its T-YOLO detector. A
+// detector that cannot unregister keeps it.
 func (s *System) releaseDetector(st *streamState) {
 	if st.spec.TYolo == nil {
 		return
 	}
-	det, ok := st.spec.TYolo.Det.(interface{ Unregister(streamID int) })
-	if !ok {
-		return
+	if det, ok := st.spec.TYolo.Det.(interface{ Unregister(streamID int) }); ok {
+		det.Unregister(st.spec.ID)
 	}
-	id := st.spec.ID
-	complete, dry := true, false
-	for _, frag := range s.streams {
-		if frag.spec.ID == id {
-			complete = complete && frag.drained()
-			dry = dry || frag.ingested == int64(frag.spec.Frames)
-		}
-	}
-	if complete && dry {
-		det.Unregister(id)
-	}
+}
+
+// Completed appends the IDs of the streams that completed on this
+// instance since the last call to dst, in completion order, and
+// returns it. A cluster manager finishes a stream by this list alone.
+func (s *System) Completed(dst []int) []int {
+	dst = append(dst, s.completed...)
+	s.completed = s.completed[:0]
+	return dst
 }
