@@ -128,7 +128,7 @@ func trainCamera(cfg vidgen.Config, target frame.Class, frames int) (train.SDDFi
 	set.AddFrom(vidgen.New(cfg), frames)
 	pos := 0
 	for _, s := range set.Samples {
-		if s.Has[0] {
+		if s.Has {
 			pos++
 		}
 	}
@@ -142,7 +142,7 @@ func trainCamera(cfg vidgen.Config, target frame.Class, frames int) (train.SDDFi
 	fmt.Printf("SDD: delta(MSE) = %.2f over a %dx%d reference image\n", sdd.Delta, sdd.Ref.W, sdd.Ref.H)
 
 	fmt.Println("training SNM (CONV, CONV, FC)...")
-	snm, err := train.TrainSNM(set, train.DefaultSNMConfig())
+	snm, err := train.TrainSNM(set)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ffstrain: %v\n", err)
 		os.Exit(1)

@@ -114,13 +114,7 @@ func analyze(args []string) {
 	}
 	fmt.Printf("%s: %d frames %dx%d @ %d FPS\n", path, total, hdr.W, hdr.H, hdr.FPS)
 	fmt.Printf("training on the first %d frames...\n", *trainFrames)
-	set := train.NewSet(detect.NewOracle(detect.DefaultOracleConfig()), target)
-	set.AddFrom(src, *trainFrames)
-	sddFit, err := train.FitSDD(set)
-	if err != nil {
-		fatal(err)
-	}
-	snmRes, err := train.TrainSNM(set, train.DefaultSNMConfig())
+	sddFit, snmRes, err := train.Fit(src, *trainFrames, detect.NewOracle(detect.DefaultOracleConfig()), target)
 	if err != nil {
 		fatal(err)
 	}

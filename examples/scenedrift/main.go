@@ -19,6 +19,7 @@ import (
 	"ffsva/internal/filters"
 	"ffsva/internal/frame"
 	"ffsva/internal/lab"
+	"ffsva/internal/train"
 	"ffsva/internal/vidgen"
 )
 
@@ -64,7 +65,7 @@ func main() {
 			report("after switch, stale models:")
 			fmt.Printf("drift detected at frame %d (window pass rate saturated)\n", i)
 			fmt.Println("retraining on 500 freshly labeled frames of the new scene...")
-			fit, snm, err := drift.Retrain(src, 500, oracle, frame.ClassCar)
+			fit, snm, err := train.Fit(src, 500, oracle, frame.ClassCar)
 			i += 500
 			if err != nil {
 				log.Fatal(err)

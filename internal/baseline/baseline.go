@@ -44,12 +44,11 @@ func DefaultConfig(clk *vclock.VirtualClock) Config {
 
 // StreamSpec is one input stream.
 type StreamSpec struct {
-	ID      int
-	Source  pipeline.FrameSource
-	Frames  int
-	FPS     int
-	Target  frame.Class
-	StartAt time.Duration
+	ID     int
+	Source pipeline.FrameSource
+	Frames int
+	FPS    int
+	Target frame.Class
 }
 
 type streamState struct {
@@ -128,9 +127,6 @@ func (s *System) Run() *Report {
 
 func (s *System) prefetch(st *streamState) {
 	clk := s.cfg.Clock
-	if st.spec.StartAt > 0 {
-		clk.Sleep(st.spec.StartAt)
-	}
 	interval := time.Second / time.Duration(st.spec.FPS)
 	epoch := clk.Now()
 	for i := 0; i < st.spec.Frames; i++ {

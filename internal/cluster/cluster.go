@@ -769,7 +769,6 @@ func (c *Cluster) continueStream(victim, from, to int, kind EventKind) bool {
 	cont.Source = src
 	cont.Frames = int(remaining)
 	cont.SeqBase = nextSeq
-	cont.StartAt = 0
 	// Rebind the counting filter to the target instance's shared T-YOLO.
 	ty := *old.TYolo
 	ty.Det = c.tgs[to]

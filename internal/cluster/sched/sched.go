@@ -65,17 +65,6 @@ type View struct {
 	Streams   []Stream
 }
 
-// LiveCount counts live instances.
-func (v *View) LiveCount() int {
-	n := 0
-	for _, in := range v.Instances {
-		if in.Live {
-			n++
-		}
-	}
-	return n
-}
-
 // Move is one proposed migration.
 type Move struct {
 	Stream   int

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"sort"
 	"time"
 )
@@ -263,11 +262,4 @@ func (s *Scheduler) Elastic(v *View) (grow bool, retire int) {
 		}
 	}
 	return false, retire
-}
-
-// Describe renders the scheduler's configuration for logs and examples.
-func (s *Scheduler) Describe() string {
-	return fmt.Sprintf("policy=%s cooldown=%v quotas{max=%d tenants=%d} elastic{min=%d max=%d}",
-		s.policy.Name(), s.cfg.Cooldown, s.cfg.Quotas.MaxStreams, len(s.cfg.Quotas.PerTenant),
-		s.cfg.Elastic.floor(), s.cfg.Elastic.Max)
 }

@@ -9,21 +9,13 @@
 // 1.0 for far longer than any real scene lasts. The Monitor watches a
 // sliding window of SDD verdicts and raises a drift signal when the
 // window saturates; the operator then retrains from freshly labeled
-// frames (see Retrain).
+// frames (see train.Fit).
 //
 // The signal is meaningful for cameras whose TOR is not itself ~1.0; a
 // stream that is busy every single frame is indistinguishable from a
 // moved camera by pass rate alone, which mirrors the paper's observation
 // that filtering contributes nothing at TOR 1.0 anyway.
 package drift
-
-import (
-	"fmt"
-
-	"ffsva/internal/detect"
-	"ffsva/internal/frame"
-	"ffsva/internal/train"
-)
 
 // Config tunes the monitor.
 type Config struct {
@@ -115,24 +107,4 @@ func (m *Monitor) PassRate() float64 {
 		return 0
 	}
 	return float64(m.passes) / float64(len(m.buf))
-}
-
-// Retrain reruns the paper's §4.1 training procedure on the next n frames
-// src captures of the changed scene: label with the reference model,
-// refit the SDD, retrain the SNM. The frames stream through the
-// collector (train.Set) and are released as they are read. The paper
-// quotes about an hour of wall time for this on their hardware; the
-// returned artifacts are ready to swap into the stream's filter slots.
-func Retrain(src train.Source, n int, ref detect.Detector, target frame.Class) (train.SDDFit, train.SNMResult, error) {
-	set := train.NewSet(ref, target)
-	set.AddFrom(src, n)
-	sdd, err := train.FitSDD(set)
-	if err != nil {
-		return train.SDDFit{}, train.SNMResult{}, fmt.Errorf("drift: refit SDD: %w", err)
-	}
-	snm, err := train.TrainSNM(set, train.DefaultSNMConfig())
-	if err != nil {
-		return train.SDDFit{}, train.SNMResult{}, fmt.Errorf("drift: retrain SNM: %w", err)
-	}
-	return sdd, snm, nil
 }

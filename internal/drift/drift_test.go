@@ -7,6 +7,7 @@ import (
 	"ffsva/internal/filters"
 	"ffsva/internal/frame"
 	"ffsva/internal/lab"
+	"ffsva/internal/train"
 	"ffsva/internal/vidgen"
 )
 
@@ -108,8 +109,8 @@ func TestSceneSwitchEndToEnd(t *testing.T) {
 		}
 		if driftAt < 0 && mon.Observe(v == filters.Pass) {
 			driftAt = i
-			// Retrain from the next 500 frames of the new scene.
-			fit, _, err := Retrain(src, 500, oracle, frame.ClassCar)
+			// Train afresh on the next 500 frames of the new scene.
+			fit, _, err := train.Fit(src, 500, oracle, frame.ClassCar)
 			i += 500
 			if err != nil {
 				t.Fatalf("retrain: %v", err)

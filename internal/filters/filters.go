@@ -88,21 +88,16 @@ func (m Metric) String() string {
 // whose distance to a reference background image is below δdiff. Two
 // mechanisms absorb the slow background changes the paper identifies as
 // δdiff confounders (weather, light intensity, §3.2.1): dropped frames
-// fold into the reference by an exponential moving average, and — with
-// CompensateLum, the default — the distance removes the global
-// brightness offset between frame and reference before comparing, so a
-// uniformly lighter or darker scene is still background.
+// fold into the reference by an exponential moving average at rate
+// sddAlpha, and the distance removes the global brightness offset between
+// frame and reference before comparing, so a uniformly lighter or darker
+// scene is still background.
 type SDD struct {
 	ref    []float64 // SDDSize² running reference
 	Delta  float64
 	Metric Metric
-	// Alpha is the EMA rate applied on dropped (background) frames.
-	Alpha float64
-	// CompensateLum removes the mean brightness offset before measuring
-	// distance.
-	CompensateLum bool
-	stats         Stats
-	lastD         float64
+	stats  Stats
+	lastD  float64
 
 	// Persistent per-stream scratch: the resize target, and the running
 	// reference rounded to 8 bits, which Process keeps in step with ref.
@@ -112,12 +107,15 @@ type SDD struct {
 	refImg *imgproc.Gray
 }
 
+// sddAlpha is the EMA rate at which a dropped (background) frame folds
+// into the SDD's reference.
+const sddAlpha = 0.02
+
 // NewSDD builds an SDD from a trained reference image (at any size; it is
 // resampled to SDDSize) and a fitted threshold.
 func NewSDD(ref *imgproc.Gray, delta float64, metric Metric) *SDD {
 	small := imgproc.Resize(ref, SDDSize, SDDSize)
-	s := &SDD{Delta: delta, Metric: metric, Alpha: 0.02, CompensateLum: true,
-		ref: make([]float64, SDDSize*SDDSize)}
+	s := &SDD{Delta: delta, Metric: metric, ref: make([]float64, SDDSize*SDDSize)}
 	for i, p := range small.Pix {
 		s.ref[i] = float64(p)
 	}
@@ -202,15 +200,15 @@ func (s *SDD) Process(f *frame.Frame) Verdict {
 		}
 	}
 	imgproc.ResizeInto(imgproc.FromFrame(f), s.small)
-	d := Distance(s.small, s.refImg, s.Metric, s.CompensateLum)
+	d := Distance(s.small, s.refImg, s.Metric, true)
 	s.lastD = d
 	if d <= s.Delta {
 		// Background: adapt the reference, and re-round each cell while
 		// it is in hand rather than in a second walk before the next
 		// frame.
-		ref, img, alpha := s.ref, s.refImg.Pix[:len(s.ref)], s.Alpha
+		ref, img := s.ref, s.refImg.Pix[:len(s.ref)]
 		for i, p := range s.small.Pix[:len(ref)] {
-			v := ref[i] + alpha*(float64(p)-ref[i])
+			v := ref[i] + sddAlpha*(float64(p)-ref[i])
 			ref[i] = v
 			img[i] = refLevel(v)
 		}
@@ -352,82 +350,6 @@ func (s *SNM) ProcessBatch(fs []*frame.Frame) []Verdict {
 	out.Release()
 	x.Release()
 	return verdicts
-}
-
-// MultiSNM is the §5.5 multi-target variant of the SNM: one sigmoid
-// output per target class, with per-class threshold bands. A frame
-// passes when any class's probability reaches its tpre.
-type MultiSNM struct {
-	Net *nn.Net
-	// CLow/CHigh are per-class threshold bands, index-aligned with the
-	// network outputs.
-	CLow, CHigh  []float64
-	FilterDegree float64
-	stats        Stats
-	lastP        []float64
-}
-
-// NewMultiSNM wraps a trained multi-output network and its per-class
-// thresholds; the slices must be equal length.
-func NewMultiSNM(net *nn.Net, clow, chigh []float64, filterDegree float64) *MultiSNM {
-	if len(clow) != len(chigh) || len(clow) == 0 {
-		panic("filters: MultiSNM needs matching non-empty threshold bands")
-	}
-	lo := append([]float64(nil), clow...)
-	hi := append([]float64(nil), chigh...)
-	for i := range lo {
-		if lo[i] > hi[i] {
-			lo[i], hi[i] = hi[i], lo[i]
-		}
-	}
-	return &MultiSNM{Net: net, CLow: lo, CHigh: hi, FilterDegree: filterDegree}
-}
-
-// Name implements Filter.
-func (s *MultiSNM) Name() string { return "multi-snm" }
-
-// Stats returns traffic counters.
-func (s *MultiSNM) Stats() Stats { return s.stats }
-
-// TPre returns class i's effective threshold.
-func (s *MultiSNM) TPre(i int) float64 {
-	fd := s.FilterDegree
-	if fd < 0 {
-		fd = 0
-	} else if fd > 1 {
-		fd = 1
-	}
-	return (s.CHigh[i]-s.CLow[i])*fd + s.CLow[i]
-}
-
-// Probs returns the per-class probabilities for a frame, computed on
-// the pooled inference path.
-func (s *MultiSNM) Probs(f *frame.Frame) []float64 {
-	x := pooledInput([]*frame.Frame{f})
-	out := s.Net.Infer(x)
-	ps := make([]float64, len(s.CLow))
-	for i := range ps {
-		ps[i] = float64(nn.Sigmoid(out.Data[i]))
-	}
-	out.Release()
-	x.Release()
-	s.lastP = ps
-	return ps
-}
-
-// LastProbs reports the most recent per-class predictions.
-func (s *MultiSNM) LastProbs() []float64 { return s.lastP }
-
-// Process implements Filter: pass when any class clears its threshold.
-func (s *MultiSNM) Process(f *frame.Frame) Verdict {
-	s.stats.Processed++
-	for i, p := range s.Probs(f) {
-		if p >= s.TPre(i) {
-			s.stats.Passed++
-			return Pass
-		}
-	}
-	return Drop
 }
 
 // ConfThresh is the detection confidence above which T-YOLO counts one

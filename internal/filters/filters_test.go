@@ -53,20 +53,34 @@ func TestSDDPassesChangedFrame(t *testing.T) {
 	}
 }
 
+// halfFrame is a w×h frame whose left half is at level left and whose
+// right half is at level right.
+func halfFrame(left, right uint8, w, h int) *frame.Frame {
+	f := flatFrame(right, w, h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w/2; x++ {
+			f.Set(x, y, left)
+		}
+	}
+	return f
+}
+
 func TestSDDAdaptsToDrift(t *testing.T) {
-	// Slowly brightening background must keep being dropped because the
-	// EMA reference tracks it.
+	// One half of the background slowly brightens (+1 level every 10
+	// frames) while the other stays put. Luminance compensation removes
+	// only the mean offset, so without the EMA the residual grows past
+	// δdiff within ~120 frames; with it the reference trails the drift by
+	// a few levels and every frame stays background.
 	sdd := NewSDD(flatGray(100), 30, MetricMSE)
-	sdd.Alpha = 0.05
+	const n = 300
 	drops := 0
-	for i := 0; i < 200; i++ {
-		v := uint8(100 + i/20) // +10 levels over 200 frames
-		if sdd.Process(flatFrame(v, 320, 240)) == Drop {
+	for i := 0; i < n; i++ {
+		if sdd.Process(halfFrame(uint8(100+i/10), 100, 320, 240)) == Drop {
 			drops++
 		}
 	}
-	if drops < 195 {
-		t.Fatalf("drift-adapted SDD dropped only %d/200", drops)
+	if drops < n {
+		t.Fatalf("drift-adapted SDD dropped only %d/%d (last distance %v)", drops, n, sdd.LastDistance())
 	}
 }
 
@@ -96,11 +110,9 @@ func TestSDDLumCompensation(t *testing.T) {
 	if v := sdd.Process(flatFrame(160, 100, 100)); v != Drop {
 		t.Fatalf("global brightness shift passed (dist %v)", sdd.LastDistance())
 	}
-	// With compensation off it is a huge difference.
-	sdd2 := NewSDD(flatGray(100), 25, MetricMSE)
-	sdd2.CompensateLum = false
-	if v := sdd2.Process(flatFrame(160, 100, 100)); v != Pass {
-		t.Fatalf("uncompensated shift dropped (dist %v)", sdd2.LastDistance())
+	// Without compensation it is a huge difference.
+	if d := Distance(flatGray(160), flatGray(100), MetricMSE, false); d <= 25 {
+		t.Fatalf("uncompensated shift distance %v, want > 25", d)
 	}
 }
 

@@ -26,13 +26,6 @@ func BenchmarkResizeTo208(b *testing.B) {
 	}
 }
 
-func BenchmarkResizeNearest(b *testing.B) {
-	src := benchImage(320, 240)
-	for i := 0; i < b.N; i++ {
-		ResizeNearest(src, 100, 100)
-	}
-}
-
 func BenchmarkMSE100(b *testing.B) {
 	a := benchImage(100, 100)
 	c := benchImage(100, 100)
@@ -51,8 +44,9 @@ func BenchmarkSAD100(b *testing.B) {
 
 func BenchmarkBoxBlur3(b *testing.B) {
 	g := benchImage(208, 208)
+	out := NewGray(208, 208)
 	for i := 0; i < b.N; i++ {
-		BoxBlur3(g)
+		BoxBlur3Into(g, out)
 	}
 }
 

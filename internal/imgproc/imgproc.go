@@ -261,35 +261,12 @@ func sumSquaredDiff(a, b []uint8) uint64 {
 	return sum
 }
 
-// ResizeNearest scales src into a new w×h image with nearest-neighbor
-// sampling; cheaper and used where interpolation quality is irrelevant.
-func ResizeNearest(src *Gray, w, h int) *Gray {
-	if w <= 0 || h <= 0 {
-		panic("imgproc: ResizeNearest: non-positive target size")
-	}
-	dst := NewGray(w, h)
-	for y := 0; y < h; y++ {
-		sy := y * src.H / h
-		for x := 0; x < w; x++ {
-			sx := x * src.W / w
-			dst.Pix[y*w+x] = src.Pix[sy*src.W+sx]
-		}
-	}
-	return dst
-}
-
 // MSE returns the mean squared pixel error between two equal-size images.
 // It is SDD's default distance metric (paper §3.2.1). The sum is an exact
 // integer (every squared 8-bit diff is ≤ 255²), divided once.
 func MSE(a, b *Gray) float64 {
 	sameSize("MSE", a, b)
 	return float64(sumSquaredDiff(a.Pix, b.Pix)) / float64(len(a.Pix))
-}
-
-// NRMSE returns the root of MSE normalized by the 8-bit dynamic range, in
-// [0, 1].
-func NRMSE(a, b *Gray) float64 {
-	return math.Sqrt(MSE(a, b)) / 255.0
 }
 
 // SAD returns the sum of absolute differences between two equal-size
@@ -306,14 +283,6 @@ func SAD(a, b *Gray) float64 {
 		sum += uint64(d)
 	}
 	return float64(sum)
-}
-
-// AbsDiff writes |a−b| per pixel into a new image.
-func AbsDiff(a, b *Gray) *Gray {
-	sameSize("AbsDiff", a, b)
-	out := NewGray(a.W, a.H)
-	AbsDiffInto(a, b, out)
-	return out
 }
 
 // AbsDiffInto writes |a−b| per pixel into out, overwriting every pixel,
@@ -350,13 +319,6 @@ func MeanStd(g *Gray) (mean, std float64) {
 	return mean, std
 }
 
-// Binarize returns a mask with 1 where g exceeds thresh and 0 elsewhere.
-func Binarize(g *Gray, thresh uint8) *Gray {
-	out := NewGray(g.W, g.H)
-	BinarizeInto(g, thresh, out)
-	return out
-}
-
 // BinarizeInto writes the threshold mask into out, overwriting every
 // pixel, so out may be a dirty pooled image.
 func BinarizeInto(g *Gray, thresh uint8, out *Gray) {
@@ -369,14 +331,6 @@ func BinarizeInto(g *Gray, thresh uint8, out *Gray) {
 			dst[i] = 0
 		}
 	}
-}
-
-// BoxBlur3 applies a 3×3 box filter, used to suppress sensor noise before
-// binarization in the grid detector.
-func BoxBlur3(g *Gray) *Gray {
-	out := NewGray(g.W, g.H)
-	BoxBlur3Into(g, out)
-	return out
 }
 
 // BoxBlur3Into writes the 3×3 box filter of g into out, overwriting
@@ -456,25 +410,6 @@ type Rect struct {
 
 // Area returns the rectangle's area in pixels.
 func (r Rect) Area() int { return r.W * r.H }
-
-// IoU returns the intersection-over-union of two rectangles in [0, 1].
-func IoU(a, b Rect) float64 {
-	ix := max(a.X, b.X)
-	iy := max(a.Y, b.Y)
-	ix2 := min(a.X+a.W, b.X+b.W)
-	iy2 := min(a.Y+a.H, b.Y+b.H)
-	iw := ix2 - ix
-	ih := iy2 - iy
-	if iw <= 0 || ih <= 0 {
-		return 0
-	}
-	inter := iw * ih
-	union := a.Area() + b.Area() - inter
-	if union <= 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
 
 // stackPool holds ConnectedComponents' work stack.
 var stackPool par.SlicePool[int32]

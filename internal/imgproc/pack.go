@@ -108,12 +108,6 @@ func (p *ShelfPacker) Place(w, h int) (x, y int, ok bool) {
 	return 0, ny, true
 }
 
-// Used reports the canvas area consumed so far (full shelves plus the
-// open shelf), for occupancy accounting.
-func (p *ShelfPacker) Used() int {
-	return (p.shelfY + p.shelfH) * p.W
-}
-
 // CoverFrac returns the fraction of r's area covered by the best single
 // rectangle in rects (no union: an object split across two crops is
 // honestly truncated, which is exactly the accuracy cost consolidation

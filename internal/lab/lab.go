@@ -77,15 +77,9 @@ func TrainCamera(cfg vidgen.Config, trainFrames int) (*Camera, error) {
 // through the collector a frame at a time, so what is held is the corpus,
 // not the clip.
 func trainCamera(cfg vidgen.Config, trainFrames int) (*Camera, error) {
-	set := train.NewSet(detect.NewOracle(detect.DefaultOracleConfig()), cfg.Target)
-	set.AddFrom(vidgen.New(cfg), trainFrames)
-	sdd, err := train.FitSDD(set)
+	sdd, snm, err := train.Fit(vidgen.New(cfg), trainFrames, detect.NewOracle(detect.DefaultOracleConfig()), cfg.Target)
 	if err != nil {
-		return nil, fmt.Errorf("lab: fit SDD: %w", err)
-	}
-	snm, err := train.TrainSNM(set, train.DefaultSNMConfig())
-	if err != nil {
-		return nil, fmt.Errorf("lab: train SNM: %w", err)
+		return nil, fmt.Errorf("lab: %w", err)
 	}
 	return &Camera{Template: cfg, SDD: sdd, SNM: snm}, nil
 }

@@ -150,34 +150,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.Max()
 }
 
-// Bucket is one exported histogram bucket: the count of observations at
-// or below UpperBound (and above the previous bucket's bound).
-type Bucket struct {
-	UpperBound time.Duration `json:"le"`
-	Count      int64         `json:"count"`
-}
-
-// Buckets exports the non-empty buckets, smallest bound first. The
-// overflow bucket (observations beyond the last bound) reports the
-// maximum observation as its bound.
-func (h *Histogram) Buckets() []Bucket {
-	var out []Bucket
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			continue
-		}
-		b := Bucket{Count: n}
-		if i < len(h.bounds) {
-			b.UpperBound = h.bounds[i]
-		} else {
-			b.UpperBound = h.Max()
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
 // String summarizes the distribution.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",

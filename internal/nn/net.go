@@ -119,13 +119,6 @@ func (n *Net) Params() []*Param {
 	return ps
 }
 
-// ZeroGrad clears all accumulated gradients.
-func (n *Net) ZeroGrad() {
-	for _, p := range n.Params() {
-		p.Grad.Zero()
-	}
-}
-
 // String describes the architecture.
 func (n *Net) String() string {
 	s := "net["

@@ -332,21 +332,6 @@ func TestLoadWeightsRejectsWrongArch(t *testing.T) {
 	}
 }
 
-func TestReshape(t *testing.T) {
-	x := NewTensor(2, 3)
-	y := x.Reshape(3, 2)
-	y.Data[0] = 7
-	if x.Data[0] != 7 {
-		t.Fatal("Reshape must share storage")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on bad reshape")
-		}
-	}()
-	x.Reshape(4, 4)
-}
-
 func TestDeterministicInit(t *testing.T) {
 	a := snmNet(rand.New(rand.NewSource(42)), 20)
 	b := snmNet(rand.New(rand.NewSource(42)), 20)
@@ -360,6 +345,8 @@ func TestDeterministicInit(t *testing.T) {
 	}
 }
 
+// TestZeroGrad: SGD.Step clears every gradient it applies, so a training
+// loop needs no separate zeroing pass between steps.
 func TestZeroGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	net := snmNet(rng, 20)
@@ -379,11 +366,11 @@ func TestZeroGrad(t *testing.T) {
 	if !nonZero {
 		t.Fatal("backward produced no gradients")
 	}
-	net.ZeroGrad()
+	NewSGD(0.05, 0.9).Step(net.Params())
 	for _, p := range net.Params() {
 		for _, g := range p.Grad.Data {
 			if g != 0 {
-				t.Fatal("ZeroGrad left residue")
+				t.Fatal("SGD.Step left a gradient behind")
 			}
 		}
 	}

@@ -40,27 +40,11 @@ func NewTensor(shape ...int) *Tensor {
 // Len returns the total element count.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Clone returns a deep copy of the tensor.
 func (t *Tensor) Clone() *Tensor {
 	c := NewTensor(t.Shape...)
 	copy(c.Data, t.Data)
 	return c
-}
-
-// Reshape returns a view with a new shape covering the same data. It
-// panics if element counts differ.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("nn: reshape %v -> %v changes element count", t.Shape, shape))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
 }
 
 // Zero sets all elements to zero.

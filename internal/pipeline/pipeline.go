@@ -203,8 +203,6 @@ type StreamSpec struct {
 	Frames int
 	// FPS paces online ingest (default 30).
 	FPS int
-	// StartAt delays the stream's first frame (cluster admission).
-	StartAt time.Duration
 
 	SDD *filters.SDD
 	SNM *filters.SNM

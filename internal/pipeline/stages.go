@@ -178,9 +178,6 @@ func (s *System) Run() *Report {
 // taken undrawn; sddStage draws them.
 func (s *System) prefetch(st *streamState) {
 	clk := s.cfg.Clock
-	if st.spec.StartAt > 0 {
-		clk.Sleep(st.spec.StartAt)
-	}
 	interval := time.Second / time.Duration(st.spec.FPS)
 	epoch := clk.Now()
 	fsrc, fallible := st.spec.Source.(FallibleSource)

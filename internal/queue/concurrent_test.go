@@ -167,8 +167,8 @@ func TestConcurrentStatsReaders(t *testing.T) {
 					t.Errorf("inconsistent stats: %+v", st)
 				case int64(st.Depth) != st.Puts-st.Gets:
 					t.Errorf("depth %d but %d puts - %d gets", st.Depth, st.Puts, st.Gets)
-				case st.Depth != q.Len() || q.Full() != (st.Depth >= st.Cap):
-					t.Errorf("stats %+v disagree with Len %d / Full %v", st, q.Len(), q.Full())
+				case st.Depth != q.Len() || (q.Len() >= q.Cap()) != (st.Depth >= st.Cap):
+					t.Errorf("stats %+v disagree with Len %d / Cap %d", st, q.Len(), q.Cap())
 				case st.Closed != q.Closed() || q.Drained() != (st.Closed && st.Depth == 0):
 					t.Errorf("stats %+v disagree with Closed %v / Drained %v", st, q.Closed(), q.Drained())
 				}

@@ -90,9 +90,6 @@ func (q *Queue[T]) Cap() int { return q.cap }
 // Len returns the current depth.
 func (q *Queue[T]) Len() int { return q.items.Len() }
 
-// Full reports whether the queue is at its depth threshold.
-func (q *Queue[T]) Full() bool { return q.items.Len() >= q.cap }
-
 // Stats returns accumulated accounting plus the queue's current depth,
 // capacity and closed state.
 func (q *Queue[T]) Stats() Stats {

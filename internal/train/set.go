@@ -16,40 +16,28 @@ import (
 type Sample struct {
 	Plane *imgproc.Gray
 	Input *nn.Tensor
-	// Has[j] is true when the reference model found an object of the
-	// set's class j.
-	Has []bool
+	// Has is true when the reference model found an object of the set's
+	// class.
+	Has bool
 	// Empty is true when the reference model found nothing at all (a pure
 	// background frame, usable for the SDD reference).
 	Empty bool
 }
 
-// HasAny reports whether the reference model found any of the set's
-// classes.
-func (s Sample) HasAny() bool {
-	for _, h := range s.Has {
-		if h {
-			return true
-		}
-	}
-	return false
-}
-
 // Set is the training corpus of one stream, collected a frame at a time
 // in capture order. The §4.1 procedure labels each frame with the
-// reference model (YOLOv2 in the paper, the oracle here) for one target
-// class, or for several (§5.5's multiple-target case), and everything
-// downstream — FitSDD, TrainSNM, TrainMultiSNM — reads the set, never a
-// frame.
+// reference model (YOLOv2 in the paper, the oracle here) for the stream's
+// target class, and everything downstream — FitSDD, TrainSNM — reads the
+// set, never a frame.
 type Set struct {
-	Classes []frame.Class
+	Class   frame.Class
 	Samples []Sample
 	ref     detect.Detector
 }
 
-// NewSet returns an empty corpus labelled by ref for the given classes.
-func NewSet(ref detect.Detector, classes ...frame.Class) *Set {
-	return &Set{Classes: classes, ref: ref}
+// NewSet returns an empty corpus labelled by ref for class.
+func NewSet(ref detect.Detector, class frame.Class) *Set {
+	return &Set{Class: class, ref: ref}
 }
 
 // Add labels f, keeps its Sample and releases f: a frame handed to the
@@ -58,17 +46,13 @@ func NewSet(ref detect.Detector, classes ...frame.Class) *Set {
 // frames may be added). Truth, which is not pooled, stays readable.
 func (s *Set) Add(f *frame.Frame) {
 	dets := s.ref.Detect(f)
-	has := make([]bool, len(s.Classes))
-	for j, c := range s.Classes {
-		has[j] = detect.Count(dets, c, 0.5) > 0
-	}
 	img := imgproc.FromFrame(f)
 	small := imgproc.GetGray(filters.SNMSize, filters.SNMSize)
 	imgproc.ResizeInto(img, small)
 	s.Samples = append(s.Samples, Sample{
 		Plane: imgproc.Resize(img, filters.SDDSize, filters.SDDSize),
 		Input: filters.GrayInput(small),
-		Has:   has,
+		Has:   detect.Count(dets, s.Class, 0.5) > 0,
 		Empty: len(dets) == 0,
 	})
 	small.Release()

@@ -13,11 +13,32 @@ import (
 	"math/rand"
 	"sort"
 
+	"ffsva/internal/detect"
 	"ffsva/internal/filters"
 	"ffsva/internal/frame"
 	"ffsva/internal/imgproc"
 	"ffsva/internal/nn"
 )
+
+// Fit is the whole §4.1 procedure for one stream: it labels the next n
+// frames of src with ref for target, then fits the SDD and trains the SNM
+// on them. The frames stream through a Set and are released as they are
+// read. A camera is trained this way once, and again after its scene
+// changes (package drift); the paper quotes about an hour of wall time
+// for a retraining on its hardware.
+func Fit(src Source, n int, ref detect.Detector, target frame.Class) (SDDFit, SNMResult, error) {
+	set := NewSet(ref, target)
+	set.AddFrom(src, n)
+	sdd, err := FitSDD(set)
+	if err != nil {
+		return SDDFit{}, SNMResult{}, err
+	}
+	snm, err := TrainSNM(set)
+	if err != nil {
+		return SDDFit{}, SNMResult{}, err
+	}
+	return sdd, snm, nil
+}
 
 // SDDFit is the trained difference detector state.
 type SDDFit struct {
@@ -60,7 +81,7 @@ func FitSDD(set *Set) (SDDFit, error) {
 		d := filters.Distance(s.Plane, ref, filters.MetricMSE, true)
 		if s.Empty {
 			bgD = append(bgD, d)
-		} else if s.HasAny() {
+		} else if s.Has {
 			targetD = append(targetD, d)
 		}
 	}
@@ -82,22 +103,18 @@ func FitSDD(set *Set) (SDDFit, error) {
 	return SDDFit{Ref: ref, Delta: delta}, nil
 }
 
-// SNMConfig controls SNM training.
-type SNMConfig struct {
-	Seed      int64
-	Epochs    int
-	BatchSize int
-	LR        float32
-	Momentum  float32
-	// TestFraction of samples is held out for threshold selection.
-	TestFraction float64
-}
-
-// DefaultSNMConfig returns the training configuration used across the
-// evaluation.
-func DefaultSNMConfig() SNMConfig {
-	return SNMConfig{Seed: 1, Epochs: 4, BatchSize: 16, LR: 0.05, Momentum: 0.9, TestFraction: 0.3}
-}
+// The SNM training settings, fixed across the evaluation: the seed of the
+// weight initialisation and batch sampling, the passes over the training
+// split, the batch size, SGD's learning rate and momentum, and the share
+// of samples held out for threshold selection.
+const (
+	snmSeed         = 1
+	snmEpochs       = 4
+	snmBatch        = 16
+	snmLR           = 0.05
+	snmMomentum     = 0.9
+	snmTestFraction = 0.3
+)
 
 // SNMResult is a trained stream-specialized model with its selected
 // thresholds and held-out accuracy.
@@ -107,114 +124,66 @@ type SNMResult struct {
 	TestAccuracy float64
 }
 
-// MultiSNMResult is a trained multi-output SNM with per-class thresholds,
-// for the paper's §5.5 multiple-target-objects case ("the structure of
-// the specialized network model only needs to be changed to support the
-// identification of all the target objects").
-type MultiSNMResult struct {
-	Net     *nn.Net
-	Classes []frame.Class
-	// CLow/CHigh are per-class threshold bands.
-	CLow, CHigh []float64
-	// TestAccuracy is the per-class held-out accuracy.
-	TestAccuracy []float64
-}
-
 // NewSNMNet builds the paper's SNM topology (CONV, CONV, FC) for
-// SNMSize×SNMSize inputs.
-func NewSNMNet(rng *rand.Rand) *nn.Net { return NewMultiSNMNet(rng, 1) }
-
-// NewMultiSNMNet builds the SNM topology with one output logit per class.
-func NewMultiSNMNet(rng *rand.Rand, classes int) *nn.Net {
+// SNMSize×SNMSize inputs, with one output logit.
+func NewSNMNet(rng *rand.Rand) *nn.Net {
 	c1 := nn.NewConv2D(rng, 1, 6, 5, 3, 2)
 	h1, w1 := c1.OutSize(filters.SNMSize, filters.SNMSize)
 	c2 := nn.NewConv2D(rng, 6, 12, 3, 2, 1)
 	h2, w2 := c2.OutSize(h1, w1)
-	return nn.NewNet(c1, &nn.ReLU{}, c2, &nn.ReLU{}, nn.NewDense(rng, 12*h2*w2, classes))
+	return nn.NewNet(c1, &nn.ReLU{}, c2, &nn.ReLU{}, nn.NewDense(rng, 12*h2*w2, 1))
 }
 
-// TrainSNM trains a fresh SNM on a single-target set and selects
-// clow/chigh on the held-out split: clow below almost all positive
-// scores, chigh above almost all negative scores, giving the uncertainty
-// band FilterDegree interpolates (paper §4.2.1). It is the one-class case
-// of TrainMultiSNM: the pools are the positives and the negatives,
-// sampled alternately.
-func TrainSNM(set *Set, cfg SNMConfig) (SNMResult, error) {
-	if len(set.Classes) != 1 {
-		return SNMResult{}, fmt.Errorf("train: TrainSNM wants a single-target set, have %d classes", len(set.Classes))
-	}
-	m, err := TrainMultiSNM(set, cfg)
-	if err != nil {
-		return SNMResult{}, err
-	}
-	return SNMResult{Net: m.Net, CLow: m.CLow[0], CHigh: m.CHigh[0], TestAccuracy: m.TestAccuracy[0]}, nil
-}
-
-// TrainMultiSNM trains a multi-label SNM: one sigmoid output per class of
-// the set, binary cross-entropy summed across classes, thresholds
-// selected per class on the held-out split.
-func TrainMultiSNM(set *Set, cfg SNMConfig) (MultiSNMResult, error) {
-	if cfg.BatchSize <= 0 || cfg.Epochs <= 0 {
-		return MultiSNMResult{}, fmt.Errorf("train: invalid config %+v", cfg)
-	}
-	if len(set.Classes) == 0 {
-		return MultiSNMResult{}, fmt.Errorf("train: no classes")
-	}
-	k := len(set.Classes)
+// TrainSNM trains a fresh SNM on the set and selects clow/chigh on the
+// held-out split: clow below almost all positive scores, chigh above
+// almost all negative scores, giving the uncertainty band FilterDegree
+// interpolates (paper §4.2.1).
+func TrainSNM(set *Set) (SNMResult, error) {
 	var trainSet, testSet []Sample
 	for i, s := range set.Samples {
-		if len(s.Has) != k {
-			return MultiSNMResult{}, fmt.Errorf("train: label arity %d != classes %d", len(s.Has), k)
-		}
 		// Deterministic interleaved split.
-		if float64(i%100)/100 < cfg.TestFraction {
+		if float64(i%100)/100 < snmTestFraction {
 			testSet = append(testSet, s)
 		} else {
 			trainSet = append(trainSet, s)
 		}
 	}
-	// Per-class pools for balanced sampling; the negative pool holds
-	// frames with no class at all.
-	pools := make([][]Sample, k+1)
+	if len(testSet) == 0 {
+		return SNMResult{}, fmt.Errorf("train: empty test split")
+	}
+	// Positives and negatives are sampled alternately, so a rare target
+	// (low TOR) still fills half of every batch.
+	var pools [2][]Sample
 	for _, s := range trainSet {
-		for j, h := range s.Has {
-			if h {
-				pools[j] = append(pools[j], s)
-			}
-		}
-		if !s.HasAny() {
-			pools[k] = append(pools[k], s)
+		if s.Has {
+			pools[0] = append(pools[0], s)
+		} else {
+			pools[1] = append(pools[1], s)
 		}
 	}
-	for j, pool := range pools {
-		if len(pool) == 0 {
-			return MultiSNMResult{}, fmt.Errorf("train: need every class and its absence, but class pool %d of %d is empty", j, k+1)
-		}
+	if len(pools[0]) == 0 || len(pools[1]) == 0 {
+		return SNMResult{}, fmt.Errorf("train: need positives and negatives, have %d and %d", len(pools[0]), len(pools[1]))
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	net := NewMultiSNMNet(rng, k)
-	opt := nn.NewSGD(cfg.LR, cfg.Momentum)
+	rng := rand.New(rand.NewSource(snmSeed))
+	net := NewSNMNet(rng)
+	opt := nn.NewSGD(snmLR, snmMomentum)
 	params := net.Params()
 	// One batch, label and loss-gradient buffer for the whole pass; with
 	// the layers' own (nn.Layer), a step allocates no tensor.
 	const inLen = filters.SNMSize * filters.SNMSize
-	xb := nn.NewTensor(cfg.BatchSize, 1, filters.SNMSize, filters.SNMSize)
-	yb := make([]float32, cfg.BatchSize*k)
-	grad := nn.NewTensor(cfg.BatchSize, k)
-	steps := cfg.Epochs * (len(trainSet) + cfg.BatchSize - 1) / cfg.BatchSize
+	xb := nn.NewTensor(snmBatch, 1, filters.SNMSize, filters.SNMSize)
+	yb := make([]float32, snmBatch)
+	grad := nn.NewTensor(snmBatch, 1)
+	steps := snmEpochs * (len(trainSet) + snmBatch - 1) / snmBatch
 	for step := 0; step < steps; step++ {
 		clear(yb)
-		for s := 0; s < cfg.BatchSize; s++ {
-			// Class-balanced sampling: rotate the pools, so rare targets
-			// (low TOR) still train their class.
-			pool := pools[s%(k+1)]
+		for s := 0; s < snmBatch; s++ {
+			pool := pools[s%2]
 			smp := pool[rng.Intn(len(pool))]
 			copy(xb.Data[s*inLen:(s+1)*inLen], smp.Input.Data)
-			for j, h := range smp.Has {
-				if h {
-					yb[s*k+j] = 1
-				}
+			if smp.Has {
+				yb[s] = 1
 			}
 		}
 		nn.SigmoidBCE(net.Forward(xb), yb, grad)
@@ -223,47 +192,37 @@ func TrainMultiSNM(set *Set, cfg SNMConfig) (MultiSNMResult, error) {
 	}
 
 	// Threshold selection on the held-out split.
-	if len(testSet) == 0 {
-		return MultiSNMResult{}, fmt.Errorf("train: empty test split")
+	var pos, neg []float64
+	correct := 0
+	for _, s := range testSet {
+		out := net.Infer(s.Input)
+		p := float64(nn.Sigmoid(out.Data[0]))
+		out.Release()
+		if s.Has {
+			pos = append(pos, p)
+		} else {
+			neg = append(neg, p)
+		}
+		if (p > 0.5) == s.Has {
+			correct++
+		}
 	}
-	res := MultiSNMResult{
+	lo, hi := 0.25, 0.75
+	if len(pos) > 0 {
+		lo = quantile(pos, 0.02)
+	}
+	if len(neg) > 0 {
+		hi = quantile(neg, 0.98)
+	}
+	return SNMResult{
 		// The weights without the training pass's buffers (3.6 MB on the
 		// SNM's shapes): the result lives, and its streams infer on it, for
 		// as long as the camera does.
-		Net: net.Clone(), Classes: append([]frame.Class(nil), set.Classes...),
-		CLow: make([]float64, k), CHigh: make([]float64, k),
-		TestAccuracy: make([]float64, k),
-	}
-	pos := make([][]float64, k)
-	neg := make([][]float64, k)
-	correct := make([]int, k)
-	for _, s := range testSet {
-		out := net.Infer(s.Input)
-		for j := 0; j < k; j++ {
-			p := float64(nn.Sigmoid(out.Data[j]))
-			if s.Has[j] {
-				pos[j] = append(pos[j], p)
-			} else {
-				neg[j] = append(neg[j], p)
-			}
-			if (p > 0.5) == s.Has[j] {
-				correct[j]++
-			}
-		}
-		out.Release()
-	}
-	for j := 0; j < k; j++ {
-		res.TestAccuracy[j] = float64(correct[j]) / float64(len(testSet))
-		lo, hi := 0.25, 0.75
-		if len(pos[j]) > 0 {
-			lo = quantile(pos[j], 0.02)
-		}
-		if len(neg[j]) > 0 {
-			hi = quantile(neg[j], 0.98)
-		}
-		res.CLow[j], res.CHigh[j] = min(lo, hi), max(lo, hi)
-	}
-	return res, nil
+		Net:          net.Clone(),
+		CLow:         min(lo, hi),
+		CHigh:        max(lo, hi),
+		TestAccuracy: float64(correct) / float64(len(testSet)),
+	}, nil
 }
 
 // quantile returns the q-quantile of xs (copied and sorted); q is clamped

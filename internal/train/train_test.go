@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ffsva/internal/detect"
@@ -14,11 +15,11 @@ import (
 	"ffsva/internal/vidgen"
 )
 
-// collect builds a training corpus from a synthetic stream, returning
+// collect builds a training corpus for the stream's target, returning
 // each frame's ground truth alongside (the set keeps no frame).
-func collect(cfg vidgen.Config, n int, classes ...frame.Class) (*Set, []*frame.Annotation) {
+func collect(cfg vidgen.Config, n int) (*Set, []*frame.Annotation) {
 	src := vidgen.New(cfg)
-	set := NewSet(detect.NewOracle(detect.DefaultOracleConfig()), classes...)
+	set := NewSet(detect.NewOracle(detect.DefaultOracleConfig()), cfg.Target)
 	truth := make([]*frame.Annotation, n)
 	for i := range truth {
 		f := src.Next()
@@ -28,18 +29,18 @@ func collect(cfg vidgen.Config, n int, classes ...frame.Class) (*Set, []*frame.A
 	return set, truth
 }
 
-// makeSet is collect for a single-target corpus, labels only.
+// makeSet is collect without the ground truth.
 func makeSet(cfg vidgen.Config, n int) *Set {
-	set, _ := collect(cfg, n, cfg.Target)
+	set, _ := collect(cfg, n)
 	return set
 }
 
 func TestLabelAgreesWithTruth(t *testing.T) {
 	cfg := vidgen.Small(21, frame.ClassCar, 0.3)
-	set, truth := collect(cfg, 1000, cfg.Target)
+	set, truth := collect(cfg, 1000)
 	agree := 0
 	for i, s := range set.Samples {
-		if s.Has[0] == (truth[i].TargetCount(frame.ClassCar) > 0) {
+		if s.Has == (truth[i].TargetCount(frame.ClassCar) > 0) {
 			agree++
 		}
 	}
@@ -142,17 +143,11 @@ func TestFitSDDSeparatesBackground(t *testing.T) {
 
 func TestFitSDDNoBackgroundFrames(t *testing.T) {
 	cfg := vidgen.Small(23, frame.ClassPerson, 1.0)
-	cfg.CrowdProb = 1
 	set := makeSet(cfg, 200)
-	// At TOR 1.0 with constant crowds there may be no empty frames.
-	hasEmpty := false
-	for _, s := range set.Samples {
-		if s.Empty {
-			hasEmpty = true
-		}
-	}
-	if hasEmpty {
-		t.Skip("stream produced empty frames; error path not reachable")
+	// Even a TOR 1.0 stream has empty frames between scenes, so mark
+	// them all as holding something.
+	for i := range set.Samples {
+		set.Samples[i].Empty = false
 	}
 	if _, err := FitSDD(set); err == nil {
 		t.Fatal("expected error with no background frames")
@@ -161,7 +156,7 @@ func TestFitSDDNoBackgroundFrames(t *testing.T) {
 
 func TestTrainSNMLearnsStream(t *testing.T) {
 	cfg := vidgen.Small(24, frame.ClassCar, 0.3)
-	res, err := TrainSNM(makeSet(cfg, 1200), DefaultSNMConfig())
+	res, err := TrainSNM(makeSet(cfg, 1200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,30 +208,43 @@ func TestTrainSNMLearnsStream(t *testing.T) {
 func TestTrainSNMRequiresBothClasses(t *testing.T) {
 	cfg := vidgen.Small(25, frame.ClassCar, 0.0)
 	set := makeSet(cfg, 300)
-	for _, s := range set.Samples {
-		s.Has[0] = false // force a single-class corpus
+	for i := range set.Samples {
+		set.Samples[i].Has = false // force a corpus without positives
 	}
-	if _, err := TrainSNM(set, DefaultSNMConfig()); err == nil {
-		t.Fatal("expected error training with a single class")
+	if _, err := TrainSNM(set); err == nil {
+		t.Fatal("expected error training without positives")
 	}
 }
 
-func TestTrainSNMInvalidConfig(t *testing.T) {
-	cfg := DefaultSNMConfig()
-	cfg.Epochs = 0
-	if _, err := TrainSNM(NewSet(nil, frame.ClassCar), cfg); err == nil {
-		t.Fatal("expected error for invalid config")
+func TestTrainSNMRequiresNegatives(t *testing.T) {
+	cfg := vidgen.Small(25, frame.ClassCar, 0.3)
+	set := makeSet(cfg, 300)
+	for i := range set.Samples {
+		set.Samples[i].Has = true // force a corpus without negatives
+	}
+	if _, err := TrainSNM(set); err == nil {
+		t.Fatal("expected error training without negatives")
+	}
+}
+
+// TestTrainSNMEmptyTestSplit: every set of at least one sample holds a
+// test sample (the split sends index 0 there), so only an empty set has
+// nothing to select thresholds on.
+func TestTrainSNMEmptyTestSplit(t *testing.T) {
+	set := NewSet(detect.NewOracle(detect.DefaultOracleConfig()), frame.ClassCar)
+	if _, err := TrainSNM(set); err == nil || !strings.Contains(err.Error(), "empty test split") {
+		t.Fatalf("empty set: error %v, want an empty test split", err)
 	}
 }
 
 func TestTrainSNMDeterministic(t *testing.T) {
 	cfg := vidgen.Small(26, frame.ClassCar, 0.3)
 	set := makeSet(cfg, 600)
-	a, err := TrainSNM(set, DefaultSNMConfig())
+	a, err := TrainSNM(set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TrainSNM(set, DefaultSNMConfig())
+	b, err := TrainSNM(set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,58 +276,45 @@ func TestQuantile(t *testing.T) {
 
 // TestCloneNet checks that a clone of a trainer-built network (the
 // reference the nn tests hold shared inference to) computes the source's
-// outputs bit for bit and shares no parameter with it, for the
-// single-logit SNM and the multi-class one (whose shape the old
-// save-and-reload clone could not rebuild).
+// outputs bit for bit and shares no parameter with it.
 func TestCloneNet(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for name, src := range map[string]*nn.Net{
-		"snm":       NewSNMNet(rng),
-		"multi_snm": NewMultiSNMNet(rng, 3),
-	} {
-		clone := src.Clone()
-		infer := func(n *nn.Net, x *nn.Tensor) []uint32 {
-			out := n.Infer(x)
-			defer out.Release()
-			bits := make([]uint32, len(out.Data))
-			for i, v := range out.Data {
-				bits[i] = math.Float32bits(v)
-			}
-			return bits
+	src := NewSNMNet(rng)
+	clone := src.Clone()
+	infer := func(n *nn.Net, x *nn.Tensor) uint32 {
+		out := n.Infer(x)
+		defer out.Release()
+		return math.Float32bits(out.Data[0])
+	}
+	inputs := make([]*nn.Tensor, 50)
+	for i := range inputs {
+		x := nn.NewTensor(1, 1, filters.SNMSize, filters.SNMSize)
+		for j := range x.Data {
+			x.Data[j] = rng.Float32()
 		}
-		inputs := make([]*nn.Tensor, 50)
-		for i := range inputs {
-			x := nn.NewTensor(1, 1, filters.SNMSize, filters.SNMSize)
-			for j := range x.Data {
-				x.Data[j] = rng.Float32()
-			}
-			inputs[i] = x
-			want, got := infer(src, x), infer(clone, x)
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("%s: input %d logit %d: clone %08x, source %08x", name, i, j, got[j], want[j])
-				}
-			}
+		inputs[i] = x
+		if want, got := infer(src, x), infer(clone, x); got != want {
+			t.Fatalf("input %d: clone %08x, source %08x", i, got, want)
 		}
-		// A write to either net's weights must not show in the other.
-		before := infer(src, inputs[0])
-		for _, p := range clone.Params() {
-			for j := range p.Val.Data {
-				p.Val.Data[j] += 1
-			}
+	}
+	// A write to either net's weights must not show in the other.
+	before := infer(src, inputs[0])
+	for _, p := range clone.Params() {
+		for j := range p.Val.Data {
+			p.Val.Data[j] += 1
 		}
-		if after := infer(src, inputs[0]); after[0] != before[0] {
-			t.Errorf("%s: writing the clone's weights changed the source's output", name)
-		}
-		if moved := infer(clone, inputs[0]); moved[0] == before[0] {
-			t.Errorf("%s: the clone ignores its own weights", name)
-		}
-		kept := infer(clone, inputs[1])
-		for _, p := range src.Params() {
-			p.Val.Zero()
-		}
-		if after := infer(clone, inputs[1]); after[0] != kept[0] {
-			t.Errorf("%s: writing the source's weights changed the clone's output", name)
-		}
+	}
+	if after := infer(src, inputs[0]); after != before {
+		t.Error("writing the clone's weights changed the source's output")
+	}
+	if moved := infer(clone, inputs[0]); moved == before {
+		t.Error("the clone ignores its own weights")
+	}
+	kept := infer(clone, inputs[1])
+	for _, p := range src.Params() {
+		p.Val.Zero()
+	}
+	if after := infer(clone, inputs[1]); after != kept {
+		t.Error("writing the source's weights changed the clone's output")
 	}
 }

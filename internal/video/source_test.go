@@ -60,7 +60,7 @@ func TestFileSourceThroughPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snmRes, err := train.TrainSNM(set, train.DefaultSNMConfig())
+	snmRes, err := train.TrainSNM(set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,12 +73,6 @@ type Config struct {
 	// invalidates the stream-specialized models.
 	SceneSwitchFrame  int
 	SceneSwitchBGSeed int64
-	// SecondaryClass and MixProb populate scenes with a second object
-	// class (each spawned scene object flips to SecondaryClass with
-	// probability MixProb) — the paper's §5.5 multiple-target-objects
-	// case, which requires a multi-output SNM.
-	SecondaryClass frame.Class
-	MixProb        float64
 }
 
 // Jackson returns a preset mirroring the paper's Jackson workload
@@ -354,12 +348,7 @@ func (s *Stream) spawnScene() []*object {
 	objs := make([]*object, 0, n+1)
 	fromLeft := s.rng.Intn(2) == 0
 	for i := 0; i < n; i++ {
-		class := s.cfg.Target
-		if s.cfg.MixProb > 0 && s.cfg.SecondaryClass != frame.ClassNone && s.rng.Float64() < s.cfg.MixProb {
-			class = s.cfg.SecondaryClass
-		}
-		o := s.newObject(class, fromLeft, crowd)
-		objs = append(objs, o)
+		objs = append(objs, s.newObject(s.cfg.Target, fromLeft, crowd))
 	}
 	if s.rng.Float64() < s.cfg.DistractorProb {
 		objs = append(objs, s.newObject(s.distractorClass(), !fromLeft, false))
