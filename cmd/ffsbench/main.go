@@ -6,13 +6,9 @@
 // Usage:
 //
 //	ffsbench [-scale quick|full] [-only table1,fig3,...] [-o out.txt]
-//	         [-metrics 500ms] [-metrics-json]
 //
 // The quick scale (default) preserves every experiment's shape in a few
-// minutes; full mirrors the paper's run sizes. The "metrics" job runs an
-// instrumented online configuration and tabulates the pipeline's snapshot
-// timeline; -metrics sets the sampling interval and -metrics-json also
-// dumps every raw snapshot as a JSON line.
+// minutes; full mirrors the paper's run sizes.
 package main
 
 import (
@@ -25,7 +21,6 @@ import (
 	"time"
 
 	"ffsva/internal/experiments"
-	"ffsva/internal/pipeline"
 )
 
 // tabler is any experiment result that renders to tables.
@@ -36,40 +31,30 @@ type tables []*experiments.Table
 
 func (t tables) Tables() []*experiments.Table { return t }
 
-// jobEnv is what a job reads besides the scale: the metrics job's
-// sampling settings and the output it dumps raw snapshots to.
-type jobEnv struct {
-	scale        experiments.Scale
-	metricsEvery time.Duration
-	metricsJSON  bool
-	out          io.Writer
-}
-
 // job is one table-producing experiment, selected by id with -only.
 type job struct {
 	id  string
-	run func(jobEnv) (tabler, error)
+	run func(experiments.Scale) (tabler, error)
 }
 
 // jobs lists every job in output order.
 var jobs = []job{
-	{"headline", func(e jobEnv) (tabler, error) { return experiments.RunHeadline(e.scale) }},
-	{"table1", func(e jobEnv) (tabler, error) { return experiments.Table1(e.scale) }},
-	{"fig3", func(e jobEnv) (tabler, error) { return experiments.Fig3(e.scale) }},
-	{"fig4", func(e jobEnv) (tabler, error) { return experiments.Fig4(e.scale) }},
-	{"fig5", func(e jobEnv) (tabler, error) { return experiments.Fig5(e.scale) }},
-	{"fig6a", func(e jobEnv) (tabler, error) { return experiments.Fig6a(e.scale) }},
-	{"fig6b", func(e jobEnv) (tabler, error) { return experiments.Fig6b(e.scale) }},
-	{"fig7", func(e jobEnv) (tabler, error) { return experiments.Fig7(e.scale) }},
-	{"fig8", func(e jobEnv) (tabler, error) { return experiments.Fig8(e.scale) }},
-	{"table2", func(e jobEnv) (tabler, error) { return experiments.Table2(e.scale) }},
-	{"fig9", func(e jobEnv) (tabler, error) { return experiments.Fig9(e.scale) }},
-	{"fig10", func(e jobEnv) (tabler, error) { return experiments.Fig10(e.scale) }},
-	{"ablations", func(e jobEnv) (tabler, error) { return runAblations(e.scale) }},
-	{"extensions", func(e jobEnv) (tabler, error) { return runExtensions(e.scale) }},
-	{"metrics", func(e jobEnv) (tabler, error) { return runMetrics(e.scale, e.metricsEvery, e.metricsJSON, e.out) }},
-	{"cluster", func(e jobEnv) (tabler, error) { return runClusterBench(e.scale) }},
-	{"consolidate", func(e jobEnv) (tabler, error) { return runConsolidateBench(e.scale) }},
+	{"headline", func(s experiments.Scale) (tabler, error) { return experiments.RunHeadline(s) }},
+	{"table1", func(s experiments.Scale) (tabler, error) { return experiments.Table1(s) }},
+	{"fig3", func(s experiments.Scale) (tabler, error) { return experiments.Fig3(s) }},
+	{"fig4", func(s experiments.Scale) (tabler, error) { return experiments.Fig4(s) }},
+	{"fig5", func(s experiments.Scale) (tabler, error) { return experiments.Fig5(s) }},
+	{"fig6a", func(s experiments.Scale) (tabler, error) { return experiments.Fig6a(s) }},
+	{"fig6b", func(s experiments.Scale) (tabler, error) { return experiments.Fig6b(s) }},
+	{"fig7", func(s experiments.Scale) (tabler, error) { return experiments.Fig7(s) }},
+	{"fig8", func(s experiments.Scale) (tabler, error) { return experiments.Fig8(s) }},
+	{"table2", func(s experiments.Scale) (tabler, error) { return experiments.Table2(s) }},
+	{"fig9", func(s experiments.Scale) (tabler, error) { return experiments.Fig9(s) }},
+	{"fig10", func(s experiments.Scale) (tabler, error) { return experiments.Fig10(s) }},
+	{"ablations", func(s experiments.Scale) (tabler, error) { return runAblations(s) }},
+	{"extensions", func(s experiments.Scale) (tabler, error) { return runExtensions(s) }},
+	{"cluster", func(s experiments.Scale) (tabler, error) { return runClusterBench(s) }},
+	{"consolidate", func(s experiments.Scale) (tabler, error) { return runConsolidateBench(s) }},
 }
 
 // jobIDs is the comma-separated list of every job id, in output order.
@@ -112,16 +97,14 @@ func main() {
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
 	only := flag.String("only", "", "comma-separated job ids to run (default all): "+jobIDs())
 	outPath := flag.String("o", "", "write output to file instead of stdout")
-	metricsEvery := flag.Duration("metrics", 500*time.Millisecond, "snapshot interval for the metrics job")
-	metricsJSON := flag.Bool("metrics-json", false, "also dump each metrics-job snapshot as a JSON line")
 	flag.Parse()
 
-	env := jobEnv{metricsEvery: *metricsEvery, metricsJSON: *metricsJSON, out: os.Stdout}
+	var scale experiments.Scale
 	switch *scaleFlag {
 	case "quick":
-		env.scale = experiments.QuickScale()
+		scale = experiments.QuickScale()
 	case "full":
-		env.scale = experiments.FullScale()
+		scale = experiments.FullScale()
 	default:
 		fmt.Fprintf(os.Stderr, "ffsbench: unknown scale %q\n", *scaleFlag)
 		os.Exit(2)
@@ -132,6 +115,7 @@ func main() {
 		os.Exit(2)
 	}
 
+	var out io.Writer = os.Stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
@@ -139,53 +123,27 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		env.out = f
+		out = f
 	}
 
-	fmt.Fprintf(env.out, "FFS-VA evaluation reproduction (scale=%s), started %s\n\n", env.scale.Name, time.Now().Format(time.RFC3339))
+	fmt.Fprintf(out, "FFS-VA evaluation reproduction (scale=%s), started %s\n\n", scale.Name, time.Now().Format(time.RFC3339))
 	failed := false
 	for _, j := range sel {
 		start := time.Now()
-		res, err := j.run(env)
+		res, err := j.run(scale)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ffsbench: %s: %v\n", j.id, err)
 			failed = true
 			continue
 		}
 		for _, t := range res.Tables() {
-			fmt.Fprintln(env.out, t)
+			fmt.Fprintln(out, t)
 		}
-		fmt.Fprintf(env.out, "(%s took %v)\n\n", j.id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out, "(%s took %v)\n\n", j.id, time.Since(start).Round(time.Millisecond))
 	}
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// runMetrics exercises the observability layer: an instrumented online
-// run sampled by the periodic monitor, tabulated as a snapshot timeline.
-// With asJSON each raw pipeline.Snapshot is also written as a JSON line.
-func runMetrics(scale experiments.Scale, every time.Duration, asJSON bool, out io.Writer) (tabler, error) {
-	res, err := experiments.ObservabilityTrace(scale, every)
-	if err != nil {
-		return nil, err
-	}
-	if asJSON {
-		for _, sn := range res.Samples {
-			fmt.Fprintln(out, sn.JSON())
-		}
-	}
-	if len(res.Samples) > 0 {
-		var peak pipeline.Snapshot
-		for _, sn := range res.Samples {
-			if sn.TYoloRate > peak.TYoloRate {
-				peak = sn
-			}
-		}
-		fmt.Fprintf(out, "metrics: peak shared T-YOLO rate %.1f fps at t=%v (spare threshold 140 fps)\n\n",
-			peak.TYoloRate, peak.At.Round(time.Millisecond))
-	}
-	return res, nil
 }
 
 func runAblations(scale experiments.Scale) (tabler, error) {

@@ -28,8 +28,9 @@
 //
 // Lower-level building blocks (the pipeline engine, the filters, the
 // synthetic workload generator, the discrete-event clock) live under
-// internal/ and are exercised through this API, the example programs in
-// examples/, and the benchmark harness in cmd/ffsbench.
+// internal/ and are exercised through this API, the ffsva command in
+// cmd/ffsva, the example program in examples/quickstart, and the
+// experiment harness in cmd/ffsbench.
 package ffsva
 
 import (

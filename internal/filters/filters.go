@@ -123,26 +123,24 @@ func NewSDD(ref *imgproc.Gray, delta float64, metric Metric) *SDD {
 }
 
 // Distance computes an SDD distance between an image and a reference of
-// equal size, optionally compensating the global illumination offset.
-// The trainer uses the same function when fitting δdiff, so thresholds
-// and runtime agree.
-func Distance(img, ref *imgproc.Gray, m Metric, compensateLum bool) float64 {
+// equal size after removing the global illumination offset (the mean
+// pixel difference), so a frame that is only brighter or darker than
+// the reference scores as background. The trainer uses the same function
+// when fitting δdiff, so thresholds and runtime agree.
+func Distance(img, ref *imgproc.Gray, m Metric) float64 {
 	if img.W != ref.W || img.H != ref.H {
 		panic("filters: Distance: size mismatch")
 	}
 	n := float64(len(img.Pix))
-	var offset float64
-	if compensateLum {
-		// Every partial sum of 8-bit differences is an integer far below
-		// 2⁵³, so the float64 sum was exact and an int one converts to
-		// the same value — without a float add chain.
-		sum := 0
-		refPix := ref.Pix[:len(img.Pix)]
-		for i, p := range img.Pix {
-			sum += int(p) - int(refPix[i])
-		}
-		offset = float64(sum) / n
+	// Every partial sum of 8-bit differences is an integer far below 2⁵³,
+	// so the float64 sum was exact and an int one converts to the same
+	// value — without a float add chain.
+	sum := 0
+	refPix := ref.Pix[:len(img.Pix)]
+	for i, p := range img.Pix {
+		sum += int(p) - int(refPix[i])
 	}
+	offset := float64(sum) / n
 	switch m {
 	case MetricSAD:
 		var sad float64
@@ -200,7 +198,7 @@ func (s *SDD) Process(f *frame.Frame) Verdict {
 		}
 	}
 	imgproc.ResizeInto(imgproc.FromFrame(f), s.small)
-	d := Distance(s.small, s.refImg, s.Metric, true)
+	d := Distance(s.small, s.refImg, s.Metric)
 	s.lastD = d
 	if d <= s.Delta {
 		// Background: adapt the reference, and re-round each cell while

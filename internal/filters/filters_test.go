@@ -111,7 +111,7 @@ func TestSDDLumCompensation(t *testing.T) {
 		t.Fatalf("global brightness shift passed (dist %v)", sdd.LastDistance())
 	}
 	// Without compensation it is a huge difference.
-	if d := Distance(flatGray(160), flatGray(100), MetricMSE, false); d <= 25 {
+	if d := imgproc.MSE(flatGray(160), flatGray(100)); d <= 25 {
 		t.Fatalf("uncompensated shift distance %v, want > 25", d)
 	}
 }
@@ -122,19 +122,25 @@ func TestDistanceKnownValues(t *testing.T) {
 	copy(a.Pix, []uint8{10, 30})
 	copy(b.Pix, []uint8{20, 20})
 	// Raw diffs: -10, +10; mean offset 0, so compensation is a no-op.
-	if got := Distance(a, b, MetricMSE, true); got != 100 {
+	if got := Distance(a, b, MetricMSE); got != 100 {
 		t.Fatalf("MSE = %v, want 100", got)
 	}
-	if got := Distance(a, b, MetricSAD, false); got != 20 {
+	if got := Distance(a, b, MetricSAD); got != 20 {
 		t.Fatalf("SAD = %v, want 20", got)
 	}
 	// Pure offset: compensated distance is zero.
 	copy(b.Pix, []uint8{60, 80})
-	if got := Distance(a, b, MetricMSE, true); got != 0 {
+	if got := Distance(a, b, MetricMSE); got != 0 {
 		t.Fatalf("compensated offset MSE = %v, want 0", got)
 	}
-	if got := Distance(a, b, MetricMSE, false); got != 2500 {
+	if got := imgproc.MSE(a, b); got != 2500 {
 		t.Fatalf("raw offset MSE = %v, want 2500", got)
+	}
+	if got := Distance(a, b, MetricSAD); got != 0 {
+		t.Fatalf("compensated offset SAD = %v, want 0", got)
+	}
+	if got := imgproc.SAD(a, b); got != 100 {
+		t.Fatalf("raw offset SAD = %v, want 100", got)
 	}
 }
 
@@ -320,24 +326,27 @@ func TestSDDOnSyntheticStream(t *testing.T) {
 	}
 }
 
-// TestUncompensatedDistanceIsMSE: with luminance compensation off,
-// Distance accumulates squared integer differences in a float64, every
-// partial sum of which is an exact integer, so it returns imgproc.MSE's
-// value bit for bit. Process relies on this: it has no separate
-// uncompensated path.
+// TestUncompensatedDistanceIsMSE: when two images have no global
+// offset there is nothing to compensate, and Distance, which accumulates
+// squared integer differences in a float64 whose every partial sum is an
+// exact integer, returns imgproc.MSE's value bit for bit. b is a
+// permutation of a, so their pixel sums, and the offset, are exactly
+// equal and zero.
 func TestUncompensatedDistanceIsMSE(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a, b := imgproc.NewGray(SDDSize, SDDSize), imgproc.NewGray(SDDSize, SDDSize)
 	for trial := 0; trial < 20; trial++ {
 		for i := range a.Pix {
 			a.Pix[i] = uint8(rng.Intn(256))
-			b.Pix[i] = uint8(rng.Intn(256))
+		}
+		for i, j := range rng.Perm(len(a.Pix)) {
+			b.Pix[i] = a.Pix[j]
 		}
 		mse := imgproc.MSE(a, b)
-		if got := Distance(a, b, MetricMSE, false); got != mse {
+		if got := Distance(a, b, MetricMSE); got != mse {
 			t.Fatalf("trial %d: Distance = %v, MSE = %v", trial, got, mse)
 		}
-		if got, want := Distance(a, b, MetricNRMSE, false), math.Sqrt(mse)/255; got != want {
+		if got, want := Distance(a, b, MetricNRMSE), math.Sqrt(mse)/255; got != want {
 			t.Fatalf("trial %d: NRMSE distance = %v, want %v", trial, got, want)
 		}
 	}

@@ -48,10 +48,10 @@ func TestDistanceLuminanceOffsetMatchesReference(t *testing.T) {
 				sq += d * d
 				sad += math.Abs(d)
 			}
-			if got, want := Distance(img, ref, MetricMSE, true), sq/float64(len(img.Pix)); math.Float64bits(got) != math.Float64bits(want) {
+			if got, want := Distance(img, ref, MetricMSE), sq/float64(len(img.Pix)); math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("%v %s: MSE %v, reference %v", sz, mode, got, want)
 			}
-			if got := Distance(img, ref, MetricSAD, true); math.Float64bits(got) != math.Float64bits(sad) {
+			if got := Distance(img, ref, MetricSAD); math.Float64bits(got) != math.Float64bits(sad) {
 				t.Errorf("%v %s: SAD %v, reference %v", sz, mode, got, sad)
 			}
 		}

@@ -45,7 +45,6 @@ type pass struct {
 
 	cols     [][]float32 // Conv2D: per-sample im2col matrices, read by Backward
 	gradCols *Tensor     // Conv2D: one sample's input gradient in column space
-	argmax   []int       // MaxPool2: flat input index of each output's maximum
 }
 
 // begin returns the layer's pass state, made on first use, with x
@@ -522,106 +521,6 @@ func (r *ReLU) Backward(grad *Tensor) *Tensor {
 		}
 	}
 	return p.dx
-}
-
-// MaxPool2 is 2×2 max pooling with stride 2 over NCHW tensors. Odd
-// trailing rows/columns are dropped, as in most frameworks' default.
-type MaxPool2 struct {
-	tr *pass
-}
-
-// Name implements Layer.
-func (m *MaxPool2) Name() string { return "maxpool2" }
-
-// Params implements Layer.
-func (m *MaxPool2) Params() []*Param { return nil }
-
-// poolShape validates NCHW input and returns its dimensions alongside
-// the pooled output size.
-func poolShape(x *Tensor) (n, ch, h, w, oh, ow int) {
-	if len(x.Shape) != 4 {
-		panic("nn: maxpool2 expects NCHW input")
-	}
-	n, ch, h, w = x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow = h/2, w/2
-	if oh == 0 || ow == 0 {
-		panic("nn: maxpool2 input too small")
-	}
-	return n, ch, h, w, oh, ow
-}
-
-// Forward implements Layer.
-func (m *MaxPool2) Forward(x *Tensor) *Tensor {
-	n, ch, h, w, oh, ow := poolShape(x)
-	p := begin(&m.tr, x)
-	p.out = shaped(p.out, n, ch, oh, ow)
-	out := p.out
-	if cap(p.argmax) < out.Len() {
-		p.argmax = make([]int, out.Len())
-	}
-	argmax := p.argmax[:out.Len()]
-	p.argmax = argmax
-	for plane := 0; plane < n*ch; plane++ {
-		base := plane * h * w
-		obase := plane * oh * ow
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				i00 := base + (2*oy)*w + 2*ox
-				best := i00
-				if x.Data[i00+1] > x.Data[best] {
-					best = i00 + 1
-				}
-				if x.Data[i00+w] > x.Data[best] {
-					best = i00 + w
-				}
-				if x.Data[i00+w+1] > x.Data[best] {
-					best = i00 + w + 1
-				}
-				oi := obase + oy*ow + ox
-				out.Data[oi] = x.Data[best]
-				argmax[oi] = best
-			}
-		}
-	}
-	return out
-}
-
-// Infer is the inference-only forward: no argmax bookkeeping, pooled
-// output. The max of a 2×2 window is order-independent, so the values
-// match Forward's bitwise.
-func (m *MaxPool2) Infer(x *Tensor) *Tensor {
-	n, ch, h, w, oh, ow := poolShape(x)
-	out := GetTensorDirty(n, ch, oh, ow)
-	for plane := 0; plane < n*ch; plane++ {
-		base := plane * h * w
-		obase := plane * oh * ow
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				i00 := base + (2*oy)*w + 2*ox
-				best := x.Data[i00]
-				if v := x.Data[i00+1]; v > best {
-					best = v
-				}
-				if v := x.Data[i00+w]; v > best {
-					best = v
-				}
-				if v := x.Data[i00+w+1]; v > best {
-					best = v
-				}
-				out.Data[obase+oy*ow+ox] = best
-			}
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (m *MaxPool2) Backward(grad *Tensor) *Tensor {
-	dx := m.tr.inputGrad()
-	for oi, src := range m.tr.argmax {
-		dx.Data[src] += grad.Data[oi]
-	}
-	return dx
 }
 
 // Dense is a fully connected layer. Input of any shape is flattened per

@@ -77,8 +77,6 @@ func (n *Net) Clone() *Net {
 			layers[i] = &Dense{In: l.In, Out: l.Out, w: l.w.clone(), b: l.b.clone()}
 		case *ReLU:
 			layers[i] = &ReLU{}
-		case *MaxPool2:
-			layers[i] = &MaxPool2{}
 		default:
 			panic(fmt.Sprintf("nn: Clone: unknown layer %s", l.Name()))
 		}

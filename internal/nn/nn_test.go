@@ -123,34 +123,6 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 }
 
-func TestMaxPoolForward(t *testing.T) {
-	m := &MaxPool2{}
-	x := NewTensor(1, 1, 4, 4)
-	for i := range x.Data {
-		x.Data[i] = float32(i)
-	}
-	out := m.Forward(x)
-	want := []float32{5, 7, 13, 15}
-	for i := range want {
-		if out.Data[i] != want[i] {
-			t.Fatalf("pool out = %v, want %v", out.Data, want)
-		}
-	}
-	g := NewTensor(1, 1, 2, 2)
-	copy(g.Data, []float32{1, 2, 3, 4})
-	dx := m.Backward(g)
-	if dx.Data[5] != 1 || dx.Data[7] != 2 || dx.Data[13] != 3 || dx.Data[15] != 4 {
-		t.Fatalf("pool grad misrouted: %v", dx.Data)
-	}
-	var sum float32
-	for _, v := range dx.Data {
-		sum += v
-	}
-	if sum != 10 {
-		t.Fatalf("pool grad mass = %v, want 10", sum)
-	}
-}
-
 func TestConvOutputShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	c := NewConv2D(rng, 1, 8, 5, 2, 2)

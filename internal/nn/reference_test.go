@@ -92,23 +92,6 @@ func reluBackwardReference(x, grad *Tensor) *Tensor {
 	return dx
 }
 
-func maxPoolBackwardReference(x, grad *Tensor) *Tensor {
-	_, _, h, w, oh, ow := poolShape(x)
-	dx := NewTensor(x.Shape...)
-	for oi := range grad.Data {
-		plane, o := oi/(oh*ow), oi%(oh*ow)
-		i00 := plane*h*w + 2*(o/ow)*w + 2*(o%ow)
-		best := i00
-		for _, i := range []int{i00 + 1, i00 + w, i00 + w + 1} {
-			if x.Data[i] > x.Data[best] {
-				best = i
-			}
-		}
-		dx.Data[best] += grad.Data[oi]
-	}
-	return dx
-}
-
 func denseBackwardReference(d *Dense, x, grad *Tensor) *Tensor {
 	n := grad.Shape[0]
 	dx := NewTensor(x.Shape...)
@@ -209,7 +192,6 @@ func TestBackwardMatchesReference(t *testing.T) {
 		{"conv_k27", NewConv2D(rng, 3, 5, 3, 1, 1), []int{3, 9, 11}, conv},
 		{"conv_k8", NewConv2D(rng, 2, 3, 2, 2, 0), []int{2, 8, 8}, conv},
 		{"relu", &ReLU{}, []int{3, 7, 5}, func(_ Layer, x, grad *Tensor) *Tensor { return reluBackwardReference(x, grad) }},
-		{"maxpool2", &MaxPool2{}, []int{2, 9, 8}, func(_ Layer, x, grad *Tensor) *Tensor { return maxPoolBackwardReference(x, grad) }},
 		{"dense", NewDense(rng, 45, 3), []int{5, 3, 3}, func(ref Layer, x, grad *Tensor) *Tensor { return denseBackwardReference(ref.(*Dense), x, grad) }},
 	}
 	for _, tc := range cases {

@@ -1,7 +1,6 @@
 // Package nn is a small pure-Go neural-network engine: float32 tensors,
-// 2-D convolution (im2col), max pooling, fully connected layers, ReLU,
-// and an SGD-with-momentum trainer with sigmoid/binary-cross-entropy
-// loss.
+// 2-D convolution (im2col), fully connected layers, ReLU, and an
+// SGD-with-momentum trainer with sigmoid/binary-cross-entropy loss.
 //
 // It exists because FFS-VA's SNM filter is a stream-specialized 3-layer
 // CNN (CONV, CONV, FC — paper §3.2.2) that is trained per stream on

@@ -60,7 +60,7 @@ func (s *Set) Add(f *frame.Frame) {
 }
 
 // Source is anything that yields frames in capture order: a
-// vidgen.Stream, a video.FileSource, a pipeline.FrameSource.
+// vidgen.Stream, a pipeline.FrameSource.
 type Source interface {
 	Next() *frame.Frame
 }

@@ -24,8 +24,8 @@ import (
 // frames of src with ref for target, then fits the SDD and trains the SNM
 // on them. The frames stream through a Set and are released as they are
 // read. A camera is trained this way once, and again after its scene
-// changes (package drift); the paper quotes about an hour of wall time
-// for a retraining on its hardware.
+// changes (lab's TestSceneSwitchEndToEnd); the paper quotes about an hour
+// of wall time for a retraining on its hardware.
 func Fit(src Source, n int, ref detect.Detector, target frame.Class) (SDDFit, SNMResult, error) {
 	set := NewSet(ref, target)
 	set.AddFrom(src, n)
@@ -78,7 +78,7 @@ func FitSDD(set *Set) (SDDFit, error) {
 	for _, s := range set.Samples {
 		// Same luminance-compensated distance the runtime SDD uses, so
 		// the fitted threshold transfers exactly.
-		d := filters.Distance(s.Plane, ref, filters.MetricMSE, true)
+		d := filters.Distance(s.Plane, ref, filters.MetricMSE)
 		if s.Empty {
 			bgD = append(bgD, d)
 		} else if s.Has {

@@ -6,10 +6,15 @@
 // The codec exploits exactly the property FFS-VA itself exploits — a
 // fixed viewpoint changes little frame to frame: periodic keyframes are
 // PackBits-compressed raw frames, and the frames between them are
-// PackBits-compressed XOR deltas against the previous frame, which are
-// almost entirely zero runs. Annotations (object boxes, scene ids,
-// illumination) ride along per frame so a file round-trips everything
-// the trainer and the accuracy accounting need.
+// PackBits-compressed byte differences (mod 256) from the previous
+// frame, zero wherever a pixel did not change. Coding is lossless.
+// Annotations (object boxes, scene ids, illumination) ride along per
+// frame so a file round-trips everything the trainer and the accuracy
+// accounting need.
+//
+// No run reads its frames from this container: decoding costs about
+// three times rendering a synthetic frame. The benchmark times the
+// decoder (video.decode_ns).
 package video
 
 import (
@@ -39,28 +44,19 @@ const (
 type Header struct {
 	W, H int
 	FPS  int
-	// Frames is the total frame count, patched at Close by WriteFile
-	// writers; zero when the stream was written to a non-seekable sink.
+	// Frames is the total frame count, patched at Close when the sink is
+	// an io.WriteSeeker; zero when the stream was written to any other.
 	Frames int64
 }
 
 // Writer encodes frames to an underlying stream.
-//
-// Gate, when non-zero, enables near-lossless coding: delta values whose
-// magnitude is at most Gate are stored as zero, which turns sensor noise
-// into long zero runs (typically 10-40x smaller files). The writer codes
-// deltas against the *reconstructed* previous frame, so the per-pixel
-// error is bounded by Gate at every frame and resets to zero at each
-// keyframe. Set Gate before the first WriteFrame.
 type Writer struct {
 	bw     *bufio.Writer
 	w      io.Writer
 	hdr    Header
-	prev   []uint8 // reconstructed previous frame (what a reader sees)
+	prev   []uint8 // previous frame, the base of the next delta
 	n      int64
 	closed bool
-
-	Gate uint8
 }
 
 // NewWriter begins a stream on w. Frame dimensions are fixed per file.
@@ -98,15 +94,13 @@ func (w *Writer) WriteFrame(f *frame.Frame) error {
 	payload := f.Pix
 	if w.prev != nil && w.n%KeyframeInterval != 0 {
 		kind = frameDelta
-		gate := int(w.Gate)
 		delta := make([]uint8, len(f.Pix))
 		for i := range delta {
-			d := int(f.Pix[i]) - int(w.prev[i]) // wraps mod 256 on both sides
-			if d >= -gate && d <= gate {
-				continue // stored as zero; bounded error vs reconstruction
+			if f.Pix[i] == w.prev[i] {
+				continue
 			}
-			delta[i] = byte(d)
-			w.prev[i] = f.Pix[i] // reconstruction tracks the stored delta
+			delta[i] = f.Pix[i] - w.prev[i] // wraps mod 256, as the reader's add does
+			w.prev[i] = f.Pix[i]
 		}
 		payload = delta
 	} else {

@@ -220,54 +220,3 @@ func TestNilAnnotationRoundTrip(t *testing.T) {
 		t.Fatal("nil annotation became non-nil")
 	}
 }
-
-func TestGatedCompressionAndErrorBound(t *testing.T) {
-	cfg := vidgen.Small(92, frame.ClassCar, 0.3)
-	src := vidgen.New(cfg)
-	const n = 400
-	const gate = 4
-
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, cfg.W, cfg.H, cfg.FPS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Gate = gate
-	var originals []*frame.Frame
-	for i := 0; i < n; i++ {
-		f := src.Next()
-		originals = append(originals, f.Clone())
-		if err := w.WriteFrame(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw := n * cfg.W * cfg.H
-	ratio := float64(raw) / float64(buf.Len())
-	t.Logf("gated: %d raw bytes -> %d (%.1fx)", raw, buf.Len(), ratio)
-	if ratio < 4 {
-		t.Fatalf("gate %d achieved only %.1fx compression", gate, ratio)
-	}
-
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		g, err := r.Next()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		for p := range g.Pix {
-			d := int(g.Pix[p]) - int(originals[i].Pix[p])
-			if d < 0 {
-				d = -d
-			}
-			if d > gate {
-				t.Fatalf("frame %d pixel %d error %d exceeds gate %d", i, p, d, gate)
-			}
-		}
-	}
-}

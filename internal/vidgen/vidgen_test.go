@@ -313,3 +313,28 @@ func TestDistractorsAreNotTargets(t *testing.T) {
 		t.Fatal("no distractors generated at DistractorProb=1")
 	}
 }
+
+func TestSceneSwitchChangesPixels(t *testing.T) {
+	cfg := Small(5, frame.ClassCar, 0.0)
+	cfg.SceneSwitchFrame = 10
+	cfg.NoiseAmp = 0
+	cfg.LightAmp = 0
+	src := New(cfg)
+	var before *frame.Frame
+	for i := 0; i < 9; i++ {
+		before = src.Next()
+	}
+	after := src.Next() // frame index 10 after increment? ensure past switch
+	after = src.Next()
+	diff := 0
+	for i := range before.Pix {
+		d := int(before.Pix[i]) - int(after.Pix[i])
+		if d < 0 {
+			d = -d
+		}
+		diff += d
+	}
+	if diff == 0 {
+		t.Fatal("scene switch left the background unchanged")
+	}
+}
