@@ -54,10 +54,13 @@ test:
 # tests hand the processor around at every Put, Get, Wait and Use, are
 # listed; the pipeline and cluster suites take minutes under -race and
 # are left to make ci. The compute kernels are serial loops and start
-# no goroutine, so imgproc, frame, filters, detect and train are not
-# listed. What is left: par's pool hammer (goroutines trading slices
-# through one SlicePool), nn's one trained net inferred on from eight
-# goroutines (TestSharedNetInferAcrossGoroutines) and its pooled tensors
+# no goroutine, but the headers and records they recycle cross the
+# pipeline's prefetch, SDD and T-YOLO goroutines through process-global
+# free lists, so frame and imgproc (their header hammers) and filters
+# are listed; detect and train are not. What is left: par's pool
+# hammer (goroutines trading slices through one SlicePool), nn's one
+# trained net inferred on from eight goroutines
+# (TestSharedNetInferAcrossGoroutines) and its pooled tensors
 # under concurrent streams, vidgen's and lab's concurrent minting around
 # read-only artefacts a camera shares (background plane, detector seed,
 # trained weights) and lab's cache training distinct cameras at once
@@ -67,7 +70,7 @@ test:
 # detector (vidgen ~8 min on a 2-vCPU host), hence the timeout above go
 # test's 600s default.
 race:
-	$(GO) test -race -timeout 1800s ./internal/vclock ./internal/queue ./internal/device ./internal/par ./internal/nn ./internal/vidgen ./internal/lab ./internal/trace ./internal/obs ./internal/timeline
+	$(GO) test -race -timeout 1800s ./internal/vclock ./internal/queue ./internal/device ./internal/par ./internal/frame ./internal/imgproc ./internal/filters ./internal/nn ./internal/vidgen ./internal/lab ./internal/trace ./internal/obs ./internal/timeline
 
 # The experiments suite alone needs ~20 min under -race (the virtual
 # clock is cooperative, so the race detector's overhead doesn't

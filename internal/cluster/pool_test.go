@@ -10,6 +10,7 @@ import (
 	"ffsva/internal/lab"
 	"ffsva/internal/pipeline"
 	"ffsva/internal/vclock"
+	"ffsva/internal/vidgen"
 )
 
 // TestPoolBalancedAcrossFaultsAndMigration runs a cluster through every
@@ -17,7 +18,8 @@ import (
 // retry budget, shedding, an instance crash and re-forwarding — and
 // holds the frame pool to its ledger: every plane taken is returned, and
 // planes are taken only for frames the SDD stage reached, so a frame
-// dropped before it is never drawn.
+// dropped before it is never drawn. Frame headers and capture records
+// balance likewise.
 func TestPoolBalancedAcrossFaultsAndMigration(t *testing.T) {
 	cam, err := lab.CarCamera(0.5) // trained, and its training frames returned, before counting
 	if err != nil {
@@ -39,9 +41,13 @@ func TestPoolBalancedAcrossFaultsAndMigration(t *testing.T) {
 		{Kind: faults.InstanceCrash, Instance: 2, From: 9 * time.Second},
 	}
 	gets0, puts0 := frame.PoolStats()
+	hgets0, hputs0 := frame.HeaderStats()
+	rgets0, rputs0 := vidgen.RecordStats()
 	cl := New(cfg, arrivals(t, cam, 4, 900, 500*time.Millisecond))
 	rep := cl.Run()
 	gets, puts := frame.PoolStats()
+	hgets, hputs := frame.HeaderStats()
+	rgets, rputs := vidgen.RecordStats()
 
 	var sddIn int64
 	for _, spec := range cl.specs {
@@ -57,5 +63,13 @@ func TestPoolBalancedAcrossFaultsAndMigration(t *testing.T) {
 	}
 	if gets-gets0 != sddIn {
 		t.Errorf("pool: %d planes taken for %d frames that reached SDD", gets-gets0, sddIn)
+	}
+	// Every captured frame — shed, lost to a decode, drained by the
+	// crash or decided — hands its header and capture record back.
+	if hgets-hgets0 != hputs-hputs0 || hgets-hgets0 < sddIn {
+		t.Errorf("frame headers: %d taken, %d returned (%d frames reached SDD)", hgets-hgets0, hputs-hputs0, sddIn)
+	}
+	if rgets-rgets0 != rputs-rputs0 || rgets-rgets0 != hgets-hgets0 {
+		t.Errorf("capture records: %d taken, %d returned, for %d headers", rgets-rgets0, rputs-rputs0, hgets-hgets0)
 	}
 }

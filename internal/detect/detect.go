@@ -38,6 +38,25 @@ type Detector interface {
 	Detect(f *frame.Frame) []Detection
 }
 
+// An Appender is a Detector that can write its detections into a slice
+// the caller owns, so a caller that reuses one allocates nothing per
+// frame. Every detector in this package is one.
+type Appender interface {
+	Detector
+	// AppendDetect appends what Detect would return for f to dst and
+	// returns the extended slice.
+	AppendDetect(dst []Detection, f *frame.Frame) []Detection
+}
+
+// AppendDetect appends d's detections in f to dst: in place when d is
+// an Appender, else by copying what Detect returns.
+func AppendDetect(dst []Detection, d Detector, f *frame.Frame) []Detection {
+	if a, ok := d.(Appender); ok {
+		return a.AppendDetect(dst, f)
+	}
+	return append(dst, d.Detect(f)...)
+}
+
 // Count returns how many detections of class c have confidence of at
 // least confThresh (the paper uses 0.2 for T-YOLO).
 func Count(dets []Detection, c frame.Class, confThresh float64) int {
@@ -109,6 +128,9 @@ type TinyGrid struct {
 type bgState struct {
 	ema    []float64 // background estimate at InputSize scale
 	frames int
+	// comps is the stream's component list, refilled by every visit; a
+	// stream's frames are detected one at a time, so it needs no lock.
+	comps []imgproc.Component
 }
 
 // bgSeed is one known background and the EMA a stream seeded from it
@@ -194,12 +216,16 @@ func (t *TinyGrid) seedFor(bg *imgproc.Gray) []float64 {
 	return ema
 }
 
-// Detect implements Detector. The per-pixel stages — resize, foreground
-// difference, background EMA, blur, binarize — carry the work;
-// component labeling and classification are a tiny fraction of it.
-// Scratch images come from the image pool, so a warm detector
-// allocates only its detections.
-func (t *TinyGrid) Detect(f *frame.Frame) []Detection {
+// Detect implements Detector; see AppendDetect.
+func (t *TinyGrid) Detect(f *frame.Frame) []Detection { return t.AppendDetect(nil, f) }
+
+// AppendDetect implements Appender. The per-pixel stages — resize,
+// foreground difference, background EMA, blur, binarize — carry the
+// work; component labeling and classification are a tiny fraction of
+// it. Scratch images come from the image pool and the component list
+// is the stream's, so a warm detector allocates nothing beyond what
+// dst must grow by.
+func (t *TinyGrid) AppendDetect(dst []Detection, f *frame.Frame) []Detection {
 	size := t.cfg.InputSize
 	small := imgproc.GetGray(size, size)
 	defer small.Release()
@@ -234,11 +260,10 @@ func (t *TinyGrid) Detect(f *frame.Frame) []Detection {
 	imgproc.BinarizeInto(blur, t.cfg.DiffThresh, mask)
 	blur.Release()
 	defer mask.Release()
-	comps := imgproc.ConnectedComponents(mask, t.cfg.MinArea)
+	st.comps = imgproc.ConnectedComponents(st.comps[:0], mask, t.cfg.MinArea)
 
-	dets := make([]Detection, 0, len(comps))
 	var cellCount [GridSize * GridSize]uint8
-	for _, c := range comps {
+	for _, c := range st.comps {
 		d, ok := t.classify(c, diff, size)
 		if !ok {
 			continue
@@ -252,9 +277,9 @@ func (t *TinyGrid) Detect(f *frame.Frame) []Detection {
 			continue
 		}
 		cellCount[cell]++
-		dets = append(dets, d)
+		dst = append(dst, d)
 	}
-	return dets
+	return dst
 }
 
 // diffAndAdapt writes out[i] = min(|pix[i] − ema[i]|, 255) and moves
@@ -376,27 +401,41 @@ type Oracle struct {
 // NewOracle creates an oracle detector.
 func NewOracle(cfg OracleConfig) *Oracle { return &Oracle{cfg: cfg} }
 
-// Detect implements Detector from ground truth, with a deterministic
-// per-object miss rate.
+// Detect implements Detector; see AppendDetect.
 func (o *Oracle) Detect(f *frame.Frame) []Detection {
 	if f.Truth == nil {
 		return nil
 	}
-	dets := make([]Detection, 0, len(f.Truth.Boxes))
+	return o.AppendDetect(make([]Detection, 0, len(f.Truth.Boxes)), f)
+}
+
+// AppendDetect implements Appender from ground truth, with a
+// deterministic per-object miss rate.
+func (o *Oracle) AppendDetect(dst []Detection, f *frame.Frame) []Detection {
+	return appendTruth(dst, f, o.cfg, 0, 0.99)
+}
+
+// appendTruth appends f's true boxes that are at least cfg.MinVisible
+// visible and not missed — a deterministic draw against cfg.MissRate,
+// keyed by the stream ID XOR salt — as detections of confidence conf.
+func appendTruth(dst []Detection, f *frame.Frame, cfg OracleConfig, salt int, conf float64) []Detection {
+	if f.Truth == nil {
+		return dst
+	}
 	for i, b := range f.Truth.Boxes {
-		if b.Visible < o.cfg.MinVisible {
+		if b.Visible < cfg.MinVisible {
 			continue
 		}
-		if o.cfg.MissRate > 0 && hash01(f.StreamID, f.Seq, i) < o.cfg.MissRate {
+		if cfg.MissRate > 0 && hash01(f.StreamID^salt, f.Seq, i) < cfg.MissRate {
 			continue
 		}
-		dets = append(dets, Detection{
+		dst = append(dst, Detection{
 			Box:   imgproc.Rect{X: b.X, Y: b.Y, W: b.W, H: b.H},
 			Class: b.Class,
-			Conf:  0.99,
+			Conf:  conf,
 		})
 	}
-	return dets
+	return dst
 }
 
 // Compressed is the §5.5 remedy for T-YOLO's error rate: a deeply
@@ -421,28 +460,18 @@ func NewCompressed() *Compressed {
 	return &Compressed{cfg: OracleConfig{MissRate: 0.015, MinVisible: 0.25}}
 }
 
-// Detect implements Detector.
+// Detect implements Detector; see AppendDetect.
 func (c *Compressed) Detect(f *frame.Frame) []Detection {
 	if f.Truth == nil {
 		return nil
 	}
-	dets := make([]Detection, 0, len(f.Truth.Boxes))
-	for i, b := range f.Truth.Boxes {
-		if b.Visible < c.cfg.MinVisible {
-			continue
-		}
-		// Salt the hash so the compressed model's misses do not coincide
-		// with the reference model's.
-		if hash01(f.StreamID^0x7c, f.Seq, i) < c.cfg.MissRate {
-			continue
-		}
-		dets = append(dets, Detection{
-			Box:   imgproc.Rect{X: b.X, Y: b.Y, W: b.W, H: b.H},
-			Class: b.Class,
-			Conf:  0.9,
-		})
-	}
-	return dets
+	return c.AppendDetect(make([]Detection, 0, len(f.Truth.Boxes)), f)
+}
+
+// AppendDetect implements Appender. The hash is salted so the
+// compressed model's misses do not coincide with the reference model's.
+func (c *Compressed) AppendDetect(dst []Detection, f *frame.Frame) []Detection {
+	return appendTruth(dst, f, c.cfg, 0x7c, 0.9)
 }
 
 // hash01 maps (stream, seq, idx) to a deterministic value in [0, 1).

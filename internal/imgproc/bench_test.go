@@ -62,7 +62,7 @@ func BenchmarkConnectedComponents(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ConnectedComponents(g, 10)
+		ConnectedComponents(nil, g, 10)
 	}
 }
 

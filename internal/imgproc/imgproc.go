@@ -40,6 +40,10 @@ var grayPix par.SlicePool[uint8]
 // back. The counts are cumulative and process-global: compare deltas.
 func PoolStats() (gets, puts int64) { return grayPix.Stats() }
 
+// grayHeads recycles the headers of pooled images, so a GetGray and
+// its Release allocate nothing once warm.
+var grayHeads par.FreeList[Gray]
+
 // GetGray returns a pooled w×h image whose pixels are NOT cleared; it is
 // for kernels that overwrite every pixel (resize targets, diff outputs).
 // Release it with Gray.Release when done.
@@ -47,20 +51,23 @@ func GetGray(w, h int) *Gray {
 	if w <= 0 || h <= 0 {
 		panic("imgproc: GetGray: non-positive size")
 	}
-	return &Gray{W: w, H: h, Pix: grayPix.Get(w * h), pooled: true}
+	g := grayHeads.Get()
+	*g = Gray{W: w, H: h, Pix: grayPix.Get(w * h), pooled: true}
+	return g
 }
 
-// Release returns a pooled image's pixel plane for reuse. It is a no-op
-// on images not obtained from the pool (NewGray allocations, FromFrame
-// views), so callers can release unconditionally. After Release the
-// image must not be used.
+// Release returns a pooled image's pixel plane, and its header, for
+// reuse. It is a no-op on images not obtained from the pool (NewGray
+// allocations, FromFrame views), so callers can release
+// unconditionally. After Release the image must not be used: the next
+// GetGray may hand out the same header.
 func (g *Gray) Release() {
 	if g == nil || !g.pooled || g.Pix == nil {
 		return
 	}
 	grayPix.Put(g.Pix)
-	g.Pix = nil
-	g.pooled = false
+	*g = Gray{}
+	grayHeads.Put(g)
 }
 
 // FromFrame wraps a frame's pixel buffer as a Gray without copying.
@@ -415,14 +422,16 @@ func (r Rect) Area() int { return r.W * r.H }
 var stackPool par.SlicePool[int32]
 
 // ConnectedComponents labels 4-connected regions of non-zero pixels in
-// mask and returns the bounding box and pixel count of each region with at
-// least minArea pixels. Regions are returned in scan order of their first
-// pixel, so output is deterministic. The visited plane and the work
-// stack are pooled: a mask with nothing in it allocates nothing.
-func ConnectedComponents(mask *Gray, minArea int) []Component {
+// mask and appends the bounding box and pixel count of each region with
+// at least minArea pixels to dst, returning the extended slice. Regions
+// are appended in scan order of their first pixel, so output is
+// deterministic. The visited plane and the work stack are pooled, and
+// dst is the caller's: with a dst of enough capacity nothing is
+// allocated.
+func ConnectedComponents(dst []Component, mask *Gray, minArea int) []Component {
 	n := len(mask.Pix)
 	if n == 0 {
-		return nil
+		return dst
 	}
 	pix, w, h := mask.Pix, mask.W, mask.H
 	visited := grayPix.Get(n)
@@ -430,7 +439,6 @@ func ConnectedComponents(mask *Gray, minArea int) []Component {
 	// The stack holds (x, y) pairs. A pixel is pushed once, when it is
 	// marked, so it never holds more than the plane.
 	stack := stackPool.Get(2 * n)
-	var comps []Component
 	for start := 0; start < n; start++ {
 		// A foreground mask is mostly background: step over eight empty
 		// pixels at a time.
@@ -473,7 +481,7 @@ func ConnectedComponents(mask *Gray, minArea int) []Component {
 			}
 		}
 		if count >= minArea {
-			comps = append(comps, Component{
+			dst = append(dst, Component{
 				Rect:   Rect{X: minX, Y: minY, W: maxX - minX + 1, H: maxY - minY + 1},
 				Pixels: count,
 			})
@@ -481,7 +489,7 @@ func ConnectedComponents(mask *Gray, minArea int) []Component {
 	}
 	stackPool.Put(stack)
 	grayPix.Put(visited)
-	return comps
+	return dst
 }
 
 // Component is one connected foreground region.

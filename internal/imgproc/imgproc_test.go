@@ -151,7 +151,7 @@ func TestConnectedComponentsTwoBlobs(t *testing.T) {
 	for _, p := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {6, 7}, {7, 7}, {8, 7}} {
 		m.Set(p[0], p[1], 1)
 	}
-	comps := ConnectedComponents(m, 1)
+	comps := ConnectedComponents(nil, m, 1)
 	if len(comps) != 2 {
 		t.Fatalf("got %d components, want 2: %+v", len(comps), comps)
 	}
@@ -170,7 +170,7 @@ func TestConnectedComponentsMinArea(t *testing.T) {
 	for _, p := range [][2]int{{5, 5}, {6, 5}, {5, 6}, {6, 6}} {
 		m.Set(p[0], p[1], 1)
 	}
-	comps := ConnectedComponents(m, 2)
+	comps := ConnectedComponents(nil, m, 2)
 	if len(comps) != 1 || comps[0].Pixels != 4 {
 		t.Fatalf("minArea filter failed: %+v", comps)
 	}
@@ -180,7 +180,7 @@ func TestConnectedComponentsDiagonalNotConnected(t *testing.T) {
 	m := NewGray(4, 4)
 	m.Set(0, 0, 1)
 	m.Set(1, 1, 1)
-	comps := ConnectedComponents(m, 1)
+	comps := ConnectedComponents(nil, m, 1)
 	if len(comps) != 2 {
 		t.Fatalf("diagonal pixels merged under 4-connectivity: %+v", comps)
 	}
@@ -191,7 +191,7 @@ func TestConnectedComponentsFull(t *testing.T) {
 	for i := range m.Pix {
 		m.Pix[i] = 1
 	}
-	comps := ConnectedComponents(m, 1)
+	comps := ConnectedComponents(nil, m, 1)
 	if len(comps) != 1 || comps[0].Pixels != 64 || comps[0].Rect != (Rect{0, 0, 8, 8}) {
 		t.Fatalf("full mask: %+v", comps)
 	}

@@ -2,6 +2,7 @@ package imgproc
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -32,5 +33,50 @@ func TestGrayPoolReuse(t *testing.T) {
 		if dst.Pix[i] != want.Pix[i] {
 			t.Fatalf("pixel %d: got %d want %d (stale pool data leaked)", i, dst.Pix[i], want.Pix[i])
 		}
+	}
+}
+
+// TestGrayHeadersSurviveConcurrentReuse: goroutines borrow and release
+// pooled images of a few sizes through the one header list and plane
+// pool, as the SNM and T-YOLO stages of a pipeline do. Each holder
+// stamps its images and checks them before release, so a header or
+// plane handed to two holders at once shows here (and under -race),
+// and every plane taken comes back.
+func TestGrayHeadersSurviveConcurrentReuse(t *testing.T) {
+	planeGets0, planePuts0 := PoolStats()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			held := make([]*Gray, 0, 5)
+			for iter := 0; iter < 300; iter++ {
+				w := 16 + iter%3
+				img := GetGray(w, 9)
+				if img.W != w || img.H != 9 || len(img.Pix) != w*9 {
+					t.Errorf("goroutine %d: GetGray(%d, 9) gave %dx%d with %d pixels", g, w, img.W, img.H, len(img.Pix))
+					return
+				}
+				for i := range img.Pix {
+					img.Pix[i] = uint8(g)
+				}
+				held = append(held, img)
+				if len(held) < cap(held) {
+					continue
+				}
+				for _, h := range held {
+					if h.Pix[0] != uint8(g) || h.Pix[len(h.Pix)-1] != uint8(g) {
+						t.Errorf("goroutine %d: a held image was changed by another holder", g)
+						return
+					}
+					h.Release()
+				}
+				held = held[:0]
+			}
+		}(g)
+	}
+	wg.Wait()
+	if gets, puts := PoolStats(); gets-planeGets0 != 8*300 || puts-planePuts0 != 8*300 {
+		t.Fatalf("planes: %d taken, %d returned, want %d each", gets-planeGets0, puts-planePuts0, 8*300)
 	}
 }

@@ -308,9 +308,11 @@ func TestConnectedComponentsMatchesReference(t *testing.T) {
 			}
 			for _, minArea := range []int{1, 4} {
 				want := connectedComponentsReference(m, minArea)
-				// Twice, so the second call labels on recycled scratch.
+				// Twice, so the second call labels on recycled scratch
+				// and appends into the first call's slice.
+				var got []Component
 				for pass := 0; pass < 2; pass++ {
-					got := ConnectedComponents(m, minArea)
+					got = ConnectedComponents(got[:0], m, minArea)
 					if len(got) != len(want) {
 						t.Fatalf("%v density %v: %d components, want %d", sz, density, len(got), len(want))
 					}

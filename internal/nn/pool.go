@@ -22,9 +22,15 @@ func GetTensor(shape ...int) *Tensor {
 	return t
 }
 
+// tensorHeads recycles the headers of pooled tensors, shape slice
+// included, so a GetTensorDirty and its Release allocate nothing once
+// warm.
+var tensorHeads par.FreeList[Tensor]
+
 // GetTensorDirty returns a pooled tensor whose data is NOT cleared; it is
 // for kernels that overwrite every element (conv/dense outputs, filled
-// inputs), where clearing would be pure waste.
+// inputs), where clearing would be pure waste. The shape is copied, so
+// the caller's list may be anything, another tensor's Shape included.
 func GetTensorDirty(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
@@ -33,18 +39,22 @@ func GetTensorDirty(shape ...int) *Tensor {
 		}
 		n *= d
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: tensorData.Get(n), pooled: true}
+	t := tensorHeads.Get()
+	t.Shape = append(t.Shape[:0], shape...)
+	t.Data, t.pooled = tensorData.Get(n), true
+	return t
 }
 
-// Release returns a pooled tensor's backing array for reuse. It is a
-// no-op on tensors not obtained from the pool (NewTensor allocations,
-// reshape views), so callers can release unconditionally. After Release
-// the tensor must not be used.
+// Release returns a pooled tensor's backing array, and its header, for
+// reuse. It is a no-op on tensors not obtained from the pool (NewTensor
+// allocations, reshape views), so callers can release unconditionally.
+// After Release the tensor must not be used: the next GetTensorDirty
+// may hand out the same header.
 func (t *Tensor) Release() {
 	if t == nil || !t.pooled || t.Data == nil {
 		return
 	}
 	tensorData.Put(t.Data)
-	t.Data = nil
-	t.pooled = false
+	t.Shape, t.Data, t.pooled = t.Shape[:0], nil, false
+	tensorHeads.Put(t)
 }

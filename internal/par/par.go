@@ -1,5 +1,6 @@
 // Package par holds SlicePool, the exact-length buffer pool behind
-// FFS-VA's tensors, image planes and frame planes.
+// FFS-VA's tensors, image planes and frame planes, and FreeList, its
+// counterpart for the headers and records that carry them.
 //
 // Every kernel is a serial loop. The system's parallelism is the
 // paper's: its stages (SDD, the SNM and T-YOLO, the reference model)

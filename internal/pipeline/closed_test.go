@@ -66,7 +66,7 @@ func TestClosedQueuePutsAccounted(t *testing.T) {
 			cfg.DisableSNM = true
 
 			const frames = 150
-			getsBefore, putsBefore := frame.PoolStats()
+			pools := readPools()
 			sys := New(cfg, []StreamSpec{rawSpec(0, frames)})
 			sys.Start()
 			clk.Go("saboteur", func() {
@@ -95,9 +95,8 @@ func TestClosedQueuePutsAccounted(t *testing.T) {
 					t.Fatalf("frame %d: DropClosed decided %v before captured %v", seq, rec.Decided, rec.Captured)
 				}
 			}
-			getsAfter, putsAfter := frame.PoolStats()
-			if d := (getsAfter - getsBefore) - (putsAfter - putsBefore); d != 0 {
-				t.Fatalf("pool gets-puts drifted by %d: closed-edge frames were not released", d)
+			if msg := pools.Unbalanced(); msg != "" || pools.headersTaken() != frames {
+				t.Fatalf("closed-edge frames were not released: %s(%d of %d frames captured)", msg, pools.headersTaken(), frames)
 			}
 		})
 	}

@@ -119,7 +119,8 @@ func (s *System) serveCanvases(live []*frame.Frame, owners []*streamState) {
 	for i, f := range live {
 		st := owners[i]
 		f.Trace.AddSpan(trace.KRef, refStart, refEnd, s.gpu1.Name, len(live))
-		dets := s.cfg.Ref.Detect(f)
+		s.ref.dets = detect.AppendDetect(s.ref.dets[:0], s.cfg.Ref, f)
+		dets := s.ref.dets
 		fullCount := detect.Count(dets, st.spec.Target, s.cfg.RefConf)
 		mine := rects[from:ends[i]]
 		from = ends[i]

@@ -86,13 +86,15 @@ func TestConsolidateConservesAndPacks(t *testing.T) {
 	}
 }
 
-// TestConsolidatePoolsBalance: every image plane and every frame plane a
-// consolidated run borrows goes back to its pool — the canvases
-// serveCanvases packs included, which nothing else would notice leaking
-// — and every frame's trace record reaches Finish.
+// TestConsolidatePoolsBalance: every image plane, frame plane, frame
+// header and capture record a consolidated run borrows goes back to its
+// free list — the canvases serveCanvases packs included, which nothing
+// else would notice leaking — and every frame's trace record reaches
+// Finish.
 func TestConsolidatePoolsBalance(t *testing.T) {
 	imgGets0, imgPuts0 := imgproc.PoolStats()
 	frameGets0, framePuts0 := frame.PoolStats()
+	pools := readPools()
 	rep, tr := runConsolidated(t, 2, 90)
 	if rep.RefCanvases == 0 {
 		t.Fatal("no canvases packed; the test no longer probes the consolidator")
@@ -104,6 +106,9 @@ func TestConsolidatePoolsBalance(t *testing.T) {
 	}
 	if gets, puts := frameGets-frameGets0, framePuts-framePuts0; gets != puts || gets == 0 {
 		t.Errorf("frame pool: %d gets, %d puts", gets, puts)
+	}
+	if msg := pools.Unbalanced(); msg != "" || pools.headersTaken() != rep.TotalFrames {
+		t.Errorf("%s%d headers taken for %d frames", msg, pools.headersTaken(), rep.TotalFrames)
 	}
 	if gets, puts := tr.PoolStats(); gets != puts || gets != rep.TotalFrames {
 		t.Errorf("trace records: %d gets, %d puts for %d frames", gets, puts, rep.TotalFrames)

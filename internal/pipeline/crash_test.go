@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"ffsva/internal/frame"
 	"ffsva/internal/vclock"
 )
 
@@ -12,14 +11,15 @@ import (
 // instance at the first instant its SDD, SNM, T-YOLO and reference
 // queues all hold frames. Every stage must drain what it dequeues after
 // the crash: each parked frame retires as DropError, the ledger
-// balances, and every pooled plane goes back to the pool.
+// balances, and every pooled plane, frame header and capture record
+// goes back to its free list.
 func TestCrashWithFramesParkedAtEveryTier(t *testing.T) {
 	clk := vclock.NewVirtual()
 	cfg := DefaultConfig(clk)
 	cfg.DisableSDD = true
 	cfg.DisableSNM = true
 
-	getsBefore, putsBefore := frame.PoolStats()
+	pools := readPools()
 	sys := New(cfg, []StreamSpec{rawSpec(0, 120), rawSpec(1, 120), rawSpec(2, 120)})
 	sys.Start()
 	parked := -1
@@ -52,9 +52,8 @@ func TestCrashWithFramesParkedAtEveryTier(t *testing.T) {
 	if got := sn.Drops[DropError]; got < int64(parked) {
 		t.Fatalf("DropError = %d, want at least the %d frames parked at the crash", got, parked)
 	}
-	getsAfter, putsAfter := frame.PoolStats()
-	if d := (getsAfter - getsBefore) - (putsAfter - putsBefore); d != 0 {
-		t.Fatalf("pool gets-puts drifted by %d: drained frames were not released", d)
+	if msg := pools.Unbalanced(); msg != "" || pools.headersTaken() == 0 {
+		t.Fatalf("drained frames were not released: %s(%d frames captured)", msg, pools.headersTaken())
 	}
 	rep := sys.Report() // panics on a hole in the ledger
 	if !rep.Crashed {

@@ -33,6 +33,7 @@ func runWithOrphans(t *testing.T, orphans int, consolidate bool) (Snapshot, int6
 	cfg.Tracer = tr
 
 	getsBefore, putsBefore := frame.PoolStats()
+	pools := readPools()
 	sys := New(cfg, []StreamSpec{rawSpec(0, 90)})
 	sys.Start()
 	clk.Go("migrated-stream-residue", func() {
@@ -63,6 +64,11 @@ func runWithOrphans(t *testing.T, orphans int, consolidate bool) (Snapshot, int6
 
 	getsAfter, putsAfter := frame.PoolStats()
 	delta := (getsAfter - getsBefore) - (putsAfter - putsBefore)
+	// The owned stream's frames are captured and the orphans pooled:
+	// their headers, and the captured frames' records, balance too.
+	if msg := pools.Unbalanced(); msg != "" || pools.headersTaken() != int64(90+orphans) {
+		t.Errorf("consolidate=%v: %s%d of %d frame headers taken", consolidate, msg, pools.headersTaken(), 90+orphans)
+	}
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {

@@ -41,9 +41,10 @@ func NewSet(ref detect.Detector, class frame.Class) *Set {
 }
 
 // Add labels f, keeps its Sample and releases f: a frame handed to the
-// set is the set's, and the caller must not touch its pixels afterwards
-// (Release is a no-op on frames that are not pooled, so any source's
-// frames may be added). Truth, which is not pooled, stays readable.
+// set is the set's, and the caller must not touch it afterwards — a
+// captured frame's header and truth are recycled for the next capture.
+// Release leaves the pixels of frames that are not pooled alone, so any
+// source's frames may be added.
 func (s *Set) Add(f *frame.Frame) {
 	dets := s.ref.Detect(f)
 	img := imgproc.FromFrame(f)

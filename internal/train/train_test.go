@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,14 +17,17 @@ import (
 )
 
 // collect builds a training corpus for the stream's target, returning
-// each frame's ground truth alongside (the set keeps no frame).
+// a copy of each frame's ground truth alongside (the set keeps no frame,
+// and a released frame's truth is recycled).
 func collect(cfg vidgen.Config, n int) (*Set, []*frame.Annotation) {
 	src := vidgen.New(cfg)
 	set := NewSet(detect.NewOracle(detect.DefaultOracleConfig()), cfg.Target)
 	truth := make([]*frame.Annotation, n)
 	for i := range truth {
 		f := src.Next()
-		truth[i] = f.Truth
+		ann := *f.Truth
+		ann.Boxes = slices.Clone(ann.Boxes)
+		truth[i] = &ann
 		set.Add(f)
 	}
 	return set, truth

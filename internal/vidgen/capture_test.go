@@ -101,9 +101,12 @@ func TestNoiseJumpIsAddNoiseAdvance(t *testing.T) {
 }
 
 // TestCaptureCostsItsRecord: capturing takes no plane from the frame
-// pool, a background-only frame costs two allocations (the frame header
-// and the draw record that holds its annotation), and Boxes is sized
-// exactly.
+// pool, and a capture released at its verdict hands its record and its
+// header back, so once the free lists are warm a capture costs no
+// allocation at all — on background frames and on frames that show
+// objects, whose Boxes reuse the recycled record's capacity. Until the
+// record and header were recycled, a background frame cost two
+// allocations (the header and the record holding its annotation).
 func TestCaptureCostsItsRecord(t *testing.T) {
 	cfg := Small(3, frame.ClassCar, 0.3)
 	s := New(cfg)
@@ -111,11 +114,8 @@ func TestCaptureCostsItsRecord(t *testing.T) {
 	withBoxes := 0
 	for i := 0; i < 300; i++ {
 		f := s.Capture()
-		if b := f.Truth.Boxes; len(b) > 0 {
+		if len(f.Truth.Boxes) > 0 {
 			withBoxes++
-			if cap(b) != len(b) {
-				t.Fatalf("frame %d: %d boxes in a slice of capacity %d", i, len(b), cap(b))
-			}
 		}
 		f.Release()
 	}
@@ -125,10 +125,65 @@ func TestCaptureCostsItsRecord(t *testing.T) {
 	if withBoxes == 0 {
 		t.Fatal("no frame showed an object")
 	}
+	if allocs := testing.AllocsPerRun(300, func() { s.Capture().Release() }); allocs != 0 {
+		t.Errorf("a warm capture of a stream at TOR %v made %v allocations, want 0", cfg.TOR, allocs)
+	}
 	quiet := cfg
 	quiet.TOR = 0
 	s = New(quiet)
-	if allocs := testing.AllocsPerRun(100, func() { s.Capture() }); allocs != 2 {
-		t.Errorf("capturing a background frame made %v allocations, want 2", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { s.Capture().Release() }); allocs != 0 {
+		t.Errorf("a warm capture of a background frame made %v allocations, want 0", allocs)
+	}
+}
+
+// TestReleaseRecyclesOnlyWhatItClears: Release clears every field of a
+// captured frame, Truth included, before its header and record are
+// filed, and a record is never reused while the frame whose Truth
+// points into it is unreleased: captures in between take other records.
+// The header and record lists each balance their gets and puts.
+func TestReleaseRecyclesOnlyWhatItClears(t *testing.T) {
+	s := New(Small(8, frame.ClassPerson, 1.0))
+	hg0, hp0 := frame.HeaderStats()
+	rg0, rp0 := RecordStats()
+	captures := 1
+	held := s.Next()
+	for ; len(held.Truth.Boxes) == 0; captures++ {
+		held.Release()
+		held = s.Next()
+	}
+	truth := held.Truth
+	want := *truth
+	want.Boxes = slices.Clone(truth.Boxes)
+	for i := 0; i < 50; i++ {
+		captures++
+		f := s.Next()
+		if f == held || f.Truth == truth {
+			t.Fatalf("capture %d reused the header or record of a frame not yet released", i)
+		}
+		f.Release()
+	}
+	if held.Truth != truth || truth.SceneID != want.SceneID || truth.Lum != want.Lum || !slices.Equal(truth.Boxes, want.Boxes) {
+		t.Fatal("a held frame's truth changed while other frames were captured and released")
+	}
+	held.Release()
+	if held.Truth != nil || held.Pix != nil || held.W != 0 || held.H != 0 || held.Seq != 0 || held.StreamID != 0 || held.Trace != nil || len(held.Cands) != 0 {
+		t.Fatalf("a released frame keeps fields: %+v", *held)
+	}
+	held.Draw()
+	if held.Pix != nil {
+		t.Fatal("a released frame was drawn")
+	}
+	// LIFO: the next capture takes the header and record just filed.
+	next := s.Capture()
+	captures++
+	if next != held || next.Truth != truth {
+		t.Fatal("the next capture did not reuse the header and record just released")
+	}
+	next.Release()
+	if g, p := frame.HeaderStats(); g-hg0 != int64(captures) || p-hp0 != int64(captures) {
+		t.Errorf("frame headers: %d gets, %d puts, want %d of each", g-hg0, p-hp0, captures)
+	}
+	if g, p := RecordStats(); g-rg0 != int64(captures) || p-rp0 != int64(captures) {
+		t.Errorf("draw records: %d gets, %d puts, want %d of each", g-rg0, p-rp0, captures)
 	}
 }
