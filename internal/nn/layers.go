@@ -319,8 +319,8 @@ func (c *Conv2D) checkInput(x *Tensor) (n, outH, outW int) {
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *Tensor) *Tensor { return c.backward(grad, true) }
 
-// accumulate implements paramGrader: the parameter gradients of
-// Backward, bit for bit, with no input gradient formed.
+// accumulate is Net.Backward's first-layer step: the parameter
+// gradients of Backward, bit for bit, with no input gradient formed.
 func (c *Conv2D) accumulate(grad *Tensor) { c.backward(grad, false) }
 
 func (c *Conv2D) backward(grad *Tensor, inputGrad bool) *Tensor {

@@ -84,16 +84,14 @@ func (n *Net) Clone() *Net {
 	return &Net{Layers: layers}
 }
 
-// paramGrader is implemented by layers that can accumulate their
-// parameter gradients without forming the gradient of their input.
-type paramGrader interface {
-	accumulate(grad *Tensor)
-}
-
 // Backward propagates an output gradient through the stack, accumulating
 // parameter gradients. It returns nothing, so the gradient of the
 // network's own input — the pixels — has no consumer: layer 0 is asked
-// for its parameter gradients only, when it can tell the two apart.
+// for its parameter gradients only, when it can tell the two apart (a
+// Conv2D can). The test is on the concrete type: a type assertion to an
+// interface goes through the runtime's per-call-site cache, which it
+// fills, about one call in a thousand, with a heap allocation, so a warm
+// training step would allocate now and then.
 func (n *Net) Backward(grad *Tensor) {
 	for i := len(n.Layers) - 1; i > 0; i-- {
 		grad = n.Layers[i].Backward(grad)
@@ -101,7 +99,7 @@ func (n *Net) Backward(grad *Tensor) {
 	if len(n.Layers) == 0 {
 		return
 	}
-	if first, ok := n.Layers[0].(paramGrader); ok {
+	if first, ok := n.Layers[0].(*Conv2D); ok {
 		first.accumulate(grad)
 	} else {
 		n.Layers[0].Backward(grad)
