@@ -6,6 +6,7 @@ import (
 
 	"ffsva/internal/detect"
 	"ffsva/internal/device"
+	"ffsva/internal/filters"
 	"ffsva/internal/lab"
 	"ffsva/internal/pipeline"
 	"ffsva/internal/vclock"
@@ -136,5 +137,84 @@ func TestSingleInstanceNoReforward(t *testing.T) {
 	}
 	if rep.Admissions() != 2 {
 		t.Fatalf("admissions = %d", rep.Admissions())
+	}
+}
+
+// TestReforwardKeepsEachBatchsVerdicts: a re-forwarded stream's old
+// fragment drains its SNM queue while its T-YOLO queue is full, and its
+// continuation runs the same SNM on the target instance meanwhile.
+// Each fragment must route its frames by its own batch's verdicts: a
+// frame the run dropped at the SNM is one the SNM drops, and a frame
+// that went on is one it passes, exactly as frame-by-frame Process
+// calls on a fresh copy of the stream decide.
+func TestReforwardKeepsEachBatchsVerdicts(t *testing.T) {
+	cam, err := lab.CarCamera(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(vclock.NewVirtual(), 2)
+	cfg.Horizon = 40 * time.Second
+	cfg.OverloadChecks = 2
+	// The slow reference model of TestReforwardUnderOverload backs the
+	// overloaded instance's queues up to its SNM stages.
+	costs := device.Calibrated()
+	c := costs[device.ModelRef]
+	c.PerFrame = 55 * time.Millisecond
+	costs[device.ModelRef] = c
+	cfg.Pipeline.Costs = costs
+	const frames = 900
+	rep := New(cfg, arrivals(t, cam, 3, frames, 500*time.Millisecond)).Run()
+	if rep.Reforwards() == 0 {
+		t.Fatal("no re-forward: the run does not exercise a shared SNM")
+	}
+
+	moved := map[int]bool{}
+	for _, e := range rep.Events {
+		if e.Kind == EventReforward {
+			moved[e.StreamID] = true
+		}
+	}
+	for i := range 3 {
+		id := 100 + i
+		disp := make([]pipeline.Disposition, frames)
+		seen := make([]bool, frames)
+		for _, ir := range rep.Instances {
+			for _, sr := range ir.Streams {
+				if sr.ID != id {
+					continue
+				}
+				for _, r := range sr.Records {
+					if r.Done {
+						disp[r.Seq], seen[r.Seq] = r.Disposition, true
+					}
+				}
+			}
+		}
+		ref := cam.Stream(id, nil, lab.StreamOptions{Seed: int64(9000 + i), Frames: frames})
+		checked := 0
+		for seq := range frames {
+			f := ref.Source.Next()
+			if !seen[seq] {
+				t.Fatalf("stream %d: frame %d has no record", id, seq)
+			}
+			var passed bool
+			switch disp[seq] {
+			case pipeline.DropSNM:
+			case pipeline.DropTYolo, pipeline.Detected:
+				passed = true
+			default: // never reached the SNM, or left by a fault
+				f.Release()
+				continue
+			}
+			v := ref.SNM.Process(f)
+			f.Release()
+			if (v == filters.Pass) != passed {
+				t.Errorf("stream %d (moved %v): frame %d ended %v, but the SNM says %v", id, moved[id], seq, disp[seq], v)
+			}
+			checked++
+		}
+		if checked == 0 {
+			t.Errorf("stream %d: no frame reached the SNM", id)
+		}
 	}
 }

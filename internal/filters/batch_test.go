@@ -61,3 +61,26 @@ func TestProcessBatchEmpty(t *testing.T) {
 		t.Fatalf("empty batch touched stats: %+v", snm.Stats())
 	}
 }
+
+// TestAppendBatchResultsAreTheCallers: two callers sharing one SNM (a
+// migrated stream's old and new pipeline fragments) each keep their
+// own verdicts; a batch decided in between does not rewrite them.
+func TestAppendBatchResultsAreTheCallers(t *testing.T) {
+	cfg := vidgen.Small(4, frame.ClassCar, 0.5)
+	frames := vidgen.Generate(vidgen.New(cfg), 16)
+	ref := NewSNM(benchNet(rand.New(rand.NewSource(2))), 0.2, 0.8, 0.5)
+	want := ref.ProcessBatch(frames[:8])
+
+	snm := NewSNM(benchNet(rand.New(rand.NewSource(2))), 0.2, 0.8, 0.5)
+	old := snm.AppendBatch(make([]Verdict, 0, 8), frames[:8])
+	for range 3 {
+		// A warm dst of the same capacity is where a shared result
+		// slice would be refilled in place.
+		snm.AppendBatch(make([]Verdict, 0, 8), frames[8:])
+	}
+	for i := range want {
+		if old[i] != want[i] {
+			t.Fatalf("frame %d: verdict %v after later batches, want %v", i, old[i], want[i])
+		}
+	}
+}
