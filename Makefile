@@ -52,12 +52,14 @@ test:
 # the next one over a channel. Those handoffs are the happens-before
 # edges the race detector checks, so vclock, queue and device, whose
 # tests hand the processor around at every Put, Get, Wait and Use, are
-# listed; the pipeline and cluster suites take minutes under -race and
-# are left to make ci. The compute kernels are serial loops and start
-# no goroutine, but the headers and records they recycle cross the
-# pipeline's prefetch, SDD and T-YOLO goroutines through process-global
-# free lists, so frame and imgproc (their header hammers) and filters
-# are listed; detect and train are not. What is left: par's pool
+# listed, and so are sched and cluster, whose manager process re-binds
+# streams that run on every instance (a re-forwarded stream's two
+# fragments share its filters); the pipeline suite takes minutes under
+# -race and is left to make ci. The compute kernels are serial loops
+# and start no goroutine, but the headers and records they recycle
+# cross the pipeline's prefetch, SDD and T-YOLO goroutines through
+# process-global free lists, so frame and imgproc (their header
+# hammers) and filters are listed; detect and train are not. What is left: par's pool
 # hammer (goroutines trading slices through one SlicePool), nn's one
 # trained net inferred on from eight goroutines
 # (TestSharedNetInferAcrossGoroutines) and its pooled tensors
@@ -67,10 +69,10 @@ test:
 # (TestConcurrentTrainCameraTrainsEachOnce), and the tracer,
 # observability server and flight recorder, whose readers are HTTP and
 # dump goroutines. The per-pixel loops run ~50x slower under the
-# detector (vidgen ~8 min on a 2-vCPU host), hence the timeout above go
-# test's 600s default.
+# detector (vidgen ~8 min on a 2-vCPU host) and cluster's clock
+# handoffs take ~4 min, hence the timeout above go test's 600s default.
 race:
-	$(GO) test -race -timeout 1800s ./internal/vclock ./internal/queue ./internal/device ./internal/par ./internal/frame ./internal/imgproc ./internal/filters ./internal/nn ./internal/vidgen ./internal/lab ./internal/trace ./internal/obs ./internal/timeline
+	$(GO) test -race -timeout 1800s ./internal/vclock ./internal/queue ./internal/device ./internal/par ./internal/frame ./internal/imgproc ./internal/filters ./internal/nn ./internal/vidgen ./internal/lab ./internal/trace ./internal/obs ./internal/timeline ./internal/cluster/sched ./internal/cluster
 
 # The experiments suite alone needs ~20 min under -race (the virtual
 # clock is cooperative, so the race detector's overhead doesn't
@@ -90,7 +92,8 @@ ci:
 # them against the committed docs/results-quick.txt. Every figure in them
 # is a virtual-clock result, so only the start stamp and the per-job
 # "(… took …)" wall times may differ; any other line that moves is a
-# changed result. Takes ~6.5 min on a 2-vCPU host.
+# changed result. Takes ~3 min on a 2-vCPU host (2m54s, the cluster job
+# 19 s of it).
 RESULTS_JOBS = headline,table1,fig3,fig4,fig5,fig6a,fig6b,fig7,fig8,table2,fig9,fig10,ablations,extensions,cluster,consolidate
 RESULTS_VOLATILE = -e ', started ' -e '^(.* took .*)$$'
 results-check:

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ffsva/internal/cluster"
-	"ffsva/internal/cluster/sched"
 	"ffsva/internal/core"
 	"ffsva/internal/detect"
 	"ffsva/internal/experiments"
@@ -49,9 +48,8 @@ type fleetLevel struct {
 
 // runFleetLevel runs n concurrent tiny streams, all arriving at t=0,
 // against the fixed fleet on the virtual clock with charged costs.
-func runFleetLevel(cam *lab.Camera, policy string, consolidate bool, n, frames int) fleetLevel {
+func runFleetLevel(cam *lab.Camera, consolidate bool, n, frames int) fleetLevel {
 	cfg := cluster.DefaultConfig(vclock.NewVirtual(), fleetInstances)
-	cfg.Placement.Policy = policy
 	cfg.Pipeline.Consolidate = consolidate
 	cfg.Horizon = time.Duration(frames)*time.Second/30 + 13*time.Second
 	arr := make([]cluster.Arrival, n)
@@ -87,11 +85,11 @@ func runFleetLevel(cam *lab.Camera, policy string, consolidate bool, n, frames i
 
 // sweepFleet climbs the ladder until the first level the fleet cannot
 // sustain, and returns every level run plus the highest one sustained.
-func sweepFleet(cam *lab.Camera, policy string, consolidate bool, ladder []int, frames int) ([]fleetLevel, int) {
+func sweepFleet(cam *lab.Camera, consolidate bool, ladder []int, frames int) ([]fleetLevel, int) {
 	var levels []fleetLevel
 	knee := 0
 	for _, n := range ladder {
-		lvl := runFleetLevel(cam, policy, consolidate, n, frames)
+		lvl := runFleetLevel(cam, consolidate, n, frames)
 		levels = append(levels, lvl)
 		if !lvl.sustained {
 			break
@@ -110,8 +108,8 @@ func fleetFrames(scale experiments.Scale) int {
 	return 60
 }
 
-// runClusterBench sweeps the concurrent-stream ladder under both
-// placement policies and tabulates the max sustained level per policy.
+// runClusterBench sweeps the concurrent-stream ladder under least-load
+// placement and tabulates the max sustained level.
 func runClusterBench(scale experiments.Scale) (tabler, error) {
 	cam, err := lab.CarCamera(0.1)
 	if err != nil {
@@ -120,23 +118,19 @@ func runClusterBench(scale experiments.Scale) (tabler, error) {
 	frames := fleetFrames(scale)
 	t := &experiments.Table{
 		ID:      "cluster",
-		Title:   "max sustained concurrent streams, fixed fleet, by placement policy",
+		Title:   "max sustained concurrent streams, fixed fleet, least-load placement",
 		Columns: []string{"policy", "streams", "sustained", "reforwards", "sheds"},
 	}
-	knees := map[string]int{}
-	for _, policy := range []string{sched.PolicyLeastLoad, sched.PolicyHash} {
-		levels, knee := sweepFleet(cam, policy, false, clusterLadder, frames)
-		knees[policy] = knee
-		for _, l := range levels {
-			t.Rows = append(t.Rows, []string{
-				policy, fmt.Sprintf("%d", l.streams), fmt.Sprintf("%v", l.sustained),
-				fmt.Sprintf("%d", l.reforwards), fmt.Sprintf("%d", l.sheds),
-			})
-		}
+	levels, knee := sweepFleet(cam, false, clusterLadder, frames)
+	for _, l := range levels {
+		t.Rows = append(t.Rows, []string{
+			"least-load", fmt.Sprintf("%d", l.streams), fmt.Sprintf("%v", l.sustained),
+			fmt.Sprintf("%d", l.reforwards), fmt.Sprintf("%d", l.sheds),
+		})
 	}
 	t.Notes = []string{
 		fmt.Sprintf("%d instances, %d frames per stream, all arrivals at t=0, virtual clock with charged costs", fleetInstances, frames),
-		fmt.Sprintf("max sustained: least-load=%d hash=%d", knees[sched.PolicyLeastLoad], knees[sched.PolicyHash]),
+		fmt.Sprintf("max sustained: least-load=%d", knee),
 	}
 	return tables{t}, nil
 }
@@ -154,7 +148,7 @@ func runConsolidateBench(scale experiments.Scale) (tabler, error) {
 		rbFrames = 180
 	}
 
-	levels, knee := sweepFleet(cam, sched.PolicyLeastLoad, true, consolidateLadder, frames)
+	levels, knee := sweepFleet(cam, true, consolidateLadder, frames)
 	fleet := &experiments.Table{
 		ID:      "consolidate",
 		Title:   "consolidated fleet: max sustained concurrent streams",

@@ -9,19 +9,17 @@
 //	      [-batch 10] [-filter-degree 0.5] [-objects 1] [-tolerance 0]
 //	      [-consolidate] [-ref-conf 0.5]
 //	      [-real] [-metrics 1s] [-metrics-json]
-//	      [-instances 2] [-arrival-every 2s] [-placement least-load|hash]
-//	      [-tenants "acme=4,globex=2"] [-elastic-max 0]
+//	      [-instances 2] [-arrival-every 2s]
 //	      [-inject spec]... [-shed-after 500ms]
 //	      [-trace out.json] [-trace-jsonl out.jsonl] [-listen :8080]
 //	      [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // -instances greater than one runs the multi-instance layer (§4.3)
-// instead of a single pipeline: streams arrive -arrival-every apart and
-// the control plane admits each under the -tenants quotas (rejections
-// are reported and charged to the drop-admission ledger), places it by
-// the -placement policy, re-forwards streams off overloaded instances,
-// and — with -elastic-max above -instances — grows and shrinks the
-// fleet under sustained overload or idleness.
+// instead of a single pipeline: streams arrive -arrival-every apart, the
+// control plane places each on the least-loaded instance, re-forwards
+// streams off overloaded instances, and recovers the streams of an
+// instance it declares dead (an arrival with no live instance left is
+// rejected and charged to the drop-admission ledger).
 //
 // -consolidate switches the reference tier to object-level
 // consolidation: T-YOLO's candidate boxes are cropped with padding and
@@ -99,8 +97,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"time"
 
 	"ffsva"
@@ -143,9 +139,6 @@ func main() {
 	metricsJSON := flag.Bool("metrics-json", false, "emit -metrics snapshots as JSON lines")
 	instances := flag.Int("instances", 1, "FFS-VA instances; >1 runs the multi-instance cluster")
 	arrivalEvery := flag.Duration("arrival-every", 2*time.Second, "stream arrival spacing in cluster mode")
-	placement := flag.String("placement", "least-load", "cluster stream placement policy: least-load or hash")
-	tenants := flag.String("tenants", "", `cluster tenant quotas, e.g. "acme=4,globex=2" (name=limit, 0 or omitted limit = unlimited); streams cycle through the tenants round-robin`)
-	elasticMax := flag.Int("elastic-max", 0, "cluster elastic scale-up ceiling (instances); 0 pins the fleet at -instances")
 	flag.Var(injectFlag{&cfg.Faults}, "inject", "fault-injection spec (repeatable), e.g. crash:inst=1,at=8s")
 	flag.DurationVar(&cfg.ShedAfter, "shed-after", 0, "online load-shedding lateness threshold (0 disables)")
 	tracePath := flag.String("trace", "", "write Perfetto-loadable trace-event JSON to this file")
@@ -235,17 +228,6 @@ func main() {
 	if *instances > 1 {
 		ccfg := ffsva.ClusterConfig{Config: cfg, Instances: *instances, ArrivalEvery: *arrivalEvery}
 		ccfg.Mode = ffsva.Online
-		ccfg.Placement.Policy = *placement
-		ccfg.Elastic.Max = *elasticMax
-		if *tenants != "" {
-			names, quotas, err := parseTenants(*tenants)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ffsva: -tenants: %v\n", err)
-				os.Exit(2)
-			}
-			ccfg.Tenants = names
-			ccfg.Quotas.PerTenant = quotas
-		}
 		if err := ccfg.Validate(); err != nil {
 			fmt.Fprintf(os.Stderr, "ffsva: %v\n", err)
 			os.Exit(2)
@@ -262,19 +244,15 @@ func main() {
 		if rep.Cancelled {
 			fmt.Println("run cancelled — partial report:")
 		}
-		fmt.Printf("cluster: %d instances (%s placement), %d admissions, %d re-forwards, realtime=%v\n",
-			len(rep.Instances), *placement, rep.Admissions(), rep.Reforwards(), rep.Realtime)
+		fmt.Printf("cluster: %d instances, %d admissions, %d re-forwards, realtime=%v\n",
+			len(rep.Instances), rep.Admissions(), rep.Reforwards(), rep.Realtime)
 		if rep.Failures() > 0 {
 			fmt.Printf("  failures: %d instance(s) lost, %d stream(s) recovered\n",
 				rep.Failures(), rep.Recoveries())
 		}
-		if rep.ScaleUps() > 0 || rep.ScaleDowns() > 0 || rep.Migrations() > 0 {
-			fmt.Printf("  elastic: %d scale-up(s), %d scale-down(s), %d migration(s)\n",
-				rep.ScaleUps(), rep.ScaleDowns(), rep.Migrations())
-		}
 		for _, rj := range rep.Rejections {
-			fmt.Printf("  rejected: stream %d (tenant %q, %s) — %d frames charged to drop-admission\n",
-				rj.StreamID, rj.Tenant, rj.Reason, rj.Frames)
+			fmt.Printf("  rejected: stream %d (no live instance) — %d frames charged to drop-admission\n",
+				rj.StreamID, rj.Frames)
 		}
 		for i, ir := range rep.Instances {
 			fmt.Printf("  instance %d: %v\n", i, ir)
@@ -376,39 +354,6 @@ func finishTimeline(rec *ffsva.Timeline) {
 	for _, path := range rec.Dumps() {
 		fmt.Fprintf(os.Stderr, "ffsva: wrote %s\n", path)
 	}
-}
-
-// parseTenants parses the -tenants spec ("acme=4,globex=2") into the
-// round-robin tenant cycle and the per-tenant quota map. A missing or
-// zero limit means unlimited.
-func parseTenants(spec string) ([]string, map[string]int, error) {
-	var names []string
-	quotas := make(map[string]int)
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, limitStr, hasLimit := strings.Cut(part, "=")
-		name = strings.TrimSpace(name)
-		if name == "" {
-			return nil, nil, fmt.Errorf("empty tenant name in %q", part)
-		}
-		limit := 0
-		if hasLimit {
-			n, err := strconv.Atoi(strings.TrimSpace(limitStr))
-			if err != nil {
-				return nil, nil, fmt.Errorf("bad quota for tenant %q: %v", name, err)
-			}
-			limit = n
-		}
-		names = append(names, name)
-		quotas[name] = limit
-	}
-	if len(names) == 0 {
-		return nil, nil, fmt.Errorf("no tenants in %q", spec)
-	}
-	return names, quotas, nil
 }
 
 // exportTrace writes the recorded trace to the requested files; export

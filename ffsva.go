@@ -37,7 +37,6 @@ import (
 	"context"
 
 	"ffsva/internal/cluster"
-	"ffsva/internal/cluster/sched"
 	"ffsva/internal/core"
 	"ffsva/internal/faults"
 	"ffsva/internal/obs"
@@ -54,36 +53,23 @@ type (
 	Result = core.Result
 	// ClusterConfig describes a multi-instance run (§4.3): the same
 	// workload description as Config plus an instance count, a stream
-	// arrival cadence, and the control plane — promoted Placement /
-	// Quotas / Elastic sub-configs plus the manager tuning knobs.
+	// arrival cadence, and the promoted control-plane tuning knobs.
 	ClusterConfig = core.ClusterConfig
 	// ClusterTuning bundles the control-plane knobs inside
 	// ClusterConfig: the monitor period (CheckEvery), the overloaded
-	// checks before a re-forward (OverloadChecks), failure detection
-	// (HeartbeatEvery, FailTimeout) and the Placement / Quotas /
-	// Elastic sub-configs. The overload and spare-capacity thresholds
-	// are the paper's fixed signals, not knobs.
+	// checks before a re-forward (OverloadChecks) and failure detection
+	// (HeartbeatEvery, FailTimeout). Placement is least-load; it and the
+	// overload and spare-capacity thresholds are the paper's fixed
+	// signals, not knobs.
 	ClusterTuning = cluster.Tuning
-	// PlacementConfig selects the stream placement policy
-	// (ClusterConfig.Placement): PlacementLeastLoad or PlacementHash.
-	PlacementConfig = sched.PlacementConfig
-	// QuotaConfig bounds admission per tenant and cluster-wide
-	// (ClusterConfig.Quotas); rejected arrivals surface as
-	// ClusterReport.Rejections with their frames charged to
-	// DropAdmission.
-	QuotaConfig = sched.QuotaConfig
-	// ElasticConfig drives instance scale-up/down
-	// (ClusterConfig.Elastic); the zero value pins the fleet at the
-	// configured instance count.
-	ElasticConfig = sched.ElasticConfig
 	// ClusterReport aggregates a finished multi-instance run.
 	ClusterReport = cluster.Report
 	// ClusterEvent is one control-plane action (admit, reject,
-	// re-forward, fail, recover, migrate, scale-up/down) in
-	// ClusterReport.Events.
+	// re-forward, fail, recover) in ClusterReport.Events.
 	ClusterEvent = cluster.Event
-	// Rejection is one arrival refused admission, in
-	// ClusterReport.Rejections.
+	// Rejection is one arrival refused admission because no instance
+	// was live, in ClusterReport.Rejections; its frames are charged to
+	// DropAdmission.
 	Rejection = cluster.Rejection
 	// Accuracy is the paper's accuracy accounting.
 	Accuracy = core.Accuracy
@@ -176,12 +162,6 @@ const (
 	DropAdmission = pipeline.DropAdmission
 )
 
-// Placement policies (ClusterConfig.Placement.Policy).
-const (
-	PlacementLeastLoad = sched.PolicyLeastLoad
-	PlacementHash      = sched.PolicyHash
-)
-
 // Fault kinds (Config.Faults).
 const (
 	FaultDecodeError   = faults.DecodeError
@@ -212,9 +192,6 @@ var (
 	ErrBadNumberOfObjects = core.ErrBadNumberOfObjects
 	ErrBadRefConf         = core.ErrBadRefConf
 	ErrBadInstances       = core.ErrBadInstances
-	ErrBadPlacement       = sched.ErrBadPlacement
-	ErrBadQuota           = sched.ErrBadQuota
-	ErrBadElastic         = sched.ErrBadElastic
 )
 
 // DefaultConfig returns a ready-to-run configuration (one offline car

@@ -1,13 +1,10 @@
 // Package cluster scales FFS-VA beyond one instance, implementing the
-// multi-instance behaviour the paper describes in §4.3 and growing it
-// into a control plane: new streams are admitted under tenant quotas
-// and placed by a pluggable policy (least-load over the paper's spare
-// T-YOLO-rate signal, or consistent hashing over stream IDs), an
+// multi-instance behaviour the paper describes in §4.3: new streams are
+// placed least-load over the paper's spare T-YOLO-rate signal, an
 // overloaded instance's streams are re-forwarded — stopped at a frame
-// boundary and continued on another instance — the fleet grows and
-// shrinks elastically under sustained overload or idleness, and the
-// same continuation machinery serves failure recovery and scheduled
-// migrations alike.
+// boundary and continued on another instance — and the same
+// continuation machinery recovers the streams of an instance that
+// failure detection declares dead.
 //
 // The split: this package is the mechanism (instances, stream
 // continuations, heartbeats, the event ledger); every decision is
@@ -47,14 +44,6 @@ type Tuning struct {
 	// streams. Failure detection runs only when both are positive.
 	HeartbeatEvery time.Duration
 	FailTimeout    time.Duration
-
-	// Placement selects the stream placement policy (least-load or
-	// consistent hashing); Quotas bounds admission per tenant and
-	// cluster-wide; Elastic drives instance scale-up/down. Their zero
-	// values mean: least-load, no quotas, no elasticity.
-	Placement sched.PlacementConfig
-	Quotas    sched.QuotaConfig
-	Elastic   sched.ElasticConfig
 }
 
 // The paper's fixed overload and spare-capacity signals (§4.3).
@@ -83,8 +72,7 @@ func DefaultTuning() Tuning {
 }
 
 // WithDefaults fills every zero knob from DefaultTuning, leaving set
-// values (and the Placement/Quotas/Elastic sub-configs, whose zero
-// values are meaningful) alone. Negative HeartbeatEvery or FailTimeout
+// values alone. Negative HeartbeatEvery or FailTimeout
 // normalize to 0, explicitly disabling failure detection.
 func (t Tuning) WithDefaults() Tuning {
 	d := DefaultTuning()
@@ -107,9 +95,7 @@ func (t Tuning) WithDefaults() Tuning {
 	return t
 }
 
-// Validate checks the tuning, delegating the sub-configs to their
-// sentinel-wrapping validators (ErrBadPlacement, ErrBadQuota,
-// ErrBadElastic).
+// Validate checks the tuning.
 func (t Tuning) Validate() error {
 	if t.CheckEvery < 0 {
 		return fmt.Errorf("cluster: CheckEvery must not be negative, have %v", t.CheckEvery)
@@ -117,27 +103,20 @@ func (t Tuning) Validate() error {
 	if t.OverloadChecks < 0 {
 		return fmt.Errorf("cluster: OverloadChecks must not be negative, have %d", t.OverloadChecks)
 	}
-	if err := t.Placement.Validate(); err != nil {
-		return err
-	}
-	if err := t.Quotas.Validate(); err != nil {
-		return err
-	}
-	return t.Elastic.Validate()
+	return nil
 }
 
 // Config assembles a Cluster.
 type Config struct {
 	Clock *vclock.VirtualClock
-	// Instances is the initial number of FFS-VA instances (each gets the
-	// full device complement: one CPU pool + two GPUs, i.e. one server);
-	// Tuning.Elastic can grow and shrink the fleet from there.
+	// Instances is the number of FFS-VA instances (each gets the full
+	// device complement: one CPU pool + two GPUs, i.e. one server).
 	Instances int
 	// Pipeline is the per-instance configuration template; its Clock is
 	// overwritten with the cluster clock and its Mode forced Online.
 	Pipeline pipeline.Config
 	// Tuning holds every control-plane knob; its fields are promoted
-	// (cfg.CheckEvery, cfg.Placement, ...).
+	// (cfg.CheckEvery, cfg.FailTimeout, ...).
 	Tuning
 	// Horizon is how long the manager and monitor stay alive; it must
 	// cover the last arrival plus the longest stream duration.
@@ -152,7 +131,7 @@ type Config struct {
 	// shared per-frame trace. Each instance's spans carry its index, so
 	// a re-forwarded stream's frames appear under both instances'
 	// process tracks; manager actions (admit, reject, re-forward, fail,
-	// recover, migrate, scale) become instant events.
+	// recover) become instant events.
 	Tracer *trace.Tracer
 	// OnSnapshot, when non-nil, receives every instance snapshot the
 	// manager observes, tagged with the instance index — the live
@@ -182,9 +161,6 @@ func DefaultConfig(clk *vclock.VirtualClock, instances int) Config {
 type Arrival struct {
 	At time.Duration
 	ID int
-	// Tenant attributes the stream for quota accounting; empty is the
-	// default tenant.
-	Tenant string
 	// Frames is the stream's frame budget. A rejected arrival charges
 	// this many frames to the DropAdmission ledger — the spec is never
 	// minted — keeping cluster-wide frame conservation checkable.
@@ -206,20 +182,9 @@ const (
 	EventFail
 	// EventRecover records one stream re-forwarded off a dead instance.
 	EventRecover
-	// EventReject records an arrival refused admission (quota exhausted
-	// or no live instance); Note carries the reason.
+	// EventReject records an arrival refused admission because no
+	// instance is live.
 	EventReject
-	// EventScaleUp records an elastically added instance (To is the new
-	// instance; StreamID is -1).
-	EventScaleUp
-	// EventScaleDown records an elastically retired instance (From is
-	// the instance; StreamID is -1).
-	EventScaleDown
-	// EventMigrate records a scheduler-decided rebalance migration —
-	// the same continuation path as EventReforward, but triggered by
-	// placement policy (e.g. guests going home after a scale-up), not
-	// by overload.
-	EventMigrate
 )
 
 // Event is one manager action, for the report.
@@ -228,8 +193,6 @@ type Event struct {
 	At       time.Duration
 	StreamID int
 	From, To int // instance indices; From is -1 for admissions
-	// Note carries the human-readable detail for rejections.
-	Note string
 }
 
 // String renders the event.
@@ -243,13 +206,7 @@ func (e Event) String() string {
 	case EventRecover:
 		return fmt.Sprintf("t=%v recover stream %d: instance %d -> %d", at, e.StreamID, e.From, e.To)
 	case EventReject:
-		return fmt.Sprintf("t=%v reject stream %d (%s)", at, e.StreamID, e.Note)
-	case EventScaleUp:
-		return fmt.Sprintf("t=%v scale-up: add instance %d", at, e.To)
-	case EventScaleDown:
-		return fmt.Sprintf("t=%v scale-down: retire instance %d", at, e.From)
-	case EventMigrate:
-		return fmt.Sprintf("t=%v migrate stream %d: instance %d -> %d", at, e.StreamID, e.From, e.To)
+		return fmt.Sprintf("t=%v reject stream %d (no live instance)", at, e.StreamID)
 	default:
 		return fmt.Sprintf("t=%v reforward stream %d: instance %d -> %d", at, e.StreamID, e.From, e.To)
 	}
@@ -260,20 +217,8 @@ func (e Event) String() string {
 type Rejection struct {
 	At       time.Duration
 	StreamID int
-	Tenant   string
 	Frames   int
-	Reason   sched.RejectReason
 }
-
-// rebalanceWindow is how many CheckEvery periods after a membership
-// change (scale-up/down, failure) the scheduler's Rebalance hook keeps
-// proposing migrations; outside the window both built-in policies hold
-// still to avoid steady-state churn.
-const rebalanceWindow = 5
-
-// migratePerTick bounds rebalance migrations per manager tick, so a
-// membership change disrupts at most a couple of streams at once.
-const migratePerTick = 2
 
 // Cluster is a set of FFS-VA instances under one control plane.
 type Cluster struct {
@@ -287,19 +232,14 @@ type Cluster struct {
 	injs []*faults.Injector
 
 	// bookkeeping (cooperatively accessed from manager/monitor procs)
-	owners  map[int]int                 // live stream id -> owning instance
-	specs   map[int]pipeline.StreamSpec // last spec per stream id
-	over    []int                       // consecutive overload observations
-	failed  []bool                      // instances declared dead
-	retired []bool                      // instances elastically shut down
-	events  []Event
+	owners map[int]int                 // live stream id -> owning instance
+	specs  map[int]pipeline.StreamSpec // last spec per stream id
+	over   []int                       // consecutive overload observations
+	failed []bool                      // instances declared dead
+	events []Event
 
 	rejections []Rejection
 	drops      [pipeline.NumDispositions]int64 // cluster-level ledger (DropAdmission)
-
-	// rebalanceUntil opens the post-membership-change window during
-	// which the placement policy may propose rebalance migrations.
-	rebalanceUntil time.Duration
 
 	// completed is trackCompletions' scratch.
 	completed []int
@@ -313,54 +253,38 @@ type Cluster struct {
 
 // New builds a cluster; Run executes it to completion. The config's
 // Tuning is taken as-is (call Validate / WithDefaults first when it
-// came from user input); a placement policy that fails to build panics,
-// as does a non-positive instance count.
+// came from user input); a non-positive instance count panics.
 func New(cfg Config, arrivals []Arrival) *Cluster {
 	if cfg.Instances <= 0 {
 		panic("cluster: need at least one instance")
 	}
-	sch, err := sched.New(sched.Config{
-		Placement: cfg.Placement,
-		Quotas:    cfg.Quotas,
-		Elastic:   cfg.Elastic,
-		Cooldown:  cfg.CheckEvery,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("cluster: %v", err))
-	}
+	sch, _ := sched.New(sched.Config{Cooldown: cfg.CheckEvery}) // never fails
 	c := &Cluster{
 		cfg:      cfg,
 		sch:      sch,
 		arrivals: append([]Arrival(nil), arrivals...),
 		owners:   make(map[int]int),
 		specs:    make(map[int]pipeline.StreamSpec),
+		over:     make([]int, cfg.Instances),
+		failed:   make([]bool, cfg.Instances),
 	}
 	sort.SliceStable(c.arrivals, func(i, j int) bool { return c.arrivals[i].At < c.arrivals[j].At })
 	for i := 0; i < cfg.Instances; i++ {
-		c.newInstance(i)
+		pc := cfg.Pipeline
+		pc.Clock = cfg.Clock
+		pc.Mode = pipeline.Online
+		pc.HeartbeatEvery = cfg.HeartbeatEvery
+		pc.Tracer = cfg.Tracer
+		pc.Instance = i
+		inj := faults.NewInjector(faults.ForInstance(cfg.Faults, i))
+		if len(cfg.Faults) > 0 {
+			pc.AdjustService = inj.AdjustServiceTime
+		}
+		c.injs = append(c.injs, inj)
+		c.instances = append(c.instances, pipeline.New(pc, nil))
+		c.tgs = append(c.tgs, detect.NewTinyGrid(detect.DefaultTinyGridConfig()))
 	}
 	return c
-}
-
-// newInstance appends instance i's pipeline, detector, injector, and
-// bookkeeping slots. Shared by construction and elastic scale-up.
-func (c *Cluster) newInstance(i int) {
-	pc := c.cfg.Pipeline
-	pc.Clock = c.cfg.Clock
-	pc.Mode = pipeline.Online
-	pc.HeartbeatEvery = c.cfg.HeartbeatEvery
-	pc.Tracer = c.cfg.Tracer
-	pc.Instance = i
-	inj := faults.NewInjector(faults.ForInstance(c.cfg.Faults, i))
-	if len(c.cfg.Faults) > 0 {
-		pc.AdjustService = inj.AdjustServiceTime
-	}
-	c.injs = append(c.injs, inj)
-	c.instances = append(c.instances, pipeline.New(pc, nil))
-	c.tgs = append(c.tgs, detect.NewTinyGrid(detect.DefaultTinyGridConfig()))
-	c.over = append(c.over, 0)
-	c.failed = append(c.failed, false)
-	c.retired = append(c.retired, false)
 }
 
 // Run starts every instance, processes arrivals and monitors overload
@@ -386,9 +310,7 @@ func (c *Cluster) RunContext(ctx context.Context) *Report {
 		inst.Start()
 	}
 	// Scheduled instance crashes fire as independent timer processes;
-	// failure detection then notices the frozen heartbeat. Crash faults
-	// bind to the initial instances — elastically added ones have no
-	// pre-assignable index.
+	// failure detection then notices the frozen heartbeat.
 	for _, cr := range faults.Crashes(c.cfg.Faults) {
 		if cr.Instance < 0 || cr.Instance >= len(c.instances) {
 			continue
@@ -446,35 +368,25 @@ func (c *Cluster) view(snaps []pipeline.Snapshot) *sched.View {
 	for i := range snaps {
 		insts[i] = sched.Instance{
 			Index:      i,
-			Live:       !c.failed[i] && !c.retired[i],
+			Live:       !c.failed[i],
 			Overloaded: c.overloaded(&snaps[i]),
-			TYoloRate:  snaps[i].TYoloRate,
 			Spare:      snaps[i].TYoloRate < spareTYRate,
-			Backlog:    snaps[i].WorstBacklog,
 		}
 	}
 	return c.sch.View(c.cfg.Clock.Now(), insts, c.owners)
 }
 
-// owns reports whether instance inst owns stream id and the stream is
-// still live there.
-func (c *Cluster) owns(inst, id int) bool {
-	owner, ok := c.owners[id]
-	return ok && owner == inst
-}
-
 // finish marks stream id finished or abandoned: it leaves the
-// scheduler's view and its quota.
+// scheduler's view.
 func (c *Cluster) finish(id int) {
 	delete(c.owners, id)
 	c.sch.Done(id)
 }
 
 // Instant maps the event to its trace-instant form: the instance track
-// it lands on — the destination's for admissions and scale-ups, the
-// source's for everything else (that is where the disruption happened),
-// and instance 0's (the cluster's front door) for rejections — plus the
-// short name. The timeline recorder classifies dump triggers by these
+// it lands on — the destination's for admissions, the source's for
+// everything else (that is where the disruption happened), and instance
+// 0's (the cluster's front door) for rejections — plus the short name. The timeline recorder classifies dump triggers by these
 // names, so they are part of the observability contract.
 func (e Event) Instant() (instance int, name string) {
 	instance, name = e.From, ""
@@ -489,12 +401,6 @@ func (e Event) Instant() (instance int, name string) {
 		name = fmt.Sprintf("recover stream %d -> %d", e.StreamID, e.To)
 	case EventReject:
 		instance, name = 0, fmt.Sprintf("reject stream %d", e.StreamID)
-	case EventScaleUp:
-		instance, name = e.To, fmt.Sprintf("scale-up instance %d", e.To)
-	case EventScaleDown:
-		name = fmt.Sprintf("scale-down instance %d", e.From)
-	case EventMigrate:
-		name = fmt.Sprintf("migrate stream %d -> %d", e.StreamID, e.To)
 	}
 	return instance, name
 }
@@ -528,8 +434,7 @@ func (c *Cluster) overloaded(sn *pipeline.Snapshot) bool {
 
 // manage is the control-plane loop: one consistent observation per
 // tick, then — in order — failure detection, completion tracking,
-// admission, overload re-forwarding, elastic scaling, and rebalance
-// migrations.
+// admission and overload re-forwarding.
 func (c *Cluster) manage() {
 	clk := c.cfg.Clock
 	next := 0
@@ -545,21 +450,20 @@ func (c *Cluster) manage() {
 		// arrivals nor count as a re-forward target this tick.
 		if c.cfg.HeartbeatEvery > 0 && c.cfg.FailTimeout > 0 {
 			for i, inst := range c.instances {
-				if !c.failed[i] && !c.retired[i] && clk.Now()-inst.Heartbeat() > c.cfg.FailTimeout {
+				if !c.failed[i] && clk.Now()-inst.Heartbeat() > c.cfg.FailTimeout {
 					c.fail(i, snaps)
 				}
 			}
 		}
-		// Completion tracking: a finished stream frees its instance slot
-		// and its tenant's quota.
+		// Completion tracking: a finished stream frees its instance slot.
 		c.trackCompletions(snaps)
 		// Admit any due arrivals.
 		for next < len(c.arrivals) && c.arrivals[next].At <= clk.Now() {
 			a := c.arrivals[next]
 			next++
-			idx, why := c.sch.Admit(a.ID, a.Tenant, c.view(snaps))
-			if why != sched.RejectNone {
-				c.reject(a, why)
+			idx := c.sch.Admit(a.ID, c.view(snaps))
+			if idx < 0 {
+				c.reject(a)
 				continue
 			}
 			spec := a.Make(c.tgs[idx])
@@ -578,7 +482,7 @@ func (c *Cluster) manage() {
 		}
 		// Overload monitoring and re-forwarding.
 		for i := range c.instances {
-			if c.failed[i] || c.retired[i] {
+			if c.failed[i] {
 				continue
 			}
 			if !c.overloaded(&snaps[i]) {
@@ -596,9 +500,6 @@ func (c *Cluster) manage() {
 				}
 			}
 		}
-		// Elastic scaling and post-membership-change rebalancing.
-		c.elastic(snaps)
-		c.rebalance(snaps)
 		// For observers only; obs.TestObservedBytesGolden pins their samples.
 		c.observe()
 		// Sleep to the next decision point.
@@ -611,35 +512,27 @@ func (c *Cluster) manage() {
 		}
 		clk.Sleep(wake - clk.Now())
 	}
-	for i, inst := range c.instances {
-		if !c.retired[i] {
-			inst.Release()
-		}
+	for _, inst := range c.instances {
+		inst.Release()
 	}
 	c.managerDone = true
 }
 
-// reject records a refused arrival: a typed rejection, a manager
-// event, and the stream's whole frame budget charged to the
-// DropAdmission ledger (the frames were offered and never ingested
-// anywhere — without the charge they would silently vanish from
-// cluster-wide conservation).
-func (c *Cluster) reject(a Arrival, why sched.RejectReason) {
+// reject records an arrival refused because no instance is live: a
+// rejection, a manager event, and the stream's whole frame budget
+// charged to the DropAdmission ledger (the frames were offered and
+// never ingested anywhere — without the charge they would silently
+// vanish from cluster-wide conservation).
+func (c *Cluster) reject(a Arrival) {
 	now := c.cfg.Clock.Now()
-	c.rejections = append(c.rejections, Rejection{
-		At: now, StreamID: a.ID, Tenant: a.Tenant, Frames: a.Frames, Reason: why,
-	})
+	c.rejections = append(c.rejections, Rejection{At: now, StreamID: a.ID, Frames: a.Frames})
 	c.drops[pipeline.DropAdmission] += int64(a.Frames)
-	note := why.String()
-	if a.Tenant != "" {
-		note = fmt.Sprintf("tenant %q: %s", a.Tenant, why)
-	}
-	c.record(Event{Kind: EventReject, At: now, StreamID: a.ID, From: -1, To: -1, Note: note})
+	c.record(Event{Kind: EventReject, At: now, StreamID: a.ID, From: -1, To: -1})
 }
 
 // trackCompletions finishes the streams each instance's pipeline has
 // completed since the last tick (pipeline.System.Completed), releasing
-// their instance slot and their quota; the pipeline has already dropped
+// their instance slot; the pipeline has already dropped
 // their detector state, at their last verdict.
 func (c *Cluster) trackCompletions(snaps []pipeline.Snapshot) {
 	for i, inst := range c.instances {
@@ -656,80 +549,17 @@ func (c *Cluster) trackCompletions(snaps []pipeline.Snapshot) {
 	}
 }
 
-// elastic applies the scheduler's scale decision: grow the fleet under
-// sustained cluster-wide overload, retire a long-empty instance above
-// the floor. Either way the membership change opens the rebalance
-// window.
-func (c *Cluster) elastic(snaps []pipeline.Snapshot) {
-	if c.cfg.Elastic.Max <= 0 {
-		return
-	}
-	v := c.view(snaps)
-	grow, retire := c.sch.Elastic(v)
-	if grow {
-		c.addInstance()
-		return
-	}
-	// Elastic names only a live instance the view shows empty.
-	if retire >= 0 {
-		c.retire(retire)
-	}
-}
-
-// addInstance elastically appends and starts a new instance.
-func (c *Cluster) addInstance() int {
-	i := len(c.instances)
-	c.newInstance(i)
-	c.instances[i].Hold()
-	c.instances[i].Start()
-	now := c.cfg.Clock.Now()
-	c.rebalanceUntil = now + rebalanceWindow*c.cfg.CheckEvery
-	c.record(Event{Kind: EventScaleUp, At: now, StreamID: -1, From: -1, To: i})
-	return i
-}
-
-// retire elastically shuts down an empty instance: its hold is
-// released, so its stages drain and its heartbeat stops; failure
-// detection and placement both skip it from here on.
-func (c *Cluster) retire(i int) {
-	c.retired[i] = true
-	c.over[i] = 0
-	c.instances[i].Release()
-	now := c.cfg.Clock.Now()
-	c.rebalanceUntil = now + rebalanceWindow*c.cfg.CheckEvery
-	c.record(Event{Kind: EventScaleDown, At: now, StreamID: -1, From: i, To: -1})
-}
-
-// rebalance applies the placement policy's proposed migrations during
-// the post-membership-change window, bounded per tick.
-func (c *Cluster) rebalance(snaps []pipeline.Snapshot) {
-	if c.cfg.Clock.Now() >= c.rebalanceUntil {
-		return
-	}
-	moves := c.sch.Rebalance(c.view(snaps), true, migratePerTick)
-	for _, m := range moves {
-		if !c.owns(m.From, m.Stream) {
-			continue
-		}
-		if m.To < 0 || m.To >= len(c.instances) || c.failed[m.To] || c.retired[m.To] {
-			continue
-		}
-		c.continueStream(m.Stream, m.From, m.To, EventMigrate)
-	}
-}
-
 // fail declares instance i dead and recovers every one of its streams:
 // each is stopped (the crashed instance's ledger keeps its in-flight
 // frames, draining them to DropError) and its remainder re-forwarded to
-// the placement policy's recovery target via the continuation
-// machinery. With no live instance left the remainders are abandoned —
-// the cluster degrades instead of wedging.
+// the scheduler's recovery target via the continuation machinery.
+// With no live instance left the remainders are abandoned and charged
+// to DropError, lost to the crash — the cluster degrades instead of
+// wedging, and its ledger still sums to the frames offered.
 func (c *Cluster) fail(i int, snaps []pipeline.Snapshot) {
 	c.failed[i] = true
 	c.over[i] = 0
-	now := c.cfg.Clock.Now()
-	c.rebalanceUntil = now + rebalanceWindow*c.cfg.CheckEvery
-	c.record(Event{Kind: EventFail, At: now, StreamID: -1, From: i, To: -1})
+	c.record(Event{Kind: EventFail, At: c.cfg.Clock.Now(), StreamID: -1, From: i, To: -1})
 	var ids []int
 	for id, inst := range c.owners {
 		if inst == i {
@@ -739,10 +569,11 @@ func (c *Cluster) fail(i int, snaps []pipeline.Snapshot) {
 	sort.Ints(ids)
 	for _, id := range ids {
 		// Recovery rebuilds the view per stream: each continuation
-		// shifts the survivors' counts, and the policy should see it.
-		to := c.sch.Recover(id, i, c.view(snaps))
+		// shifts the survivors' counts, and the scheduler should see it.
+		to := c.sch.Recover(i, c.view(snaps))
 		if to < 0 {
-			c.instances[i].StopStream(id)
+			remaining, _, _, _ := c.instances[i].StopStream(id)
+			c.drops[pipeline.DropError] += remaining
 			c.finish(id)
 			continue
 		}
@@ -755,9 +586,9 @@ func (c *Cluster) fail(i int, snaps []pipeline.Snapshot) {
 // continueStream stops stream victim on instance from and re-forwards
 // its remainder to instance to, rebinding the counting filter to the
 // target's shared T-YOLO and carrying the background model across. It
-// is shared by overload re-forwarding, failure recovery, and rebalance
-// migration, and reports whether a continuation was created; the
-// ownership and spec maps are updated here. The stopped fragment's
+// is shared by overload re-forwarding and failure recovery, and reports
+// whether a continuation was created; the ownership and spec maps are
+// updated here. The stopped fragment's
 // detector state on from is its pipeline's to release, once it drains.
 func (c *Cluster) continueStream(victim, from, to int, kind EventKind) bool {
 	remaining, src, nextSeq, ok := c.instances[from].StopStream(victim)
@@ -799,8 +630,9 @@ type Report struct {
 	Rejections []Rejection
 	// Drops is the cluster-wide disposition ledger: every instance's
 	// per-stream counts summed, plus DropAdmission charges for rejected
-	// arrivals. When nothing is lost outside the pipelines, the total
-	// equals the frames offered to the cluster.
+	// arrivals and DropError charges for the un-ingested remainders of
+	// streams abandoned with no live instance. The total equals the
+	// frames offered to the cluster.
 	Drops [pipeline.NumDispositions]int64
 	// Realtime reports whether every fragment held its schedule: every
 	// instance report's Realtime.
@@ -862,16 +694,6 @@ func (r *Report) Recoveries() int { return r.countEvents(EventRecover) }
 
 // Rejects counts arrivals refused admission.
 func (r *Report) Rejects() int { return r.countEvents(EventReject) }
-
-// Migrations counts rebalance migrations (scheduler-decided moves, as
-// opposed to overload re-forwards).
-func (r *Report) Migrations() int { return r.countEvents(EventMigrate) }
-
-// ScaleUps counts elastically added instances.
-func (r *Report) ScaleUps() int { return r.countEvents(EventScaleUp) }
-
-// ScaleDowns counts elastically retired instances.
-func (r *Report) ScaleDowns() int { return r.countEvents(EventScaleDown) }
 
 // EventLog renders the full scheduler event stream, one event per
 // line. Two runs of an identical seeded configuration must produce

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -99,11 +100,12 @@ func TestAllInstancesDeadDegrades(t *testing.T) {
 	cfg.Horizon = 30 * time.Second
 	cfg.Faults = []faults.Fault{{Kind: faults.InstanceCrash, Instance: 0, From: 5 * time.Second}}
 	// Two streams before the crash; a third arrives after the only
-	// instance is dead and must be dropped, not wedge the manager.
+	// instance is dead and must be refused, not wedge the manager.
 	arr := arrivals(t, cam, 2, 450, time.Second)
 	arr = append(arr, Arrival{
-		At: 12 * time.Second,
-		ID: 999,
+		At:     12 * time.Second,
+		ID:     999,
+		Frames: 450,
 		Make: func(tg *detect.TinyGrid) pipeline.StreamSpec {
 			return cam.Stream(999, tg, lab.StreamOptions{Seed: 9999, Frames: 450})
 		},
@@ -128,6 +130,32 @@ func TestAllInstancesDeadDegrades(t *testing.T) {
 	}
 	if _, ok := rep.StreamFrames[999]; ok {
 		t.Error("dropped arrival 999 has a frame count")
+	}
+	// The refusal is recorded once, and its whole budget is charged.
+	if len(rep.Rejections) != 1 || rep.Rejections[0].StreamID != 999 || rep.Rejections[0].Frames != 450 {
+		t.Errorf("rejections = %+v, want one for stream 999 with 450 frames", rep.Rejections)
+	}
+	var rejects []Event
+	for _, e := range rep.Events {
+		if e.Kind == EventReject {
+			rejects = append(rejects, e)
+		}
+	}
+	if len(rejects) != 1 || !strings.HasSuffix(rejects[0].String(), "reject stream 999 (no live instance)") {
+		t.Errorf("reject events = %v, want one reading \"reject stream 999 (no live instance)\"", rejects)
+	}
+	if got := rep.Drops[pipeline.DropAdmission]; got != 450 {
+		t.Errorf("DropAdmission = %d, want arrival 999's 450", got)
+	}
+	// Cluster-wide conservation: with the abandoned streams' un-ingested
+	// remainders charged to DropError, every offered frame has exactly
+	// one disposition.
+	var total int64
+	for _, n := range rep.Drops {
+		total += n
+	}
+	if want := int64(3 * 450); total != want {
+		t.Errorf("disposition ledger sums to %d frames, want %d offered", total, want)
 	}
 }
 

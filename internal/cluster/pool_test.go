@@ -13,14 +13,14 @@ import (
 	"ffsva/internal/vidgen"
 )
 
-// TestPoolBalancedAcrossFaultsAndMigration runs a cluster through every
+// TestPoolBalancedAcrossFaultsAndReforwards runs a cluster through every
 // way a frame can leave early — corrupt payloads, decodes lost past the
 // retry budget, shedding, an instance crash and re-forwarding — and
 // holds the frame pool to its ledger: every plane taken is returned, and
 // planes are taken only for frames the SDD stage reached, so a frame
 // dropped before it is never drawn. Frame headers and capture records
 // balance likewise.
-func TestPoolBalancedAcrossFaultsAndMigration(t *testing.T) {
+func TestPoolBalancedAcrossFaultsAndReforwards(t *testing.T) {
 	cam, err := lab.CarCamera(0.5) // trained, and its training frames returned, before counting
 	if err != nil {
 		t.Fatal(err)

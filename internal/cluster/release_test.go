@@ -65,12 +65,12 @@ func foldFragments(sn *pipeline.Snapshot) map[int]fragFold {
 }
 
 // lastOwners replays the event ledger: the last instance each placed
-// stream was admitted, re-forwarded, recovered or migrated to.
+// stream was admitted, re-forwarded or recovered to.
 func lastOwners(rep *Report) map[int]int {
 	owner := make(map[int]int)
 	for _, e := range rep.Events {
 		switch e.Kind {
-		case EventAdmit, EventReforward, EventRecover, EventMigrate:
+		case EventAdmit, EventReforward, EventRecover:
 			owner[e.StreamID] = e.To
 		}
 	}
@@ -96,7 +96,7 @@ func checkDetectorsEmpty(t *testing.T, c *Cluster, rep *Report) {
 // TestFinishedStreamsReleaseDetectorState is the regression test for
 // the completed-stream leak: a stream that simply ran to its end kept
 // its 346 KB background model in the instance's detector for the life of
-// the instance, because only migration and failure ever unregistered.
+// the instance, because only re-forwarding and failure ever unregistered.
 func TestFinishedStreamsReleaseDetectorState(t *testing.T) {
 	cam, err := lab.CarCamera(0.1)
 	if err != nil {

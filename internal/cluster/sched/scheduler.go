@@ -7,94 +7,29 @@ import (
 
 // Config assembles a Scheduler.
 type Config struct {
-	Placement PlacementConfig
-	Quotas    QuotaConfig
-	Elastic   ElasticConfig
 	// Cooldown is the post-move window during which a stream is not
 	// movable again — the cluster passes its CheckEvery, so no stream is
 	// ever bounced twice within one monitor window.
 	Cooldown time.Duration
 }
 
-// RejectReason types an admission rejection.
-type RejectReason int
-
-// Admission outcomes.
-const (
-	// RejectNone means the stream was admitted.
-	RejectNone RejectReason = iota
-	// RejectTenantQuota means the stream's tenant is at its cap.
-	RejectTenantQuota
-	// RejectClusterQuota means the cluster-wide stream cap is reached.
-	RejectClusterQuota
-	// RejectNoInstance means no live instance could take the stream.
-	RejectNoInstance
-)
-
-// String names the reason.
-func (r RejectReason) String() string {
-	switch r {
-	case RejectNone:
-		return "admitted"
-	case RejectTenantQuota:
-		return "tenant quota"
-	case RejectClusterQuota:
-		return "cluster quota"
-	default:
-		return "no live instance"
-	}
-}
-
-// Scheduler is the control plane's decision component: it owns the
-// pluggable placement policy, tenant quota accounting, per-stream
-// placement times (recency and move cooldowns), and the elastic
-// scale-up/down streaks. It holds no pipeline state and runs entirely
-// on the cluster manager's clock process — no locking, and every
-// decision is deterministic.
+// Scheduler is the control plane's decision component: least-load
+// placement, overload victim choice and recovery targets, plus the
+// per-stream placement times behind recency and move cooldowns. It
+// holds no pipeline state and runs entirely on the cluster manager's
+// clock process — no locking, and every decision is deterministic.
 type Scheduler struct {
-	cfg    Config
-	policy Placement
-
-	active   int            // streams currently placed, cluster-wide
-	tenantOf map[int]string // stream id -> tenant
-	tenants  map[string]int // tenant -> active streams
+	cfg Config
 	// placedAt is when each stream was admitted or last moved: its
 	// recency, and the start of its move cooldown.
 	placedAt map[int]time.Duration
-
-	// overSince is when every live instance became overloaded at once
-	// (scale-up streak); overNow marks the streak as running.
-	overSince time.Duration
-	overNow   bool
-	// idleSince is when each instance last became empty (scale-down
-	// streaks).
-	idleSince map[int]time.Duration
 }
 
-// New validates the config and builds the scheduler.
+// New builds the scheduler. Every Config is valid, so the error is
+// always nil; it stays in the signature for existing callers.
 func New(cfg Config) (*Scheduler, error) {
-	if err := cfg.Quotas.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Elastic.Validate(); err != nil {
-		return nil, err
-	}
-	policy, err := cfg.Placement.build()
-	if err != nil {
-		return nil, err
-	}
-	return &Scheduler{
-		cfg:       cfg,
-		policy:    policy,
-		tenantOf:  make(map[int]string),
-		tenants:   make(map[string]int),
-		placedAt:  make(map[int]time.Duration),
-		idleSince: make(map[int]time.Duration),
-	}, nil
+	return &Scheduler{cfg: cfg, placedAt: make(map[int]time.Duration)}, nil
 }
-
-// PolicyName reports the active placement policy.
-func (s *Scheduler) PolicyName() string { return s.policy.Name() }
 
 // View assembles the tick's consistent observation: the instances as
 // observed by the cluster, each with Streams set to the number of
@@ -131,135 +66,76 @@ func (s *Scheduler) View(now time.Duration, insts []Instance, owners map[int]int
 	return v
 }
 
-// Admit decides a new stream's placement under the quotas. On success
-// the placement is committed (quota consumed, recency recorded) and the
-// target instance returned; on rejection the instance is -1 and the
-// reason non-zero.
-func (s *Scheduler) Admit(id int, tenant string, v *View) (int, RejectReason) {
-	if max := s.cfg.Quotas.MaxStreams; max > 0 && s.active >= max {
-		return -1, RejectClusterQuota
+// Admit places a new stream and records its placement time, returning
+// the target instance, or -1 when no instance is live.
+//
+// Every live instance is scored — active streams ×10, +1000 when
+// overloaded, +100 when the shared T-YOLO rate has no spare capacity —
+// and the lowest score wins (lowest index on ties): spare live
+// instances first, per the paper's §4.3 admission signal, then fewest
+// streams.
+func (s *Scheduler) Admit(id int, v *View) int {
+	best, bestScore := -1, int(1<<30)
+	for _, in := range v.Instances {
+		if !in.Live {
+			continue
+		}
+		score := in.Streams * 10
+		if in.Overloaded {
+			score += 1000
+		}
+		if !in.Spare {
+			score += 100
+		}
+		if score < bestScore {
+			best, bestScore = in.Index, score
+		}
 	}
-	if limit := s.cfg.Quotas.limit(tenant); limit > 0 && s.tenants[tenant] >= limit {
-		return -1, RejectTenantQuota
+	if best >= 0 {
+		s.placedAt[id] = v.Now
 	}
-	inst := s.policy.Place(id, v)
-	if inst < 0 {
-		return -1, RejectNoInstance
-	}
-	s.active++
-	s.tenantOf[id] = tenant
-	s.tenants[tenant]++
-	s.placedAt[id] = v.Now
-	return inst, RejectNone
+	return best
 }
 
-// Moved records a successful migration (re-forward, recovery, or
-// rebalance): the stream's recency and cooldown restart.
+// Moved records a successful re-forward or recovery: the stream's
+// recency and cooldown restart.
 func (s *Scheduler) Moved(id int, now time.Duration) {
 	s.placedAt[id] = now
 }
 
-// Done releases a stream's quota when it finishes or is abandoned.
+// Done forgets a stream when it finishes or is abandoned.
 func (s *Scheduler) Done(id int) {
-	tenant, ok := s.tenantOf[id]
-	if !ok {
-		return
-	}
-	delete(s.tenantOf, id)
 	delete(s.placedAt, id)
-	s.active--
-	if s.tenants[tenant]--; s.tenants[tenant] <= 0 {
-		delete(s.tenants, tenant)
-	}
 }
 
-// Victim delegates the overload re-forward choice to the placement
-// policy, enforcing the cooldown contract: a policy bug returning an
-// immovable stream is dropped here rather than bouncing it.
-func (s *Scheduler) Victim(inst int, v *View) (int, int) {
-	stream, target := s.policy.Victim(inst, v)
-	if stream < 0 || target < 0 {
+// Victim picks the stream that leaves overloaded instance inst and its
+// target, or (-1, -1) when no movable stream or viable target exists.
+//
+// The victim is the most recently placed movable stream. Recency is the
+// right default because the newest stream has the least per-stream
+// state amortized on its instance (background model, SNM batch
+// residency) and, under arrival bursts, is the stream most likely to
+// have caused the overload. The target is the least-loaded live
+// non-overloaded instance.
+func (s *Scheduler) Victim(inst int, v *View) (stream, target int) {
+	target = leastLoadedExcept(v, inst, true)
+	if target < 0 {
 		return -1, -1
 	}
-	if v.Now-s.placedAt[stream] < s.cfg.Cooldown {
-		return -1, -1
+	// v.Streams is (PlacedAt, ID)-ascending: the tail is the newest.
+	for i := len(v.Streams) - 1; i >= 0; i-- {
+		if st := v.Streams[i]; st.Instance == inst && st.Movable {
+			return st.ID, target
+		}
 	}
-	return stream, target
+	return -1, -1
 }
 
-// Recover delegates a dead instance's stream continuation target to the
-// placement policy. No cooldown applies: recovery is forced, not
-// discretionary.
-func (s *Scheduler) Recover(id, from int, v *View) int {
-	return s.policy.Recover(id, from, v)
-}
-
-// Rebalance delegates to the placement policy and filters the cooldown,
-// mirroring Victim.
-func (s *Scheduler) Rebalance(v *View, changed bool, budget int) []Move {
-	moves := s.policy.Rebalance(v, changed, budget)
-	kept := moves[:0]
-	for _, m := range moves {
-		if v.Now-s.placedAt[m.Stream] >= s.cfg.Cooldown {
-			kept = append(kept, m)
-		}
-	}
-	return kept
-}
-
-// Elastic updates the overload/idleness streaks from the tick's view
-// and returns the scale decision: grow asks for one more instance
-// (sustained cluster-wide overload, fleet below Max); retire names an
-// empty instance to shut down (sustained idleness, fleet above the
-// floor), or -1. At most one of the two fires per tick.
-func (s *Scheduler) Elastic(v *View) (grow bool, retire int) {
-	retire = -1
-	if s.cfg.Elastic.Max <= 0 {
-		return false, -1
-	}
-	live, allOver := 0, true
-	for _, in := range v.Instances {
-		if !in.Live {
-			continue
-		}
-		live++
-		if !in.Overloaded {
-			allOver = false
-		}
-	}
-	// Scale-up streak: every live instance overloaded, continuously.
-	if live > 0 && allOver {
-		if !s.overNow {
-			s.overNow, s.overSince = true, v.Now
-		}
-		if v.Now-s.overSince >= s.cfg.Elastic.upAfter() && live < s.cfg.Elastic.Max {
-			s.overNow = false
-			return true, -1
-		}
-	} else {
-		s.overNow = false
-	}
-	// Scale-down streaks: per-instance continuous emptiness. Streaks
-	// update for every live instance each tick; the lowest-index expired
-	// streak retires (one per tick).
-	for _, in := range v.Instances {
-		if !in.Live {
-			delete(s.idleSince, in.Index)
-			continue
-		}
-		if in.Streams > 0 {
-			delete(s.idleSince, in.Index)
-			continue
-		}
-		if _, ok := s.idleSince[in.Index]; !ok {
-			s.idleSince[in.Index] = v.Now
-		}
-		if retire < 0 && live > s.cfg.Elastic.floor() &&
-			v.Now-s.idleSince[in.Index] >= s.cfg.Elastic.downAfter() {
-			retire = in.Index
-			delete(s.idleSince, in.Index)
-			live--
-		}
-	}
-	return false, retire
+// Recover returns the instance on which a stream of the dead instance
+// from should continue — the least-loaded live instance,
+// overloaded or not, since a loaded instance beats a dead one — or -1
+// when no live instance remains. No cooldown applies: recovery is
+// forced, not discretionary.
+func (s *Scheduler) Recover(from int, v *View) int {
+	return leastLoadedExcept(v, from, false)
 }

@@ -17,32 +17,24 @@ var ErrBadInstances = errors.New("core: Instances must be positive")
 
 // ClusterConfig describes a multi-instance run assembled from the same
 // workload description as a single-instance Config, plus the control
-// plane: placement policy, tenant quotas, and elastic instance bounds.
-// Streams arrive one by one; the scheduler admits each under the quotas
-// and places it by the configured policy, re-forwarding streams off
-// overloaded instances (§4.3) and growing or shrinking the fleet when
-// elasticity is enabled.
+// plane's tuning. Streams arrive one by one; the scheduler places each
+// on the least-loaded instance and re-forwards streams off overloaded
+// instances (§4.3).
 type ClusterConfig struct {
 	// Config is the shared workload description. Mode is forced Online:
 	// the multi-instance manager's signals (ingest lag, capture backlog)
 	// only exist under online pacing.
 	Config
-	// Instances is the initial number of FFS-VA instances (one server
-	// each); Elastic can grow and shrink the fleet from there.
+	// Instances is the number of FFS-VA instances (one server each).
 	Instances int
 	// ArrivalEvery staggers stream admissions; 0 admits everything at
 	// the start.
 	ArrivalEvery time.Duration
 	// Tuning holds the control-plane knobs — promoted, so callers write
-	// cfg.Placement.Policy, cfg.Quotas.PerTenant, cfg.Elastic.Max, and
-	// so on. Zero knobs take the cluster defaults (cluster.DefaultTuning,
-	// the single source of truth); the zero sub-configs mean least-load
-	// placement, no quotas, no elasticity.
+	// cfg.CheckEvery, cfg.FailTimeout, and so on. Zero knobs take the
+	// cluster defaults (cluster.DefaultTuning, the single source of
+	// truth).
 	cluster.Tuning
-	// Tenants attributes the minted streams to tenant names for quota
-	// accounting, round-robin: stream i belongs to Tenants[i%len].
-	// Empty means every stream belongs to the unnamed default tenant.
-	Tenants []string
 }
 
 // DefaultClusterConfig returns a two-instance configuration over the
@@ -59,9 +51,7 @@ func DefaultClusterConfig() ClusterConfig {
 	}
 }
 
-// Validate extends Config.Validate with the cluster fields; the
-// control-plane sub-configs surface their own sentinels
-// (ErrBadPlacement, ErrBadQuota, ErrBadElastic).
+// Validate extends Config.Validate with the cluster fields.
 func (c ClusterConfig) Validate() error {
 	if err := c.Config.Validate(); err != nil {
 		return err
@@ -140,17 +130,9 @@ func RunClusterContext(ctx context.Context, cfg ClusterConfig) (*cluster.Report,
 	arrivals := make([]cluster.Arrival, cfg.Streams)
 	for i := 0; i < cfg.Streams; i++ {
 		i := i
-		tenant := ""
-		if len(cfg.Tenants) > 0 {
-			tenant = cfg.Tenants[i%len(cfg.Tenants)]
-		}
-		if cfg.Timeline != nil && tenant != "" {
-			cfg.Timeline.SetTenant(i, tenant)
-		}
 		arrivals[i] = cluster.Arrival{
 			At:     time.Duration(i) * cfg.ArrivalEvery,
 			ID:     i,
-			Tenant: tenant,
 			Frames: cfg.FramesPerStream,
 			Make: func(tg *detect.TinyGrid) pipeline.StreamSpec {
 				return cfg.stream(cam, tg, i)

@@ -91,7 +91,9 @@ const (
 	DropClosed
 	// DropError marks a frame lost to a fault: a decode failure past the
 	// retry budget, a corrupted payload, or an instance crash while the
-	// frame was in flight. Recording it keeps the conservation invariant
+	// frame was in flight. The cluster also charges it for the frames a
+	// crashed instance's stream never ingested when no live instance is
+	// left to continue it. Recording it keeps the conservation invariant
 	// intact through failures.
 	DropError
 	// DropShed marks a frame dropped by the load-shedding bypass: with
@@ -99,8 +101,7 @@ const (
 	// instead of stalling, preserving the ≥30 FPS capture guarantee.
 	DropShed
 	// DropAdmission marks a frame rejected before ingest: the cluster
-	// scheduler refused the whole stream (tenant quota exhausted, cluster
-	// quota exhausted, or no live instance), so its entire frame budget is
+	// had no live instance for the stream, so its entire frame budget is
 	// charged here. No pipeline ever sees these frames — the cluster
 	// report's Drops ledger carries them, keeping cluster-wide frame
 	// conservation (admitted + rejected = offered) checkable.

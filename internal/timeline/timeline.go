@@ -1,7 +1,7 @@
 // Package timeline is FFS-VA's flight recorder: a fixed-capacity ring
 // of deterministic ticks sampled from pipeline.Snapshot plus the
-// tracer's cumulative per-stage span loads, with per-stage, per-device,
-// and per-tenant rollups. On top of the ring sits a USE-style
+// tracer's cumulative per-stage span loads, with per-stage and
+// per-device rollups. On top of the ring sits a USE-style
 // bottleneck attribution engine (attrib.go): per window, each tier of
 // the cascade (decode / SDD / SNM / T-YOLO / reference) is classified
 // by utilization (device busy fraction), saturation (queue fill plus
@@ -14,7 +14,7 @@
 // carries only virtual-clock values taken from the snapshot that
 // produced it, so two identically seeded runs — paced or not — record
 // byte-identical timelines. Event-triggered dumps (dump.go)
-// freeze the window around fault/overload/migration instants to JSONL
+// freeze the window around fault/overload/recovery instants to JSONL
 // files with clock-derived names.
 //
 // The recorder sits outside the simulation like the obs server does:
@@ -24,7 +24,6 @@
 package timeline
 
 import (
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -76,20 +75,10 @@ type DeviceUse struct {
 	BusyFraction float64       `json:"busy_fraction"`
 }
 
-// TenantUse is one tenant's rollup at tick time, aggregated from the
-// streams registered to it via SetTenant.
-type TenantUse struct {
-	Tenant   string `json:"tenant"`
-	Streams  int    `json:"streams"`
-	Ingested int64  `json:"ingested"`
-	Decided  int64  `json:"decided"`
-	Backlog  int    `json:"backlog"`
-}
-
 // Tick is one flight-recorder sample: the snapshot's control signals,
-// queue occupancy by tier, cumulative device accounting, cumulative
-// per-stage span loads from the tracer, and per-tenant rollups. All
-// cumulative fields difference cleanly across a window.
+// queue occupancy by tier, cumulative device accounting, and cumulative
+// per-stage span loads from the tracer. All cumulative fields
+// difference cleanly across a window.
 type Tick struct {
 	Seq      int64         `json:"seq"`
 	Instance int           `json:"instance"`
@@ -115,7 +104,6 @@ type Tick struct {
 
 	Devices []DeviceUse                    `json:"devices"`
 	Stages  [trace.NumKinds]trace.KindLoad `json:"stages"`
-	Tenants []TenantUse                    `json:"tenants,omitempty"`
 
 	Retries        int64 `json:"retries"`
 	FaultsInjected int64 `json:"faults_injected"`
@@ -143,8 +131,7 @@ type Recorder struct {
 	seq        int64  // total ticks observed
 	events     []Event
 	eventDrop  int64
-	tenants    map[int]string // stream ID -> tenant name
-	overloaded map[int]bool   // per-instance overload latch
+	overloaded map[int]bool // per-instance overload latch
 
 	dump dumper
 }
@@ -153,7 +140,6 @@ type Recorder struct {
 // (equivalent to calling BindTracer).
 func New(opt Options) *Recorder {
 	r := &Recorder{
-		tenants:    map[int]string{},
 		overloaded: map[int]bool{},
 	}
 	r.dump.init(opt.DumpDir)
@@ -182,15 +168,6 @@ func (r *Recorder) BindTracer(tr *trace.Tracer) {
 	tr.SetOnInstant(func(in trace.Instant) {
 		r.RecordEvent(Event{Name: in.Name, Cat: in.Cat, Instance: in.Instance, At: in.At})
 	})
-}
-
-// SetTenant registers a stream's tenant for the per-tenant rollups
-// (the cluster wiring calls it per arrival; unregistered streams roll
-// up under the unnamed default tenant).
-func (r *Recorder) SetTenant(streamID int, tenant string) {
-	r.mu.Lock()
-	r.tenants[streamID] = tenant
-	r.mu.Unlock()
 }
 
 // Observe records one tick from an instance snapshot. It runs on a
@@ -256,7 +233,6 @@ func (r *Recorder) Observe(instance int, sn pipeline.Snapshot) {
 	}
 
 	r.mu.Lock()
-	t.Tenants = r.tenantRollupLocked(sn)
 	t.Seq = r.seq
 	r.seq++
 	if len(r.ticks) < tickCapacity {
@@ -295,42 +271,9 @@ func (r *Recorder) Observe(instance int, sn pipeline.Snapshot) {
 	}
 }
 
-// tenantRollupLocked aggregates the snapshot's streams by registered
-// tenant, sorted by tenant name for deterministic serialization;
-// callers hold r.mu. Nil when no tenant was ever registered (the
-// single-tenant case pays nothing).
-func (r *Recorder) tenantRollupLocked(sn pipeline.Snapshot) []TenantUse {
-	if len(r.tenants) == 0 {
-		return nil
-	}
-	byName := map[string]*TenantUse{}
-	for _, ss := range sn.Streams {
-		name := r.tenants[ss.ID]
-		tu := byName[name]
-		if tu == nil {
-			tu = &TenantUse{Tenant: name}
-			byName[name] = tu
-		}
-		tu.Streams++
-		tu.Ingested += ss.Ingested
-		tu.Decided += ss.Decided
-		tu.Backlog += ss.Backlog
-	}
-	names := make([]string, 0, len(byName))
-	for name := range byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]TenantUse, 0, len(names))
-	for _, name := range names {
-		out = append(out, *byName[name])
-	}
-	return out
-}
-
 // RecordEvent appends a point event to the bounded log and, when the
 // event is a dump trigger (a fault, an overload transition, or a
-// cluster migration/failure), arms a flight-recorder dump. Safe from
+// cluster failure/recovery), arms a flight-recorder dump. Safe from
 // any goroutine.
 func (r *Recorder) RecordEvent(ev Event) {
 	r.mu.Lock()
@@ -347,15 +290,14 @@ func (r *Recorder) RecordEvent(ev Event) {
 
 // isDumpTrigger classifies the events that freeze a dump window: every
 // fault manifestation, every overload engagement, and the disruptive
-// cluster decisions (migration, failure, recovery). Admissions and
+// cluster decisions (failure, recovery). Admissions, re-forwards and
 // feedback throttles are recorded but do not trigger dumps.
 func isDumpTrigger(ev Event) bool {
 	switch ev.Cat {
 	case "fault", "overload":
 		return true
 	case "cluster":
-		return strings.HasPrefix(ev.Name, "migrate") ||
-			strings.HasPrefix(ev.Name, "recover") ||
+		return strings.HasPrefix(ev.Name, "recover") ||
 			strings.Contains(ev.Name, "failed")
 	}
 	return false
