@@ -59,9 +59,13 @@ test:
 # and start no goroutine, but the headers and records they recycle
 # cross the pipeline's prefetch, SDD and T-YOLO goroutines through
 # process-global free lists, so frame and imgproc (their header
-# hammers) and filters are listed; detect and train are not. What is left: par's pool
-# hammer (goroutines trading slices through one SlicePool), nn's one
-# trained net inferred on from eight goroutines
+# hammers) and filters are listed. So is detect: the T-YOLO workers of
+# different filter GPUs register, detect and release their streams on
+# one TinyGrid, whose free list of background states they share
+# (TestStatesRecycleAcrossGoroutines; the package takes ~3.5 min under
+# -race); train is not. What is left: par's pool hammer (goroutines
+# trading slices through one SlicePool), nn's one trained net inferred
+# on from eight goroutines
 # (TestSharedNetInferAcrossGoroutines) and its pooled tensors
 # under concurrent streams, vidgen's and lab's concurrent minting around
 # read-only artefacts a camera shares (background plane, detector seed,
@@ -72,7 +76,7 @@ test:
 # detector (vidgen ~8 min on a 2-vCPU host) and cluster's clock
 # handoffs take ~4 min, hence the timeout above go test's 600s default.
 race:
-	$(GO) test -race -timeout 1800s ./internal/vclock ./internal/queue ./internal/device ./internal/par ./internal/frame ./internal/imgproc ./internal/filters ./internal/nn ./internal/vidgen ./internal/lab ./internal/trace ./internal/obs ./internal/timeline ./internal/cluster/sched ./internal/cluster
+	$(GO) test -race -timeout 1800s ./internal/vclock ./internal/queue ./internal/device ./internal/par ./internal/frame ./internal/imgproc ./internal/filters ./internal/detect ./internal/nn ./internal/vidgen ./internal/lab ./internal/trace ./internal/obs ./internal/timeline ./internal/cluster/sched ./internal/cluster
 
 # The experiments suite alone needs ~20 min under -race (the virtual
 # clock is cooperative, so the race detector's overhead doesn't

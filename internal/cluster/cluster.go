@@ -241,8 +241,9 @@ type Cluster struct {
 	rejections []Rejection
 	drops      [pipeline.NumDispositions]int64 // cluster-level ledger (DropAdmission)
 
-	// completed is trackCompletions' scratch.
+	// completed is trackCompletions' scratch, and insts view's.
 	completed []int
+	insts     []sched.Instance
 
 	// cancelled stops admission and instance ingest (context
 	// cancellation); managerDone lets the context watcher exit once the
@@ -267,6 +268,7 @@ func New(cfg Config, arrivals []Arrival) *Cluster {
 		specs:    make(map[int]pipeline.StreamSpec),
 		over:     make([]int, cfg.Instances),
 		failed:   make([]bool, cfg.Instances),
+		insts:    make([]sched.Instance, cfg.Instances),
 	}
 	sort.SliceStable(c.arrivals, func(i, j int) bool { return c.arrivals[i].At < c.arrivals[j].At })
 	for i := 0; i < cfg.Instances; i++ {
@@ -362,9 +364,11 @@ func (c *Cluster) observe() []pipeline.Snapshot {
 
 // view assembles the scheduler's consistent observation from the
 // tick's snapshots and the cluster's bookkeeping; the scheduler counts
-// each instance's streams from the ownership map.
+// each instance's streams from the ownership map. The view and its
+// instances are refilled by the next call, so every caller consumes
+// it at once.
 func (c *Cluster) view(snaps []pipeline.Snapshot) *sched.View {
-	insts := make([]sched.Instance, len(snaps))
+	insts := c.insts
 	for i := range snaps {
 		insts[i] = sched.Instance{
 			Index:      i,

@@ -186,3 +186,47 @@ func TestClusterDeviceSlowdownBindsToInstance(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveredStreamsSplitTheirTierCounts runs README's crash command
+// (two instances, four 600-frame streams a second apart, instance 1
+// crashing at 8 s): a recovered stream's fragments share its filters,
+// so each instance must count the frames its own fragments gave them,
+// not the filters' whole-stream totals. Summed over instances, the
+// SDD and SNM tier counts are then each stream's filter totals, and no
+// instance filters more frames than it ingested.
+func TestRecoveredStreamsSplitTheirTierCounts(t *testing.T) {
+	cam, err := lab.CarCamera(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(vclock.NewVirtual(), 2)
+	cfg.Horizon = 40 * time.Second
+	cfg.Faults = []faults.Fault{{Kind: faults.InstanceCrash, Instance: 1, From: 8 * time.Second}}
+	rep := New(cfg, arrivals(t, cam, 4, 600, time.Second)).Run()
+	if rep.Recoveries() == 0 {
+		t.Fatal("no stream was recovered; the crash recipe no longer moves a stream")
+	}
+
+	var sdd, snm int64 // the streams' own filter totals
+	seen := map[int]bool{}
+	var tiers [3]int64
+	for i, ir := range rep.Instances {
+		if ir.StageProcessed[1] > ir.StageProcessed[0] {
+			t.Errorf("instance %d: SDD processed %d frames of %d ingested", i, ir.StageProcessed[1], ir.StageProcessed[0])
+		}
+		for k := range tiers {
+			tiers[k] += ir.StageProcessed[1+k]
+		}
+		for _, sr := range ir.Streams {
+			if !seen[sr.ID] {
+				seen[sr.ID] = true
+				sdd += sr.SDDStats.Processed
+				snm += sr.SNMStats.Processed
+			}
+		}
+	}
+	if tiers[0] != sdd || tiers[1] != snm {
+		t.Errorf("instances count SDD %d and SNM %d frames; the streams' filters processed %d and %d",
+			tiers[0], tiers[1], sdd, snm)
+	}
+}

@@ -78,8 +78,11 @@ func lastOwners(rep *Report) map[int]int {
 }
 
 // checkDetectorsEmpty asserts that every stream the cluster ever placed
-// finished and that no instance's detector holds state for it.
-func checkDetectorsEmpty(t *testing.T, c *Cluster, rep *Report) {
+// finished and that no instance's detector holds state for it: each
+// detector's free list holds exactly the states it ever allocated, so
+// none is registered, none was orphaned and none was filed twice. It
+// returns how many states the detectors allocated in all.
+func checkDetectorsEmpty(t *testing.T, c *Cluster, rep *Report) (made int) {
 	t.Helper()
 	for id := range lastOwners(rep) {
 		if _, live := c.owners[id]; live {
@@ -91,6 +94,14 @@ func checkDetectorsEmpty(t *testing.T, c *Cluster, rep *Report) {
 			}
 		}
 	}
+	for j, tg := range c.tgs {
+		m, free := tg.States()
+		if free != m {
+			t.Errorf("instance %d: detector made %d background states and holds %d on its free list", j, m, free)
+		}
+		made += m
+	}
+	return made
 }
 
 // TestFinishedStreamsReleaseDetectorState is the regression test for
@@ -119,7 +130,11 @@ func TestFinishedStreamsReleaseDetectorState(t *testing.T) {
 			t.Errorf("stream %d decided %d frames, want %d", id, n, frames)
 		}
 	}
-	checkDetectorsEmpty(t, cl, rep)
+	// An arrival after a completion on its instance takes the departed
+	// stream's state: the detectors make far fewer than one per stream.
+	if made := checkDetectorsEmpty(t, cl, rep); made == 0 || made >= streams/2 {
+		t.Errorf("the detectors made %d background states for %d short streams; want some, and departed streams' states reused", made, streams)
+	}
 }
 
 // TestMigratedStreamReleasedOnBothInstances re-forwards a stream under

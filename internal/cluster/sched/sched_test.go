@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"time"
 )
@@ -116,5 +118,60 @@ func TestViewCountsOwnedStreams(t *testing.T) {
 	}
 	if len(v.Streams) != len(owners) {
 		t.Errorf("view lists %d streams, want %d", len(v.Streams), len(owners))
+	}
+}
+
+// viewStreamsReference is View's stream list as it was built before
+// the scheduler kept one View to refill: a new slice per call, sorted
+// with sort.SliceStable.
+func viewStreamsReference(s *Scheduler, now time.Duration, owners map[int]int) []Stream {
+	ids := make([]int, 0, len(owners))
+	for id := range owners {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	var out []Stream
+	for _, id := range ids {
+		at := s.placedAt[id]
+		out = append(out, Stream{ID: id, Instance: owners[id], PlacedAt: at, Movable: now-at >= s.cfg.Cooldown})
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].PlacedAt != out[j].PlacedAt {
+			return out[i].PlacedAt < out[j].PlacedAt
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
+}
+
+// TestWarmViewAllocatesNothing: over a thousand owned streams, with
+// placement times that tie and streams admitted out of ID order, a
+// warm View refills the scheduler's own view without allocating and
+// lists the streams exactly as the old per-call view did.
+func TestWarmViewAllocatesNothing(t *testing.T) {
+	s, _ := New(Config{Cooldown: time.Second})
+	insts := live(0, 1, 2, 3)
+	owners := make(map[int]int)
+	for i := 0; i < 1000; i++ {
+		id := (i * 7919) % 1000 // admitted out of ID order
+		owners[id] = i % len(insts)
+		s.Admit(id, &View{Now: time.Duration(i/10) * 100 * time.Millisecond, Instances: insts})
+	}
+	now := 5 * time.Second
+	want := viewStreamsReference(s, now, owners)
+	v := s.View(now, insts, owners)
+	if !slices.Equal(v.Streams, want) {
+		t.Fatal("View lists the streams in another order or with other fields than the reference")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { v = s.View(now, insts, owners) }); allocs != 0 {
+		t.Errorf("warm View over %d streams: %v allocations, want 0", len(owners), allocs)
+	}
+	if !slices.Equal(v.Streams, want) {
+		t.Error("a warm View lists other streams than the reference")
+	}
+	for i, in := range v.Instances {
+		if in.Streams != 250 {
+			t.Errorf("instance %d: Streams = %d, want 250", i, in.Streams)
+		}
 	}
 }

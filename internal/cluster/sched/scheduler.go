@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -23,6 +24,9 @@ type Scheduler struct {
 	// placedAt is when each stream was admitted or last moved: its
 	// recency, and the start of its move cooldown.
 	placedAt map[int]time.Duration
+	// view and ids are View's, refilled by every call.
+	view View
+	ids  []int
 }
 
 // New builds the scheduler. Every Config is valid, so the error is
@@ -37,17 +41,22 @@ func New(cfg Config) (*Scheduler, error) {
 // which is also the instance's position in insts), plus every owned
 // stream annotated with its placement time and move cooldown, sorted
 // (PlacedAt, ID) ascending.
+//
+// The View is the scheduler's own, refilled by every call: it is valid
+// until the next call to View, so a caller consumes it at once, as
+// Admit, Victim and Recover do.
 func (s *Scheduler) View(now time.Duration, insts []Instance, owners map[int]int) *View {
-	v := &View{Now: now, Instances: insts}
 	for i := range insts {
 		insts[i].Streams = 0
 	}
-	ids := make([]int, 0, len(owners))
+	s.ids = s.ids[:0]
 	for id := range owners {
-		ids = append(ids, id)
+		s.ids = append(s.ids, id)
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	slices.Sort(s.ids)
+	v := &s.view
+	v.Now, v.Instances, v.Streams = now, insts, v.Streams[:0]
+	for _, id := range s.ids {
 		insts[owners[id]].Streams++
 		at := s.placedAt[id]
 		v.Streams = append(v.Streams, Stream{
@@ -57,11 +66,8 @@ func (s *Scheduler) View(now time.Duration, insts []Instance, owners map[int]int
 			Movable:  now-at >= s.cfg.Cooldown,
 		})
 	}
-	sort.SliceStable(v.Streams, func(i, j int) bool {
-		if v.Streams[i].PlacedAt != v.Streams[j].PlacedAt {
-			return v.Streams[i].PlacedAt < v.Streams[j].PlacedAt
-		}
-		return v.Streams[i].ID < v.Streams[j].ID
+	slices.SortStableFunc(v.Streams, func(a, b Stream) int {
+		return cmp.Or(cmp.Compare(a.PlacedAt, b.PlacedAt), cmp.Compare(a.ID, b.ID))
 	})
 	return v
 }

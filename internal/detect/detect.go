@@ -113,11 +113,18 @@ func DefaultTinyGridConfig() TinyGridConfig {
 // TinyGrid is safe for concurrent use across distinct streams: with
 // multiple filter GPUs the pipeline runs one T-YOLO worker per GPU, each
 // serving a disjoint stream partition, so a mutex guards only the shared
-// background map and the seed memo.
+// background map, the free list and the seed memo.
 type TinyGrid struct {
 	cfg TinyGridConfig
 	mu  sync.Mutex
 	bg  map[int]*bgState
+	// free holds the states of departed streams, which the next streams
+	// registered here overwrite instead of allocating their own. It has
+	// no cap: it never holds more than the detector's peak of live
+	// streams, which it held already. Its capacity covers every state
+	// the detector made, so Unregister never allocates.
+	free []*bgState
+	made int // states ever allocated: len(bg) + len(free)
 	// seeds holds the most recent backgrounds SetBackground was given,
 	// already at detector scale, oldest first: the streams of one camera
 	// all start from the same image, so it is resampled once per
@@ -154,18 +161,56 @@ func NewTinyGrid(cfg TinyGridConfig) *TinyGrid {
 	return &TinyGrid{cfg: cfg, bg: make(map[int]*bgState)}
 }
 
-// Unregister drops a stream's background state. The pipeline calls it
-// once every fragment of the stream on an instance has drained — at a
-// finished stream's last verdict, and likewise where a stream migrated
-// away, crashed or was cancelled — without it every finished stream,
-// and every re-forward, would leak the stream's background model into
-// the detector forever. It must not run while the stream still has
-// in-flight frames here: Detect would lazily re-create the state from
-// the next frame.
+// Unregister releases a stream's background state to the detector's
+// free list, for the next stream registered here. The pipeline calls
+// it once every fragment of the stream on an instance has drained — at
+// a finished stream's last verdict, and likewise where a stream
+// migrated away, crashed or was cancelled — without it every finished
+// stream, and every re-forward, would leak the stream's background
+// model into the detector forever. It must not run while the stream
+// still has in-flight frames here: Detect would lazily re-create the
+// state from the next frame.
 func (t *TinyGrid) Unregister(streamID int) {
 	t.mu.Lock()
-	delete(t.bg, streamID)
+	if st, ok := t.bg[streamID]; ok {
+		delete(t.bg, streamID)
+		t.free = append(t.free, st)
+	}
 	t.mu.Unlock()
+}
+
+// States reports how many background states the detector has
+// allocated and how many of them wait on its free list; the rest
+// belong to registered streams.
+func (t *TinyGrid) States() (made, free int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.made, len(t.free)
+}
+
+// registerLocked returns the state streamID is to be seeded into: its
+// own when it is registered, else a departed stream's from the free
+// list, else a new one of n elements. Its estimate and history are
+// stale, so the caller overwrites every element of ema and sets frames;
+// comps is refilled by every visit anyway. t.mu must be held.
+func (t *TinyGrid) registerLocked(streamID, n int) *bgState {
+	if st, ok := t.bg[streamID]; ok {
+		return st
+	}
+	var st *bgState
+	if k := len(t.free); k > 0 {
+		st = t.free[k-1]
+		t.free[k-1] = nil
+		t.free = t.free[:k-1]
+	} else {
+		st = &bgState{ema: make([]float64, n)}
+		t.made++
+		// Reserve the list's room for every state made, so that the
+		// Unregister of each allocates nothing.
+		t.free = slices.Grow(t.free, t.made-len(t.free))
+	}
+	t.bg[streamID] = st
+	return st
 }
 
 // InputSize returns the square side the detector resizes frames to
@@ -186,19 +231,22 @@ func (t *TinyGrid) Registered(streamID int) bool {
 // background image (the trainer does this from labeled background
 // frames, mirroring how the paper trains stream-specialized models).
 // The stream gets an estimate of its own — Detect adapts it — copied
-// from the image's resample; bg is only read, and not kept.
+// from the image's resample into the stream's state if it is
+// registered (a stream re-forwarded back here), else into a departed
+// stream's, else into a new one; bg is only read, and not kept.
 func (t *TinyGrid) SetBackground(streamID int, bg *imgproc.Gray) {
-	st := &bgState{ema: slices.Clone(t.seedFor(bg)), frames: 1000}
 	t.mu.Lock()
-	t.bg[streamID] = st
+	seed := t.seedForLocked(bg)
+	st := t.registerLocked(streamID, len(seed))
 	t.mu.Unlock()
+	copy(st.ema, seed)
+	st.frames = 1000
 }
 
-// seedFor returns the detector-scale float64 image of bg, resampling it
-// unless a plane with the same pixels was seen recently.
-func (t *TinyGrid) seedFor(bg *imgproc.Gray) []float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// seedForLocked returns the detector-scale float64 image of bg,
+// resampling it unless a plane with the same pixels was seen recently.
+// t.mu must be held.
+func (t *TinyGrid) seedForLocked(bg *imgproc.Gray) []float64 {
 	for _, s := range t.seeds {
 		if s.src.W == bg.W && s.src.H == bg.H && bytes.Equal(s.src.Pix, bg.Pix) {
 			return s.ema
@@ -234,11 +282,11 @@ func (t *TinyGrid) AppendDetect(dst []Detection, f *frame.Frame) []Detection {
 	t.mu.Lock()
 	st, ok := t.bg[f.StreamID]
 	if !ok {
-		st = &bgState{ema: make([]float64, len(small.Pix))}
+		st = t.registerLocked(f.StreamID, len(small.Pix))
 		for i, p := range small.Pix {
 			st.ema[i] = float64(p)
 		}
-		t.bg[f.StreamID] = st
+		st.frames = 0
 	}
 	t.mu.Unlock()
 

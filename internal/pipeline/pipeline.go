@@ -384,7 +384,12 @@ type streamState struct {
 	curLag    time.Duration // most recent lateness (overload signal)
 	// counts tallies decided frames by Disposition as they finish, so the
 	// live Snapshot can report per-stage drops before Report runs.
-	counts     [NumDispositions]int64
+	counts [NumDispositions]int64
+	// filtered counts the frames this fragment gave its SDD, SNM and
+	// T-YOLO filters. A re-forwarded stream's fragments share the
+	// filters, so their Stats are the whole stream's, not this
+	// instance's share.
+	filtered   [3]int64
 	stop       bool // set by StopStream; prefetch halts at next frame
 	ingestDone bool // prefetch exhausted its frames (or stopped)
 

@@ -68,8 +68,8 @@ type Report struct {
 	Bottleneck string
 
 	// StageProcessed counts frames entering each stage (prefetch, SDD,
-	// SNM, T-YOLO, reference), i.e. the data behind Fig. 5's
-	// per-filter execution ratios.
+	// SNM, T-YOLO, reference) on this instance, i.e. the data behind
+	// Fig. 5's per-filter execution ratios.
 	StageProcessed [5]int64
 
 	// RefCanvases is how many consolidated canvases the reference model
@@ -167,9 +167,9 @@ func (s *System) Report() *Report {
 			last = st.lastDone
 		}
 		r.StageProcessed[0] += st.ingested
-		r.StageProcessed[1] += sr.SDDStats.Processed
-		r.StageProcessed[2] += sr.SNMStats.Processed
-		r.StageProcessed[3] += sr.TYoloStats.Processed
+		for i, n := range st.filtered {
+			r.StageProcessed[1+i] += n
+		}
 		r.Streams = append(r.Streams, sr)
 	}
 	r.StageProcessed[4] = s.refServed.Value()

@@ -331,6 +331,7 @@ func (s *System) sddStage(st *streamState) {
 		sp := f.Trace.StartSpan(trace.KSDD, "cpu", clk.Now())
 		s.cpu.UseResize(device.ModelSDD, 1, s.cfg.Costs)
 		s.cpu.Use(device.ModelSDD, 1, s.cfg.Costs)
+		st.filtered[0]++
 		if st.spec.SDD.Process(f) == filters.Drop {
 			sp.EndDrop(clk.Now())
 			s.finish(st, f, DropSDD)
@@ -383,6 +384,7 @@ func (s *System) snmStage(st *streamState) {
 		// computes each sample with the same per-sample loops, so the
 		// verdicts match per-frame Process calls exactly while paying
 		// the im2col and dispatch overhead once.
+		st.filtered[1] += int64(len(batch))
 		verdicts = st.spec.SNM.AppendBatch(verdicts, batch)
 		t2 := clk.Now()
 		gpuName := s.snmGPU(st).Name
@@ -477,6 +479,7 @@ func (s *System) tyWorker(w int) {
 			// Consecutive spans over the batch: the first member absorbs
 			// the batched device charge, the rest their own Process time.
 			prev := t0
+			st.filtered[2] += int64(len(batch))
 			for _, f := range batch {
 				var verdict filters.Verdict
 				if s.cfg.Consolidate {
