@@ -31,9 +31,9 @@ lint: fmt-check
 
 # lint-self turns the analyzers on the packages that must stay clean
 # under their own rules: the analysis implementation itself, and the
-# timeline flight recorder (whose dump-writer goroutine, pooled reads,
-# and map iterations are exactly what gostop/poolrelease/maporder
-# police).
+# timeline flight recorder (whose lock-guarded ring, pooled reads and
+# map iterations are what poolrelease/maporder police, and which must
+# start no goroutine for gostop to find).
 lint-self:
 	$(GO) run ./cmd/ffslint -budget 30s ./internal/analysis ./internal/timeline
 
@@ -71,8 +71,8 @@ test:
 # read-only artefacts a camera shares (background plane, detector seed,
 # trained weights) and lab's cache training distinct cameras at once
 # (TestConcurrentTrainCameraTrainsEachOnce), and the tracer,
-# observability server and flight recorder, whose readers are HTTP and
-# dump goroutines. The per-pixel loops run ~50x slower under the
+# observability server and flight recorder, whose readers are HTTP
+# handler goroutines. The per-pixel loops run ~50x slower under the
 # detector (vidgen ~8 min on a 2-vCPU host) and cluster's clock
 # handoffs take ~4 min, hence the timeout above go test's 600s default.
 race:
@@ -125,12 +125,16 @@ digest-check:
 		if [ $$status -ne 0 ]; then echo "digest-check: model_digest differs from bench/BASELINE.json"; fi; \
 		exit $$status
 
-# trace-smoke proves the Perfetto export end to end: a quickstart run
-# with tracing on, structurally validated by the stdlib-only checker.
+# trace-smoke proves the Perfetto export end to end, structurally
+# validated by the stdlib-only checker: a single-instance quickstart run
+# with tracing on, and a two-instance cluster run with the timeline and
+# tracer both on, whose export carries cluster instants too.
 trace-smoke:
 	$(GO) run ./examples/quickstart -trace trace_smoke.json >/dev/null
 	$(GO) run ./cmd/tracecheck trace_smoke.json
-	@rm -f trace_smoke.json
+	$(GO) run ./cmd/ffsva -instances 2 -streams 4 -frames 90 -arrival-every 500ms -timeline -trace trace_smoke_cluster.json >/dev/null
+	$(GO) run ./cmd/tracecheck trace_smoke_cluster.json
+	@rm -f trace_smoke.json trace_smoke_cluster.json
 
 # benchmark is the repo benchmark exactly as BENCHMARK.json declares it:
 # four workloads, end-to-end and per-layer metrics, model (virtual-time)

@@ -11,7 +11,7 @@
 //	      [-real] [-metrics 1s] [-metrics-json]
 //	      [-instances 2] [-arrival-every 2s]
 //	      [-inject spec]... [-shed-after 500ms]
-//	      [-trace out.json] [-trace-jsonl out.jsonl] [-listen :8080]
+//	      [-trace out.json] [-listen :8080] [-timeline]
 //	      [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // -instances greater than one runs the multi-instance layer (§4.3)
@@ -57,8 +57,7 @@
 // shared T-YOLO, reference model) and writes Chrome trace-event JSON —
 // open the file at https://ui.perfetto.dev to see one track per stage
 // and device, with feedback throttling, fault injections, and cluster
-// events as instants. -trace-jsonl writes the same spans as a
-// structured JSONL event log. The report also gains an aggregate
+// events as instants. The report also gains an aggregate
 // wait-vs-service latency decomposition table.
 //
 // -listen serves the live observability endpoint while the run is in
@@ -71,12 +70,9 @@
 //
 // -timeline attaches the flight recorder: the run is sampled into a
 // bounded ring of deterministic ticks (queue depths, device busy time,
-// per-stage span loads, per-tenant rollups), the report gains the
-// bottleneck attribution verdict ("which tier binds"), and — when
-// tracing is also on — queue-depth and busy-fraction counter tracks
-// appear in the Perfetto export. -dump-on-fault DIR additionally
-// freezes the window around every fault, overload engagement, or
-// disruptive cluster event to a JSONL file in DIR.
+// per-stage span loads), and the report gains the bottleneck
+// attribution verdict ("which tier binds"). With -listen, /timeline
+// serves any window of those ticks and the run's events.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run itself —
 // training and the pipeline, not flag handling or report printing: the
@@ -93,7 +89,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime/pprof"
@@ -142,10 +137,8 @@ func main() {
 	flag.Var(injectFlag{&cfg.Faults}, "inject", "fault-injection spec (repeatable), e.g. crash:inst=1,at=8s")
 	flag.DurationVar(&cfg.ShedAfter, "shed-after", 0, "online load-shedding lateness threshold (0 disables)")
 	tracePath := flag.String("trace", "", "write Perfetto-loadable trace-event JSON to this file")
-	traceJSONL := flag.String("trace-jsonl", "", "write the structured JSONL trace log to this file")
 	listen := flag.String("listen", "", `serve the live observability endpoint (":8080" binds localhost)`)
 	timelineOn := flag.Bool("timeline", false, "record the flight-recorder timeline and print the bottleneck verdict")
-	dumpDir := flag.String("dump-on-fault", "", "freeze the timeline window around faults/overload/migrations to JSONL dumps in this directory (implies -timeline)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	flag.Parse()
@@ -187,16 +180,13 @@ func main() {
 	}
 
 	var tracer *ffsva.Tracer
-	// -dump-on-fault needs the tracer too: fault/throttle/cluster
-	// instants reach the timeline through it, so dumps without it would
-	// only ever see overload engagements.
-	if *tracePath != "" || *traceJSONL != "" || *listen != "" || *dumpDir != "" {
+	if *tracePath != "" || *listen != "" {
 		tracer = ffsva.NewTracer(ffsva.TraceOptions{})
 		cfg.Trace = tracer
 	}
 	var rec *ffsva.Timeline
-	if *timelineOn || *dumpDir != "" {
-		rec = ffsva.NewTimeline(ffsva.TimelineOptions{DumpDir: *dumpDir, Tracer: tracer})
+	if *timelineOn {
+		rec = ffsva.NewTimeline(ffsva.TimelineOptions{Tracer: tracer})
 		cfg.Timeline = rec
 	}
 	if *listen != "" {
@@ -267,8 +257,7 @@ func main() {
 		if *real {
 			fmt.Printf("host lag: %v\n", rep.HostLag)
 		}
-		exportTrace(tracer, *tracePath, *traceJSONL)
-		finishTimeline(rec)
+		exportTrace(tracer, *tracePath)
 		return
 	}
 
@@ -296,8 +285,7 @@ func main() {
 	if *real {
 		fmt.Printf("host lag: %v\n", res.HostLag)
 	}
-	exportTrace(tracer, *tracePath, *traceJSONL)
-	finishTimeline(rec)
+	exportTrace(tracer, *tracePath)
 }
 
 // startProfiles begins the CPU profile and returns the function that
@@ -342,44 +330,23 @@ func startProfiles(cpuPath, memPath string) (stop func()) {
 	}
 }
 
-// finishTimeline flushes the flight recorder's pending dumps and lists
-// the dump files it wrote.
-func finishTimeline(rec *ffsva.Timeline) {
-	if rec == nil {
-		return
-	}
-	if err := rec.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "ffsva: timeline dump: %v\n", err)
-	}
-	for _, path := range rec.Dumps() {
-		fmt.Fprintf(os.Stderr, "ffsva: wrote %s\n", path)
-	}
-}
-
-// exportTrace writes the recorded trace to the requested files; export
-// failures are reported but do not fail the run (the report already
+// exportTrace writes the recorded trace to tracePath; an export
+// failure is reported but does not fail the run (the report already
 // printed).
-func exportTrace(tracer *ffsva.Tracer, tracePath, jsonlPath string) {
-	write := func(path string, emit func(io.Writer) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err == nil {
-			err = emit(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ffsva: trace export: %v\n", err)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "ffsva: wrote %s\n", path)
-	}
-	if tracer == nil {
+func exportTrace(tracer *ffsva.Tracer, tracePath string) {
+	if tracer == nil || tracePath == "" {
 		return
 	}
-	write(tracePath, tracer.WriteTraceEvents)
-	write(jsonlPath, tracer.WriteJSONL)
+	f, err := os.Create(tracePath)
+	if err == nil {
+		err = tracer.WriteTraceEvents(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ffsva: trace export: %v\n", err)
+		return
+	}
+	fmt.Fprintf(os.Stderr, "ffsva: wrote %s\n", tracePath)
 }

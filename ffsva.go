@@ -93,7 +93,7 @@ type (
 	FaultKind = faults.Kind
 	// Tracer records a span tree per frame when set as Config.Trace;
 	// after the run, export with WriteTraceEvents (Perfetto-loadable
-	// Chrome trace-event JSON) or WriteJSONL.
+	// Chrome trace-event JSON).
 	Tracer = trace.Tracer
 	// TraceOptions is the tracer's (empty) option set: retention is
 	// fixed (first 32 frames, last 256, slowest 16, last 64 dropped or
@@ -109,14 +109,13 @@ type (
 	// Config.OnSnapshot and ObsServer.SetTimeline.
 	ObsServer = obs.Server
 	// Timeline is the flight recorder (Config.Timeline): a bounded ring
-	// of deterministic ticks with per-stage, per-device, and per-tenant
-	// rollups, queryable windows, event-triggered dumps, and the
-	// bottleneck attribution engine behind Report.Bottleneck and the
-	// /bottleneck endpoint.
+	// of deterministic ticks with per-stage and per-device rollups, an
+	// event log, queryable windows (/timeline), and the bottleneck
+	// attribution engine behind Report.Bottleneck and the /bottleneck
+	// endpoint.
 	Timeline = timeline.Recorder
-	// TimelineOptions sets the flight recorder's dump directory
-	// (DumpDir; empty turns dumps off) and its tracer. The bounds are
-	// fixed: a 4096-tick ring, 1024 events, at most 16 dumps.
+	// TimelineOptions sets the flight recorder's tracer. The bounds are
+	// fixed: a 4096-tick ring and 1024 events.
 	TimelineOptions = timeline.Options
 	// TimelineTick is one flight-recorder sample.
 	TimelineTick = timeline.Tick
@@ -245,9 +244,8 @@ func NewTracer(opt TraceOptions) *Tracer { return trace.New(opt) }
 func NewObsServer(addr string, tr *Tracer) *ObsServer { return obs.NewServer(addr, tr) }
 
 // NewTimeline builds the flight recorder (zero TimelineOptions for no
-// dumps and no tracer). Set it as Config.Timeline before the run; query
-// Window and Attribute during or after it; Close it to flush
-// event-triggered dumps.
+// tracer). Set it as Config.Timeline before the run; query Window and
+// Attribute during or after it.
 func NewTimeline(opt TimelineOptions) *Timeline { return timeline.New(opt) }
 
 // ValidateTrace structurally checks an exported Chrome trace-event JSON

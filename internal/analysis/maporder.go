@@ -8,7 +8,7 @@ import (
 )
 
 // MapOrder flags `range` over a map whose loop body reaches a
-// deterministic output — event logs, trace/JSONL/Perfetto export, Report
+// deterministic output — event logs, the Perfetto trace export, Report
 // printing, the evaluation tables. Go randomizes map iteration order, so
 // such a loop makes byte-identical seeded runs impossible: the fix is
 // always to collect the keys, sort them, and range over the sorted

@@ -390,8 +390,9 @@ func (c *Cluster) finish(id int) {
 // Instant maps the event to its trace-instant form: the instance track
 // it lands on — the destination's for admissions, the source's for
 // everything else (that is where the disruption happened), and instance
-// 0's (the cluster's front door) for rejections — plus the short name. The timeline recorder classifies dump triggers by these
-// names, so they are part of the observability contract.
+// 0's (the cluster's front door) for rejections — plus the short name.
+// The timeline's event log and the trace export carry these names, so
+// they are part of the observability contract.
 func (e Event) Instant() (instance int, name string) {
 	instance, name = e.From, ""
 	switch e.Kind {

@@ -92,15 +92,14 @@ type Config struct {
 	// 250ms default when only the recorder asks for sampling), the
 	// tracer — when also set — is bound for per-stage loads and event
 	// intake, and after the run the recorder's whole-window verdict
-	// annotates Report.Bottleneck. The caller owns the recorder and
-	// Closes it to flush event-triggered dumps.
+	// annotates Report.Bottleneck. The caller owns the recorder.
 	Timeline *timeline.Recorder
 
 	// Trace, when non-nil, records a span tree for every frame's journey
 	// through the cascade (decode, queue waits, SDD, SNM batch assembly
 	// and inference, shared T-YOLO, reference model). The caller owns
-	// the tracer and exports it after the run (Perfetto JSON, JSONL, or
-	// the /tracez endpoint). Nil — the default — disables tracing: the
+	// the tracer and exports it after the run (Perfetto JSON or the
+	// /tracez endpoint). Nil — the default — disables tracing: the
 	// hot path then pays one pointer check per stage.
 	Trace *trace.Tracer
 

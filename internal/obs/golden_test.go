@@ -68,9 +68,6 @@ func goldenClusterRun(t *testing.T) []byte {
 	if rep.Failures() != 1 {
 		t.Fatalf("%d failures; the crash must be detected", rep.Failures())
 	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
 	for _, path := range []string{"/timeline", "/snapshot"} {
 		code, body := fetch(t, s.Addr(), path)
 		if code != http.StatusOK {

@@ -143,9 +143,6 @@ func scrapeWhileRunning(t *testing.T, run func(*trace.Tracer, *timeline.Recorder
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	// After the run, the endpoints reflect the finished recording.
 	_, body := fetch(t, s.Addr(), "/timeline")
@@ -180,9 +177,6 @@ func TestTimelineEndpointByteStable(t *testing.T) {
 		cfg.Trace = tr
 		cfg.Timeline = rec
 		if _, err := core.Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-		if err := rec.Close(); err != nil {
 			t.Fatal(err)
 		}
 		code, body := fetch(t, s.Addr(), "/timeline")

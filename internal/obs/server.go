@@ -64,8 +64,8 @@ type connLimits struct {
 
 // NewServer prepares a server for addr; tr may be nil (tracez then
 // reports tracing disabled). Nothing listens until Start. The write
-// deadline leaves a slow link room for the largest response, a
-// /timeline dump.
+// deadline leaves a slow link room for the largest response, a whole
+// /timeline window.
 func NewServer(addr string, tr *trace.Tracer) *Server {
 	return &Server{addr: addr, tr: tr, snaps: map[int]pipeline.Snapshot{},
 		limits: connLimits{header: 5 * time.Second, write: 30 * time.Second, idle: 60 * time.Second}}
@@ -185,7 +185,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 var promHelp = map[string]string{
 	"ffsva_frames_ingested_total": "Frames ingested across all streams.",
 	"ffsva_frames_disposed_total": "Frames leaving the cascade, by disposition label.",
-	"ffsva_frames_orphaned_total": "Frames missing a terminal disposition at drain.",
+	"ffsva_frames_orphaned_total": "Frames that reached the reference stage with no owning stream.",
 	"ffsva_ref_canvases_total":    "Consolidated canvases submitted to the reference tier.",
 	"ffsva_faults_injected_total": "Faults injected by the fault plan.",
 	"ffsva_retries_total":         "Frame retries after recoverable decode faults.",
@@ -193,9 +193,9 @@ var promHelp = map[string]string{
 	"ffsva_tyolo_fps":             "T-YOLO decided-frame throughput in frames per second.",
 	"ffsva_in_flight":             "Frames ingested but not yet decided.",
 	"ffsva_live_streams":          "Streams still producing frames.",
-	"ffsva_worst_backlog":         "Deepest per-stream queue backlog.",
-	"ffsva_worst_lag_seconds":     "Largest per-stream decision lag in seconds.",
-	"ffsva_overloaded":            "1 while any stage queue sits at capacity.",
+	"ffsva_worst_backlog":         "Deepest per-stream backlog: capture buffer plus pending spill, in frames.",
+	"ffsva_worst_lag_seconds":     "Largest current ingest lateness behind the capture schedule among live streams, in seconds.",
+	"ffsva_overloaded":            "1 while any stream's SNM or T-YOLO queue is at its depth threshold.",
 	"ffsva_up":                    "0 once the instance has crashed.",
 }
 

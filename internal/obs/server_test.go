@@ -116,7 +116,9 @@ func TestHealthzTransitions(t *testing.T) {
 // are present.
 func TestMetricsExposition(t *testing.T) {
 	s := startServer(t, nil)
-	s.Push(0, liveSnapshot(time.Second))
+	sn := liveSnapshot(time.Second)
+	sn.Metrics = append(sn.Metrics, metrics.Sample{Name: "frames_orphaned_total", Kind: "counter", Value: 1})
+	s.Push(0, sn)
 	s.Push(1, liveSnapshot(2*time.Second))
 	code, body := get(t, s, "/metrics")
 	if code != http.StatusOK {
@@ -124,6 +126,11 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# HELP ffsva_frames_ingested_total Frames ingested across all streams.",
+		"# HELP ffsva_frames_orphaned_total Frames that reached the reference stage with no owning stream.",
+		`ffsva_frames_orphaned_total{instance="0"} 1`,
+		"# HELP ffsva_worst_backlog Deepest per-stream backlog: capture buffer plus pending spill, in frames.",
+		"# HELP ffsva_worst_lag_seconds Largest current ingest lateness behind the capture schedule among live streams, in seconds.",
+		"# HELP ffsva_overloaded 1 while any stream's SNM or T-YOLO queue is at its depth threshold.",
 		"# TYPE ffsva_frames_ingested_total counter",
 		`ffsva_frames_ingested_total{instance="0"} 42`,
 		"# TYPE ffsva_drops_total counter",

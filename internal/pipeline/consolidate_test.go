@@ -16,7 +16,7 @@ import (
 )
 
 // runConsolidated builds and runs a fresh consolidated system and
-// returns its report plus the JSONL trace export.
+// returns its report plus its tracer.
 func runConsolidated(t *testing.T, streams, frames int) (*Report, *trace.Tracer) {
 	t.Helper()
 	clk := vclock.NewVirtual()
@@ -35,11 +35,12 @@ func runConsolidated(t *testing.T, streams, frames int) (*Report, *trace.Tracer)
 	return sys.Run(), tr // Run panics if any frame lost its disposition
 }
 
-// traceJSONL exports a tracer's retained frames as JSON lines.
-func traceJSONL(t *testing.T, tr *trace.Tracer) []byte {
+// traceEvents exports a tracer's retained frames and instants as
+// Perfetto trace-event JSON.
+func traceEvents(t *testing.T, tr *trace.Tracer) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := tr.WriteTraceEvents(&buf); err != nil {
 		t.Fatalf("trace export: %v", err)
 	}
 	return buf.Bytes()
@@ -118,11 +119,11 @@ func TestConsolidatePoolsBalance(t *testing.T) {
 func TestConsolidateDeterministic(t *testing.T) {
 	rep1, tr1 := runConsolidated(t, 2, 90)
 	rep2, tr2 := runConsolidated(t, 2, 90)
-	jsonl1, jsonl2 := traceJSONL(t, tr1), traceJSONL(t, tr2)
+	ev1, ev2 := traceEvents(t, tr1), traceEvents(t, tr2)
 	if rep1.String() != rep2.String() {
 		t.Fatalf("reports differ:\n%s\n---\n%s", rep1, rep2)
 	}
-	if !bytes.Equal(jsonl1, jsonl2) {
+	if !bytes.Equal(ev1, ev2) {
 		t.Fatal("two seeded consolidated runs produced different trace event logs")
 	}
 }

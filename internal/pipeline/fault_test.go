@@ -8,6 +8,7 @@ import (
 	"ffsva/internal/faults"
 	"ffsva/internal/lab"
 	"ffsva/internal/pipeline"
+	"ffsva/internal/timeline"
 	"ffsva/internal/vclock"
 )
 
@@ -200,5 +201,51 @@ func TestSheddingDeterministic(t *testing.T) {
 	s2, d2 := run()
 	if s1 != s2 || d1 != d2 {
 		t.Fatalf("nondeterministic shedding: (%d,%d) vs (%d,%d)", s1, d1, s2, d2)
+	}
+}
+
+// TestTimelineErrorSignalsMatchReport couples the timeline's error
+// signals to the pipeline's counters end to end: Recorder.Observe picks
+// Retries, FaultsInjected and ShedFrames out of the snapshot's registry
+// samples by name, so renaming a pipeline counter would zero the errors
+// dimension of /bottleneck. A run with decode retries and shedding, fed
+// to a recorder by Monitor, must end on a tick that agrees with the
+// report.
+func TestTimelineErrorSignalsMatchReport(t *testing.T) {
+	clk := vclock.NewVirtual()
+	plan := []faults.Fault{
+		{Kind: faults.DecodeError, Stream: 0, SeqFrom: 10, SeqTo: 13, Attempts: 2},
+		{Kind: faults.DeviceSlow, Device: "gpu1", Instance: 0, From: 0, Until: time.Hour, Factor: 10},
+	}
+	sys := buildFaulty(t, clk, 1, 1.0, 450, plan, func(c *pipeline.Config) {
+		c.Mode = pipeline.Online
+		c.IngestBuffer = 60
+		c.ShedAfter = 500 * time.Millisecond
+	})
+	rec := timeline.New(timeline.Options{})
+	sys.Monitor(250*time.Millisecond, func(sn pipeline.Snapshot) { rec.Observe(0, sn) })
+	rep := sys.Run()
+	ticks := rec.Query(0, 0, 0)
+	if len(ticks) == 0 {
+		t.Fatal("the monitor recorded no tick")
+	}
+	last := ticks[len(ticks)-1]
+	if !last.Finished {
+		t.Fatalf("last tick at %v is not the finished state", last.At)
+	}
+	for _, c := range []struct {
+		name       string
+		tick, want int64
+	}{
+		{"retries", last.Retries, rep.Retries},
+		{"faults injected", last.FaultsInjected, rep.FaultsInjected},
+		{"shed frames", last.ShedFrames, rep.ShedFrames},
+	} {
+		if c.want <= 0 {
+			t.Errorf("report %s = %d; the run must exercise it", c.name, c.want)
+		}
+		if c.tick != c.want {
+			t.Errorf("last tick %s = %d, report %d", c.name, c.tick, c.want)
+		}
 	}
 }

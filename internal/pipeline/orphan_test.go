@@ -9,6 +9,7 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -21,7 +22,7 @@ import (
 // frames whose stream the system has never heard of — the in-flight
 // residue of a retired/migrated stream — straight into the reference
 // queue. It returns the snapshot, the pool get/put delta over the run,
-// and the JSONL trace export.
+// and the Perfetto trace-event export.
 func runWithOrphans(t *testing.T, orphans int, consolidate bool) (Snapshot, int64, []byte) {
 	t.Helper()
 	clk := vclock.NewVirtual()
@@ -70,11 +71,38 @@ func runWithOrphans(t *testing.T, orphans int, consolidate bool) (Snapshot, int6
 		t.Errorf("consolidate=%v: %s%d of %d frame headers taken", consolidate, msg, pools.headersTaken(), 90+orphans)
 	}
 
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	return sn, delta, traceEvents(t, tr)
+}
+
+// orphanedFrames counts the distinct (stream, seq) frames whose spans
+// carry the "orphaned" disposition in a trace-event export: a frame
+// renders one span per segment, so spans overcount frames.
+func orphanedFrames(t *testing.T, export []byte) int {
+	t.Helper()
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string `json:"ph"`
+			Args struct {
+				Stream      int    `json:"stream"`
+				Seq         int64  `json:"seq"`
+				Disposition string `json:"disposition"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(export, &doc); err != nil {
 		t.Fatalf("trace export: %v", err)
 	}
-	return sn, delta, buf.Bytes()
+	type key struct {
+		stream int
+		seq    int64
+	}
+	frames := map[key]bool{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" && ev.Args.Disposition == "orphaned" {
+			frames[key{ev.Args.Stream, ev.Args.Seq}] = true
+		}
+	}
+	return len(frames)
 }
 
 // TestOrphanConservation fails on the pre-fix code: the orphan branches
@@ -83,7 +111,7 @@ func runWithOrphans(t *testing.T, orphans int, consolidate bool) (Snapshot, int6
 func TestOrphanConservation(t *testing.T) {
 	const orphans = 7
 	for _, consolidate := range []bool{false, true} {
-		sn, delta, jsonl := runWithOrphans(t, orphans, consolidate)
+		sn, delta, export := runWithOrphans(t, orphans, consolidate)
 		if sn.Orphaned != orphans {
 			t.Fatalf("consolidate=%v: Orphaned = %d, want %d", consolidate, sn.Orphaned, orphans)
 		}
@@ -92,7 +120,7 @@ func TestOrphanConservation(t *testing.T) {
 				consolidate, delta)
 		}
 		want := orphans
-		if got := bytes.Count(jsonl, []byte(`"disposition":"orphaned"`)); got != want {
+		if got := orphanedFrames(t, export); got != want {
 			t.Fatalf("consolidate=%v: %d orphaned traces reached the tracer terminal, want %d",
 				consolidate, got, want)
 		}

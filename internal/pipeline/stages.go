@@ -211,8 +211,8 @@ func (s *System) prefetch(st *streamState) {
 				s.retryCtr.Inc()
 			}
 			// One instant per faulted frame (not per attempt), so decode
-			// faults land on the timeline and arm flight-recorder dumps
-			// like every other fault class.
+			// faults land on the timeline's event log like every other
+			// fault class.
 			if tries > 0 {
 				s.cfg.Tracer.Instant(fmt.Sprintf("fault decode stream %d", st.spec.ID), "fault", s.cfg.Instance, clk.Now())
 			}

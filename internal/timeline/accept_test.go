@@ -38,9 +38,6 @@ func runVerdict(t *testing.T, cfg core.Config) timeline.Verdict {
 	if _, err := core.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
 	return rec.Attribute(-1, 0, 0)
 }
 
@@ -92,9 +89,6 @@ func TestReportCarriesBottleneck(t *testing.T) {
 	cfg.Timeline = rec
 	res, err := core.Run(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if res.Pipeline.Bottleneck == "" {

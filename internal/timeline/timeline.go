@@ -13,9 +13,7 @@
 // Determinism: the recorder never reads the wall clock. Every tick
 // carries only virtual-clock values taken from the snapshot that
 // produced it, so two identically seeded runs — paced or not — record
-// byte-identical timelines. Event-triggered dumps (dump.go)
-// freeze the window around fault/overload/recovery instants to JSONL
-// files with clock-derived names.
+// byte-identical timelines; /timeline serves any window of them.
 //
 // The recorder sits outside the simulation like the obs server does:
 // the run's monitor process pushes snapshots in via Observe, and the
@@ -24,7 +22,6 @@
 package timeline
 
 import (
-	"strings"
 	"sync"
 	"time"
 
@@ -32,17 +29,11 @@ import (
 	"ffsva/internal/trace"
 )
 
-// Options configures a Recorder. The zero value records with no dumps
-// and no tracer.
+// Options configures a Recorder. The zero value records with no tracer.
 type Options struct {
-	// DumpDir, when non-empty, enables event-triggered flight-recorder
-	// dumps: fault, overload, and migration events freeze the
-	// surrounding window of ticks to a JSONL file in this directory.
-	DumpDir string
 	// Tracer, when non-nil, supplies the per-stage span loads sampled
-	// into every tick, receives the recorder's counter tracks, and has
-	// its instant events subscribed as timeline events and dump
-	// triggers. BindTracer attaches it after construction.
+	// into every tick and has its instant events subscribed as timeline
+	// events. BindTracer attaches it after construction.
 	Tracer *trace.Tracer
 }
 
@@ -52,7 +43,7 @@ const (
 	// oldest ticks are overwritten.
 	tickCapacity = 4096
 	// maxEvents bounds the point-event log; overflow is counted, not
-	// kept, and dump triggers still fire.
+	// kept.
 	maxEvents = 1024
 )
 
@@ -121,8 +112,7 @@ type Event struct {
 
 // Recorder is the flight recorder. Create with New, feed with Observe
 // (from a pipeline monitor or the cluster manager's OnSnapshot) and
-// RecordEvent (wired automatically from the tracer by BindTracer), and
-// Close when the run ends to flush pending dumps.
+// RecordEvent (wired automatically from the tracer by BindTracer).
 type Recorder struct {
 	mu         sync.Mutex
 	tr         *trace.Tracer
@@ -132,8 +122,6 @@ type Recorder struct {
 	events     []Event
 	eventDrop  int64
 	overloaded map[int]bool // per-instance overload latch
-
-	dump dumper
 }
 
 // New creates a Recorder. If opt.Tracer is set it is bound immediately
@@ -142,7 +130,6 @@ func New(opt Options) *Recorder {
 	r := &Recorder{
 		overloaded: map[int]bool{},
 	}
-	r.dump.init(opt.DumpDir)
 	if opt.Tracer != nil {
 		r.BindTracer(opt.Tracer)
 	}
@@ -150,10 +137,9 @@ func New(opt Options) *Recorder {
 }
 
 // BindTracer attaches the tracer: per-stage span loads are sampled into
-// every subsequent tick, the recorder's counter tracks are pushed into
-// the trace export, and the tracer's instant events (feedback
-// throttles, faults, cluster decisions) flow in as timeline events and
-// dump triggers. A nil tracer or a second bind is a no-op.
+// every subsequent tick, and the tracer's instant events (feedback
+// throttles, faults, cluster decisions) flow in as timeline events. A
+// nil tracer or a second bind is a no-op.
 func (r *Recorder) BindTracer(tr *trace.Tracer) {
 	if tr == nil {
 		return
@@ -241,40 +227,22 @@ func (r *Recorder) Observe(instance int, sn pipeline.Snapshot) {
 		r.ticks[r.next] = t
 		r.next = (r.next + 1) % tickCapacity
 	}
-	// Overload latch: a false->true transition is itself a trigger
-	// event, so overload windows get frozen even without a tracer.
+	// Overload latch: a false->true transition is itself an event, so
+	// overload engagements reach the event log even without a tracer.
 	var overloadEv *Event
 	if sn.Overloaded && !r.overloaded[instance] {
 		overloadEv = &Event{Name: "overload engaged", Cat: "overload", Instance: instance, At: sn.At}
 	}
 	r.overloaded[instance] = sn.Overloaded
-	jobs := r.dump.onTick(r, sn.Finished)
 	r.mu.Unlock()
 
 	if overloadEv != nil {
 		r.RecordEvent(*overloadEv)
 	}
-	r.dump.submit(jobs)
-
-	// Counter tracks for the Perfetto export: one point per signal per
-	// tick, after r.mu is released.
-	if tr != nil {
-		tr.Counter("timeline: ref-q depth", instance, sn.At, float64(t.RefQ.Depth))
-		tr.Counter("timeline: snm-q depth", instance, sn.At, float64(t.SNMQ.Depth))
-		tr.Counter("timeline: t-yolo-q depth", instance, sn.At, float64(t.TYQ.Depth))
-		tr.Counter("timeline: backlog", instance, sn.At, float64(sn.WorstBacklog))
-		tr.Counter("timeline: in-flight", instance, sn.At, float64(sn.InFlight))
-		tr.Counter("timeline: t-yolo fps", instance, sn.At, sn.TYoloRate)
-		for _, d := range t.Devices {
-			tr.Counter("timeline: busy "+d.Name, instance, sn.At, d.BusyFraction)
-		}
-	}
 }
 
-// RecordEvent appends a point event to the bounded log and, when the
-// event is a dump trigger (a fault, an overload transition, or a
-// cluster failure/recovery), arms a flight-recorder dump. Safe from
-// any goroutine.
+// RecordEvent appends a point event to the bounded log. Safe from any
+// goroutine.
 func (r *Recorder) RecordEvent(ev Event) {
 	r.mu.Lock()
 	if len(r.events) < maxEvents {
@@ -282,25 +250,7 @@ func (r *Recorder) RecordEvent(ev Event) {
 	} else {
 		r.eventDrop++
 	}
-	if isDumpTrigger(ev) {
-		r.dump.arm(ev)
-	}
 	r.mu.Unlock()
-}
-
-// isDumpTrigger classifies the events that freeze a dump window: every
-// fault manifestation, every overload engagement, and the disruptive
-// cluster decisions (failure, recovery). Admissions, re-forwards and
-// feedback throttles are recorded but do not trigger dumps.
-func isDumpTrigger(ev Event) bool {
-	switch ev.Cat {
-	case "fault", "overload":
-		return true
-	case "cluster":
-		return strings.HasPrefix(ev.Name, "recover") ||
-			strings.Contains(ev.Name, "failed")
-	}
-	return false
 }
 
 // orderedTicksLocked returns the ring's ticks oldest-first; callers
@@ -320,18 +270,7 @@ func (r *Recorder) TickCount() int64 {
 	return r.seq
 }
 
-// Close flushes any pending dump and joins the dump-writer goroutine.
-// It returns the first dump write error, if any. Safe to call once the
-// run is over; a Recorder without a DumpDir closes instantly.
-func (r *Recorder) Close() error {
-	r.mu.Lock()
-	jobs := r.dump.flushLocked(r)
-	r.mu.Unlock()
-	r.dump.submit(jobs)
-	return r.dump.close()
-}
-
-// Dumps returns the paths of the dump files written so far.
-func (r *Recorder) Dumps() []string {
-	return r.dump.written()
-}
+// Close returns nil: the recorder holds no goroutine or file. It
+// remains only because the frozen benchmark harness calls it; it goes
+// with the next change that may edit it.
+func (r *Recorder) Close() error { return nil }

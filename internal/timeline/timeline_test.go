@@ -1,10 +1,7 @@
 package timeline
 
 import (
-	"bufio"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -142,113 +139,6 @@ func TestTracerEventsFlowIn(t *testing.T) {
 	evs := r.EventLog(0, 0, 0)
 	if len(evs) != 1 || evs[0].Cat != "fault" || evs[0].At != 700*time.Millisecond {
 		t.Fatalf("tracer instant did not reach the timeline: %+v", evs)
-	}
-}
-
-// TestDumpTriggerWritesFile arms a dump with a fault event, feeds the
-// aftermath ticks, and checks the frozen window lands as JSONL with the
-// trigger line first.
-func TestDumpTriggerWritesFile(t *testing.T) {
-	dir := t.TempDir()
-	r := New(Options{DumpDir: dir})
-	r.Observe(0, snapAt(1*time.Second))
-	r.RecordEvent(Event{Name: "decode fault stream 0", Cat: "fault", Instance: 0, At: 1500 * time.Millisecond})
-	for i := 2; i <= dumpPostTicks; i++ {
-		r.Observe(0, snapAt(time.Duration(i)*time.Second))
-	}
-	if got := r.Dumps(); len(got) != 0 {
-		t.Fatalf("dump froze before the aftermath window: %v", got)
-	}
-	r.Observe(0, snapAt(time.Duration(dumpPostTicks+1)*time.Second))
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	dumps := r.Dumps()
-	if len(dumps) != 1 {
-		t.Fatalf("dumps = %v, want exactly one", dumps)
-	}
-	if want := filepath.Join(dir, "dump-001-fault-1500ms.jsonl"); dumps[0] != want {
-		t.Fatalf("dump path = %q, want %q (deterministic clock-derived name)", dumps[0], want)
-	}
-	f, err := os.Open(dumps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var lines []map[string]any
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("dump line not JSON: %v", err)
-		}
-		lines = append(lines, m)
-	}
-	// The trigger, the tick before it and the aftermath.
-	if want := 1 + 1 + dumpPostTicks; len(lines) != want {
-		t.Fatalf("dump has %d lines, want %d", len(lines), want)
-	}
-	if lines[0]["type"] != "trigger" || lines[0]["cat"] != "fault" {
-		t.Fatalf("first dump line is not the trigger: %v", lines[0])
-	}
-	for _, l := range lines[1:] {
-		if l["type"] != "tick" {
-			t.Fatalf("non-tick line after the trigger: %v", l)
-		}
-	}
-}
-
-// TestDumpFlushOnClose checks Close freezes a still-pending dump
-// instead of losing it, and that maxDumps bounds the files.
-func TestDumpFlushOnClose(t *testing.T) {
-	dir := t.TempDir()
-	r := New(Options{DumpDir: dir})
-	r.Observe(0, snapAt(time.Second))
-	r.RecordEvent(Event{Name: "overload engaged", Cat: "overload", At: time.Second})
-	r.Observe(0, snapAt(2*time.Second))
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if dumps := r.Dumps(); len(dumps) != 1 {
-		t.Fatalf("pending dump not flushed on Close: %v", dumps)
-	}
-	// A fresh recorder freezes maxDumps dumps and ignores every trigger
-	// after them.
-	r2 := New(Options{DumpDir: t.TempDir()})
-	at := time.Second
-	r2.Observe(0, snapAt(at))
-	for d := 0; d < maxDumps+2; d++ {
-		r2.RecordEvent(Event{Name: "fault", Cat: "fault", At: at})
-		for i := 0; i < dumpPostTicks; i++ {
-			at += time.Second
-			r2.Observe(0, snapAt(at))
-		}
-	}
-	if err := r2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if dumps := r2.Dumps(); len(dumps) != maxDumps {
-		t.Fatalf("maxDumps not enforced: %d dumps, want %d", len(dumps), maxDumps)
-	}
-}
-
-// TestDumpTriggerClassification pins which events arm dumps.
-func TestDumpTriggerClassification(t *testing.T) {
-	cases := []struct {
-		ev   Event
-		want bool
-	}{
-		{Event{Name: "decode fault", Cat: "fault"}, true},
-		{Event{Name: "overload engaged", Cat: "overload"}, true},
-		{Event{Name: "recover stream 2 -> 0", Cat: "cluster"}, true},
-		{Event{Name: "instance 1 failed", Cat: "cluster"}, true},
-		{Event{Name: "admit stream 4", Cat: "cluster"}, false},
-		{Event{Name: "snm batch throttle", Cat: "feedback"}, false},
-	}
-	for _, c := range cases {
-		if got := isDumpTrigger(c.ev); got != c.want {
-			t.Errorf("isDumpTrigger(%q/%s) = %v, want %v", c.ev.Name, c.ev.Cat, got, c.want)
-		}
 	}
 }
 

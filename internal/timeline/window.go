@@ -52,7 +52,6 @@ type WindowDoc struct {
 	To            time.Duration `json:"to"`
 	Ticks         []Tick        `json:"ticks"`
 	Events        []Event       `json:"events"`
-	Dumps         []string      `json:"dumps,omitempty"`
 }
 
 // Window assembles the /timeline document for one instance (or every
@@ -71,6 +70,5 @@ func (r *Recorder) Window(instance int, from, to time.Duration) WindowDoc {
 		To:            to,
 		Ticks:         r.Query(instance, from, to),
 		Events:        r.EventLog(instance, from, to),
-		Dumps:         r.Dumps(),
 	}
 }

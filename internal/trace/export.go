@@ -91,35 +91,6 @@ type tevInstant struct {
 	S    string  `json:"s"`
 }
 
-type tevCounterArgs struct {
-	Value float64 `json:"value"`
-}
-
-type tevCounter struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args tevCounterArgs `json:"args"`
-}
-
-// sortCounters orders counter points deterministically; callers pass a
-// copy.
-func sortCounters(pts []CounterPoint) {
-	sort.Slice(pts, func(i, j int) bool {
-		a, b := pts[i], pts[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.Instance != b.Instance {
-			return a.Instance < b.Instance
-		}
-		return a.Name < b.Name
-	})
-}
-
 // WriteTraceEvents renders the retained traces as Chrome trace-event
 // JSON (the "JSON Array Format" Perfetto and chrome://tracing load):
 // one process per instance, one thread per stage/device track, "X"
@@ -154,9 +125,6 @@ func (tr *Tracer) WriteTraceEvents(w io.Writer) error {
 	}
 	for _, in := range tr.instants {
 		pidSet[in.Instance] = true
-	}
-	for _, cp := range tr.counters {
-		pidSet[cp.Instance] = true
 	}
 	var pids []int
 	for pid := range pidSet {
@@ -228,17 +196,6 @@ func (tr *Tracer) WriteTraceEvents(w io.Writer) error {
 			Ts: us(in.At), Pid: in.Instance, Tid: 0, S: "p",
 		})
 	}
-	// Counter tracks ("C" events) render one line chart per name per
-	// process: queue depths and busy fractions alongside the span trees.
-	counters := append([]CounterPoint(nil), tr.counters...)
-	sortCounters(counters)
-	for _, cp := range counters {
-		events = append(events, tevCounter{
-			Name: cp.Name, Cat: "timeline", Ph: "C",
-			Ts: us(cp.At), Pid: cp.Instance, Tid: 0,
-			Args: tevCounterArgs{Value: cp.Value},
-		})
-	}
 
 	if _, err := io.WriteString(w, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
 		return err
@@ -261,115 +218,11 @@ func (tr *Tracer) WriteTraceEvents(w io.Writer) error {
 	return err
 }
 
-// JSONL shapes: one object per line, "type" discriminated.
-
-type jlSpan struct {
-	Kind    string  `json:"kind"`
-	Wait    bool    `json:"wait,omitempty"`
-	StartUS float64 `json:"start_us"`
-	DurUS   float64 `json:"dur_us"`
-	Dev     string  `json:"dev,omitempty"`
-	Batch   int32   `json:"batch,omitempty"`
-	Drop    bool    `json:"drop,omitempty"`
-}
-
-type jlFrame struct {
-	Type        string   `json:"type"`
-	Instance    int      `json:"instance"`
-	Stream      int      `json:"stream"`
-	Seq         int64    `json:"seq"`
-	StartUS     float64  `json:"start_us"`
-	EndUS       float64  `json:"end_us"`
-	Disposition string   `json:"disposition"`
-	Failed      bool     `json:"failed,omitempty"`
-	Spans       []jlSpan `json:"spans"`
-}
-
-type jlInstant struct {
-	Type     string  `json:"type"`
-	Name     string  `json:"name"`
-	Cat      string  `json:"cat,omitempty"`
-	Instance int     `json:"instance"`
-	AtUS     float64 `json:"at_us"`
-}
-
-type jlCounter struct {
-	Type     string  `json:"type"`
-	Name     string  `json:"name"`
-	Instance int     `json:"instance"`
-	AtUS     float64 `json:"at_us"`
-	Value    float64 `json:"value"`
-}
-
-// WriteJSONL renders the retained traces as a structured JSONL event
-// log: one "frame" line per retained frame (spans inline) and one
-// "instant" line per point event, in the same deterministic order as
-// WriteTraceEvents.
-func (tr *Tracer) WriteJSONL(w io.Writer) error {
-	if tr == nil {
-		return errors.New("trace: tracer disabled")
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-
-	frames := tr.retained()
-	sortFrames(frames)
-	enc := json.NewEncoder(w)
-	for _, ft := range frames {
-		jf := jlFrame{
-			Type: "frame", Instance: ft.Instance, Stream: ft.Stream, Seq: ft.Seq,
-			StartUS: us(ft.Start), EndUS: us(ft.End),
-			Disposition: ft.Disposition, Failed: ft.Failed,
-			Spans: make([]jlSpan, 0, len(ft.Spans)),
-		}
-		for _, sp := range ft.Spans {
-			jf.Spans = append(jf.Spans, jlSpan{
-				Kind: sp.Kind.String(), Wait: sp.Kind.IsWait(),
-				StartUS: us(sp.Start), DurUS: us(sp.End - sp.Start),
-				Dev: sp.Dev, Batch: sp.Batch, Drop: sp.Drop,
-			})
-		}
-		if err := enc.Encode(jf); err != nil {
-			return err
-		}
-	}
-	instants := append([]Instant(nil), tr.instants...)
-	sort.Slice(instants, func(i, j int) bool {
-		a, b := instants[i], instants[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.Instance != b.Instance {
-			return a.Instance < b.Instance
-		}
-		return a.Name < b.Name
-	})
-	for _, in := range instants {
-		if err := enc.Encode(jlInstant{
-			Type: "instant", Name: in.Name, Cat: in.Cat,
-			Instance: in.Instance, AtUS: us(in.At),
-		}); err != nil {
-			return err
-		}
-	}
-	counters := append([]CounterPoint(nil), tr.counters...)
-	sortCounters(counters)
-	for _, cp := range counters {
-		if err := enc.Encode(jlCounter{
-			Type: "counter", Name: cp.Name,
-			Instance: cp.Instance, AtUS: us(cp.At), Value: cp.Value,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Validate checks data against the trace-event schema subset this
 // package emits: a traceEvents array whose members are "X" complete
 // events (name, non-negative ts and dur, pid/tid), "i" instants
-// (name, ts), "C" counter samples (name, ts, pid), or "M" metadata
-// records. It is the stdlib checker behind `make trace-smoke`.
+// (name, ts), or "M" metadata records. It is the stdlib checker behind
+// `make trace-smoke`.
 func Validate(data []byte) error {
 	var doc struct {
 		TraceEvents []json.RawMessage `json:"traceEvents"`
@@ -414,13 +267,6 @@ func Validate(data []byte) error {
 		case "i":
 			if ev.Ts == nil || *ev.Ts < 0 {
 				return fmt.Errorf("trace: event %d (%s): instant needs ts >= 0", i, ev.Name)
-			}
-		case "C":
-			if ev.Ts == nil || *ev.Ts < 0 {
-				return fmt.Errorf("trace: event %d (%s): counter needs ts >= 0", i, ev.Name)
-			}
-			if ev.Pid == nil {
-				return fmt.Errorf("trace: event %d (%s): counter needs pid", i, ev.Name)
 			}
 		case "M":
 			if ev.Name != "process_name" && ev.Name != "thread_name" {

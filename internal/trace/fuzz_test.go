@@ -6,8 +6,8 @@ import (
 )
 
 // tracerFrom replays data as a traced run, four bytes per event: a
-// frame with one span (dropped or kept, any kind, device and batch), an
-// instant, or a counter sample. Times only move forward, as on the
+// frame with one span (dropped or kept, any kind, device and batch) or
+// an instant. Times only move forward, as on the
 // pipeline's clock. Validate demands at least one span, so the run
 // always starts with one finished frame. The first 32 events are
 // replayed in a loop, replayEvents in all: when at least half of them
@@ -42,10 +42,8 @@ func tracerFrom(data []byte) *Tracer {
 		case 0, 1:
 			frame(int(b[1]%4), instance, Kind(b[3]%NumKinds), devs[b[3]%3], int(b[0]>>4)%11,
 				now, int(b[1]%16), e+1, b[0]&8 != 0)
-		case 2:
+		case 2, 3:
 			tr.Instant(names[b[1]%3], "fuzz", instance, ms(now))
-		case 3:
-			tr.Counter(names[b[1]%3], instance, ms(now), float64(b[3])/7)
 		}
 		now += int(b[2] % 8)
 	}

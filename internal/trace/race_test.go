@@ -48,9 +48,6 @@ func TestConcurrentWritersAndExports(t *testing.T) {
 			if err := tr.WriteTraceEvents(io.Discard); err != nil {
 				t.Errorf("WriteTraceEvents: %v", err)
 			}
-			if err := tr.WriteJSONL(io.Discard); err != nil {
-				t.Errorf("WriteJSONL: %v", err)
-			}
 			tr.Decomposition(-1)
 			tr.FinishedFrames()
 		}

@@ -229,9 +229,6 @@ const (
 	errRingSize = 64
 	// maxInstants bounds the instant-event log.
 	maxInstants = 4096
-	// maxCounters bounds the counter-track sample log; the timeline
-	// recorder pushes a handful of points per tick.
-	maxCounters = 32768
 )
 
 // kindHists is one per-kind set of latency histograms.
@@ -270,8 +267,6 @@ type Tracer struct {
 	errNext  int
 	instants []Instant
 	instDrop int64
-	counters []CounterPoint
-	ctrDrop  int64
 
 	// onInstant, when set, observes every Instant as it is recorded
 	// (called outside tr.mu) — the timeline recorder's event intake.
@@ -491,8 +486,8 @@ func (tr *Tracer) Instant(name, cat string, instance int, at time.Duration) {
 	hook := tr.onInstant
 	tr.mu.Unlock()
 	// The hook runs outside tr.mu (it may take its own locks) and sees
-	// every instant, including ones the bounded log dropped — a dump
-	// trigger must not vanish because the log filled.
+	// every instant, including ones the bounded log dropped — a
+	// timeline event must not vanish because the log filled.
 	if hook != nil {
 		hook(in)
 	}
@@ -508,31 +503,6 @@ func (tr *Tracer) SetOnInstant(fn func(Instant)) {
 	}
 	tr.mu.Lock()
 	tr.onInstant = fn
-	tr.mu.Unlock()
-}
-
-// CounterPoint is one sample on a named counter track: queue depth,
-// busy fraction, backlog — the timeline signals the Perfetto export
-// renders alongside the span trees.
-type CounterPoint struct {
-	Name     string
-	Instance int
-	At       time.Duration
-	Value    float64
-}
-
-// Counter records one counter-track sample. The log is bounded by
-// maxCounters; overflow is counted, not kept.
-func (tr *Tracer) Counter(name string, instance int, at time.Duration, value float64) {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	if len(tr.counters) < maxCounters {
-		tr.counters = append(tr.counters, CounterPoint{Name: name, Instance: instance, At: at, Value: value})
-	} else {
-		tr.ctrDrop++
-	}
 	tr.mu.Unlock()
 }
 

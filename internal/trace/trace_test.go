@@ -302,19 +302,8 @@ func TestExportsValidateAndAreDeterministic(t *testing.T) {
 			t.Fatalf("trace-event export missing %q", want)
 		}
 	}
-
-	var la, lb bytes.Buffer
-	if err := a.WriteJSONL(&la); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteJSONL(&lb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(la.Bytes(), lb.Bytes()) {
-		t.Fatalf("JSONL export not deterministic")
-	}
-	if !strings.Contains(la.String(), `"disposition":"dropped-sdd"`) {
-		t.Fatalf("JSONL missing the dropped frame:\n%s", la.String())
+	if !strings.Contains(ja.String(), `"disposition":"dropped-sdd"`) {
+		t.Fatalf("trace-event export missing the dropped frame:\n%s", ja.String())
 	}
 
 	var html bytes.Buffer
@@ -333,6 +322,9 @@ func TestValidateRejectsGarbage(t *testing.T) {
 		"not json",
 		`{"traceEvents":[]}`,
 		`{"traceEvents":[{"ph":"X","name":"x"}]}`, // X without ts/dur
+		// A counter sample: this package emits none, so Validate accepts none.
+		`{"traceEvents":[{"name":"x","ph":"X","ts":0,"dur":1,"pid":0,"tid":1},` +
+			`{"name":"c","ph":"C","ts":0,"pid":0,"tid":0,"args":{"value":1}}]}`,
 	} {
 		if err := Validate([]byte(bad)); err == nil {
 			t.Fatalf("Validate accepted %q", bad)
