@@ -206,9 +206,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ffsva: observability endpoint at http://%s/\n", server.Addr())
 	}
 
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "ffsva: %v\n", err)
-		os.Exit(2)
+	// A cluster run validates its own config below: a fault may name
+	// any of its instances.
+	if *instances <= 1 {
+		if err := cfg.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "ffsva: %v\n", err)
+			os.Exit(2)
+		}
 	}
 
 	// Ctrl-C cancels the run cleanly through the context-aware API.

@@ -1,6 +1,9 @@
 package ffsva_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -11,12 +14,75 @@ import (
 
 // TestDocumentedTestsExist requires every Test… or Fuzz… name that
 // DESIGN.md, README.md or EXPERIMENTS.md cites to be declared in some
-// _test.go file of the module, and every repo path they quote in code
-// (see citedPaths) to exist, so the documents cannot point at a check
-// or a program that was renamed or deleted.
+// _test.go file of the module, every `pkg.Name` they quote in code
+// (see codeSpans) whose pkg is one of the module's packages (ffsva for
+// the root) to be declared in that package, and every repo path they
+// quote in code (see citedPaths) to exist, so the documents cannot
+// point at a check, an API or a program that was renamed or deleted.
 func TestDocumentedTestsExist(t *testing.T) {
-	declared := map[string]bool{}
-	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
+	declared := declarations(t)
+	tests := map[string]bool{}
+	for _, names := range declared {
+		for name := range names {
+			if strings.HasPrefix(name, "Test") || strings.HasPrefix(name, "Fuzz") {
+				tests[name] = true
+			}
+		}
+	}
+	cite := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`)
+	qualified := regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+	cited, idents, paths := 0, 0, 0
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range cite.FindAllString(string(src), -1) {
+			cited++
+			if !tests[name] {
+				t.Errorf("%s cites %s, which no _test.go declares", doc, name)
+			}
+		}
+		spans := codeSpans(string(src))
+		for _, span := range spans {
+			for _, m := range qualified.FindAllStringSubmatch(span, -1) {
+				names, ok := declared[m[1]]
+				if !ok {
+					continue
+				}
+				idents++
+				if !names[m[2]] {
+					t.Errorf("%s quotes %s, which package %s does not declare", doc, m[0], m[1])
+				}
+			}
+		}
+		for _, path := range citedPaths(spans) {
+			paths++
+			if !pathExists(path) {
+				t.Errorf("%s quotes %s, which is not in the repo", doc, path)
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("the documents cite no test; the citation pattern is wrong")
+	}
+	if idents == 0 {
+		t.Fatal("the documents quote no pkg.Name; the identifier pattern is wrong")
+	}
+	if paths == 0 {
+		t.Fatal("the documents quote no repo path; the path pattern is wrong")
+	}
+}
+
+// declarations parses every Go file of the module, test files included,
+// and returns the names each package declares at top level or as a
+// method (documents write `device.Use` for Device.Use), keyed by package
+// name: an external test package counts as the package it tests, and
+// packages that share a name (the commands' main) share a set.
+func declarations(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	declared := map[string]map[string]bool{}
+	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -27,56 +93,47 @@ func TestDocumentedTestsExist(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		src, err := os.ReadFile(path)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		for _, m := range decl.FindAllSubmatch(src, -1) {
-			declared[string(m[1])] = true
+		pkg := strings.TrimSuffix(f.Name.Name, "_test")
+		names := declared[pkg]
+		if names == nil {
+			names = map[string]bool{}
+			declared[pkg] = names
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				names[decl.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							names[id.Name] = true
+						}
+					}
+				}
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cite := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`)
-	cited, paths := 0, 0
-	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
-		src, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range cite.FindAllString(string(src), -1) {
-			cited++
-			if !declared[name] {
-				t.Errorf("%s cites %s, which no _test.go declares", doc, name)
-			}
-		}
-		for _, path := range citedPaths(string(src)) {
-			paths++
-			if !pathExists(path) {
-				t.Errorf("%s quotes %s, which is not in the repo", doc, path)
-			}
-		}
-	}
-	if cited == 0 {
-		t.Fatal("the documents cite no test; the citation pattern is wrong")
-	}
-	if paths == 0 {
-		t.Fatal("the documents quote no repo path; the path pattern is wrong")
-	}
+	return declared
 }
 
-// citedPaths returns the repo paths a Markdown document quotes in code:
-// every whitespace-separated token of an inline code span or a fenced
-// code line that starts, after an optional "./", with cmd/, examples/,
-// internal/, bench/ or docs/. A token ends at the first character that
-// cannot be part of a path, so `internal/filters.SNM(f)` yields
-// internal/filters.SNM and `internal/{a,b}` yields internal/.
-func citedPaths(doc string) []string {
+// codeSpans returns a Markdown document's code: every fenced code line
+// and every inline code span.
+func codeSpans(doc string) []string {
 	var code []string
 	var prose strings.Builder
 	fenced := false
@@ -93,6 +150,16 @@ func citedPaths(doc string) []string {
 	for _, m := range inlineCode.FindAllStringSubmatch(prose.String(), -1) {
 		code = append(code, m[1])
 	}
+	return code
+}
+
+// citedPaths returns the repo paths quoted in a document's code spans:
+// every whitespace-separated token that starts, after an optional "./",
+// with cmd/, examples/, internal/, bench/ or docs/. A token ends at the
+// first character that cannot be part of a path, so
+// `internal/filters.SNM(f)` yields internal/filters.SNM and
+// `internal/{a,b}` yields internal/.
+func citedPaths(code []string) []string {
 	var paths []string
 	for _, span := range code {
 		for _, tok := range strings.Fields(span) {

@@ -52,16 +52,13 @@ type (
 	// Result bundles performance and accuracy outcomes.
 	Result = core.Result
 	// ClusterConfig describes a multi-instance run (§4.3): the same
-	// workload description as Config plus an instance count, a stream
-	// arrival cadence, and the promoted control-plane tuning knobs.
+	// workload description as Config plus an instance count and a
+	// stream arrival cadence. Placement is least-load, and it, the
+	// overload and spare-capacity thresholds and the manager's timing
+	// (a 1 s monitor period, three overloaded checks before a
+	// re-forward, a 500 ms heartbeat, a 2 s fail timeout) are fixed,
+	// not knobs.
 	ClusterConfig = core.ClusterConfig
-	// ClusterTuning bundles the control-plane knobs inside
-	// ClusterConfig: the monitor period (CheckEvery), the overloaded
-	// checks before a re-forward (OverloadChecks) and failure detection
-	// (HeartbeatEvery, FailTimeout). Placement is least-load; it and the
-	// overload and spare-capacity thresholds are the paper's fixed
-	// signals, not knobs.
-	ClusterTuning = cluster.Tuning
 	// ClusterReport aggregates a finished multi-instance run.
 	ClusterReport = cluster.Report
 	// ClusterEvent is one control-plane action (admit, reject,
@@ -191,6 +188,7 @@ var (
 	ErrBadNumberOfObjects = core.ErrBadNumberOfObjects
 	ErrBadRefConf         = core.ErrBadRefConf
 	ErrBadInstances       = core.ErrBadInstances
+	ErrBadFault           = core.ErrBadFault
 )
 
 // DefaultConfig returns a ready-to-run configuration (one offline car

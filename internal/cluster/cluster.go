@@ -26,26 +26,6 @@ import (
 	"ffsva/internal/vclock"
 )
 
-// Tuning bundles every control-plane knob. It is the single source of
-// cluster defaults: cluster.DefaultConfig and core.DefaultClusterConfig
-// both draw from DefaultTuning.
-type Tuning struct {
-	// CheckEvery is the manager's monitor period; it doubles as the
-	// post-move cooldown, so a stream is never bounced twice within one
-	// CheckEvery window.
-	CheckEvery time.Duration
-	// OverloadChecks is how many consecutive overloaded observations
-	// trigger a re-forward.
-	OverloadChecks int
-
-	// HeartbeatEvery is each instance's liveness stamp period (forwarded
-	// to pipeline.Config); FailTimeout is how stale a stamp may go before
-	// the manager declares the instance dead and recovers all of its
-	// streams. Failure detection runs only when both are positive.
-	HeartbeatEvery time.Duration
-	FailTimeout    time.Duration
-}
-
 // The paper's fixed overload and spare-capacity signals (§4.3).
 const (
 	// spareTYRate is the shared T-YOLO rate (FPS) below which an
@@ -59,52 +39,22 @@ const (
 	backlogThreshold = 90
 )
 
-// DefaultTuning returns the control-plane defaults: a 1 s monitor
-// period, three overloaded checks before a re-forward, and failure
-// detection on.
-func DefaultTuning() Tuning {
-	return Tuning{
-		CheckEvery:     time.Second,
-		OverloadChecks: 3,
-		HeartbeatEvery: 500 * time.Millisecond,
-		FailTimeout:    2 * time.Second,
-	}
-}
-
-// WithDefaults fills every zero knob from DefaultTuning, leaving set
-// values alone. Negative HeartbeatEvery or FailTimeout
-// normalize to 0, explicitly disabling failure detection.
-func (t Tuning) WithDefaults() Tuning {
-	d := DefaultTuning()
-	if t.CheckEvery == 0 {
-		t.CheckEvery = d.CheckEvery
-	}
-	if t.OverloadChecks == 0 {
-		t.OverloadChecks = d.OverloadChecks
-	}
-	if t.HeartbeatEvery == 0 {
-		t.HeartbeatEvery = d.HeartbeatEvery
-	} else if t.HeartbeatEvery < 0 {
-		t.HeartbeatEvery = 0
-	}
-	if t.FailTimeout == 0 {
-		t.FailTimeout = d.FailTimeout
-	} else if t.FailTimeout < 0 {
-		t.FailTimeout = 0
-	}
-	return t
-}
-
-// Validate checks the tuning.
-func (t Tuning) Validate() error {
-	if t.CheckEvery < 0 {
-		return fmt.Errorf("cluster: CheckEvery must not be negative, have %v", t.CheckEvery)
-	}
-	if t.OverloadChecks < 0 {
-		return fmt.Errorf("cluster: OverloadChecks must not be negative, have %d", t.OverloadChecks)
-	}
-	return nil
-}
+// The manager's fixed timing.
+const (
+	// checkEvery is the manager's monitor period; it doubles as the
+	// post-move cooldown, so a stream is never bounced twice within one
+	// checkEvery window.
+	checkEvery = time.Second
+	// overloadChecks is how many consecutive overloaded observations
+	// trigger a re-forward.
+	overloadChecks = 3
+	// heartbeatEvery is each instance's liveness stamp period (forwarded
+	// to pipeline.Config); failTimeout is how stale a stamp may go before
+	// the manager declares the instance dead and recovers all of its
+	// streams.
+	heartbeatEvery = 500 * time.Millisecond
+	failTimeout    = 2 * time.Second
+)
 
 // Config assembles a Cluster.
 type Config struct {
@@ -115,9 +65,6 @@ type Config struct {
 	// Pipeline is the per-instance configuration template; its Clock is
 	// overwritten with the cluster clock and its Mode forced Online.
 	Pipeline pipeline.Config
-	// Tuning holds every control-plane knob; its fields are promoted
-	// (cfg.CheckEvery, cfg.FailTimeout, ...).
-	Tuning
 	// Horizon is how long the manager and monitor stay alive; it must
 	// cover the last arrival plus the longest stream duration.
 	Horizon time.Duration
@@ -133,10 +80,11 @@ type Config struct {
 	// process tracks; manager actions (admit, reject, re-forward, fail,
 	// recover) become instant events.
 	Tracer *trace.Tracer
-	// OnSnapshot, when non-nil, receives every instance snapshot the
-	// manager observes, tagged with the instance index — the live
-	// observability endpoint feeds from it. It runs on the manager's
-	// clock process, so it must be fast and must not block.
+	// OnSnapshot, when non-nil, receives the one snapshot of each
+	// instance that the manager takes per tick and decides from, tagged
+	// with the instance index — the live observability endpoint feeds
+	// from it. It runs on the manager's clock process, so it must be
+	// fast and must not block.
 	OnSnapshot func(instance int, sn pipeline.Snapshot)
 	// OnEvent, when non-nil, receives every control-plane Event as it is
 	// recorded — the timeline flight recorder feeds from it even when no
@@ -152,7 +100,6 @@ func DefaultConfig(clk *vclock.VirtualClock, instances int) Config {
 		Clock:     clk,
 		Instances: instances,
 		Pipeline:  pc,
-		Tuning:    DefaultTuning(),
 		Horizon:   60 * time.Second,
 	}
 }
@@ -252,14 +199,13 @@ type Cluster struct {
 	managerDone bool
 }
 
-// New builds a cluster; Run executes it to completion. The config's
-// Tuning is taken as-is (call Validate / WithDefaults first when it
-// came from user input); a non-positive instance count panics.
+// New builds a cluster; Run executes it to completion. A non-positive
+// instance count panics.
 func New(cfg Config, arrivals []Arrival) *Cluster {
 	if cfg.Instances <= 0 {
 		panic("cluster: need at least one instance")
 	}
-	sch, _ := sched.New(sched.Config{Cooldown: cfg.CheckEvery}) // never fails
+	sch, _ := sched.New(sched.Config{Cooldown: checkEvery}) // never fails
 	c := &Cluster{
 		cfg:      cfg,
 		sch:      sch,
@@ -275,7 +221,7 @@ func New(cfg Config, arrivals []Arrival) *Cluster {
 		pc := cfg.Pipeline
 		pc.Clock = cfg.Clock
 		pc.Mode = pipeline.Online
-		pc.HeartbeatEvery = cfg.HeartbeatEvery
+		pc.HeartbeatEvery = heartbeatEvery
 		pc.Tracer = cfg.Tracer
 		pc.Instance = i
 		inj := faults.NewInjector(faults.ForInstance(cfg.Faults, i))
@@ -348,7 +294,8 @@ func (c *Cluster) cancel() {
 }
 
 // observe samples every instance's pipeline snapshot once per manager
-// tick; all admission and overload decisions read the same view.
+// tick and hands the samples to the observers; every decision of the
+// tick reads them.
 func (c *Cluster) observe() []pipeline.Snapshot {
 	snaps := make([]pipeline.Snapshot, len(c.instances))
 	for i, inst := range c.instances {
@@ -437,9 +384,12 @@ func (c *Cluster) overloaded(sn *pipeline.Snapshot) bool {
 	return sn.Overloaded && sn.WorstBacklog > backlogThreshold/3
 }
 
-// manage is the control-plane loop: one consistent observation per
-// tick, then — in order — failure detection, completion tracking,
-// admission and overload re-forwarding.
+// manage is the control-plane loop: one observation per tick, then — in
+// order, all deciding from it — failure detection, completion
+// tracking, admission and overload re-forwarding. The manager never
+// yields between the observation and its last decision, and a stream
+// admitted this tick has no lag, backlog or queued frame yet, so the
+// sample stays current through a same-tick burst.
 func (c *Cluster) manage() {
 	clk := c.cfg.Clock
 	next := 0
@@ -449,15 +399,12 @@ func (c *Cluster) manage() {
 			// instance's ingest; stop admitting and let the world drain.
 			break
 		}
-		// One consistent observation of every instance per tick.
 		snaps := c.observe()
 		// Failure detection first: a dead instance must neither receive
 		// arrivals nor count as a re-forward target this tick.
-		if c.cfg.HeartbeatEvery > 0 && c.cfg.FailTimeout > 0 {
-			for i, inst := range c.instances {
-				if !c.failed[i] && clk.Now()-inst.Heartbeat() > c.cfg.FailTimeout {
-					c.fail(i, snaps)
-				}
+		for i, inst := range c.instances {
+			if !c.failed[i] && clk.Now()-inst.Heartbeat() > failTimeout {
+				c.fail(i, snaps)
 			}
 		}
 		// Completion tracking: a finished stream frees its instance slot.
@@ -478,12 +425,6 @@ func (c *Cluster) manage() {
 			c.owners[a.ID] = idx
 			c.specs[a.ID] = spec
 			c.record(Event{Kind: EventAdmit, At: clk.Now(), StreamID: a.ID, From: -1, To: idx})
-			// A burst must not share one stale view: the admission just
-			// made shifts the load signals, so re-observe before placing
-			// the next same-tick arrival.
-			if next < len(c.arrivals) && c.arrivals[next].At <= clk.Now() {
-				snaps = c.observe()
-			}
 		}
 		// Overload monitoring and re-forwarding.
 		for i := range c.instances {
@@ -495,7 +436,7 @@ func (c *Cluster) manage() {
 				continue
 			}
 			c.over[i]++
-			if c.over[i] < c.cfg.OverloadChecks {
+			if c.over[i] < overloadChecks {
 				continue
 			}
 			// A lone stream stays: moving it only moves the overload.
@@ -505,10 +446,8 @@ func (c *Cluster) manage() {
 				}
 			}
 		}
-		// For observers only; obs.TestObservedBytesGolden pins their samples.
-		c.observe()
 		// Sleep to the next decision point.
-		wake := clk.Now() + c.cfg.CheckEvery
+		wake := clk.Now() + checkEvery
 		if next < len(c.arrivals) && c.arrivals[next].At < wake {
 			wake = c.arrivals[next].At
 		}

@@ -71,7 +71,6 @@ func TestReforwardUnderOverload(t *testing.T) {
 	clk := vclock.NewVirtual()
 	cfg := DefaultConfig(clk, 2)
 	cfg.Horizon = 40 * time.Second
-	cfg.OverloadChecks = 2
 	// Slow the reference model so two co-located streams overload one
 	// instance but a 2/1 split can still carry them.
 	costs := device.Calibrated()
@@ -154,7 +153,6 @@ func TestReforwardKeepsEachBatchsVerdicts(t *testing.T) {
 	}
 	cfg := DefaultConfig(vclock.NewVirtual(), 2)
 	cfg.Horizon = 40 * time.Second
-	cfg.OverloadChecks = 2
 	// The slow reference model of TestReforwardUnderOverload backs the
 	// overloaded instance's queues up to its SNM stages.
 	costs := device.Calibrated()

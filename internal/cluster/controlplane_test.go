@@ -119,7 +119,7 @@ func TestThousandStreamScale(t *testing.T) {
 		t.Errorf("scheduler event log differs between two identical runs:\nrun1 %d bytes, run2 %d bytes",
 			len(l1), len(l2))
 	}
-	assertNoBounce(t, rep1, DefaultTuning().CheckEvery)
+	assertNoBounce(t, rep1, checkEvery)
 }
 
 // TestCrashRecoveryKeepsOneOwnerAndEveryFrame crashes one of three
@@ -148,7 +148,7 @@ func TestCrashRecoveryKeepsOneOwnerAndEveryFrame(t *testing.T) {
 		t.Fatalf("no stream recovered off the crashed instance (events:\n%s)", rep.EventLog())
 	}
 	assertSingleOwnership(t, rep)
-	assertNoBounce(t, rep, DefaultTuning().CheckEvery)
+	assertNoBounce(t, rep, checkEvery)
 	// Conservation across the crash: every stream's frames are decided
 	// exactly once across all its fragments.
 	for id, n := range rep.StreamFrames {

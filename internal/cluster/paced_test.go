@@ -26,10 +26,8 @@ func TestPacedClusterMatchesUnpaced(t *testing.T) {
 	}
 	run := func(clk *vclock.VirtualClock) (*Report, string) {
 		cfg := DefaultConfig(clk, 2)
-		cfg.Horizon = 2 * time.Second
-		cfg.CheckEvery = 100 * time.Millisecond
-		cfg.HeartbeatEvery = 100 * time.Millisecond
-		cfg.FailTimeout = 300 * time.Millisecond
+		// Failure detection's 2 s timeout declares the crash at 3.3 s.
+		cfg.Horizon = 4 * time.Second
 		cfg.Faults = []faults.Fault{crash}
 		rep := New(cfg, arrivals(t, cam, 4, 45, 100*time.Millisecond)).Run()
 		var log strings.Builder

@@ -27,7 +27,6 @@ func TestPoolBalancedAcrossFaultsAndReforwards(t *testing.T) {
 	}
 	cfg := DefaultConfig(vclock.NewVirtual(), 3)
 	cfg.Horizon = 40 * time.Second
-	cfg.OverloadChecks = 2
 	costs := device.Calibrated()
 	ref := costs[device.ModelRef]
 	ref.PerFrame = 55 * time.Millisecond

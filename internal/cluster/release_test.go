@@ -149,7 +149,6 @@ func TestMigratedStreamReleasedOnBothInstances(t *testing.T) {
 	}
 	cfg := DefaultConfig(vclock.NewVirtual(), 2)
 	cfg.Horizon = 40 * time.Second
-	cfg.OverloadChecks = 2
 	costs := device.Calibrated()
 	c := costs[device.ModelRef]
 	c.PerFrame = 55 * time.Millisecond

@@ -42,7 +42,7 @@ type Stream struct {
 	// admission, re-forward or recovery, whichever was last.
 	PlacedAt time.Duration
 	// Movable is false while the stream is inside its post-move cooldown
-	// window (one CheckEvery); Victim never picks an immovable stream,
+	// window (one monitor period); Victim never picks an immovable stream,
 	// which is what guarantees a stream is never bounced twice within
 	// one window.
 	Movable bool

@@ -9,7 +9,7 @@ import (
 // Config assembles a Scheduler.
 type Config struct {
 	// Cooldown is the post-move window during which a stream is not
-	// movable again — the cluster passes its CheckEvery, so no stream is
+	// movable again — the cluster passes its monitor period, so no stream is
 	// ever bounced twice within one monitor window.
 	Cooldown time.Duration
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ffsva/internal/faults"
 	"ffsva/internal/pipeline"
 )
 
@@ -160,6 +161,15 @@ func TestValidateSentinels(t *testing.T) {
 		{func(c *Config) { c.Workload = WorkloadKind(99) }, ErrBadWorkload},
 		{func(c *Config) { c.Tolerance = -1 }, ErrBadTolerance},
 		{func(c *Config) { c.NumberOfObjects = -2 }, ErrBadNumberOfObjects},
+		{func(c *Config) {
+			c.Faults = []faults.Fault{{Kind: faults.InstanceCrash, Instance: 3, From: time.Second}}
+		}, ErrBadFault},
+		{func(c *Config) {
+			c.Faults = []faults.Fault{{Kind: faults.DeviceSlow, Instance: 4, Device: "gpu0", Until: 2 * time.Second, Factor: 5}}
+		}, ErrBadFault},
+		{func(c *Config) {
+			c.Faults = []faults.Fault{{Kind: faults.DeviceStall, Instance: -1, Until: time.Second}}
+		}, ErrBadFault},
 	}
 	for i, tc := range cases {
 		cfg := DefaultConfig()
@@ -170,6 +180,37 @@ func TestValidateSentinels(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
+	}
+	// A stream-level fault follows its stream and names no instance.
+	cfg := DefaultConfig()
+	cfg.Faults = []faults.Fault{
+		{Kind: faults.InstanceCrash, From: time.Second},
+		{Kind: faults.DecodeError, Instance: 7, SeqTo: 10, Attempts: 3},
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("instance 0's crash and a decode fault rejected: %v", err)
+	}
+}
+
+// TestClusterFaultsNameAnInstance: a cluster's slow, stall and crash
+// faults must target one of its instances.
+func TestClusterFaultsNameAnInstance(t *testing.T) {
+	cases := []struct {
+		fault faults.Fault
+		want  error
+	}{
+		{faults.Fault{Kind: faults.InstanceCrash, Instance: 1, From: time.Second}, nil},
+		{faults.Fault{Kind: faults.InstanceCrash, Instance: 2, From: time.Second}, ErrBadFault},
+		{faults.Fault{Kind: faults.DeviceSlow, Instance: 5, Device: "gpu0", Until: time.Second, Factor: 2}, ErrBadFault},
+		{faults.Fault{Kind: faults.DeviceStall, Instance: -1, Until: time.Second}, ErrBadFault},
+		{faults.Fault{Kind: faults.CorruptFrame, Instance: 9, SeqTo: 5}, nil},
+	}
+	for i, tc := range cases {
+		ccfg := DefaultClusterConfig() // two instances
+		ccfg.Faults = []faults.Fault{tc.fault}
+		if err := ccfg.Validate(); !errors.Is(err, tc.want) {
+			t.Errorf("case %d (%v): err = %v, want %v", i, tc.fault, err, tc.want)
+		}
 	}
 }
 

@@ -16,10 +16,11 @@ import (
 var ErrBadInstances = errors.New("core: Instances must be positive")
 
 // ClusterConfig describes a multi-instance run assembled from the same
-// workload description as a single-instance Config, plus the control
-// plane's tuning. Streams arrive one by one; the scheduler places each
-// on the least-loaded instance and re-forwards streams off overloaded
-// instances (§4.3).
+// workload description as a single-instance Config. Streams arrive one
+// by one; the scheduler places each on the least-loaded instance and
+// re-forwards streams off overloaded instances (§4.3). The control
+// plane's timing is fixed (a 1 s monitor period, three overloaded
+// checks before a re-forward, a 500 ms heartbeat, a 2 s fail timeout).
 type ClusterConfig struct {
 	// Config is the shared workload description. Mode is forced Online:
 	// the multi-instance manager's signals (ingest lag, capture backlog)
@@ -30,11 +31,6 @@ type ClusterConfig struct {
 	// ArrivalEvery staggers stream admissions; 0 admits everything at
 	// the start.
 	ArrivalEvery time.Duration
-	// Tuning holds the control-plane knobs — promoted, so callers write
-	// cfg.CheckEvery, cfg.FailTimeout, and so on. Zero knobs take the
-	// cluster defaults (cluster.DefaultTuning, the single source of
-	// truth).
-	cluster.Tuning
 }
 
 // DefaultClusterConfig returns a two-instance configuration over the
@@ -47,22 +43,22 @@ func DefaultClusterConfig() ClusterConfig {
 		Config:       cfg,
 		Instances:    2,
 		ArrivalEvery: 2 * time.Second,
-		Tuning:       cluster.DefaultTuning(),
 	}
 }
 
-// Validate extends Config.Validate with the cluster fields.
+// Validate extends Config.Validate with the cluster fields; a planned
+// slow, stall or crash must name one of the Instances.
 func (c ClusterConfig) Validate() error {
-	if err := c.Config.Validate(); err != nil {
-		return err
-	}
 	if c.Instances <= 0 {
 		return fmt.Errorf("%w, have %d", ErrBadInstances, c.Instances)
+	}
+	if err := c.Config.validate(c.Instances); err != nil {
+		return err
 	}
 	if c.ArrivalEvery < 0 {
 		return fmt.Errorf("core: ArrivalEvery must not be negative, have %v", c.ArrivalEvery)
 	}
-	return c.Tuning.Validate()
+	return nil
 }
 
 // RunCluster trains the workload's camera models, spreads the
@@ -90,7 +86,6 @@ func RunClusterContext(ctx context.Context, cfg ClusterConfig) (*cluster.Report,
 	}
 
 	ccfg := cluster.DefaultConfig(cfg.clock(), cfg.Instances)
-	ccfg.Tuning = cfg.Tuning.WithDefaults()
 	ccfg.Pipeline.BatchPolicy = cfg.BatchPolicy
 	if cfg.BatchSize > 0 {
 		ccfg.Pipeline.BatchSize = cfg.BatchSize

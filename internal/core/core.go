@@ -194,7 +194,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	pcfg.RefConf = cfg.RefConf
 	pcfg.Consolidate = cfg.Consolidate
 
-	// A single-instance run treats every planned fault as instance 0's.
+	// Validate has held every planned slow, stall and crash to instance 0.
 	var inj *faults.Injector
 	if len(cfg.Faults) > 0 {
 		inj = faults.NewInjector(faults.ForInstance(cfg.Faults, 0))

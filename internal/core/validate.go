@@ -31,13 +31,23 @@ var (
 	// ErrBadRefConf marks a reference-count confidence threshold outside
 	// [0, 1] (zero means "use the default of 0.5").
 	ErrBadRefConf = errors.New("core: RefConf must be in [0, 1]")
+	// ErrBadFault marks a planned slow, stall or crash aimed at an
+	// instance the run does not have.
+	ErrBadFault = errors.New("core: fault targets no instance of the run")
 )
 
 // Validate checks a configuration before any model training or stream
 // generation happens, so a bad run fails in microseconds instead of
 // after minutes of training. Run, RunContext, and the command-line
 // front-ends all call it; exported so API users can validate eagerly.
+// A single-instance run has only instance 0 for a planned slow, stall or
+// crash to target.
 func (c Config) Validate() error {
+	return c.validate(1)
+}
+
+// validate is Validate for a run of the given number of instances.
+func (c Config) validate(instances int) error {
 	if c.Streams <= 0 {
 		return fmt.Errorf("%w, have %d", ErrBadStreams, c.Streams)
 	}
@@ -64,6 +74,11 @@ func (c Config) Validate() error {
 	}
 	if c.RefConf < 0 || c.RefConf > 1 {
 		return fmt.Errorf("%w, have %v", ErrBadRefConf, c.RefConf)
+	}
+	for _, f := range c.Faults {
+		if !f.StreamLevel() && (f.Instance < 0 || f.Instance >= instances) {
+			return fmt.Errorf("%w: %v with %d instance(s)", ErrBadFault, f, instances)
+		}
 	}
 	return nil
 }

@@ -117,9 +117,9 @@ func (f Fault) String() string {
 	}
 }
 
-// streamLevel reports whether the fault follows a stream rather than an
+// StreamLevel reports whether the fault follows a stream rather than an
 // instance.
-func (f Fault) streamLevel() bool {
+func (f Fault) StreamLevel() bool {
 	return f.Kind == DecodeError || f.Kind == CorruptFrame
 }
 
@@ -132,7 +132,7 @@ func ForInstance(plan []Fault, instance int) []Fault {
 	var out []Fault
 	for _, f := range plan {
 		switch {
-		case f.streamLevel():
+		case f.StreamLevel():
 			out = append(out, f)
 		case f.Kind != InstanceCrash && f.Instance == instance:
 			out = append(out, f)
@@ -261,7 +261,7 @@ func matchStream(f Fault, stream int, seq int64) bool {
 // the stream, so WrapSource can skip wrapping healthy sources.
 func (inj *Injector) hasStreamFaults(stream int) bool {
 	for _, f := range inj.faults {
-		if f.streamLevel() && (f.Stream < 0 || f.Stream == stream) {
+		if f.StreamLevel() && (f.Stream < 0 || f.Stream == stream) {
 			return true
 		}
 	}

@@ -75,7 +75,6 @@ func TestScrapeWhileClusterRuns(t *testing.T) {
 		cfg.FramesPerStream = 60
 		cfg.ArrivalEvery = 100 * time.Millisecond
 		cfg.TOR = 0.4
-		cfg.CheckEvery = 250 * time.Millisecond
 		cfg.Trace = tr
 		cfg.Timeline = rec
 		cfg.OnSnapshot = push
