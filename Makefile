@@ -128,13 +128,17 @@ digest-check:
 # trace-smoke proves the Perfetto export end to end, structurally
 # validated by the stdlib-only checker: a single-instance quickstart run
 # with tracing on, and a two-instance cluster run with the timeline and
-# tracer both on, whose export carries cluster instants too.
+# tracer both on, whose export carries cluster instants too. The
+# cluster run also asks for -metrics, and its stderr must hold a
+# snapshot line ("instance N: t=…"), so a silent printer fails here.
 trace-smoke:
 	$(GO) run ./examples/quickstart -trace trace_smoke.json >/dev/null
 	$(GO) run ./cmd/tracecheck trace_smoke.json
-	$(GO) run ./cmd/ffsva -instances 2 -streams 4 -frames 90 -arrival-every 500ms -timeline -trace trace_smoke_cluster.json >/dev/null
+	$(GO) run ./cmd/ffsva -instances 2 -streams 4 -frames 90 -arrival-every 500ms -timeline -trace trace_smoke_cluster.json -metrics 1s >/dev/null 2>trace_smoke_metrics.txt
 	$(GO) run ./cmd/tracecheck trace_smoke_cluster.json
-	@rm -f trace_smoke.json trace_smoke_cluster.json
+	@grep -q '^instance [0-9]*: t=' trace_smoke_metrics.txt || \
+		{ echo "trace-smoke: the cluster run's -metrics printed no snapshot"; exit 1; }
+	@rm -f trace_smoke.json trace_smoke_cluster.json trace_smoke_metrics.txt
 
 # benchmark is the repo benchmark exactly as BENCHMARK.json declares it:
 # four workloads, end-to-end and per-layer metrics, model (virtual-time)

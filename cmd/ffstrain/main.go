@@ -2,9 +2,11 @@
 // for one synthetic camera and reports the fitted artifacts: the SDD
 // reference/threshold, the SNM's held-out accuracy and clow/chigh
 // thresholds, and end-to-end filter behaviour on a fresh validation
-// slice. With -save it writes the SNM weights to disk. The last line of
-// the report is what the training cost this process: wall time, heap
-// traffic, collections and peak resident set.
+// slice. Nothing is written to disk: every program trains a camera in
+// process (lab.TrainCamera caches it per process), as the paper trains
+// each stream's models once (§4.1). The last line of the report is what
+// the training cost this process: wall time, heap traffic, collections
+// and peak resident set.
 package main
 
 import (
@@ -17,7 +19,6 @@ import (
 	"ffsva/internal/detect"
 	"ffsva/internal/filters"
 	"ffsva/internal/frame"
-	"ffsva/internal/lab"
 	"ffsva/internal/train"
 	"ffsva/internal/vclock"
 	"ffsva/internal/vidgen"
@@ -28,8 +29,6 @@ func main() {
 	tor := flag.Float64("tor", 0.3, "training slice target-object ratio")
 	frames := flag.Int("frames", 1500, "training frames")
 	seed := flag.Int64("seed", 101, "camera seed")
-	save := flag.String("save", "", "write trained SNM weights to this file")
-	saveCam := flag.String("save-camera", "", "write the full trained camera (SDD + SNM + thresholds) to this file")
 	flag.Parse()
 
 	target := frame.ClassCar
@@ -92,33 +91,6 @@ func main() {
 	fmt.Printf("cost: trained in %.2f s; process allocated %.1f MB in %d objects over %d collections, peak RSS %.1f MB\n",
 		trained.Seconds(), float64(ms.TotalAlloc)/1e6, ms.Mallocs, ms.NumGC, float64(ru.Maxrss)/1024)
 
-	if *save != "" {
-		f, err := os.Create(*save)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ffstrain: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := snm.Net.SaveWeights(f); err != nil {
-			fmt.Fprintf(os.Stderr, "ffstrain: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("SNM weights written to %s\n", *save)
-	}
-	if *saveCam != "" {
-		cam := &lab.Camera{Template: cfg, SDD: sdd, SNM: snm}
-		f, err := os.Create(*saveCam)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ffstrain: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := cam.Save(f); err != nil {
-			fmt.Fprintf(os.Stderr, "ffstrain: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("camera written to %s (reload with lab.LoadCamera)\n", *saveCam)
-	}
 }
 
 // trainCamera labels frames from the camera and fits its SDD and SNM,

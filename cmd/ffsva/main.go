@@ -7,7 +7,7 @@
 //	ffsva [-workload car|person] [-tor 0.1] [-streams 4] [-frames 1000]
 //	      [-mode offline|online] [-batch-policy dynamic|feedback|static]
 //	      [-batch 10] [-filter-degree 0.5] [-objects 1] [-tolerance 0]
-//	      [-consolidate] [-ref-conf 0.5]
+//	      [-consolidate]
 //	      [-real] [-metrics 1s] [-metrics-json]
 //	      [-instances 2] [-arrival-every 2s]
 //	      [-inject spec]... [-shed-after 500ms]
@@ -25,8 +25,6 @@
 // consolidation: T-YOLO's candidate boxes are cropped with padding and
 // shelf-packed across streams into fixed canvases, each canvas costing
 // one reference inference instead of one per frame (DESIGN.md §15).
-// -ref-conf sets the confidence threshold the reference tier applies
-// when counting target objects.
 //
 // -inject (repeatable) adds a fault to the injection plan:
 //
@@ -50,7 +48,9 @@
 // interval a live snapshot (queue depths, feedback blocked-puts, drops by
 // disposition, SNM batch distribution, device busy fractions, ingest lag,
 // T-YOLO rate) is dumped to stderr, as text or as one JSON line with
-// -metrics-json.
+// -metrics-json. A cluster run's snapshots come at the manager's fixed
+// 1 s tick whatever the interval, one per instance: a text snapshot
+// starts "instance N: " and a JSON line carries "instance":N.
 //
 // -trace records a span tree for every frame's journey through the
 // cascade (decode, each queue wait, SDD, SNM batch assembly + inference,
@@ -89,6 +89,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime/pprof"
@@ -126,7 +127,6 @@ func main() {
 	flag.Float64Var(&cfg.FilterDegree, "filter-degree", 0.5, "SNM FilterDegree in [0,1]")
 	flag.IntVar(&cfg.NumberOfObjects, "objects", 1, "minimum target objects per event (NumberofObjects)")
 	flag.IntVar(&cfg.Tolerance, "tolerance", 0, "relaxation of the object-count threshold")
-	flag.Float64Var(&cfg.RefConf, "ref-conf", 0.5, "reference-model confidence threshold for object counting, in [0,1]")
 	flag.BoolVar(&cfg.Consolidate, "consolidate", false, "object-level consolidation: pack T-YOLO candidate crops from many streams into batched reference inferences")
 	real := flag.Bool("real", false, "pace the virtual clock to the wall clock (same output, played in real time)")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "stream dynamics seed")
@@ -175,8 +175,7 @@ func main() {
 	cfg.Paced = *real
 	if *metricsEvery > 0 {
 		cfg.MetricsEvery = *metricsEvery
-		cfg.MetricsJSON = *metricsJSON
-		cfg.MetricsOut = os.Stderr
+		cfg.OnSnapshot = snapshotPrinter(os.Stderr, *metricsJSON, *instances > 1)
 	}
 
 	var tracer *ffsva.Tracer
@@ -197,7 +196,13 @@ func main() {
 		if cfg.MetricsEvery == 0 {
 			cfg.MetricsEvery = time.Second // the endpoint needs a snapshot cadence
 		}
-		cfg.OnSnapshot = server.Push
+		printSnap := cfg.OnSnapshot // -metrics's printer, if any
+		cfg.OnSnapshot = func(instance int, sn ffsva.Snapshot) {
+			if printSnap != nil {
+				printSnap(instance, sn)
+			}
+			server.Push(instance, sn)
+		}
 		if err := server.Start(); err != nil {
 			fmt.Fprintf(os.Stderr, "ffsva: %v\n", err)
 			os.Exit(1)
@@ -290,6 +295,25 @@ func main() {
 		fmt.Printf("host lag: %v\n", res.HostLag)
 	}
 	exportTrace(tracer, *tracePath)
+}
+
+// snapshotPrinter returns the OnSnapshot that writes each snapshot to w,
+// as text or as one JSON line. A cluster run's snapshots name their
+// instance; a single-instance run's are printed as they are.
+func snapshotPrinter(w io.Writer, asJSON, cluster bool) func(int, ffsva.Snapshot) {
+	return func(instance int, sn ffsva.Snapshot) {
+		switch {
+		case asJSON && cluster:
+			// sn.JSON() is one object; the instance becomes its first field.
+			fmt.Fprintf(w, "{\"instance\":%d,%s\n", instance, sn.JSON()[1:])
+		case asJSON:
+			fmt.Fprintln(w, sn.JSON())
+		case cluster:
+			fmt.Fprintf(w, "instance %d: %v\n", instance, sn)
+		default:
+			fmt.Fprintln(w, sn)
+		}
+	}
 }
 
 // startProfiles begins the CPU profile and returns the function that

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -16,11 +17,14 @@ import (
 // DESIGN.md, README.md or EXPERIMENTS.md cites to be declared in some
 // _test.go file of the module, every `pkg.Name` they quote in code
 // (see codeSpans) whose pkg is one of the module's packages (ffsva for
-// the root) to be declared in that package, and every repo path they
-// quote in code (see citedPaths) to exist, so the documents cannot
-// point at a check, an API or a program that was renamed or deleted.
+// the root) to be declared in that package, every repo path they
+// quote in code (see citedPaths) to exist, and every flag they quote
+// after a command of cmd/ (see quotedFlags) to be registered by that
+// command, so the documents cannot point at a check, an API, a program
+// or an option that was renamed or deleted.
 func TestDocumentedTestsExist(t *testing.T) {
 	declared := declarations(t)
+	flags := registeredFlags(t)
 	tests := map[string]bool{}
 	for _, names := range declared {
 		for name := range names {
@@ -31,7 +35,7 @@ func TestDocumentedTestsExist(t *testing.T) {
 	}
 	cite := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`)
 	qualified := regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)`)
-	cited, idents, paths := 0, 0, 0
+	cited, idents, paths, options := 0, 0, 0, 0
 	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		src, err := os.ReadFile(doc)
 		if err != nil {
@@ -62,6 +66,12 @@ func TestDocumentedTestsExist(t *testing.T) {
 				t.Errorf("%s quotes %s, which is not in the repo", doc, path)
 			}
 		}
+		for _, q := range quotedFlags(spans, flags) {
+			options++
+			if !flags[q.command][q.flag] {
+				t.Errorf("%s quotes %s -%s, which cmd/%s does not register", doc, q.command, q.flag, q.command)
+			}
+		}
 	}
 	if cited == 0 {
 		t.Fatal("the documents cite no test; the citation pattern is wrong")
@@ -72,7 +82,124 @@ func TestDocumentedTestsExist(t *testing.T) {
 	if paths == 0 {
 		t.Fatal("the documents quote no repo path; the path pattern is wrong")
 	}
+	if options == 0 {
+		t.Fatal("the documents quote no command flag; the flag pattern is wrong")
+	}
 }
+
+// registeredFlags parses the main package of every command under cmd/
+// and returns the flag names it registers through the flag package,
+// keyed by the command's name: the first argument of flag.String,
+// flag.Bool, flag.Func and the like, the second of flag.Var,
+// flag.StringVar and the other …Var forms.
+func registeredFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	dirs, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		names := map[string]bool{}
+		flags[d.Name()] = names
+		files, err := filepath.Glob(filepath.Join("cmd", d.Name(), "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+					return true
+				}
+				arg := 0
+				if strings.HasSuffix(sel.Sel.Name, "Var") {
+					arg = 1
+				}
+				if len(call.Args) <= arg {
+					return true
+				}
+				if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if name, err := strconv.Unquote(lit.Value); err == nil {
+						names[name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return flags
+}
+
+// quotedFlag is one flag a document quotes after a command.
+type quotedFlag struct{ command, flag string }
+
+// quotedFlags returns the flags a document's code quotes after one of
+// the given commands, named bare (`ffsva -real`, `/tmp/ffsva -real`) or
+// run as `go run ./cmd/<name>`. A command's flags end with it: at a
+// pipe, `;`, `&&`, a redirect or a `#` comment. A code line ending in a
+// backslash continues on the next one. `-a/-b` quotes both flags.
+func quotedFlags(code []string, commands map[string]map[string]bool) []quotedFlag {
+	var out []quotedFlag
+	for i := 0; i < len(code); i++ {
+		line := code[i]
+		for strings.HasSuffix(line, `\`) && i+1 < len(code) {
+			i++
+			line = strings.TrimSuffix(line, `\`) + " " + code[i]
+		}
+		command := ""
+		toks := strings.Fields(line)
+	scan:
+		for j, tok := range toks {
+			switch {
+			case tok == "|" || tok == "||" || tok == "&&" || tok == ";" ||
+				strings.HasPrefix(tok, ">") || strings.HasPrefix(tok, "2>") || strings.HasPrefix(tok, "<"):
+				command = ""
+				continue
+			case strings.HasPrefix(tok, "#"):
+				break scan
+			}
+			tok = strings.Trim(tok, "[](){}`'\"")
+			name := tok[strings.LastIndexByte(tok, '/')+1:]
+			if _, ok := commands[name]; ok {
+				goRun := j >= 2 && toks[j-2] == "go" && toks[j-1] == "run"
+				if tok == name || goRun || !strings.HasPrefix(strings.TrimPrefix(tok, "./"), "cmd/") {
+					command = name
+					continue
+				}
+			}
+			if command == "" || !strings.HasPrefix(tok, "-") {
+				continue
+			}
+			for _, part := range strings.Split(tok, "/") {
+				if m := flagName.FindStringSubmatch(part); m != nil {
+					out = append(out, quotedFlag{command, m[1]})
+				}
+			}
+		}
+	}
+	return out
+}
+
+var flagName = regexp.MustCompile(`^--?([a-zA-Z][\w-]*)`)
 
 // declarations parses every Go file of the module, test files included,
 // and returns the names each package declares at top level or as a

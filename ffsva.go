@@ -186,7 +186,6 @@ var (
 	ErrBadWorkload        = core.ErrBadWorkload
 	ErrBadTolerance       = core.ErrBadTolerance
 	ErrBadNumberOfObjects = core.ErrBadNumberOfObjects
-	ErrBadRefConf         = core.ErrBadRefConf
 	ErrBadInstances       = core.ErrBadInstances
 	ErrBadFault           = core.ErrBadFault
 )

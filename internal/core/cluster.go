@@ -91,7 +91,6 @@ func RunClusterContext(ctx context.Context, cfg ClusterConfig) (*cluster.Report,
 		ccfg.Pipeline.BatchSize = cfg.BatchSize
 	}
 	ccfg.Pipeline.ShedAfter = cfg.ShedAfter
-	ccfg.Pipeline.RefConf = cfg.RefConf
 	ccfg.Pipeline.Consolidate = cfg.Consolidate
 	ccfg.Faults = cfg.Faults
 	ccfg.Tracer = cfg.Trace

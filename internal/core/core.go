@@ -9,7 +9,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"ffsva/internal/detect"
@@ -53,11 +52,6 @@ type Config struct {
 	NumberOfObjects int
 	// Tolerance relaxes T-YOLO's count threshold (§5.3.3).
 	Tolerance int
-	// RefConf is the confidence threshold the reference tier applies
-	// when counting target objects, in [0, 1]; zero means the default
-	// 0.5. Promoted to configuration so the consolidation ablation can
-	// sweep it.
-	RefConf float64
 	// Consolidate enables object-level consolidation of the reference
 	// tier (Rivas et al.): T-YOLO's candidate boxes are cropped and
 	// shelf-packed across streams into fixed canvases, and each canvas
@@ -74,17 +68,15 @@ type Config struct {
 	Seed int64
 
 	// MetricsEvery, when positive, attaches the pipeline's periodic
-	// observability monitor: every interval a Snapshot is written to
-	// MetricsOut (text by default, one JSON line per sample with
-	// MetricsJSON) and handed to OnSnapshot. Ignored when both sinks
-	// are nil.
+	// observability monitor to a single-instance run: every interval a
+	// Snapshot is handed to OnSnapshot (and to Timeline). A cluster run
+	// ignores it: its manager hands OnSnapshot one snapshot per instance
+	// at every 1 s tick.
 	MetricsEvery time.Duration
-	MetricsJSON  bool
-	MetricsOut   io.Writer
-	// OnSnapshot, when non-nil, receives each monitor snapshot tagged
-	// with its instance index (always 0 in a single-instance run; the
-	// observing cluster manager's index otherwise). It runs on a clock
-	// process, so it must be fast and must not block.
+	// OnSnapshot, when non-nil, receives each snapshot tagged with its
+	// instance index (always 0 in a single-instance run). It is core's
+	// one observer path for both run kinds: core prints nothing itself.
+	// It runs on a clock process, so it must be fast and must not block.
 	OnSnapshot func(instance int, sn pipeline.Snapshot)
 
 	// Timeline, when non-nil, is the flight recorder fed by the run: the
@@ -127,7 +119,6 @@ func DefaultConfig() Config {
 		BatchSize:       10,
 		FilterDegree:    0.5,
 		NumberOfObjects: 1,
-		RefConf:         0.5,
 		Seed:            1,
 	}
 }
@@ -191,7 +182,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	pcfg.ShedAfter = cfg.ShedAfter
 	pcfg.Tracer = cfg.Trace
-	pcfg.RefConf = cfg.RefConf
 	pcfg.Consolidate = cfg.Consolidate
 
 	// Validate has held every planned slow, stall and crash to instance 0.
@@ -223,18 +213,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if every <= 0 && cfg.Timeline != nil {
 		every = timelineDefaultEvery
 	}
-	if every > 0 && (cfg.MetricsOut != nil || cfg.OnSnapshot != nil || cfg.Timeline != nil) {
-		out, asJSON, onSnap, rec := cfg.MetricsOut, cfg.MetricsJSON, cfg.OnSnapshot, cfg.Timeline
+	if every > 0 && (cfg.OnSnapshot != nil || cfg.Timeline != nil) {
+		onSnap, rec := cfg.OnSnapshot, cfg.Timeline
 		sys.Monitor(every, func(sn pipeline.Snapshot) {
 			if rec != nil {
 				rec.Observe(0, sn)
-			}
-			if out != nil {
-				if asJSON {
-					fmt.Fprintln(out, sn.JSON())
-				} else {
-					fmt.Fprintln(out, sn)
-				}
 			}
 			if onSnap != nil {
 				onSnap(0, sn)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -23,8 +24,7 @@ func TestPacedRunMatchesUnpaced(t *testing.T) {
 		cfg.Paced = paced
 		var snaps bytes.Buffer
 		cfg.MetricsEvery = 100 * time.Millisecond
-		cfg.MetricsJSON = true
-		cfg.MetricsOut = &snaps
+		cfg.OnSnapshot = func(_ int, sn pipeline.Snapshot) { fmt.Fprintln(&snaps, sn.JSON()) }
 		if _, err := lab.CarCamera(cfg.TOR); err != nil { // train outside the timed run
 			t.Fatal(err)
 		}

@@ -28,9 +28,6 @@ var (
 	// ErrBadNumberOfObjects marks a negative event-intensity threshold
 	// (zero means "use the default of 1").
 	ErrBadNumberOfObjects = errors.New("core: NumberOfObjects must not be negative")
-	// ErrBadRefConf marks a reference-count confidence threshold outside
-	// [0, 1] (zero means "use the default of 0.5").
-	ErrBadRefConf = errors.New("core: RefConf must be in [0, 1]")
 	// ErrBadFault marks a planned slow, stall or crash aimed at an
 	// instance the run does not have.
 	ErrBadFault = errors.New("core: fault targets no instance of the run")
@@ -71,9 +68,6 @@ func (c Config) validate(instances int) error {
 	}
 	if c.NumberOfObjects < 0 {
 		return fmt.Errorf("%w, have %d", ErrBadNumberOfObjects, c.NumberOfObjects)
-	}
-	if c.RefConf < 0 || c.RefConf > 1 {
-		return fmt.Errorf("%w, have %v", ErrBadRefConf, c.RefConf)
 	}
 	for _, f := range c.Faults {
 		if !f.StreamLevel() && (f.Instance < 0 || f.Instance >= instances) {

@@ -33,12 +33,6 @@ func (v Verdict) String() string {
 	return "drop"
 }
 
-// Filter is one stage of the cascade.
-type Filter interface {
-	Name() string
-	Process(f *frame.Frame) Verdict
-}
-
 // Stats counts a filter's traffic.
 type Stats struct {
 	Processed int64
@@ -168,9 +162,6 @@ func Distance(img, ref *imgproc.Gray, m Metric) float64 {
 	}
 }
 
-// Name implements Filter.
-func (s *SDD) Name() string { return "sdd" }
-
 // Stats returns traffic counters.
 func (s *SDD) Stats() Stats { return s.stats }
 
@@ -240,9 +231,6 @@ func NewSNM(net *nn.Net, clow, chigh, filterDegree float64) *SNM {
 	}
 	return &SNM{Net: net, CLow: clow, CHigh: chigh, FilterDegree: filterDegree}
 }
-
-// Name implements Filter.
-func (s *SNM) Name() string { return "snm" }
 
 // Stats returns traffic counters.
 func (s *SNM) Stats() Stats { return s.stats }
@@ -395,9 +383,6 @@ func NewTYolo(det detect.Detector, target frame.Class, numberOfObjects int) *TYo
 	}
 	return &TYolo{Det: det, Target: target, NumberOfObjects: numberOfObjects}
 }
-
-// Name implements Filter.
-func (t *TYolo) Name() string { return "t-yolo" }
 
 // Stats returns traffic counters.
 func (t *TYolo) Stats() Stats { return t.stats }

@@ -292,21 +292,6 @@ func SAD(a, b *Gray) float64 {
 	return float64(sum)
 }
 
-// AbsDiffInto writes |a−b| per pixel into out, overwriting every pixel,
-// so out may be a dirty pooled image.
-func AbsDiffInto(a, b, out *Gray) {
-	sameSize("AbsDiff", a, b)
-	sameSize("AbsDiff", a, out)
-	bp, op := b.Pix[:len(a.Pix)], out.Pix[:len(a.Pix)]
-	for i, v := range a.Pix {
-		d := int(v) - int(bp[i])
-		if d < 0 {
-			d = -d
-		}
-		op[i] = uint8(d)
-	}
-}
-
 // MeanStd returns the mean and standard deviation of the image pixels.
 func MeanStd(g *Gray) (mean, std float64) {
 	if len(g.Pix) == 0 {

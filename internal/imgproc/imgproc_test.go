@@ -123,18 +123,6 @@ func dirtyGray(w, h int) *Gray {
 	return g
 }
 
-func TestAbsDiff(t *testing.T) {
-	a := NewGray(2, 1)
-	b := NewGray(2, 1)
-	a.Pix[0], a.Pix[1] = 200, 10
-	b.Pix[0], b.Pix[1] = 50, 60
-	d := dirtyGray(2, 1)
-	AbsDiffInto(a, b, d)
-	if d.Pix[0] != 150 || d.Pix[1] != 50 {
-		t.Fatalf("AbsDiff = %v, want [150 50]", d.Pix)
-	}
-}
-
 func TestBinarize(t *testing.T) {
 	g := NewGray(3, 1)
 	copy(g.Pix, []uint8{10, 100, 200})

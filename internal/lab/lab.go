@@ -8,7 +8,6 @@ package lab
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"ffsva/internal/detect"
@@ -264,7 +263,3 @@ func (s ConsolidationScore) String() string {
 	return fmt.Sprintf("frames=%d exact=%d (%.2f%%) under=%d over=%d lost-objects=%d mean|Δ|=%.3f",
 		s.Frames, s.Exact, 100*s.ExactRate(), s.Under, s.Over, s.LostObjects, s.MeanAbsDelta)
 }
-
-// newZeroRand returns the deterministic source used when network
-// architecture must be rebuilt before loading saved weights.
-func newZeroRand() *rand.Rand { return rand.New(rand.NewSource(0)) }

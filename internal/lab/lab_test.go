@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"ffsva/internal/filters"
-
 	"ffsva/internal/detect"
 	"ffsva/internal/frame"
 	"ffsva/internal/vidgen"
@@ -168,43 +166,5 @@ func TestPersonCamera(t *testing.T) {
 	}
 	if cam.SNM.TestAccuracy < 0.8 {
 		t.Fatalf("person SNM accuracy %.2f", cam.SNM.TestAccuracy)
-	}
-}
-
-func TestCameraSaveLoadRoundTrip(t *testing.T) {
-	cam, err := CarCamera(0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := cam.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCamera(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.SDD.Delta != cam.SDD.Delta ||
-		loaded.SNM.CLow != cam.SNM.CLow || loaded.SNM.CHigh != cam.SNM.CHigh {
-		t.Fatal("thresholds changed across save/load")
-	}
-	// Identical predictions on a real frame.
-	spec := cam.Stream(3, nil, StreamOptions{Seed: 99, Frames: 10})
-	f := spec.Source.Next()
-	a := filters.NewSNM(cam.SNM.Net, cam.SNM.CLow, cam.SNM.CHigh, 0.5).Prob(f)
-	b := filters.NewSNM(loaded.SNM.Net, loaded.SNM.CLow, loaded.SNM.CHigh, 0.5).Prob(f)
-	if a != b {
-		t.Fatalf("predictions differ after round trip: %v vs %v", a, b)
-	}
-	// The loaded camera mints working streams.
-	spec2 := loaded.Stream(4, nil, StreamOptions{Seed: 100, Frames: 10})
-	if spec2.SDD == nil || spec2.SNM == nil {
-		t.Fatal("loaded camera cannot mint streams")
-	}
-}
-
-func TestLoadCameraRejectsGarbage(t *testing.T) {
-	if _, err := LoadCamera(bytes.NewReader([]byte("not a camera"))); err == nil {
-		t.Fatal("expected error for garbage input")
 	}
 }

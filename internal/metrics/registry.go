@@ -1,4 +1,4 @@
-// Registry-layer metric types: gauges, labeled counters, integer
+// Registry-layer metric types: labeled counters, integer
 // distributions, and a named registry that exports everything as flat
 // samples for the pipeline's periodic observability dumps. The registry
 // knows the clock only through the timestamps callers pass in.
@@ -11,33 +11,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Gauge is a settable instantaneous value, safe for concurrent use.
-type Gauge struct {
-	mu sync.Mutex
-	v  float64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) {
-	g.mu.Lock()
-	g.v = v
-	g.mu.Unlock()
-}
-
-// Add adjusts the gauge by d (negative to decrease).
-func (g *Gauge) Add(d float64) {
-	g.mu.Lock()
-	g.v += d
-	g.mu.Unlock()
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
-}
 
 // LabeledCounter is a family of counters keyed by a label value, e.g.
 // frames_disposed{disposition}. Safe for concurrent use.
@@ -217,11 +190,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return register(r, name, func() *Counter { return &Counter{} })
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	return register(r, name, func() *Gauge { return &Gauge{} })
-}
-
 // LabeledCounter returns the named labeled counter, creating it on first
 // use.
 func (r *Registry) LabeledCounter(name string) *LabeledCounter {
@@ -259,8 +227,6 @@ func (r *Registry) Export(now time.Duration) []Sample {
 		switch m := e.metric.(type) {
 		case *Counter:
 			out = append(out, Sample{n[0], "counter", float64(m.Value())})
-		case *Gauge:
-			out = append(out, Sample{n[0], "gauge", m.Value()})
 		case *LabeledCounter:
 			m.each(func(label string, v int64) {
 				name, ok := e.labeled[label]

@@ -12,7 +12,6 @@ import (
 func fillRegistry(labelOrder []string) *Registry {
 	r := NewRegistry()
 	r.Counter("frames_ingested").Add(42)
-	r.Gauge("in_flight").Set(7)
 	lc := r.LabeledCounter("drops")
 	for _, l := range labelOrder {
 		lc.With(l).Add(int64(len(l)))

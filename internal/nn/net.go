@@ -1,10 +1,7 @@
 package nn
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -179,77 +176,4 @@ func (s *SGD) Step(params []*Param) {
 			p.Grad.Data[i] = 0
 		}
 	}
-}
-
-const weightsMagic = uint32(0xFF5A0001)
-
-// SaveWeights writes all parameters to w in a versioned binary format.
-// The architecture itself is not serialized; ReadWeights must be called
-// on a structurally identical network.
-func (n *Net) SaveWeights(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := binary.Write(bw, binary.LittleEndian, weightsMagic); err != nil {
-		return err
-	}
-	params := n.Params()
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(params))); err != nil {
-		return err
-	}
-	for _, p := range params {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(p.Val.Len())); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, p.Val.Data); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// LoadWeights restores parameters previously written by SaveWeights into
-// a structurally identical network. It is all or nothing: the whole
-// input is read and checked — magic, parameter count, every size, every
-// value, nothing after the last — before any parameter is overwritten,
-// so on error the network is exactly as it was.
-func (n *Net) LoadWeights(r io.Reader) error {
-	br := bufio.NewReader(r)
-	var magic uint32
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
-		return fmt.Errorf("nn: reading weights magic: %w", err)
-	}
-	if magic != weightsMagic {
-		return fmt.Errorf("nn: bad weights magic %#x", magic)
-	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return fmt.Errorf("nn: reading weights count: %w", err)
-	}
-	params := n.Params()
-	if int(count) != len(params) {
-		return fmt.Errorf("nn: weights hold %d params, network has %d", count, len(params))
-	}
-	vals := make([][]float32, len(params))
-	for i, p := range params {
-		var sz uint32
-		if err := binary.Read(br, binary.LittleEndian, &sz); err != nil {
-			return fmt.Errorf("nn: reading size of param %d: %w", i, err)
-		}
-		if int(sz) != p.Val.Len() {
-			return fmt.Errorf("nn: param %d size mismatch: file %d vs net %d", i, sz, p.Val.Len())
-		}
-		vals[i] = make([]float32, sz)
-		if err := binary.Read(br, binary.LittleEndian, vals[i]); err != nil {
-			return fmt.Errorf("nn: reading param %d: %w", i, err)
-		}
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		if err != nil {
-			return fmt.Errorf("nn: reading weights: %w", err)
-		}
-		return fmt.Errorf("nn: trailing bytes after %d params", len(params))
-	}
-	for i, p := range params {
-		copy(p.Val.Data, vals[i])
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -258,49 +257,6 @@ func TestTrainingLearnsBlobDetection(t *testing.T) {
 	}
 	if acc := float64(correct) / trials; acc < 0.9 {
 		t.Fatalf("blob-detection accuracy = %.2f, want >= 0.9", acc)
-	}
-}
-
-func TestSaveLoadWeightsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	net := snmNet(rng, 20)
-	x := randTensor(rng, 1, 1, 20, 20)
-	want := net.Forward(x).Clone()
-
-	var buf bytes.Buffer
-	if err := net.SaveWeights(&buf); err != nil {
-		t.Fatal(err)
-	}
-	net2 := snmNet(rand.New(rand.NewSource(99)), 20) // different init
-	if err := net2.LoadWeights(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := net2.Forward(x)
-	for i := range want.Data {
-		if want.Data[i] != got.Data[i] {
-			t.Fatalf("output differs after weight round trip at %d: %v vs %v", i, want.Data[i], got.Data[i])
-		}
-	}
-}
-
-func TestLoadWeightsRejectsGarbage(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	net := snmNet(rng, 20)
-	if err := net.LoadWeights(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
-		t.Fatal("expected error for garbage weights")
-	}
-}
-
-func TestLoadWeightsRejectsWrongArch(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	net := snmNet(rng, 20)
-	var buf bytes.Buffer
-	if err := net.SaveWeights(&buf); err != nil {
-		t.Fatal(err)
-	}
-	other := NewNet(NewDense(rng, 4, 2))
-	if err := other.LoadWeights(&buf); err == nil {
-		t.Fatal("expected error loading weights into different architecture")
 	}
 }
 

@@ -45,6 +45,9 @@ const (
 	// the consolidated tally. Objects truncated by crop boundaries below
 	// it are the consolidation accuracy cost.
 	consolidateMinCover = 0.7
+	// refConf is the confidence threshold the reference tier applies
+	// when counting target objects, with or without consolidation.
+	refConf = 0.5
 )
 
 // serveCanvases runs one pack-infer-unpack cycle over a round's live
@@ -121,12 +124,12 @@ func (s *System) serveCanvases(live []*frame.Frame, owners []*streamState) {
 		f.Trace.AddSpan(trace.KRef, refStart, refEnd, s.gpu1.Name, len(live))
 		s.ref.dets = detect.AppendDetect(s.ref.dets[:0], s.cfg.Ref, f)
 		dets := s.ref.dets
-		fullCount := detect.Count(dets, st.spec.Target, s.cfg.RefConf)
+		fullCount := detect.Count(dets, st.spec.Target, refConf)
 		mine := rects[from:ends[i]]
 		from = ends[i]
 		count := 0
 		for _, d := range dets {
-			if d.Class != st.spec.Target || d.Conf < s.cfg.RefConf {
+			if d.Class != st.spec.Target || d.Conf < refConf {
 				continue
 			}
 			if imgproc.CoverFrac(d.Box, mine) >= consolidateMinCover {

@@ -256,10 +256,6 @@ type Config struct {
 	FilterGPUs int
 	// Ref is the reference model detector (shared).
 	Ref detect.Detector
-	// RefConf is the confidence threshold applied to the reference
-	// model's detections when counting target objects; zero means the
-	// default 0.5.
-	RefConf float64
 
 	// Consolidate turns on object-level consolidation of the reference
 	// tier (Rivas et al.): instead of one full-frame reference inference
@@ -356,11 +352,10 @@ func (c *Config) fill() {
 	c.fillPaper()
 	orDefault(&c.IngestBuffer, 600) // 20 s at 30 FPS
 	orDefault(&c.FilterGPUs, 1)
-	orDefault(&c.RefConf, 0.5)
 }
 
 // orDefault sets *p to v unless it is positive.
-func orDefault[T int | float64](p *T, v T) {
+func orDefault(p *int, v int) {
 	if *p <= 0 {
 		*p = v
 	}

@@ -98,7 +98,6 @@ type Report struct {
 	// GPU-0); FilterGPUUtils lists all filter GPUs when FilterGPUs > 1.
 	CPUUtil, GPU0Util, GPU1Util float64
 	FilterGPUUtils              []float64
-	CPUBusy, GPU0Busy, GPU1Busy time.Duration
 	GPU0Switches                int64
 	Streams                     []StreamReport
 }
@@ -205,9 +204,6 @@ func (s *System) Report() *Report {
 	}
 	r.GPU0Util = r.FilterGPUUtils[0]
 	r.GPU1Util = s.gpu1.Utilization(elapsed)
-	r.CPUBusy = s.cpu.Stats().Busy
-	r.GPU0Busy = s.filterGPUs[0].Stats().Busy
-	r.GPU1Busy = s.gpu1.Stats().Busy
 	for _, g := range s.filterGPUs {
 		r.GPU0Switches += g.Stats().Switches
 	}

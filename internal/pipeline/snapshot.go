@@ -131,7 +131,7 @@ type Snapshot struct {
 	RefQ    QueueSnapshot     `json:"ref_q"`
 	Devices []DeviceSnapshot  `json:"devices"`
 
-	// Metrics is the registry export (counters, gauges, meters,
+	// Metrics is the registry export (counters, distributions, meters,
 	// histogram summaries) at snapshot time.
 	Metrics []metrics.Sample `json:"metrics,omitempty"`
 }

@@ -594,7 +594,7 @@ func (s *System) serveFrame(st *streamState, f *frame.Frame) {
 	s.gpu1.Use(device.ModelRef, 1, s.cfg.Costs)
 	s.ref.dets = detect.AppendDetect(s.ref.dets[:0], s.cfg.Ref, f)
 	sp.End(clk.Now())
-	count := detect.Count(s.ref.dets, st.spec.Target, s.cfg.RefConf)
+	count := detect.Count(s.ref.dets, st.spec.Target, refConf)
 	s.refServed.Inc()
 	s.finishCounts(st, f, Detected, count, count)
 }
